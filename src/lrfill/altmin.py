@@ -8,10 +8,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pdsolver import FactorPair, PdConfig, solve_factor
+from .pdsolver import _TINY, FactorPair, PdConfig, solve_factor
 from .reporting import SliceReport
-
-_TINY = 1e-300
 
 ETA_MODES = ("geometric", "as-printed")
 
@@ -120,7 +118,9 @@ def interpolate_slice(op, b, cfg: OuterConfig):
     Runs the outer loop: tighten eta, solve for R with L fixed, then for L
     with R fixed.  The primal factors warm-start each subproblem from the
     previous outer iteration; the duals are carried over only when their
-    solve converged.  Returns ``(FactorPair, X, SliceReport)`` with
+    solve converged.  Both solves and the residual run on ``op.packed``
+    and its transposed view, so the data and the duals are vectors over
+    the observed entries.  Returns ``(FactorPair, X, SliceReport)`` with
     X = L R^H in the factor domain; callers that need the acquisition layout
     fold it back through ``op.to_acquisition``.
     """
@@ -145,8 +145,10 @@ def interpolate_slice(op, b, cfg: OuterConfig):
     L, R = pair.L, pair.R
     y_for_R = None
     y_for_L = None
-    op_flip = op.hermitian_flip()
-    b_flip = b.conj().T
+    A = op.packed
+    A_T = A.transposed()
+    b_obs = op.pack(b)
+    b_obs_T = b_obs.conj()
 
     eta_k = b_norm
     X_prev = L @ R.conj().T
@@ -157,9 +159,9 @@ def interpolate_slice(op, b, cfg: OuterConfig):
     for k in range(cfg.outer_iters):
         eta_k = eta_schedule(k, eta_k, cfg.alpha, eta_target, cfg.eta_mode)
         try:
-            R, dual_R, info_R = solve_factor(op_flip, b_flip, L, eta_k, cfg.pd,
+            R, dual_R, info_R = solve_factor(A_T, b_obs_T, L, eta_k, cfg.pd,
                                              warm=(R, y_for_R))
-            L, dual_L, info_L = solve_factor(op, b, R, eta_k, cfg.pd,
+            L, dual_L, info_L = solve_factor(A, b_obs, R, eta_k, cfg.pd,
                                              warm=(L, y_for_L))
         except ValueError as exc:
             raise RuntimeError(
@@ -186,7 +188,7 @@ def interpolate_slice(op, b, cfg: OuterConfig):
             if y_for_R is not None:
                 y_for_R = y_for_R * s**2
         X = L @ R.conj().T
-        resid = float(np.linalg.norm(op.forward(X) - b))
+        resid = float(np.linalg.norm(A.forward(X) - b_obs))
         change = float(np.linalg.norm(X - X_prev)) / max(float(np.linalg.norm(X_prev)), _TINY)
         X_prev = X
         total_inner += info_R.iterations + info_L.iterations

@@ -18,10 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .altmin import init_factors
-from .pdsolver import FactorPair
+from .pdsolver import _TINY, FactorPair
 from .reporting import SliceReport
-
-_TINY = 1e-300
 
 
 class RootBracketError(RuntimeError):
@@ -69,6 +67,9 @@ def value_function(op, b, tau, r, cfg: LevelSetConfig | None = None, warm=None):
     Projected gradient on g(L, R) = 1/2 ||A(L R^H) - b||^2 with a
     backtracking line search; each step re-projects onto the factor ball.
     ``warm`` factors (from a nearby tau) are projected in and reused.
+    ``op`` may be a ``MeasurementOp`` with its dense ``b``, or its
+    ``packed`` operator with ``op.pack(b)``, which is what
+    :func:`solve_levelset` passes.
     """
     cfg = cfg or LevelSetConfig()
     b = np.asarray(b, dtype=np.complex128)
@@ -142,6 +143,8 @@ def solve_levelset(op, b, eta, r, cfg: LevelSetConfig | None = None):
                              wall_s=time.perf_counter() - t_start, status="ok")
         return pair, np.zeros((p, q), dtype=np.complex128), report
 
+    A = op.packed
+    b_obs = op.pack(b)
     tol_abs = cfg.root_tol * b_norm
     tau_lo, v_lo = 0.0, b_norm
     tau_hi = cfg.tau0
@@ -150,7 +153,7 @@ def solve_levelset(op, b, eta, r, cfg: LevelSetConfig | None = None):
     evals = 0
     tried_taus, tried_values = [], []
 
-    v_hi, warm, it = value_function(op, b, tau_hi, r, cfg, warm)
+    v_hi, warm, it = value_function(A, b_obs, tau_hi, r, cfg, warm)
     total_inner += it
     evals += 1
     tried_taus.append(tau_hi)
@@ -164,14 +167,14 @@ def solve_levelset(op, b, eta, r, cfg: LevelSetConfig | None = None):
         tau_lo, v_lo = tau_hi, v_hi
         tau_hi *= 2.0
         v_prev = v_hi
-        v_hi, warm, it = value_function(op, b, tau_hi, r, cfg, warm)
+        v_hi, warm, it = value_function(A, b_obs, tau_hi, r, cfg, warm)
         total_inner += it
         # Doubling tau without the value moving means the warm start is
         # parked at a spurious stationary point of the nonconvex inner
         # problem; retry from a fresh draw and keep the better of the two.
         if v_hi > 0.95 * v_prev:
             fresh_cfg = LevelSetConfig(**{**cfg.__dict__, "seed": cfg.seed + expansions + 1})
-            v_fresh, warm_fresh, it2 = value_function(op, b, tau_hi, r, fresh_cfg)
+            v_fresh, warm_fresh, it2 = value_function(A, b_obs, tau_hi, r, fresh_cfg)
             total_inner += it2
             if v_fresh < v_hi:
                 v_hi, warm = v_fresh, warm_fresh
@@ -204,14 +207,14 @@ def solve_levelset(op, b, eta, r, cfg: LevelSetConfig | None = None):
         hi_guard = tau_hi - 0.01 * (tau_hi - tau_lo)
         if side_repeats >= 2 or not lo_guard <= tau_next <= hi_guard:
             tau_next = 0.5 * (tau_lo + tau_hi)
-        v_next, warm, it = value_function(op, b, tau_next, r, cfg, warm)
+        v_next, warm, it = value_function(A, b_obs, tau_next, r, cfg, warm)
         total_inner += it
         if abs(v_next - eta) > tol_abs:
             # The warm start may be hysteretic (stuck high, or dragged into
             # an overfit basin from a larger tau).  A fresh evaluation is an
             # independent upper bound on v(tau); keep the smaller.
             fresh_cfg = LevelSetConfig(**{**cfg.__dict__, "seed": cfg.seed + 7919 + evals})
-            v_fresh, warm_fresh, it2 = value_function(op, b, tau_next, r, fresh_cfg)
+            v_fresh, warm_fresh, it2 = value_function(A, b_obs, tau_next, r, fresh_cfg)
             total_inner += it2
             if v_fresh < v_next:
                 v_next, warm = v_fresh, warm_fresh

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-_TINY = 1e-300
+from .pdsolver import _TINY
 
 
 class OracleConvergenceError(RuntimeError):

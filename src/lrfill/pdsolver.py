@@ -14,6 +14,11 @@ threshold toward the origin), using a single step size
 which is admissible because the measurement operator is nonexpansive, so
 ||A~||_op <= ||R||_op.  Only operator applications and matrix products are
 used; no SVDs, no projections.
+
+The solver needs of the operator only ``forward``, ``adjoint``,
+``factor_shape`` and ``data_shape``.  The alternating loop hands it
+``MeasurementOp.packed``, whose data are vectors over the observed entries,
+and that operator's transposed view for the R-factor subproblem.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# Floor for norms used as divisors; the other solver modules import it.
 _TINY = 1e-300
 
 
@@ -155,7 +161,7 @@ def solve_factor(op, b, R, eta, cfg: PdConfig | None = None, warm=None):
     Parameters
     ----------
     op : measurement operator (forward/adjoint/factor_shape/data_shape)
-    b : observed data-domain matrix
+    b : observed data, shape ``op.data_shape``
     R : the held-fixed factor (q x r); must be nonzero
     eta : residual budget, >= 0
     warm : optional (L0, y0) from a previous, nearby subproblem.  Cold

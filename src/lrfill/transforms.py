@@ -18,6 +18,13 @@ The measurement operator composes the mask with the change of unfolding:
 ``measure(Z) = mask * to_acquisition(Z)``.  Because the re-unfolding is a
 pure permutation and the mask a coordinate projection, the operator norm is
 at most 1, with equality whenever the mask is nonempty.
+
+Since the operator is a permutation followed by a coordinate mask, it is
+fully described by where each observed entry sits in the factor domain.
+``MeasurementOp`` computes that index map once; the solvers run on its
+``packed`` form, whose data domain is the vector of observed entries: a
+gather forward, a scatter adjoint, and a transposed view of the same index
+map for the R-factor subproblem.
 """
 
 from __future__ import annotations
@@ -131,6 +138,13 @@ class MeasurementOp:
     ``data_shape``); ``adjoint`` is its exact adjoint.  With no
     matricization (2-d masks), the transform is the identity and the
     operator is the bare coordinate projection.
+
+    Both directions move only the observed entries, through two index
+    arrays computed once here: ``data_index`` holds the flat
+    acquisition-layout index of each observed entry and ``factor_index``
+    the flat factor-domain index of the same entry, in the same order.
+    ``packed`` is the same operator with the zeros left out of the data
+    domain; the solvers run on it and on its ``transposed()`` view.
     """
 
     def __init__(self, mask: SamplingMask, matricization: Matricization | None = None):
@@ -152,6 +166,15 @@ class MeasurementOp:
             self.factor_shape = matricization.shape
             self.data_shape = self._acq.shape
         self.observed = _mask_matrix(mask)
+        # Observed entries in factor order: sorted factor indices keep the
+        # solvers' gathers and scatters sequential in memory.
+        self.factor_index = np.flatnonzero(self.from_acquisition(self.observed))
+        if matricization is None:
+            self.data_index = self.factor_index
+        else:
+            positions = np.arange(self.observed.size).reshape(self.data_shape)
+            self.data_index = self.from_acquisition(positions).ravel()[self.factor_index]
+        self.packed = PackedOp(self.factor_index, self.factor_shape, matricization)
 
     def to_acquisition(self, Z: np.ndarray) -> np.ndarray:
         """Transform only (no masking): factor domain -> acquisition layout."""
@@ -171,39 +194,85 @@ class MeasurementOp:
             return W
         return self.matricization.unfold(self._acq.fold(W))
 
-    def forward(self, Z: np.ndarray) -> np.ndarray:
-        return np.where(self.observed, self.to_acquisition(Z), 0)
-
-    def adjoint(self, W: np.ndarray) -> np.ndarray:
+    def pack(self, W: np.ndarray) -> np.ndarray:
+        """The observed entries of an acquisition-layout matrix, in the
+        order of ``packed``'s data vectors."""
         W = np.asarray(W)
         if W.shape != self.data_shape:
             raise ValueError(f"expected data shape {self.data_shape}, got {W.shape}")
-        return self.from_acquisition(np.where(self.observed, W, 0))
+        return W.take(self.data_index)
 
-    def hermitian_flip(self) -> "_HermitianFlip":
+    def forward(self, Z: np.ndarray) -> np.ndarray:
+        Z = np.asarray(Z)
+        if Z.shape != self.factor_shape:
+            raise ValueError(f"expected factor shape {self.factor_shape}, got {Z.shape}")
+        return _scatter(Z.take(self.factor_index), self.data_index, self.data_shape)
+
+    def adjoint(self, W: np.ndarray) -> np.ndarray:
+        return _scatter(self.pack(W), self.factor_index, self.factor_shape)
+
+
+def _scatter(values: np.ndarray, index: np.ndarray, shape: tuple) -> np.ndarray:
+    """Zero matrix of ``shape`` holding ``values`` at the flat ``index``."""
+    out = np.zeros(shape, dtype=np.result_type(values, 0))
+    out.reshape(-1)[index] = values
+    return out
+
+
+class PackedOp:
+    """Measurement operator whose data domain is the observed entries only.
+
+    ``forward`` gathers the observed entries of a factor-domain matrix into
+    a vector of length |Omega| (``data_shape``); ``adjoint`` scatters such
+    a vector into a zero ``factor_shape`` matrix.  ``index`` holds the flat
+    factor-domain position of each observed entry.  Data vectors come from
+    :meth:`MeasurementOp.pack`.
+    """
+
+    def __init__(self, index: np.ndarray, factor_shape: tuple,
+                 matricization: Matricization | None):
+        self.index = index
+        self.factor_shape = factor_shape
+        self.data_shape = (index.size,)
+        self.matricization = matricization
+
+    def forward(self, Z: np.ndarray) -> np.ndarray:
+        Z = np.asarray(Z)
+        if Z.shape != self.factor_shape:
+            raise ValueError(f"expected factor shape {self.factor_shape}, got {Z.shape}")
+        return Z.take(self.index)
+
+    def adjoint(self, y: np.ndarray) -> np.ndarray:
+        y = np.asarray(y)
+        if y.shape != self.data_shape:
+            raise ValueError(f"expected data shape {self.data_shape}, got {y.shape}")
+        return _scatter(y, self.index, self.factor_shape)
+
+    def transposed(self) -> "PackedTranspose":
         """View of the operator acting on conjugate-transposed arguments.
 
         Solving the R-factor subproblem reuses the L-factor solver through
-        this view: ||A(L R^H) - b|| equals ||flip(R L^H) - b^H||.
+        this view: ||A(L R^H) - b|| equals ||T(R L^H) - conj(b)||.
         """
-        return _HermitianFlip(self)
+        return PackedTranspose(self)
 
 
-class _HermitianFlip:
-    """Conjugate-transpose view of a measurement operator."""
+class PackedTranspose(PackedOp):
+    """The packed operator on ``(q, p)`` matrices ``R L^H``, the conjugate
+    transpose of the factor-domain product; its data vectors are the
+    conjugated packed data.
 
-    def __init__(self, base):
+    Entry (i, j) of the ``(p, q)`` factor domain sits at (j, i) here, so
+    the view is the same gather and scatter at index ``j * p + i``.
+    """
+
+    def __init__(self, base: PackedOp):
+        p, q = base.factor_shape
+        i, j = np.divmod(base.index, q)
+        super().__init__(j * p + i, (q, p), base.matricization)
         self.base = base
-        self.factor_shape = base.factor_shape[::-1]
-        self.data_shape = base.data_shape[::-1]
 
-    def forward(self, V: np.ndarray) -> np.ndarray:
-        return self.base.forward(np.conj(V).T).conj().T
-
-    def adjoint(self, W: np.ndarray) -> np.ndarray:
-        return self.base.adjoint(np.conj(W).T).conj().T
-
-    def hermitian_flip(self):
+    def transposed(self) -> PackedOp:
         return self.base
 
 

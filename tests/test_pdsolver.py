@@ -11,8 +11,8 @@ from lrfill.pdsolver import (
     primal_update,
     solve_factor,
 )
-from lrfill.sampling import SamplingMask, uniform_entry_mask
-from lrfill.transforms import MeasurementOp
+from lrfill.sampling import SamplingMask, jittered_volume_mask, uniform_entry_mask
+from lrfill.transforms import MODE_REC_SRC_X, Matricization, MeasurementOp
 
 
 def crandn(rng, *shape):
@@ -29,6 +29,22 @@ def small_problem():
     L_true = crandn(rng, p, r)
     b = op.forward(L_true @ R.conj().T)
     return op, b, R, rng
+
+
+class _DenseConjTranspose:
+    """Dense reference for the R-subproblem: the operator acting on
+    conjugate-transposed arguments, ||A(L R^H) - b|| = ||T(R L^H) - b^H||."""
+
+    def __init__(self, op):
+        self.op = op
+        self.factor_shape = op.factor_shape[::-1]
+        self.data_shape = op.data_shape[::-1]
+
+    def forward(self, V):
+        return self.op.forward(V.conj().T).conj().T
+
+    def adjoint(self, W):
+        return self.op.adjoint(W.conj().T).conj().T
 
 
 class TestFactorPair:
@@ -268,6 +284,28 @@ class TestSolveFactor:
         eta = 0.1 * float(np.linalg.norm(b))
         L, dual, info = solve_factor(op, b, R, eta)
         assert np.all(dual.y[~op.observed] == 0)
+
+    @pytest.mark.parametrize("side", ["L", "R"])
+    def test_packed_operator_matches_dense(self, side):
+        # The solver is operator-agnostic: on the packed pair it must take
+        # the same path as on the dense operator, to rounding.
+        rng = np.random.default_rng(106)
+        mask = jittered_volume_mask(4, 3, 4, 3, 0.5, seed=7)
+        op = MeasurementOp(mask, Matricization(MODE_REC_SRC_X, 4, 3, 4, 3))
+        p, q = op.factor_shape
+        r = 3
+        L, R = crandn(rng, p, r), crandn(rng, q, r)
+        b = op.forward(L @ R.conj().T) + 0.05 * op.forward(crandn(rng, p, q))
+        eta = 0.05 * float(np.linalg.norm(b))
+        cfg = PdConfig(max_iters=400)
+        if side == "L":
+            dense = solve_factor(op, b, R, eta, cfg)
+            packed = solve_factor(op.packed, op.pack(b), R, eta, cfg)
+        else:
+            dense = solve_factor(_DenseConjTranspose(op), b.conj().T, L, eta, cfg)
+            packed = solve_factor(op.packed.transposed(), op.pack(b).conj(), L, eta, cfg)
+        assert packed[2].iterations == dense[2].iterations
+        assert np.linalg.norm(packed[0] - dense[0]) <= 1e-12 * np.linalg.norm(dense[0])
 
 
 def test_factorization_bound_and_balanced_equality():

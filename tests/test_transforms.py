@@ -194,8 +194,8 @@ class TestMeasurementOp:
         rng = np.random.default_rng(19)
         mask = random_mask(rng)
         op = MeasurementOp(mask, Matricization(MODE_REC_SRC_X, *mask.grid.shape))
-        flip = op.hermitian_flip()
-        assert flip.hermitian_flip() is op
+        flip = op.packed.transposed()
+        assert flip.transposed() is op.packed
         V = rng.standard_normal(flip.factor_shape) + 1j * rng.standard_normal(flip.factor_shape)
         W = rng.standard_normal(flip.data_shape) + 1j * rng.standard_normal(flip.data_shape)
         lhs = np.vdot(W, flip.forward(V))
@@ -210,9 +210,51 @@ class TestMeasurementOp:
         r = 3
         L = rng.standard_normal((p, r)) + 1j * rng.standard_normal((p, r))
         R = rng.standard_normal((q, r)) + 1j * rng.standard_normal((q, r))
-        lhs = op.hermitian_flip().forward(R @ L.conj().T)
-        rhs = op.forward(L @ R.conj().T).conj().T
+        lhs = op.packed.transposed().forward(R @ L.conj().T)
+        rhs = op.pack(op.forward(L @ R.conj().T)).conj()
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_forward_is_sampling_of_transform(self, mode):
+        rng = np.random.default_rng(24)
+        mask = random_mask(rng)
+        op = MeasurementOp(mask, Matricization(mode, *mask.grid.shape))
+        Z = rng.standard_normal(op.factor_shape) + 1j * rng.standard_normal(op.factor_shape)
+        np.testing.assert_array_equal(op.forward(Z), apply_sampling(mask, op.to_acquisition(Z)))
+
+    @pytest.mark.parametrize("mode", [*MODES, None])
+    def test_packed_pair_is_dense_restricted_to_observed(self, mode):
+        rng = np.random.default_rng(25)
+        if mode is None:
+            mask = uniform_entry_mask(5, 6, 0.5, seed=4)
+            op = MeasurementOp(mask)
+        else:
+            mask = random_mask(rng)
+            op = MeasurementOp(mask, Matricization(mode, *mask.grid.shape))
+        A = op.packed
+        Z = rng.standard_normal(op.factor_shape) + 1j * rng.standard_normal(op.factor_shape)
+        W = rng.standard_normal(op.data_shape) + 1j * rng.standard_normal(op.data_shape)
+        assert A.data_shape == (int(op.observed.sum()),)
+        np.testing.assert_array_equal(A.forward(Z), op.pack(op.forward(Z)))
+        np.testing.assert_array_equal(A.adjoint(op.pack(W)), op.adjoint(W))
+        # Put back in acquisition order, the packed data are the observed entries.
+        np.testing.assert_array_equal(op.pack(W)[np.argsort(op.data_index)],
+                                      W[op.observed])
+
+    def test_packed_pair_exposes_what_solver_tracing_reads(self):
+        rng = np.random.default_rng(26)
+        mask = random_mask(rng)
+        matric = Matricization(MODE_REC_SRC_X, *mask.grid.shape)
+        op = MeasurementOp(mask, matric)
+        A, A_T = op.packed, op.packed.transposed()
+        p, q = op.factor_shape
+        m = int(op.observed.sum())
+        assert A.factor_shape == (p, q) and A.data_shape == (m,)
+        assert A_T.factor_shape == (q, p) and A_T.data_shape == (m,)
+        assert A.matricization is matric and A_T.matricization is matric
+        assert A_T.base is A
+        # perfbench tells an R-side solve from an L-side one by ``.base``.
+        assert not hasattr(A, "base")
 
     def test_mask_matric_shape_mismatch(self):
         rng = np.random.default_rng(21)
