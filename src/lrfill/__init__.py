@@ -34,6 +34,7 @@ from .pdsolver import (
     op_norm,
     primal_update,
     solve_factor,
+    solve_factor_exact,
 )
 from .pipeline import PipelineConfig, RunResult, load_config, mask_volume, run_interpolation
 from .reporting import SliceReport, snr_db
@@ -50,10 +51,8 @@ from .transforms import (
     Matricization,
     MeasurementOp,
     apply_sampling,
-    fold,
     singular_decay,
     spatial_block,
-    unfold,
 )
 from .volume import (
     AxisLayoutError,

@@ -1,5 +1,7 @@
 """Outer alternating loop: relax the residual budget geometrically while
-trading R- and L-factor subproblems solved by primal-dual splitting."""
+trading R- and L-factor subproblems, each solved exactly by
+:func:`~lrfill.pdsolver.solve_factor_exact` (r x r eigendecompositions row
+by row and a root-find on the multiplier)."""
 
 from __future__ import annotations
 
@@ -8,7 +10,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pdsolver import _TINY, FactorPair, PdConfig, solve_factor
+from .pdsolver import _TINY, FactorPair, PdConfig, solve_factor_exact
+# Not called here; kept importable because benchmark tracing patches
+# ``lrfill.altmin.solve_factor`` by name.
+from .pdsolver import solve_factor  # noqa: F401
 from .reporting import SliceReport
 
 ETA_MODES = ("geometric", "as-printed")
@@ -116,11 +121,14 @@ def interpolate_slice(op, b, cfg: OuterConfig):
     """Complete one slice from its masked measurements.
 
     Runs the outer loop: tighten eta, solve for R with L fixed, then for L
-    with R fixed.  The primal factors warm-start each subproblem from the
-    previous outer iteration; the duals are carried over only when their
-    solve converged.  Both solves and the residual run on ``op.packed``
-    and its transposed view, so the data and the duals are vectors over
-    the observed entries.  Returns ``(FactorPair, X, SliceReport)`` with
+    with R fixed, each subproblem exactly, then equalize the factor norms;
+    stop at ``outer_iters`` or once the product settles inside the budget.
+    Both solves and the residual run on ``op.packed`` and its transposed
+    view, so the data are vectors over the observed entries.  The report's
+    ``inner_iters`` counts the multiplier root-find steps of both solves.
+    ``cfg.pd.max_iters`` caps those steps per solve, and ``cfg.pd.feas_tol``
+    is the outer stop's tolerance on the budget.  Returns
+    ``(FactorPair, X, SliceReport)`` with
     X = L R^H in the factor domain; callers that need the acquisition layout
     fold it back through ``op.to_acquisition``.
     """
@@ -143,8 +151,6 @@ def interpolate_slice(op, b, cfg: OuterConfig):
 
     pair = init_factors(p, q, r, cfg.seed)
     L, R = pair.L, pair.R
-    y_for_R = None
-    y_for_L = None
     A = op.packed
     A_T = A.transposed()
     b_obs = op.pack(b)
@@ -159,34 +165,20 @@ def interpolate_slice(op, b, cfg: OuterConfig):
     for k in range(cfg.outer_iters):
         eta_k = eta_schedule(k, eta_k, cfg.alpha, eta_target, cfg.eta_mode)
         try:
-            R, dual_R, info_R = solve_factor(A_T, b_obs_T, L, eta_k, cfg.pd,
-                                             warm=(R, y_for_R))
-            L, dual_L, info_L = solve_factor(A, b_obs, R, eta_k, cfg.pd,
-                                             warm=(L, y_for_L))
+            R, _, info_R = solve_factor_exact(A_T, b_obs_T, L, eta_k, cfg.pd)
+            L, _, info_L = solve_factor_exact(A, b_obs, R, eta_k, cfg.pd)
         except ValueError as exc:
             raise RuntimeError(
                 f"inner solve failed at outer iteration {k} (eta={eta_k:.3e}): {exc}"
             ) from exc
-        # Carry a dual across outer iterations only when the solve that
-        # produced it actually converged.  A budget-capped solve leaves
-        # large parasitic components in the dual's null directions, and
-        # reusing those destabilizes later subproblems.
-        y_for_R = dual_R.y if info_R.converged else None
-        y_for_L = dual_L.y if info_L.converged else None
-        # Equalize the factor norms.  The product (and hence the exact
-        # alternation) is unchanged, but the step size 0.99/||fixed||_op of
-        # the next inner solve stays well scaled instead of mirroring any
-        # initial imbalance back and forth.  The warm duals follow the KKT
-        # scaling y -> y / s^2 when their fixed factor is scaled by s.
+        # Equalize the factor norms.  Each exact solve scales inversely with
+        # its fixed factor, so no product changes; the factors keep one scale
+        # and the recorded objective is the least over rescalings.
         norm_L = float(np.linalg.norm(L))
         norm_R = float(np.linalg.norm(R))
         if norm_L > 0 and norm_R > 0:
             s = np.sqrt(norm_L / norm_R)
             L, R = L / s, R * s
-            if y_for_L is not None:
-                y_for_L = y_for_L / s**2
-            if y_for_R is not None:
-                y_for_R = y_for_R * s**2
         X = L @ R.conj().T
         resid = float(np.linalg.norm(A.forward(X) - b_obs))
         change = float(np.linalg.norm(X - X_prev)) / max(float(np.linalg.norm(X_prev)), _TINY)

@@ -103,14 +103,6 @@ def spatial_block(vol: ComplexVolume) -> np.ndarray:
     return arr.reshape(arr.shape[-4:])
 
 
-def unfold(tensor: np.ndarray, matricization: Matricization) -> np.ndarray:
-    return matricization.unfold(tensor)
-
-
-def fold(matrix: np.ndarray, matricization: Matricization) -> np.ndarray:
-    return matricization.fold(matrix)
-
-
 def _mask_matrix(mask: SamplingMask) -> np.ndarray:
     """Mask grid in acquisition (srcpair) matrix layout."""
     if mask.grid.ndim == 2:

@@ -364,6 +364,37 @@ def test_criterion_8_end_to_end_pipeline(tmp_path):
         f"through the (sy, sx) block graph")
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_criterion_8_instance_meets_budget_at_every_solver_seed(tmp_path, seed):
+    # Criterion 8 asserts the residual budget at solver seed 0 only; every
+    # slice of the same instance and config must meet it at other seeds too.
+    spec = EventSpec(n_rx=10, n_ry=10, n_sx=8, n_sy=8, spacing_m=25.0,
+                     nt=128, dt=0.004,
+                     events=[(0.10, 0.00025, 0.00015, 1.0),
+                             (0.22, -0.0002, 0.0003, 0.8),
+                             (0.35, 0.0001, 0.0002, 0.6)],
+                     wavelet_peak_hz=20.0)
+    truth_path = tmp_path / "truth.lrv"
+    mask_path = tmp_path / "mask.lrm"
+    write_volume(linear_events(spec), truth_path)
+    write_mask(jittered_volume_mask(10, 10, 8, 8, 0.2, seed=75), mask_path)
+    cfg = PipelineConfig(
+        input=str(truth_path), output=str(tmp_path / "out.lrv"),
+        mask=str(mask_path), report=str(tmp_path / "report.csv"),
+        solver="pd", f_min=3.0, f_max=70.0, dt=0.004,
+        rank=8, eta_fraction=0.03, alpha=0.5, outer_iters=30, inner_iters=1500,
+        seed=seed, threads=1,
+    )
+    result = run_interpolation(cfg)
+    assert result.failed == 0
+    worst = max(result.rows, key=lambda row: row.rel_residual)
+    assert worst.rel_residual <= 1.01 * cfg.eta_fraction, (
+        f"seed {seed}: the {worst.freq_hz:.2f} Hz slice ends at relative residual "
+        f"{worst.rel_residual:.4f} against a {cfg.eta_fraction} budget")
+    report(f"criterion-8 instance, solver seed {seed}: worst relative residual "
+           f"{worst.rel_residual:.4f} at {worst.freq_hz:.2f} Hz")
+
+
 # ----------------------------------------------------------------------- #
 # 9. numerical property suite
 # ----------------------------------------------------------------------- #

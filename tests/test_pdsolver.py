@@ -10,6 +10,7 @@ from lrfill.pdsolver import (
     op_norm,
     primal_update,
     solve_factor,
+    solve_factor_exact,
 )
 from lrfill.sampling import SamplingMask, jittered_volume_mask, uniform_entry_mask
 from lrfill.transforms import MODE_REC_SRC_X, Matricization, MeasurementOp
@@ -306,6 +307,148 @@ class TestSolveFactor:
             packed = solve_factor(op.packed.transposed(), op.pack(b).conj(), L, eta, cfg)
         assert packed[2].iterations == dense[2].iterations
         assert np.linalg.norm(packed[0] - dense[0]) <= 1e-12 * np.linalg.norm(dense[0])
+
+
+def _exact_side(op, b, L, R, side):
+    """The packed operator, its data and the fixed factor for the L- or the
+    R-subproblem, with a dense operator and data for the reference."""
+    if side == "L":
+        return op.packed, op.pack(b), R, op, b
+    return op.packed.transposed(), op.pack(b).conj(), L, _DenseConjTranspose(op), b.conj().T
+
+
+def _criterion_1_instance(rng, noise=0.0):
+    """Shaped like acceptance criterion 1: 8-30 rows and columns, rank 1-5,
+    40-100% of entries kept, eta between 5% and 30% of ||b||."""
+    p, q = int(rng.integers(8, 31)), int(rng.integers(8, 31))
+    r = int(rng.integers(1, 6))
+    mask = uniform_entry_mask(p, q, float(rng.uniform(0.4, 1.0)),
+                              seed=int(rng.integers(1 << 30)))
+    op = MeasurementOp(mask)
+    L, R = crandn(rng, p, r), crandn(rng, q, r)
+    b = op.forward(L @ R.conj().T + noise * crandn(rng, p, q))
+    eta = float(rng.uniform(0.05, 0.3)) * float(np.linalg.norm(b))
+    return op, b, L, R, eta
+
+
+class TestSolveFactorExact:
+    @pytest.mark.parametrize("side", ["L", "R"])
+    def test_matches_reference_and_converged_pd(self, side):
+        rng = np.random.default_rng(107)
+        pd_cfg = PdConfig(max_iters=100000, primal_tol=1e-13, feas_tol=1e-12)
+        for _ in range(5):
+            op, b, L, R, eta = _criterion_1_instance(rng)
+            A, data, fixed, dense, dense_b = _exact_side(op, b, L, R, side)
+            X, dual, info = solve_factor_exact(A, data, fixed, eta)
+            ref = solve_factor_reference(dense, dense_b, fixed, eta, tol=1e-13,
+                                         max_iters=5000)
+            pd, _, _ = solve_factor(A, data, fixed, eta, pd_cfg)
+            assert info.converged
+            assert np.linalg.norm(X - ref) <= 1e-9 * np.linalg.norm(ref)
+            assert np.linalg.norm(X - pd) <= 1e-9 * np.linalg.norm(pd)
+            # Stationarity with the returned dual: X = -A*(y) fixed.
+            kkt = np.linalg.norm(X + A.adjoint(dual.y) @ fixed)
+            assert kkt <= 1e-10 * np.linalg.norm(X)
+
+    @pytest.mark.parametrize("side", ["L", "R"])
+    @pytest.mark.parametrize("mode", [None, MODE_REC_SRC_X])
+    def test_feasible_subproblem_meets_eta(self, side, mode):
+        rng = np.random.default_rng(108)
+        for _ in range(20):
+            if mode is None:
+                op, b, L, R, eta = _criterion_1_instance(rng, noise=0.02)
+            else:
+                mask = jittered_volume_mask(4, 3, 4, 3, 0.5, seed=int(rng.integers(1000)))
+                op = MeasurementOp(mask, Matricization(mode, 4, 3, 4, 3))
+                p, q = op.factor_shape
+                L, R = crandn(rng, p, 3), crandn(rng, q, 3)
+                b = op.forward(L @ R.conj().T + 0.02 * crandn(rng, p, q))
+                eta = float(rng.uniform(0.05, 0.3)) * float(np.linalg.norm(b))
+            A, data, fixed, _, _ = _exact_side(op, b, L, R, side)
+            X, dual, info = solve_factor_exact(A, data, fixed, eta)
+            resid = np.linalg.norm(A.forward(X @ fixed.conj().T) - data)
+            assert info.converged
+            assert resid <= eta * (1 + 1e-12)
+            assert info.residual_norm == pytest.approx(resid, rel=1e-12)
+            # The constraint is active: the minimum-norm factor uses the
+            # whole budget.
+            assert resid >= eta * (1 - 1e-9)
+
+    @pytest.mark.parametrize("side", ["L", "R"])
+    def test_capped_root_find_returns_feasible_end(self, side):
+        # Stopped before the bracket on the multiplier closes, the solve
+        # still returns a feasible factor, from the bracket's feasible end.
+        rng = np.random.default_rng(111)
+        for _ in range(10):
+            op, b, L, R, eta = _criterion_1_instance(rng, noise=0.02)
+            A, data, fixed, _, _ = _exact_side(op, b, L, R, side)
+            X, _, info = solve_factor_exact(A, data, fixed, eta, PdConfig(max_iters=1))
+            assert info.iterations == 1 and not info.converged
+            assert info.residual_norm <= eta * (1 + 1e-12)
+
+    @pytest.mark.parametrize("side", ["L", "R"])
+    def test_eta_at_or_above_data_norm_gives_zero(self, side, small_problem):
+        op, b, R, rng = small_problem
+        L = crandn(rng, op.factor_shape[0], R.shape[1])
+        A, data, fixed, _, _ = _exact_side(op, b, L, R, side)
+        for scale in (1.0, 1.5):
+            eta = scale * float(np.linalg.norm(data))
+            X, dual, info = solve_factor_exact(A, data, fixed, eta)
+            assert X.shape == (A.factor_shape[0], fixed.shape[1])
+            assert np.all(X == 0) and np.all(dual.y == 0)
+            assert info.converged and info.iterations == 0
+
+    @pytest.mark.parametrize("side", ["L", "R"])
+    def test_infeasible_gives_least_squares_limit(self, side):
+        # Rank-one factors cannot fit full-rank data to 1%.
+        rng = np.random.default_rng(109)
+        op = MeasurementOp(uniform_entry_mask(14, 11, 0.6, seed=5))
+        L, R = crandn(rng, 14, 1), crandn(rng, 11, 1)
+        b = op.forward(crandn(rng, 14, 11))
+        A, data, fixed, _, _ = _exact_side(op, b, L, R, side)
+        eta = 0.01 * float(np.linalg.norm(data))
+        X, dual, info = solve_factor_exact(A, data, fixed, eta)
+        assert not info.converged
+        assert np.isfinite(X).all()
+        assert info.residual_norm > eta
+        # Row by row, the minimum-norm least-squares fit of the observed
+        # entries, from the dense factor-domain mask and data.
+        observed = A.adjoint(np.ones(A.data_shape)) != 0
+        B = A.adjoint(data)
+        for i in range(X.shape[0]):
+            cols = np.flatnonzero(observed[i])
+            ls = np.linalg.lstsq(fixed[cols].conj(), B[i, cols], rcond=None)[0]
+            np.testing.assert_allclose(X[i], ls, rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("side", ["L", "R"])
+    def test_rows_without_observations_stay_zero(self, side):
+        rng = np.random.default_rng(110)
+        grid = np.ones((9, 7), dtype=bool)
+        grid[[0, 4], :] = False
+        grid[:, 3] = False
+        grid[5, 1] = False
+        op = MeasurementOp(SamplingMask(grid, axes=("rx", "sx")))
+        L, R = crandn(rng, 9, 2), crandn(rng, 7, 2)
+        b = op.forward(L @ R.conj().T + 0.1 * crandn(rng, 9, 7))
+        A, data, fixed, _, _ = _exact_side(op, b, L, R, side)
+        empty = [0, 4] if side == "L" else [3]
+        for eta in (0.05 * float(np.linalg.norm(data)), 0.0):
+            X, _, _ = solve_factor_exact(A, data, fixed, eta)
+            assert np.all(X[empty] == 0)
+            assert np.all(np.delete(X, empty, axis=0) != 0)
+
+    @pytest.mark.parametrize("side", ["L", "R"])
+    def test_zero_or_nonfinite_fixed_factor_rejected(self, side, small_problem):
+        op, b, R, rng = small_problem
+        L = crandn(rng, op.factor_shape[0], R.shape[1])
+        A, data, fixed, _, _ = _exact_side(op, b, L, R, side)
+        bad = fixed.copy()
+        bad[0, 0] = np.nan
+        for F in (np.zeros_like(fixed), bad):
+            # Also when eta alone would make zero the answer.
+            for eta in (0.1, 2.0 * float(np.linalg.norm(data))):
+                with pytest.raises(ValueError):
+                    solve_factor_exact(A, data, F, eta)
 
 
 def test_factorization_bound_and_balanced_equality():

@@ -9,10 +9,8 @@ from lrfill.transforms import (
     Matricization,
     MeasurementOp,
     apply_sampling,
-    fold,
     singular_decay,
     spatial_block,
-    unfold,
 )
 from lrfill.volume import AxisLayoutError, ComplexVolume
 
@@ -78,7 +76,7 @@ class TestMatricization:
         rng = np.random.default_rng(8)
         T = random_tensor(rng)
         m = Matricization(MODE_REC_SRC_X, *T.shape)
-        assert np.array_equal(fold(unfold(T, m), m), T)
+        assert np.array_equal(m.fold(m.unfold(T)), T)
 
     def test_spatial_block_reorders_by_label(self):
         rng = np.random.default_rng(9)
