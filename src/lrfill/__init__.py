@@ -30,9 +30,7 @@ from .pdsolver import (
     DualState,
     FactorPair,
     PdConfig,
-    dual_update,
     op_norm,
-    primal_update,
     solve_factor,
     solve_factor_exact,
 )

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -88,17 +89,11 @@ def cmd_subsample(args) -> int:
 
 
 def cmd_interpolate(args) -> int:
-    overrides = {
-        key: getattr(args, key)
-        for key in ("input", "output", "mask", "report", "truth", "solver",
-                    "f_min", "f_max", "dt", "rank", "rank_schedule",
-                    "eta_fraction", "alpha", "eta_mode", "outer_iters",
-                    "inner_iters", "seed", "threads", "matricization")
-    }
+    overrides = {f.name: getattr(args, f.name) for f in fields(PipelineConfig)}
     if args.config:
         cfg = load_config(args.config, overrides)
     else:
-        cfg = config_from_dict({k: v for k, v in overrides.items() if v is not None})
+        cfg = config_from_dict(overrides)
     result = run_interpolation(cfg)
     ok = len(result.rows) - result.failed
     print(f"solved {ok}/{len(result.rows)} slices in {result.wall_s:.1f}s")
@@ -182,25 +177,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     i = sub.add_parser("interpolate", help="run the interpolation pipeline")
     i.add_argument("--config", help="flat key=value config file")
-    i.add_argument("--input")
-    i.add_argument("--output")
-    i.add_argument("--mask")
-    i.add_argument("--report")
-    i.add_argument("--truth")
-    i.add_argument("--solver", choices=("pd", "levelset"))
-    i.add_argument("--f-min", dest="f_min", type=float)
-    i.add_argument("--f-max", dest="f_max", type=float)
-    i.add_argument("--dt", type=float)
-    i.add_argument("--rank", type=int)
-    i.add_argument("--rank-schedule", dest="rank_schedule")
-    i.add_argument("--eta-fraction", dest="eta_fraction", type=float)
-    i.add_argument("--alpha", type=float)
-    i.add_argument("--eta-mode", dest="eta_mode", choices=("geometric", "as-printed"))
-    i.add_argument("--outer-iters", dest="outer_iters", type=int)
-    i.add_argument("--inner-iters", dest="inner_iters", type=int)
-    i.add_argument("--seed", type=int)
-    i.add_argument("--threads", type=int)
-    i.add_argument("--matricization", choices=MODES)
+    # One flag per config key, parsed and checked like the file's values.
+    for f in fields(PipelineConfig):
+        i.add_argument("--" + f.name.replace("_", "-"))
     i.set_defaults(func=cmd_interpolate)
 
     e = sub.add_parser("evaluate", help="SNR between two volumes")

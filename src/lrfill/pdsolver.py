@@ -82,6 +82,13 @@ class DualState:
 
 @dataclass
 class PdConfig:
+    """Settings of the factor solvers.
+
+    :func:`solve_factor_exact` reads only ``max_iters``, as the cap on its
+    root-find steps, and the alternating loop reads ``feas_tol`` as its
+    outer stopping test.  The other fields serve :func:`solve_factor`.
+    """
+
     max_iters: int = 500
     step_safety: float = 0.99
     primal_tol: float = 1e-5
@@ -138,32 +145,9 @@ def op_norm(R: np.ndarray, tol: float = 1e-12, maxiter: int = 1000, seed: int = 
     return float(np.sqrt(lam))
 
 
-def primal_update(L, y, gamma, R, op) -> np.ndarray:
-    """Proximal step on the factor:  (L - gamma * A*(y) R) / (1 + gamma)."""
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    step = op.adjoint(y) @ R
-    out = (L - gamma * step) / (1.0 + gamma)
-    if not np.isfinite(out).all():
-        raise ValueError("non-finite values in primal update")
-    return out
-
-
-def dual_update(y, L_new, L_old, gamma, eta, b, R, op) -> np.ndarray:
-    """Extrapolated residual step followed by block soft thresholding.
-
-    y+ = y + gamma * A((2 L_new - L_old) R^H) - gamma * b, then shrink
-    toward the origin by max(1 - eta*gamma/||y+||, 0); the zero-norm case
-    returns zero outright (the shrink formula would divide by it).
-    """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    Rh = R.conj().T
-    y_plus = y + gamma * op.forward((2.0 * L_new - L_old) @ Rh) - gamma * b
-    return _shrink(y_plus, eta * gamma)
-
-
 def _shrink(y_plus, threshold):
+    """Block soft threshold: y+ scaled by max(1 - threshold/||y+||, 0); a
+    zero y+ returns zero outright (the formula would divide by it)."""
     ny = float(np.linalg.norm(y_plus))
     if ny == 0.0:
         return np.zeros_like(y_plus)

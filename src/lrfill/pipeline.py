@@ -1,12 +1,12 @@
 """End-to-end interpolation runs: subsample, transform, solve every
 in-band frequency slice, transform back, report.
 
-The run configuration lives in a flat ``key = value`` text file; every key
-can be overridden by a same-named CLI flag.  Frequency bins outside the
-band are passed through as observed (zero-filled where missing) rather than
-zeroed.  For a real-valued input volume only the nonnegative-frequency bins
-are solved; their mirrors are filled in by conjugation so the output stays
-real.
+The run configuration lives in a flat ``key = value`` text file whose keys
+are the fields of :class:`PipelineConfig`; every key can be overridden by
+the CLI flag of the same name.  Frequency bins outside the band are passed
+through as observed (zero-filled where missing) rather than zeroed.  For a
+real-valued input volume only the nonnegative-frequency bins are solved;
+their mirrors are filled in by conjugation so the output stays real.
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, Field, dataclass, field, fields
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -31,18 +32,12 @@ CANONICAL_AXES = ("t", "rx", "ry", "sx", "sy")
 
 SOLVERS = ("pd", "levelset")
 
-_CONFIG_KEYS = {
-    "input": str, "mask": str, "output": str, "report": str, "truth": str,
-    "solver": str, "matricization": str, "eta_mode": str, "rank_schedule": str,
-    "f_min": float, "f_max": float, "dt": float, "eta_fraction": float,
-    "alpha": float, "outer_tol": float,
-    "rank": int, "outer_iters": int, "inner_iters": int, "seed": int,
-    "threads": int,
-}
-
 
 @dataclass
 class PipelineConfig:
+    """Settings of one ``interpolate`` run.  The fields are the config-file
+    keys and, spelled ``--kebab-case``, the CLI flags."""
+
     input: str
     output: str
     mask: str | None = None
@@ -71,14 +66,21 @@ class PipelineConfig:
             raise ValueError(f"solver must be one of {SOLVERS}")
         if not 0.0 <= self.f_min < self.f_max:
             raise ValueError("need 0 <= f_min < f_max")
-        if not 0.0 <= self.eta_fraction < 1.0:
-            raise ValueError("eta_fraction must lie in [0, 1)")
         if (self.rank is None) == (self.rank_schedule is None):
             raise ValueError("give exactly one of rank / rank_schedule")
         if self.matricization not in MODES:
             raise ValueError(f"matricization must be one of {MODES}")
         if self.threads < 1:
             raise ValueError("threads must be at least 1")
+        # The solver settings pass their own checks before any data is read.
+        self.outer_config(rank=1, seed=0)
+
+    def outer_config(self, rank: int, seed: int) -> OuterConfig:
+        """The alternating solver's settings for one slice."""
+        return OuterConfig(rank=rank, eta_fraction=self.eta_fraction, alpha=self.alpha,
+                           outer_iters=self.outer_iters, eta_mode=self.eta_mode,
+                           outer_tol=self.outer_tol, seed=seed,
+                           pd=PdConfig(max_iters=self.inner_iters))
 
 
 def parse_kv_file(path) -> dict:
@@ -113,21 +115,30 @@ def parse_rank_schedule(text: str) -> RankSchedule:
         raise ValueError(f"bad rank schedule {text!r}, want 'f:r,f:r'") from exc
 
 
+def config_parser(f: Field) -> type:
+    """Parser of a config value: ``int`` or ``float`` when the field is
+    annotated so (alone or ``| None``), else ``str``.  A ``rank_schedule``
+    string is parsed by ``PipelineConfig.__post_init__``."""
+    hint = get_type_hints(PipelineConfig)[f.name]
+    return next((t for t in (int, float) if t is hint or t in get_args(hint)), str)
+
+
 def config_from_dict(raw: dict) -> PipelineConfig:
+    """Build the config from raw values; ``None`` values count as unset."""
+    schema = {f.name: f for f in fields(PipelineConfig)}
     kwargs = {}
     for key, value in raw.items():
         if value is None:
             continue
-        if key not in _CONFIG_KEYS:
+        if key not in schema:
             raise ValueError(f"unknown config key {key!r}")
         if isinstance(value, list):
             raise ValueError(f"config key {key!r} given more than once")
-        kwargs[key] = _CONFIG_KEYS[key](value)
-    missing = [key for key in ("input", "output") if key not in kwargs]
+        kwargs[key] = config_parser(schema[key])(value)
+    missing = [f.name for f in schema.values()
+               if f.default is MISSING and f.name not in kwargs]
     if missing:
         raise ValueError(f"config is missing required keys {missing}")
-    if "rank_schedule" in kwargs:
-        kwargs["rank_schedule"] = parse_rank_schedule(kwargs["rank_schedule"])
     return PipelineConfig(**kwargs)
 
 
@@ -165,26 +176,16 @@ class RunResult:
 
 
 def _solve_one(op, b, freq_hz, rank, cfg: PipelineConfig, bin_index: int):
-    seed = np.random.SeedSequence([cfg.seed, bin_index]).generate_state(1)[0]
+    seed = int(np.random.SeedSequence([cfg.seed, bin_index]).generate_state(1)[0])
     if cfg.solver == "pd":
-        ocfg = OuterConfig(
-            rank=rank,
-            eta_fraction=cfg.eta_fraction,
-            alpha=cfg.alpha,
-            outer_iters=cfg.outer_iters,
-            eta_mode=cfg.eta_mode,
-            outer_tol=cfg.outer_tol,
-            seed=int(seed),
-            pd=PdConfig(max_iters=cfg.inner_iters),
-        )
-        _, X, rep = interpolate_slice(op, b, ocfg)
+        _, X, rep = interpolate_slice(op, b, cfg.outer_config(rank, seed))
     else:
         eta = cfg.eta_fraction * float(np.linalg.norm(b))
         lcfg = LevelSetConfig(
             root_tol=max(cfg.eta_fraction * 0.05, 1e-5),
             max_root_iters=cfg.outer_iters * 3,
             inner_iters=cfg.inner_iters,
-            seed=int(seed),
+            seed=seed,
         )
         _, X, rep = solve_levelset(op, b, eta, rank, lcfg)
     rep.freq_hz = freq_hz
@@ -288,9 +289,9 @@ def run_interpolation(cfg: PipelineConfig) -> RunResult:
     out_total = float(np.linalg.norm(out_vol.data))
     if out_total > 0:
         result.imag_leakage = float(np.linalg.norm(out_vol.data.imag)) / out_total
-    if cfg.truth is not None:
-        truth_vol = read_volume(cfg.truth).reordered(CANONICAL_AXES)
-        result.overall_snr_db = snr_db(truth_vol.data, out_vol.data)
+    if truth_spec is not None:
+        # The DFT is unitary, so the spectra give the time-domain SNR.
+        result.overall_snr_db = snr_db(truth_spec.data, out_spec.data)
     result.wall_s = time.perf_counter() - t_run
 
     if cfg.report is not None:

@@ -1,10 +1,14 @@
+import argparse
 import csv
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from lrfill.cli import main
+from lrfill import cli
+from lrfill.cli import build_parser, main
 from lrfill.fileio import read_mask, read_volume
+from lrfill.pipeline import PipelineConfig, RunResult
 from lrfill.reporting import SliceReport, write_report
 
 
@@ -104,6 +108,38 @@ def test_interpolate_flag_overrides(tmp_path, events_spec_file):
                "--outer-iters", "4", "--inner-iters", "200",
                "--f-min", "3", "--f-max", "40", "--dt", "0.004", "--seed", "1"])
     assert rc == 0
+
+
+def test_interpolate_bad_setting_stops_before_any_data(tmp_path, events_spec_file):
+    vol_path = tmp_path / "vol.lrv"
+    main(["generate", "--kind", "events", "--spec", str(events_spec_file),
+          "--out", str(vol_path)])
+    rc = main(["interpolate", "--input", str(vol_path),
+               "--output", str(tmp_path / "out.lrv"),
+               "--report", str(tmp_path / "report.csv"),
+               "--rank", "2", "--alpha", "1.5"])
+    assert rc == 2
+    assert not (tmp_path / "out.lrv").exists()
+    assert not (tmp_path / "report.csv").exists()
+
+
+def test_interpolate_flags_are_the_config_fields(monkeypatch):
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    dests = {a.dest for a in sub.choices["interpolate"]._actions}
+    assert dests - {"help", "config"} == {f.name for f in fields(PipelineConfig)}
+
+    seen = []
+
+    def fake_run(cfg):
+        seen.append(cfg)
+        return RunResult()
+
+    monkeypatch.setattr(cli, "run_interpolation", fake_run)
+    rc = main(["interpolate", "--input", "a.lrv", "--output", "b.lrv", "--rank", "2",
+               "--outer-tol", "1e-3"])
+    assert rc == 0
+    assert seen[0].outer_tol == 1e-3
 
 
 def test_svdscan(tmp_path, events_spec_file):

@@ -6,9 +6,8 @@ from lrfill.pdsolver import (
     DualState,
     FactorPair,
     PdConfig,
-    dual_update,
+    _shrink,
     op_norm,
-    primal_update,
     solve_factor,
     solve_factor_exact,
 )
@@ -91,28 +90,39 @@ class TestOpNorm:
         assert op_norm(R) == pytest.approx(np.linalg.norm(u) * np.linalg.norm(v), rel=1e-9)
 
 
+def _pd_step(op, b, R, eta, L0, y0):
+    """One iteration of solve_factor from (L0, y0): (L1, y1, gamma)."""
+    cfg = PdConfig(max_iters=1, primal_tol=0.0, feas_tol=0.0)
+    L1, dual, info = solve_factor(op, b, R, eta, cfg, warm=(L0, y0))
+    assert info.iterations == 1
+    return L1, dual.y, info.gamma
+
+
 class TestPrimalUpdate:
+    """The proximal step on the factor inside solve_factor:
+    L1 = (L0 - gamma * A*(y0) R) / (1 + gamma)."""
+
     def test_zero_dual_is_pure_shrink(self, small_problem):
         op, b, R, rng = small_problem
         L = crandn(rng, op.factor_shape[0], R.shape[1])
         y = np.zeros(op.data_shape, dtype=complex)
-        out = primal_update(L, y, 1.0, R, op)
-        np.testing.assert_allclose(out, L / 2.0, atol=1e-15)
+        out, _, gamma = _pd_step(op, b, R, 0.1 * float(np.linalg.norm(b)), L, y)
+        np.testing.assert_allclose(out, L / (1.0 + gamma), atol=1e-15)
 
     def test_zero_in_zero_out(self, small_problem):
         op, b, R, rng = small_problem
         L = np.zeros((op.factor_shape[0], R.shape[1]), dtype=complex)
         y = np.zeros(op.data_shape, dtype=complex)
-        assert np.all(primal_update(L, y, 0.7, R, op) == 0)
+        out, _, _ = _pd_step(op, b, R, 0.1 * float(np.linalg.norm(b)), L, y)
+        assert np.all(out == 0)
 
     def test_matches_entrywise_quadratic_oracle(self, small_problem):
         # Oracle: per entry solve the 2x2 linear optimality system of
         # min 1/2|z|^2 + 1/(2 gamma) |z - v|^2 over (re, im).
         op, b, R, rng = small_problem
-        gamma = 0.37
         L = crandn(rng, op.factor_shape[0], R.shape[1])
         y = crandn(rng, *op.data_shape)
-        out = primal_update(L, y, gamma, R, op)
+        out, _, gamma = _pd_step(op, b, R, 0.1 * float(np.linalg.norm(b)), L, y)
         v = L - gamma * (op.adjoint(y) @ R)
         A = np.array([[1 + 1 / gamma, 0.0], [0.0, 1 + 1 / gamma]])
         for entry_v, entry_out in zip(v.ravel(), out.ravel()):
@@ -120,69 +130,62 @@ class TestPrimalUpdate:
             assert complex(ref[0], ref[1]) == pytest.approx(entry_out, abs=1e-12)
 
     def test_gamma_must_be_positive(self, small_problem):
+        # gamma = step_safety / ||R||_op, so a positive gamma rests on the
+        # check of step_safety.
         op, b, R, rng = small_problem
-        L = crandn(rng, op.factor_shape[0], R.shape[1])
         with pytest.raises(ValueError):
-            primal_update(L, np.zeros(op.data_shape), 0.0, R, op)
+            PdConfig(step_safety=0.0)
+        _, _, gamma = _pd_step(op, b, R, 0.0, np.zeros((op.factor_shape[0], R.shape[1])),
+                               np.zeros(op.data_shape))
+        assert gamma == pytest.approx(PdConfig().step_safety / op_norm(R), rel=1e-12)
 
 
 class TestDualUpdate:
+    """The dual step inside solve_factor: the extrapolated residual step
+    y+ = y0 + gamma * A((2 L1 - L0) R^H) - gamma * b, then the block soft
+    threshold toward the origin by eta * gamma."""
+
     def test_full_shrink_to_zero(self, small_problem):
         op, b, R, rng = small_problem
         L = np.zeros((op.factor_shape[0], R.shape[1]), dtype=complex)
         y = np.zeros(op.data_shape, dtype=complex)
         # y+ = -gamma*b; with eta*gamma >= ||y+|| the output collapses to 0.
-        gamma = 1.0
         eta = 2.0 * float(np.linalg.norm(b))
-        out = dual_update(y, L, L, gamma, eta, b, R, op)
+        _, out, _ = _pd_step(op, b, R, eta, L, y)
         assert np.all(out == 0)
 
     def test_eta_zero_keeps_y_plus(self, small_problem):
         op, b, R, rng = small_problem
-        L_new = crandn(rng, op.factor_shape[0], R.shape[1])
         L_old = crandn(rng, op.factor_shape[0], R.shape[1])
         y = crandn(rng, *op.data_shape)
-        gamma = 0.8
-        out = dual_update(y, L_new, L_old, gamma, 0.0, b, R, op)
+        L_new, out, gamma = _pd_step(op, b, R, 0.0, L_old, y)
         expected = y + gamma * op.forward((2 * L_new - L_old) @ R.conj().T) - gamma * b
         np.testing.assert_allclose(out, expected, atol=1e-14)
 
     def test_hand_evaluated_shrink(self):
-        # Scalar case: y+ = (3, 4), gamma = eta = 1, ||y+|| = 5 ->
+        # Scalar case: y+ = (3, 4), eta*gamma = 1, ||y+|| = 5 ->
         # scale max(1 - 1/5, 0) = 0.8 -> (2.4, 3.2).
-        mask = SamplingMask(np.ones((2, 1), dtype=bool), axes=("rx", "sx"))
-        op = MeasurementOp(mask)
-        R = np.ones((1, 1), dtype=complex)
-        L_new = np.zeros((2, 1), dtype=complex)
-        y = np.array([[3.0], [4.0]], dtype=complex)
-        out = dual_update(y, L_new, L_new, 1.0, 1.0, np.zeros((2, 1)), R, op)
-        np.testing.assert_allclose(out, [[2.4], [3.2]], atol=1e-14)
+        y_plus = np.array([[3.0], [4.0]], dtype=complex)
+        np.testing.assert_allclose(_shrink(y_plus, 1.0), [[2.4], [3.2]], atol=1e-14)
 
     def test_shrink_never_grows(self, small_problem):
         op, b, R, rng = small_problem
         for _ in range(10):
             y = crandn(rng, *op.data_shape)
-            L_new = crandn(rng, op.factor_shape[0], R.shape[1])
             L_old = crandn(rng, op.factor_shape[0], R.shape[1])
-            gamma, eta = 0.5, 0.3
+            L_new, out, gamma = _pd_step(op, b, R, 0.3, L_old, y)
             y_plus = y + gamma * op.forward((2 * L_new - L_old) @ R.conj().T) - gamma * b
-            out = dual_update(y, L_new, L_old, gamma, eta, b, R, op)
             assert np.linalg.norm(out) <= np.linalg.norm(y_plus) + 1e-14
 
     def test_prox_firmly_nonexpansive(self):
         # The shrink map u -> max(1 - t/||u||, 0) u is a proximal operator,
         # hence nonexpansive.
         rng = np.random.default_rng(103)
-        mask = SamplingMask(np.ones((3, 2), dtype=bool), axes=("rx", "sx"))
-        op = MeasurementOp(mask)
-        R = np.ones((2, 1), dtype=complex)
-        zeros = np.zeros((3, 1), dtype=complex)
-        b0 = np.zeros((3, 2), dtype=complex)
         for _ in range(50):
             u = crandn(rng, 3, 2)
             v = crandn(rng, 3, 2)
-            pu = dual_update(u, zeros, zeros, 1.0, 0.9, b0, R, op)
-            pv = dual_update(v, zeros, zeros, 1.0, 0.9, b0, R, op)
+            pu = _shrink(u, 0.9)
+            pv = _shrink(v, 0.9)
             assert np.linalg.norm(pu - pv) <= np.linalg.norm(u - v) + 1e-12
 
 
@@ -267,7 +270,8 @@ class TestSolveFactor:
         assert i2.iterations <= i1.iterations
 
     def test_iteration_matches_standalone_updates(self, small_problem):
-        # One solver sweep must reproduce primal_update/dual_update exactly.
+        # One solver sweep must reproduce the primal and dual steps written
+        # out on their own.
         op, b, R, rng = small_problem
         eta = 0.2 * float(np.linalg.norm(b))
         L0 = crandn(rng, op.factor_shape[0], R.shape[1])
@@ -275,8 +279,9 @@ class TestSolveFactor:
         cfg = PdConfig(max_iters=1, primal_tol=0.0, feas_tol=0.0)
         L1, d1, _ = solve_factor(op, b, R, eta, cfg, warm=(L0, y0))
         gamma = cfg.step_safety / op_norm(R)
-        L1_ref = primal_update(L0, y0, gamma, R, op)
-        y1_ref = dual_update(y0, L1_ref, L0, gamma, eta, b, R, op)
+        L1_ref = (L0 - gamma * (op.adjoint(y0) @ R)) / (1.0 + gamma)
+        y1_ref = _shrink(y0 + gamma * op.forward((2.0 * L1_ref - L0) @ R.conj().T)
+                         - gamma * b, eta * gamma)
         np.testing.assert_allclose(L1, L1_ref, atol=1e-14)
         np.testing.assert_allclose(d1.y, y1_ref, atol=1e-14)
 

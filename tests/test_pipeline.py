@@ -76,6 +76,15 @@ class TestConfigParsing:
         with pytest.raises(ValueError):
             PipelineConfig(input="a", output="b")  # no rank and no schedule
 
+    @pytest.mark.parametrize("key, value", [("eta_mode", "bogus"), ("alpha", "7"),
+                                            ("inner_iters", "0")])
+    def test_solver_settings_checked_for_every_solver(self, key, value):
+        # The alternating solver's own checks run when the config is built,
+        # whichever solver it names.
+        with pytest.raises(ValueError):
+            config_from_dict({"input": "a", "output": "b", "rank": "3",
+                              "solver": "levelset", key: value})
+
 
 class TestMaskVolume:
     def test_zeroes_unobserved_traces(self):
@@ -140,6 +149,15 @@ class TestRunInterpolation:
         rel = np.linalg.norm(out.data - masked.data) / np.linalg.norm(masked.data)
         assert rel < 1e-10
         assert len(res.rows) == 0
+
+    def test_overall_snr_matches_written_output(self, tmp_path):
+        vol = small_volume()
+        mask = jittered_volume_mask(4, 3, 3, 2, 0.5, seed=1)
+        cfg, res = self.run(tmp_path, vol, mask)
+        _, aggregates = read_report(cfg.report)
+        expected = snr_db(read_volume(cfg.truth).data, read_volume(cfg.output).data)
+        assert float(aggregates["overall_snr_db"]) == pytest.approx(expected, abs=1e-9)
+        assert res.overall_snr_db == pytest.approx(expected, abs=1e-9)
 
     def test_report_rows_and_columns(self, tmp_path):
         vol = small_volume()
