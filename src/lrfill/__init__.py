@@ -40,7 +40,6 @@ from .sampling import (
     JitterSpec,
     SamplingMask,
     jittered_keep,
-    jittered_mask,
     jittered_volume_mask,
     uniform_entry_mask,
 )
@@ -50,7 +49,6 @@ from .transforms import (
     MeasurementOp,
     apply_sampling,
     singular_decay,
-    spatial_block,
 )
 from .volume import (
     AxisLayoutError,

@@ -16,8 +16,6 @@ from .pdsolver import _TINY, FactorPair, PdConfig, solve_factor_exact
 from .pdsolver import solve_factor  # noqa: F401
 from .reporting import SliceReport
 
-ETA_MODES = ("geometric", "as-printed")
-
 
 @dataclass(frozen=True)
 class RankSchedule:
@@ -56,7 +54,6 @@ class OuterConfig:
     eta_fraction: float | None = None
     alpha: float = 0.1
     outer_iters: int = 15
-    eta_mode: str = "geometric"
     outer_tol: float = 1e-4
     seed: int = 0
     pd: PdConfig = field(default_factory=PdConfig)
@@ -66,8 +63,6 @@ class OuterConfig:
             raise ValueError("alpha must lie in (0, 1)")
         if self.outer_iters < 1:
             raise ValueError("outer_iters must be at least 1")
-        if self.eta_mode not in ETA_MODES:
-            raise ValueError(f"eta_mode must be one of {ETA_MODES}")
         if (self.eta_target is None) == (self.eta_fraction is None):
             raise ValueError("give exactly one of eta_target / eta_fraction")
         if self.eta_target is not None and self.eta_target < 0:
@@ -81,24 +76,14 @@ class OuterConfig:
         return self.eta_fraction * b_norm
 
 
-def eta_schedule(k: int, eta_prev: float, alpha: float, eta_target: float,
-                 mode: str = "geometric") -> float:
-    """Next residual budget, never below the target.
-
-    ``geometric`` decays by the fixed ratio alpha each outer iteration.
-    ``as-printed`` uses the alpha**k weighting, whose first step (k=0) is a
-    no-op and whose later decay is super-geometric; it is kept selectable
-    for comparison but geometric is the default everywhere.
-    """
+def eta_schedule(eta_prev: float, alpha: float, eta_target: float) -> float:
+    """Next residual budget: the previous one decayed by the fixed ratio
+    alpha, never below the target."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     if eta_prev < eta_target:
         raise ValueError("eta_prev must not be below eta_target")
-    if mode == "geometric":
-        return max(alpha * eta_prev, eta_target)
-    if mode == "as-printed":
-        return max(alpha**k * eta_prev, eta_target)
-    raise ValueError(f"unknown eta mode {mode!r}")
+    return max(alpha * eta_prev, eta_target)
 
 
 def init_factors(p: int, q: int, r: int, seed: int = 0) -> FactorPair:
@@ -163,7 +148,7 @@ def interpolate_slice(op, b, cfg: OuterConfig):
     history = []
     outer_done = 0
     for k in range(cfg.outer_iters):
-        eta_k = eta_schedule(k, eta_k, cfg.alpha, eta_target, cfg.eta_mode)
+        eta_k = eta_schedule(eta_k, cfg.alpha, eta_target)
         try:
             R, _, info_R = solve_factor_exact(A_T, b_obs_T, L, eta_k, cfg.pd)
             L, _, info_L = solve_factor_exact(A, b_obs, R, eta_k, cfg.pd)

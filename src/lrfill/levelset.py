@@ -21,6 +21,15 @@ from .altmin import init_factors
 from .pdsolver import _TINY, FactorPair
 from .reporting import SliceReport
 
+# solve_levelset's bracket starts at tau = _TAU_START and doubles tau at
+# most _MAX_DOUBLINGS times.  value_function halves a step at most
+# _MAX_HALVINGS times and stops once one moves the factors by less than
+# _MOVE_TOL relative to 1 + ||L|| + ||R||.
+_TAU_START = 1.0
+_MAX_DOUBLINGS = 60
+_MAX_HALVINGS = 40
+_MOVE_TOL = 1e-7
+
 
 class RootBracketError(RuntimeError):
     """The value function never crossed eta within the expansion budget."""
@@ -33,20 +42,22 @@ class RootBracketError(RuntimeError):
 
 @dataclass
 class LevelSetConfig:
-    tau0: float = 1.0
+    """Settings of the level-set solver.
+
+    ``root_tol`` is the root search's tolerance on |v(tau) - eta|, relative
+    to ||b||, and ``max_root_iters`` caps its secant steps once the root is
+    bracketed.  ``inner_iters`` caps the projected-gradient steps of each
+    value-function evaluation, and ``seed`` draws its starting factors.
+    """
+
     root_tol: float = 1e-4
     max_root_iters: int = 40
     inner_iters: int = 300
-    inner_tol: float = 1e-7
-    max_backtracks: int = 40
-    max_expansions: int = 60
     seed: int = 0
 
     def __post_init__(self):
-        if self.tau0 <= 0:
-            raise ValueError("tau0 must be positive")
-        if self.root_tol <= 0 or self.inner_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.root_tol <= 0:
+            raise ValueError("root_tol must be positive")
 
 
 def project_ball(L, R, tau):
@@ -93,7 +104,7 @@ def value_function(op, b, tau, r, cfg: LevelSetConfig | None = None, warm=None):
         if gnorm_sq == 0.0:
             break
         accepted = False
-        for _ in range(cfg.max_backtracks):
+        for _ in range(_MAX_HALVINGS):
             Lc, Rc = project_ball(L - t * gL, R - t * gR, tau)
             dL = Lc - L
             dR = Rc - R
@@ -111,7 +122,7 @@ def value_function(op, b, tau, r, cfg: LevelSetConfig | None = None, warm=None):
         moved = np.sqrt(step_sq)
         L, R, res, f = Lc, Rc, res_c, f_c
         scale = 1.0 + float(np.linalg.norm(L)) + float(np.linalg.norm(R))
-        if moved <= cfg.inner_tol * scale:
+        if moved <= _MOVE_TOL * scale:
             break
         t *= 1.5
 
@@ -147,7 +158,7 @@ def solve_levelset(op, b, eta, r, cfg: LevelSetConfig | None = None):
     b_obs = op.pack(b)
     tol_abs = cfg.root_tol * b_norm
     tau_lo, v_lo = 0.0, b_norm
-    tau_hi = cfg.tau0
+    tau_hi = _TAU_START
     warm = None
     total_inner = 0
     evals = 0
@@ -160,7 +171,7 @@ def solve_levelset(op, b, eta, r, cfg: LevelSetConfig | None = None):
     tried_values.append(v_hi)
     expansions = 0
     while v_hi > eta:
-        if expansions >= cfg.max_expansions:
+        if expansions >= _MAX_DOUBLINGS:
             raise RootBracketError(
                 f"v(tau) stayed above eta={eta:.3e} up to tau={tau_hi:.3e}",
                 taus=tried_taus, values=tried_values)

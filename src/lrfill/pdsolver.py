@@ -38,6 +38,8 @@ import numpy as np
 
 # Floor for norms used as divisors; the other solver modules import it.
 _TINY = 1e-300
+# solve_factor: the constant c < 1 of the step size gamma = c / ||R||_op.
+_STEP_C = 0.99
 # solve_factor_exact: eigenvalues of a row's Gram matrix below this fraction
 # of the row's largest are rounding noise, and the multiplier bracket is
 # closed once its ends agree to this relative tolerance.
@@ -84,21 +86,18 @@ class DualState:
 class PdConfig:
     """Settings of the factor solvers.
 
-    :func:`solve_factor_exact` reads only ``max_iters``, as the cap on its
-    root-find steps, and the alternating loop reads ``feas_tol`` as its
-    outer stopping test.  The other fields serve :func:`solve_factor`.
+    ``max_iters`` caps the iterations of :func:`solve_factor` and the
+    root-find steps of :func:`solve_factor_exact`.  ``primal_tol`` is
+    :func:`solve_factor`'s stopping test on the relative primal change.
+    ``feas_tol`` bounds the feasibility overshoot in :func:`solve_factor`'s
+    stopping test and in the alternating loop's outer stop.
     """
 
     max_iters: int = 500
-    step_safety: float = 0.99
     primal_tol: float = 1e-5
     feas_tol: float = 1e-4
-    power_tol: float = 1e-12
-    power_maxiter: int = 1000
 
     def __post_init__(self):
-        if not 0.0 < self.step_safety < 1.0:
-            raise ValueError("step_safety must lie in (0, 1)")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
 
@@ -114,19 +113,20 @@ class FactorSolveInfo:
     residual_history: list = field(default_factory=list, repr=False)
 
 
-def op_norm(R: np.ndarray, tol: float = 1e-12, maxiter: int = 1000, seed: int = 0) -> float:
+def op_norm(R: np.ndarray) -> float:
     """Largest singular value of R by power iteration on the r x r Gram
-    matrix R^H R.  Deterministic for a fixed seed."""
+    matrix R^H R, to relative tolerance 1e-12 or 1000 steps.  Deterministic:
+    the start vector is drawn from a fixed seed."""
     R = np.asarray(R)
     if R.size == 0 or not np.linalg.norm(R) > 0:
         raise ValueError("operator norm of a zero matrix: step size undefined")
     gram = R.conj().T @ R
     r = gram.shape[0]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     v = rng.standard_normal(r) + 1j * rng.standard_normal(r)
     v /= np.linalg.norm(v)
     lam = 0.0
-    for _ in range(maxiter):
+    for _ in range(1000):
         w = gram @ v
         lam_new = float(np.linalg.norm(w))
         if lam_new <= 0:
@@ -135,7 +135,7 @@ def op_norm(R: np.ndarray, tol: float = 1e-12, maxiter: int = 1000, seed: int = 
             v /= np.linalg.norm(v)
             continue
         v = w / lam_new
-        if abs(lam_new - lam) <= tol * lam_new:
+        if abs(lam_new - lam) <= 1e-12 * lam_new:
             lam = lam_new
             break
         lam = lam_new
@@ -178,8 +178,7 @@ def solve_factor(op, b, R, eta, cfg: PdConfig | None = None, warm=None):
     if b.shape != op.data_shape:
         raise ValueError(f"b has shape {b.shape}, operator expects {op.data_shape}")
     R = np.asarray(R, dtype=np.complex128)
-    sigma = op_norm(R, tol=cfg.power_tol, maxiter=cfg.power_maxiter)
-    gamma = cfg.step_safety / sigma
+    gamma = _STEP_C / op_norm(R)
     Rh = R.conj().T
 
     p = op.factor_shape[0]

@@ -36,7 +36,13 @@ SOLVERS = ("pd", "levelset")
 @dataclass
 class PipelineConfig:
     """Settings of one ``interpolate`` run.  The fields are the config-file
-    keys and, spelled ``--kebab-case``, the CLI flags."""
+    keys and, spelled ``--kebab-case``, the CLI flags.
+
+    ``solver = levelset`` ignores ``alpha`` and ``outer_tol`` (both are
+    still checked), reads ``outer_iters`` as a third of its root-find cap
+    and ``inner_iters`` as the cap on each value-function evaluation, and
+    sets its root tolerance from ``eta_fraction``.
+    """
 
     input: str
     output: str
@@ -51,7 +57,6 @@ class PipelineConfig:
     rank_schedule: RankSchedule | None = None
     eta_fraction: float = 0.03
     alpha: float = 0.1
-    eta_mode: str = "geometric"
     outer_iters: int = 15
     inner_iters: int = 500
     outer_tol: float = 1e-4
@@ -78,9 +83,8 @@ class PipelineConfig:
     def outer_config(self, rank: int, seed: int) -> OuterConfig:
         """The alternating solver's settings for one slice."""
         return OuterConfig(rank=rank, eta_fraction=self.eta_fraction, alpha=self.alpha,
-                           outer_iters=self.outer_iters, eta_mode=self.eta_mode,
-                           outer_tol=self.outer_tol, seed=seed,
-                           pd=PdConfig(max_iters=self.inner_iters))
+                           outer_iters=self.outer_iters, outer_tol=self.outer_tol,
+                           seed=seed, pd=PdConfig(max_iters=self.inner_iters))
 
 
 def parse_kv_file(path) -> dict:
@@ -243,7 +247,7 @@ def run_interpolation(cfg: PipelineConfig) -> RunResult:
 
     def worker(k):
         t4 = spec.data[k]
-        b = np.where(op.observed, acq.unfold(t4), 0)
+        b = acq.unfold(t4)
         freq_hz = abs(float(freqs[k]))
         if fully_observed:
             # Nothing to interpolate: pass the slice through untouched.

@@ -97,17 +97,6 @@ def jittered_keep(spec: JitterSpec) -> np.ndarray:
     return keep
 
 
-def jittered_mask(spec: JitterSpec) -> SamplingMask:
-    """Jittered mask over a single (source) axis."""
-    return SamplingMask(
-        jittered_keep(spec),
-        axes=("sx",),
-        scheme="jittered",
-        keep_fraction=spec.keep_fraction,
-        decimated_axis="sources",
-    )
-
-
 def jittered_volume_mask(
     n_rx: int,
     n_ry: int,

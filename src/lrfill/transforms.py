@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sampling import SamplingMask
-from .volume import AxisLayoutError, ComplexVolume, FrequencySlice, SPATIAL_AXES
+from .volume import AxisLayoutError, FrequencySlice
 
 MODE_SRC_PAIR = "srcpair"
 MODE_REC_SRC_X = "recsrcx"
@@ -91,16 +91,6 @@ class Matricization:
             return interim.transpose(1, 0, 3, 2)
         interim = matrix.reshape(self.n_sy, self.n_ry, self.n_sx, self.n_rx)
         return interim.transpose(3, 1, 2, 0)
-
-
-def spatial_block(vol: ComplexVolume) -> np.ndarray:
-    """The 4-d spatial array of a one-bin volume, in (rx, ry, sx, sy) order."""
-    missing = [a for a in SPATIAL_AXES if not vol.has_axis(a)]
-    if missing:
-        raise AxisLayoutError(f"volume lacks spatial axes {missing}")
-    spectral = [a for a in vol.axes if a not in SPATIAL_AXES]
-    arr = vol.reordered(tuple(spectral) + SPATIAL_AXES).data
-    return arr.reshape(arr.shape[-4:])
 
 
 def _mask_matrix(mask: SamplingMask) -> np.ndarray:

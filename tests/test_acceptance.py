@@ -187,9 +187,9 @@ def test_criterion_4_feasibility_contract(planted, altmin_runs, levelset_run):
 def test_criterion_5_eta_schedule():
     b_norm = 4.217
     target = 0.03 * b_norm
-    eta1 = eta_schedule(0, b_norm, 0.1, target, "geometric")
-    eta2 = eta_schedule(1, eta1, 0.1, target, "geometric")
-    eta3 = eta_schedule(2, eta2, 0.1, target, "geometric")
+    eta1 = eta_schedule(b_norm, 0.1, target)
+    eta2 = eta_schedule(eta1, 0.1, target)
+    eta3 = eta_schedule(eta2, 0.1, target)
     assert eta1 == pytest.approx(0.1 * b_norm, rel=1e-15)
     assert eta2 == pytest.approx(target, rel=1e-15)
     assert eta3 == pytest.approx(target, rel=1e-15)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lrfill import altmin
 from lrfill.altmin import (
     OuterConfig,
     RankSchedule,
@@ -21,47 +22,37 @@ class TestEtaSchedule:
         # eta0 = 10, ratio 0.1, target 0.3: 1.0, 0.3, 0.3, ...
         eta = 10.0
         seq = []
-        for k in range(4):
-            eta = eta_schedule(k, eta, 0.1, 0.3, "geometric")
+        for _ in range(4):
+            eta = eta_schedule(eta, 0.1, 0.3)
             seq.append(eta)
         assert seq == [1.0, pytest.approx(0.3), pytest.approx(0.3), pytest.approx(0.3)]
 
     def test_floor_is_sticky(self):
-        assert eta_schedule(5, 0.3, 0.1, 0.3) == 0.3
-
-    def test_as_printed_first_step_is_noop(self):
-        # alpha**0 = 1 makes the k=0 step a no-op; later steps decay
-        # super-geometrically.  This is why geometric is the default.
-        eta = eta_schedule(0, 10.0, 0.1, 0.3, "as-printed")
-        assert eta == 10.0
-        eta = eta_schedule(1, eta, 0.1, 0.3, "as-printed")
-        assert eta == pytest.approx(1.0)
-        eta = eta_schedule(2, eta, 0.1, 0.3, "as-printed")
-        assert eta == pytest.approx(0.3)  # max(0.01 * 1.0, 0.3)
+        assert eta_schedule(0.3, 0.1, 0.3) == 0.3
 
     def test_target_floor_two_steps_at_production_values(self):
         # From ||b|| with ratio 0.1 down to 0.03||b||: exactly two steps.
         b_norm = 7.3
         eta = b_norm
-        eta = eta_schedule(0, eta, 0.1, 0.03 * b_norm)
+        eta = eta_schedule(eta, 0.1, 0.03 * b_norm)
         assert eta == pytest.approx(0.1 * b_norm)
-        eta = eta_schedule(1, eta, 0.1, 0.03 * b_norm)
+        eta = eta_schedule(eta, 0.1, 0.03 * b_norm)
         assert eta == pytest.approx(0.03 * b_norm)
 
     def test_nonincreasing_bounded_below(self):
         eta = 5.0
         prev = eta
-        for k in range(20):
-            eta = eta_schedule(k, eta, 0.3, 0.01)
+        for _ in range(20):
+            eta = eta_schedule(eta, 0.3, 0.01)
             assert eta <= prev
             assert eta >= 0.01
             prev = eta
 
     def test_bad_alpha(self):
         with pytest.raises(ValueError):
-            eta_schedule(0, 1.0, 1.5, 0.1)
+            eta_schedule(1.0, 1.5, 0.1)
         with pytest.raises(ValueError):
-            eta_schedule(0, 1.0, 0.0, 0.1)
+            eta_schedule(1.0, 0.0, 0.1)
 
 
 class TestInitFactors:
@@ -216,15 +207,17 @@ class TestInterpolateSlice:
         reg = 0.5 * (np.linalg.norm(pair.L) ** 2 + np.linalg.norm(pair.R) ** 2)
         assert reg <= reg0 * (1 + 1e-9)
 
-    def test_as_printed_mode_degenerates_with_context(self):
-        # The literal alpha**k weighting makes the first budget equal ||b||,
-        # which zeroes the factors and leaves later subproblems unreachable;
-        # the failure carries the outer-iteration context.
+    def test_inner_failure_carries_outer_context(self, monkeypatch):
+        # A factor solve that raises is re-raised with the outer iteration
+        # and the budget it failed at.
+        def failing_solve(*args, **kwargs):
+            raise ValueError("injected")
+
+        monkeypatch.setattr(altmin, "solve_factor_exact", failing_solve)
         sl, _ = plant_slice(PlantSpec(p=12, q=12, rank=2, seed=8))
         mask = uniform_entry_mask(12, 12, 0.8, seed=9)
         b = observe_slice(sl.data, mask)
         op = MeasurementOp(mask)
-        cfg = OuterConfig(rank=2, eta_fraction=0.05, outer_iters=6, seed=4,
-                          eta_mode="as-printed", pd=PdConfig(max_iters=2500))
-        with pytest.raises(RuntimeError, match="outer iteration"):
+        cfg = OuterConfig(rank=2, eta_fraction=0.05, outer_iters=6, seed=4)
+        with pytest.raises(RuntimeError, match="outer iteration 0 .*injected"):
             interpolate_slice(op, b, cfg)

@@ -128,7 +128,7 @@ class TestSolveLevelset:
         mask = uniform_entry_mask(12, 12, 1.0, seed=0)
         op = MeasurementOp(mask)
         b = sl.data.copy()
-        cfg = LevelSetConfig(inner_iters=150, max_expansions=12, seed=5)
+        cfg = LevelSetConfig(inner_iters=150, seed=5)
         with pytest.raises(RootBracketError) as info:
             solve_levelset(op, b, 1e-6 * float(np.linalg.norm(b)), 1, cfg)
         assert len(info.value.taus) == len(info.value.values)

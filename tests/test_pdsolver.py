@@ -130,14 +130,11 @@ class TestPrimalUpdate:
             assert complex(ref[0], ref[1]) == pytest.approx(entry_out, abs=1e-12)
 
     def test_gamma_must_be_positive(self, small_problem):
-        # gamma = step_safety / ||R||_op, so a positive gamma rests on the
-        # check of step_safety.
+        # gamma = c / ||R||_op with the constant c = 0.99 in (0, 1).
         op, b, R, rng = small_problem
-        with pytest.raises(ValueError):
-            PdConfig(step_safety=0.0)
         _, _, gamma = _pd_step(op, b, R, 0.0, np.zeros((op.factor_shape[0], R.shape[1])),
                                np.zeros(op.data_shape))
-        assert gamma == pytest.approx(PdConfig().step_safety / op_norm(R), rel=1e-12)
+        assert gamma == pytest.approx(0.99 / op_norm(R), rel=1e-12)
 
 
 class TestDualUpdate:
@@ -278,7 +275,7 @@ class TestSolveFactor:
         y0 = crandn(rng, *op.data_shape)
         cfg = PdConfig(max_iters=1, primal_tol=0.0, feas_tol=0.0)
         L1, d1, _ = solve_factor(op, b, R, eta, cfg, warm=(L0, y0))
-        gamma = cfg.step_safety / op_norm(R)
+        gamma = 0.99 / op_norm(R)
         L1_ref = (L0 - gamma * (op.adjoint(y0) @ R)) / (1.0 + gamma)
         y1_ref = _shrink(y0 + gamma * op.forward((2.0 * L1_ref - L0) @ R.conj().T)
                          - gamma * b, eta * gamma)

@@ -76,8 +76,7 @@ class TestConfigParsing:
         with pytest.raises(ValueError):
             PipelineConfig(input="a", output="b")  # no rank and no schedule
 
-    @pytest.mark.parametrize("key, value", [("eta_mode", "bogus"), ("alpha", "7"),
-                                            ("inner_iters", "0")])
+    @pytest.mark.parametrize("key, value", [("alpha", "7"), ("inner_iters", "0")])
     def test_solver_settings_checked_for_every_solver(self, key, value):
         # The alternating solver's own checks run when the config is built,
         # whichever solver it names.
@@ -149,6 +148,17 @@ class TestRunInterpolation:
         rel = np.linalg.norm(out.data - masked.data) / np.linalg.norm(masked.data)
         assert rel < 1e-10
         assert len(res.rows) == 0
+
+    def test_input_is_masked_by_the_run(self, tmp_path):
+        # Traces the mask removes never reach the output: an unmasked input
+        # and its masked copy give the same volume.
+        vol = small_volume()
+        mask = jittered_volume_mask(4, 3, 3, 2, 0.5, seed=1)
+        cfg1, _ = self.run(tmp_path, vol, mask, output=str(tmp_path / "o1.lrv"))
+        cfg2, _ = self.run(tmp_path, mask_volume(vol, mask), mask,
+                           output=str(tmp_path / "o2.lrv"))
+        np.testing.assert_array_equal(read_volume(cfg1.output).data,
+                                      read_volume(cfg2.output).data)
 
     def test_overall_snr_matches_written_output(self, tmp_path):
         vol = small_volume()

@@ -5,7 +5,6 @@ from lrfill.sampling import (
     JitterSpec,
     SamplingMask,
     jittered_keep,
-    jittered_mask,
     jittered_volume_mask,
     uniform_entry_mask,
 )
@@ -57,12 +56,6 @@ class TestJitter:
             JitterSpec(10, 0.0)
         with pytest.raises(ValueError):
             JitterSpec(10, 1.5)
-
-    def test_mask_wrapper_metadata(self):
-        mask = jittered_mask(JitterSpec(30, 0.2, seed=1))
-        assert mask.scheme == "jittered"
-        assert mask.decimated_axis == "sources"
-        assert mask.grid.ndim == 1
 
     def test_degenerate_short_axis_keeps_one(self):
         keep = jittered_keep(JitterSpec(3, 0.1, seed=5))

@@ -10,9 +10,8 @@ from lrfill.transforms import (
     MeasurementOp,
     apply_sampling,
     singular_decay,
-    spatial_block,
 )
-from lrfill.volume import AxisLayoutError, ComplexVolume
+from lrfill.volume import AxisLayoutError
 
 
 def random_tensor(rng, extents=(3, 2, 4, 2)):
@@ -77,14 +76,6 @@ class TestMatricization:
         T = random_tensor(rng)
         m = Matricization(MODE_REC_SRC_X, *T.shape)
         assert np.array_equal(m.fold(m.unfold(T)), T)
-
-    def test_spatial_block_reorders_by_label(self):
-        rng = np.random.default_rng(9)
-        data = rng.standard_normal((1, 2, 4, 3, 2))
-        vol = ComplexVolume(("f", "sy", "sx", "rx", "ry"), data)
-        blk = spatial_block(vol)
-        assert blk.shape == (3, 2, 4, 2)
-        np.testing.assert_array_equal(blk, data[0].transpose(2, 3, 1, 0))
 
 
 class TestApplySampling:
