@@ -29,6 +29,11 @@ FORMAT_VERSION = 1
 
 # Refuse absurd headers before allocating anything.
 MAX_ELEMENTS = 1 << 40
+# Longest header: magic, version, scalar code, axis count, six axis codes
+# and six u64 extents.
+_MAX_HEADER = 4 + 1 + 1 + 1 + len(AXIS_LABELS) * (1 + 8)
+# Payload scalar type by scalar code.
+_VOLUME_DTYPES = ("<c16", "<c8")
 
 
 class FileFormatError(ValueError):
@@ -90,13 +95,27 @@ def _read_header(buf: bytes, magic: bytes, with_scalar: bool):
     return tuple(axes), extents, count, scalar_code, pos
 
 
-def _check_payload(buf: bytes, pos: int, nbytes: int, what: str):
-    if len(buf) - pos < nbytes:
-        raise TruncatedFileError(
-            f"{what}: expected {nbytes} payload bytes, found {len(buf) - pos}"
-        )
-    if len(buf) - pos > nbytes:
-        raise FileFormatError(f"{what}: {len(buf) - pos - nbytes} trailing bytes")
+def _check_payload(found: int, nbytes: int, what: str):
+    if found < nbytes:
+        raise TruncatedFileError(f"{what}: expected {nbytes} payload bytes, found {found}")
+    if found > nbytes:
+        raise FileFormatError(f"{what}: {found - nbytes} trailing bytes")
+
+
+def _read_file(path, magic: bytes, with_scalar: bool, what: str):
+    """Axis labels and payload of an LRV1/LRM1 file.  The payload length is
+    checked against the file size, then the payload is read once, straight
+    into the array returned."""
+    with open(path, "rb") as fh:
+        axes, extents, count, scalar_code, pos = _read_header(
+            fh.read(_MAX_HEADER), magic, with_scalar)
+        dtype = np.dtype(_VOLUME_DTYPES[scalar_code] if with_scalar else np.uint8)
+        nbytes = count * dtype.itemsize
+        _check_payload(os.fstat(fh.fileno()).st_size - pos, nbytes, what)
+        data = np.empty(extents, dtype=dtype)
+        fh.seek(pos)
+        _check_payload(fh.readinto(data), nbytes, what)
+    return axes, data
 
 
 def write_volume(vol: ComplexVolume, path: str | os.PathLike, single_precision: bool = False):
@@ -108,22 +127,16 @@ def write_volume(vol: ComplexVolume, path: str | os.PathLike, single_precision: 
     header.append(len(vol.axes))
     header.extend(AXIS_CODES[a] for a in vol.axes)
     header.extend(np.asarray(vol.dims, dtype="<u8").tobytes())
-    payload = np.ascontiguousarray(vol.data, dtype="<c8" if single_precision else "<c16")
+    payload = np.ascontiguousarray(vol.data, dtype=_VOLUME_DTYPES[scalar_code])
     with open(path, "wb") as fh:
         fh.write(bytes(header))
-        fh.write(payload.tobytes())
+        fh.write(memoryview(payload))
 
 
 def read_volume(path: str | os.PathLike) -> ComplexVolume:
-    """Read an LRV1 file back into a volume."""
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    axes, extents, count, scalar_code, pos = _read_header(buf, VOLUME_MAGIC, with_scalar=True)
-    itemsize = 16 if scalar_code == 0 else 8
-    _check_payload(buf, pos, count * itemsize, "volume payload")
-    dtype = "<c16" if scalar_code == 0 else "<c8"
-    data = np.frombuffer(buf, dtype=dtype, count=count, offset=pos).reshape(extents)
-    return ComplexVolume(axes, data)
+    """Read an LRV1 file back into a volume; a complex64 payload is
+    widened to complex128."""
+    return ComplexVolume(*_read_file(path, VOLUME_MAGIC, True, "volume payload"))
 
 
 def write_mask(mask: SamplingMask, path: str | os.PathLike):
@@ -135,18 +148,14 @@ def write_mask(mask: SamplingMask, path: str | os.PathLike):
     header.extend(np.asarray(mask.grid.shape, dtype="<u8").tobytes())
     with open(path, "wb") as fh:
         fh.write(bytes(header))
-        fh.write(mask.grid.astype(np.uint8).tobytes())
+        fh.write(memoryview(np.ascontiguousarray(mask.grid, dtype=np.uint8)))
 
 
 def read_mask(path: str | os.PathLike) -> SamplingMask:
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    axes, extents, count, _, pos = _read_header(buf, MASK_MAGIC, with_scalar=False)
-    _check_payload(buf, pos, count, "mask payload")
-    raw = np.frombuffer(buf, dtype=np.uint8, count=count, offset=pos)
+    axes, raw = _read_file(path, MASK_MAGIC, False, "mask payload")
     bad = np.setdiff1d(raw, [0, 1])
     if bad.size:
         raise FileFormatError(f"mask bytes must be 0 or 1, found {bad[:4]}")
-    grid = raw.astype(bool).reshape(extents)
+    grid = raw.astype(bool)
     kept = float(grid.mean())
     return SamplingMask(grid, axes=axes, scheme="unknown", keep_fraction=kept)

@@ -26,7 +26,7 @@ from .pdsolver import PdConfig
 from .reporting import SliceReport, snr_db, write_report
 from .sampling import SamplingMask
 from .transforms import MODE_REC_SRC_X, MODES, Matricization, MeasurementOp
-from .volume import ComplexVolume, dft_time_axis, freq_values_hz, idft_freq_axis
+from .volume import SPATIAL_AXES, ComplexVolume, dft_time_axis, freq_values_hz, idft_freq_axis
 
 CANONICAL_AXES = ("t", "rx", "ry", "sx", "sy")
 
@@ -73,6 +73,10 @@ class PipelineConfig:
             raise ValueError("need 0 <= f_min < f_max")
         if (self.rank is None) == (self.rank_schedule is None):
             raise ValueError("give exactly one of rank / rank_schedule")
+        if self.rank is not None and self.rank < 1:
+            raise ValueError("rank must be at least 1")
+        if not (math.isfinite(self.dt) and self.dt > 0.0):
+            raise ValueError("dt must be a positive finite number")
         if self.matricization not in MODES:
             raise ValueError(f"matricization must be one of {MODES}")
         if self.threads < 1:
@@ -169,6 +173,14 @@ def _canonical_axes(vol: ComplexVolume):
     return (lead,) + CANONICAL_AXES[1:]
 
 
+def _norms(data: np.ndarray) -> tuple[float, float]:
+    """Frobenius norms of a complex array and of its imaginary part, taken
+    on flat views so that neither part is copied."""
+    flat = data.reshape(-1)
+    imag_sq = float(np.dot(flat.imag, flat.imag))
+    return math.sqrt(float(np.dot(flat.real, flat.real)) + imag_sq), math.sqrt(imag_sq)
+
+
 @dataclass
 class RunResult:
     rows: list = field(default_factory=list)
@@ -203,22 +215,24 @@ def run_interpolation(cfg: PipelineConfig) -> RunResult:
     continues; the result carries the failure count for the exit code.
     """
     t_run = time.perf_counter()
+    # Each stage is dropped as soon as the next one exists, so that at most
+    # three full-size arrays are alive at once.
     vol = read_volume(cfg.input).reordered(CANONICAL_AXES)
+    extents = vol.dims[1:]
     if cfg.mask is None:
-        grid = np.ones(vol.dims[1:], dtype=bool)
-        mask = SamplingMask(grid, axes=("rx", "ry", "sx", "sy"))
+        mask = SamplingMask(np.ones(extents, dtype=bool), axes=SPATIAL_AXES)
     else:
         mask = read_mask(cfg.mask)
     masked = mask_volume(vol, mask)
+    del vol
 
-    total = float(np.linalg.norm(masked.data))
-    imag = float(np.linalg.norm(masked.data.imag))
+    total, imag = _norms(masked.data)
     real_input = total == 0.0 or imag <= 1e-12 * total
 
     spec = dft_time_axis(masked)
+    del masked
     nt = spec.dims[0]
     freqs = freq_values_hz(nt, cfg.dt)
-    extents = vol.dims[1:]
     acq = Matricization("srcpair", *extents)
     matric = Matricization(cfg.matricization, *extents)
     op = MeasurementOp(mask, matric)
@@ -227,6 +241,11 @@ def run_interpolation(cfg: PipelineConfig) -> RunResult:
     truth_spec = None
     if cfg.truth is not None:
         truth_spec = dft_time_axis(read_volume(cfg.truth).reordered(CANONICAL_AXES))
+
+    # The output spectrum starts as the observed one: out-of-band bins pass
+    # through.  The workers read their bin from it before any bin is set.
+    out_axes, out_data = spec.axes, np.array(spec.data)
+    del spec
 
     in_band = [k for k in range(nt) if cfg.f_min <= abs(freqs[k]) <= cfg.f_max]
     if real_input:
@@ -246,8 +265,7 @@ def run_interpolation(cfg: PipelineConfig) -> RunResult:
     fully_observed = bool(op.observed.all())
 
     def worker(k):
-        t4 = spec.data[k]
-        b = acq.unfold(t4)
+        b = acq.unfold(out_data[k])
         freq_hz = abs(float(freqs[k]))
         if fully_observed:
             # Nothing to interpolate: pass the slice through untouched.
@@ -270,7 +288,6 @@ def run_interpolation(cfg: PipelineConfig) -> RunResult:
         return k, acq.fold(done), rep
 
     rows = []
-    out_data = np.array(spec.data)  # pass-through default for out-of-band bins
     if cfg.threads == 1:
         results = [worker(k) for k in solve_bins]
     else:
@@ -284,18 +301,19 @@ def run_interpolation(cfg: PipelineConfig) -> RunResult:
             out_data[nt - k] = np.conj(t4_done)
         rows.append(rep)
 
-    out_spec = ComplexVolume(spec.axes, out_data)
-    out_vol = idft_freq_axis(out_spec)
-    write_volume(out_vol, cfg.output)
-
     result = RunResult(rows=rows, output_path=cfg.output)
     result.failed = sum(1 for r in rows if r.status != "ok")
-    out_total = float(np.linalg.norm(out_vol.data))
-    if out_total > 0:
-        result.imag_leakage = float(np.linalg.norm(out_vol.data.imag)) / out_total
     if truth_spec is not None:
         # The DFT is unitary, so the spectra give the time-domain SNR.
-        result.overall_snr_db = snr_db(truth_spec.data, out_spec.data)
+        result.overall_snr_db = snr_db(truth_spec.data, out_data)
+        del truth_spec
+
+    out_vol = idft_freq_axis(ComplexVolume(out_axes, out_data))
+    del out_data
+    write_volume(out_vol, cfg.output)
+    out_total, out_imag = _norms(out_vol.data)
+    if out_total > 0:
+        result.imag_leakage = out_imag / out_total
     result.wall_s = time.perf_counter() - t_run
 
     if cfg.report is not None:

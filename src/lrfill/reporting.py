@@ -39,13 +39,23 @@ class SliceReport:
 
 def snr_db(truth, estimate) -> float:
     """-20 log10 of the relative Frobenius error; +300 dB for an exact
-    match.  An all-zero truth has no meaningful scale and raises."""
+    match.  An all-zero truth has no meaningful scale and raises.
+
+    On arrays of more than two dimensions the error is summed over the
+    leading axis, so no full-size difference is ever held.
+    """
     truth = np.asarray(truth)
     estimate = np.asarray(estimate)
     tn = float(np.linalg.norm(truth))
     if tn == 0.0:
         raise ValueError("SNR undefined for all-zero truth")
-    dn = float(np.linalg.norm(truth - estimate))
+    if truth.ndim > 2:
+        if estimate.shape != truth.shape:
+            raise ValueError(f"estimate shape {estimate.shape} != truth shape {truth.shape}")
+        dn = math.sqrt(sum(float(np.linalg.norm(t - e)) ** 2
+                           for t, e in zip(truth, estimate)))
+    else:
+        dn = float(np.linalg.norm(truth - estimate))
     if dn == 0.0:
         return SNR_CAP_DB
     return -20.0 * math.log10(dn / tn)

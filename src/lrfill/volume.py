@@ -32,8 +32,13 @@ class ComplexVolume:
         Axis labels, one per array dimension, drawn from ``AXIS_LABELS``.
         Labels must be unique and exactly one of ``t``/``f`` must appear.
     data : ndarray
-        Complex values; copied to a C-contiguous complex128 array and
-        frozen (read-only) so volumes can be shared across threads.
+        Complex values, frozen (read-only) so volumes can be shared across
+        threads.  The volume takes ownership of an array that owns its
+        memory, is complex128 and is C-contiguous: that array is frozen in
+        place, not copied, so whoever hands it over gives up writing to it.
+        Any other array (a view, another dtype or layout) is copied into
+        a new C-contiguous complex128 array first, so a volume never shares
+        memory with an array that someone else can still write.
     """
 
     axes: tuple
@@ -48,7 +53,10 @@ class ComplexVolume:
             raise AxisLayoutError(f"duplicate axis labels in {axes}")
         if ("t" in axes) == ("f" in axes):
             raise AxisLayoutError("exactly one of axes 't' and 'f' is required")
-        arr = np.array(self.data, dtype=np.complex128, order="C", copy=True)
+        arr = self.data
+        if not (type(arr) is np.ndarray and arr.flags.owndata
+                and arr.dtype == np.complex128 and arr.flags.c_contiguous):
+            arr = np.array(arr, dtype=np.complex128, order="C", copy=True)
         if arr.ndim != len(axes):
             raise AxisLayoutError(
                 f"data has {arr.ndim} dimensions but {len(axes)} axes declared"
@@ -77,8 +85,11 @@ class ComplexVolume:
         return float(np.linalg.norm(self.data))
 
     def reordered(self, axes) -> "ComplexVolume":
-        """Return a volume with the same content, axes permuted to `axes`."""
+        """Return a volume with the same content, axes permuted to `axes`;
+        the volume itself when they are already in that order."""
         axes = tuple(axes)
+        if axes == self.axes:
+            return self
         if set(axes) != set(self.axes):
             raise AxisLayoutError(f"cannot reorder {self.axes} to {axes}")
         perm = [self.axes.index(a) for a in axes]

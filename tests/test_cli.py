@@ -123,6 +123,21 @@ def test_interpolate_bad_setting_stops_before_any_data(tmp_path, events_spec_fil
     assert not (tmp_path / "report.csv").exists()
 
 
+@pytest.mark.parametrize("flag, value", [("--dt", "0"), ("--rank", "0")])
+def test_interpolate_bad_dt_or_rank_stops_before_any_data(tmp_path, events_spec_file,
+                                                          flag, value):
+    vol_path = tmp_path / "vol.lrv"
+    main(["generate", "--kind", "events", "--spec", str(events_spec_file),
+          "--out", str(vol_path)])
+    # A repeated flag takes its last value.
+    rc = main(["interpolate", "--input", str(vol_path),
+               "--output", str(tmp_path / "out.lrv"),
+               "--report", str(tmp_path / "report.csv"), "--rank", "2", flag, value])
+    assert rc == 2
+    assert not (tmp_path / "out.lrv").exists()
+    assert not (tmp_path / "report.csv").exists()
+
+
 def test_interpolate_flags_are_the_config_fields(monkeypatch):
     sub = next(a for a in build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))

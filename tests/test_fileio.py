@@ -61,6 +61,15 @@ def test_single_precision_flag(tmp_path, vol):
     assert np.array_equal(back.data, vol.data.astype(np.complex64).astype(np.complex128))
 
 
+def test_single_precision_reads_back_as_complex128(tmp_path, vol):
+    path = tmp_path / "v32.lrv"
+    write_volume(vol, path, single_precision=True)
+    assert path.stat().st_size == 7 + 5 * 9 + vol.data.size * 8
+    back = read_volume(path)
+    assert back.data.dtype == np.complex128
+    assert not back.data.flags.writeable
+
+
 def test_bad_magic(tmp_path, vol):
     path = tmp_path / "v.lrv"
     write_volume(vol, path)

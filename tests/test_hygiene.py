@@ -1,7 +1,11 @@
-"""Source hygiene that needs no linter: every name a module imports is used.
+"""Source hygiene that needs no linter.
 
-``__init__.py`` is skipped, since it imports names only to re-export them,
-and so is any import on a line marked ``noqa``.
+Every name a module imports is used.  ``__init__.py`` is skipped, since it
+imports names only to re-export them, and so is any import on a line marked
+``noqa``.
+
+No ``.write(x.tobytes())``: a payload is written from its own buffer, not
+from a full-size bytes copy of it.
 """
 
 import ast
@@ -31,6 +35,30 @@ def unused_imports(source: str) -> list:
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return sorted(f"{name} (line {line})" for name, line in imported.items()
                   if name not in used)
+
+
+def copying_writes(source: str) -> list:
+    """Lines of ``.write(...)`` calls handed a ``.tobytes()`` call directly."""
+    def is_call_to(node, attr):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == attr)
+
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if is_call_to(node, "write")
+                  and any(is_call_to(arg, "tobytes") for arg in node.args))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_copying_writes(path):
+    assert copying_writes(path.read_text()) == []
+
+
+def test_check_sees_a_copying_write():
+    source = ("fh.write(payload.tobytes())\n"
+              "header.extend(dims.tobytes())\n"
+              "fh.write(memoryview(payload))\n"
+              "out.write(bytes(header)); fh.write(grid.astype(np.uint8).tobytes())\n")
+    assert copying_writes(source) == [1, 4]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

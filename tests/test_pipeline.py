@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,12 @@ class TestConfigParsing:
             PipelineConfig(input="a", output="b", rank=3, eta_fraction=1.5)
         with pytest.raises(ValueError):
             PipelineConfig(input="a", output="b")  # no rank and no schedule
+        for rank in (0, -3):
+            with pytest.raises(ValueError):
+                PipelineConfig(input="a", output="b", rank=rank)
+        for dt in (0.0, -0.004, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                PipelineConfig(input="a", output="b", rank=3, dt=dt)
 
     @pytest.mark.parametrize("key, value", [("alpha", "7"), ("inner_iters", "0")])
     def test_solver_settings_checked_for_every_solver(self, key, value):
@@ -245,6 +253,32 @@ class TestRunInterpolation:
                                             report=str(tmp_path / "rR.csv"))[1].rows)
         assert res.failed == 0
         assert len(res.rows) > real_rows  # negative bins included
+
+
+def test_run_holds_few_copies_of_the_volume(tmp_path):
+    # A long record on a small grid, one solved bin: the volume's copies
+    # dominate what the run allocates.  Reading, masking, both DFTs, the
+    # output spectrum, the SNR and the write together stay below four
+    # volumes at any moment.
+    spec = EventSpec(n_rx=4, n_ry=3, n_sx=3, n_sy=2, spacing_m=25.0,
+                     nt=8192, dt=0.004, events=[(0.030, 0.0001, 0.00005, 1.0)],
+                     wavelet_peak_hz=80.0)
+    vol = linear_events(spec)
+    nbytes = vol.data.nbytes
+    write_volume(vol, tmp_path / "in.lrv")
+    del vol
+    write_mask(jittered_volume_mask(4, 3, 3, 2, 0.5, seed=1), tmp_path / "mask.lrm")
+    cfg = PipelineConfig(input=str(tmp_path / "in.lrv"), output=str(tmp_path / "out.lrv"),
+                         mask=str(tmp_path / "mask.lrm"), truth=str(tmp_path / "in.lrv"),
+                         rank=2, f_min=3.0, f_max=3.03, outer_iters=2, inner_iters=50)
+    tracemalloc.start()
+    try:
+        res = run_interpolation(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(res.rows) == 1 and res.failed == 0
+    assert peak <= 4 * nbytes, f"peak {peak / nbytes:.2f} volumes"
 
 
 class TestObservedConsistency:

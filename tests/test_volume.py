@@ -50,6 +50,35 @@ class TestComplexVolume:
         with pytest.raises(AxisLayoutError):
             ComplexVolume(("t", "rx", "sx"), np.zeros((2, 2)))
 
+    def test_view_is_copied(self):
+        base = np.zeros((4, 2, 3), dtype=complex)
+        vol = ComplexVolume(("t", "rx", "sx"), base[:])
+        base[0, 0, 0] = 1.0
+        assert vol.data[0, 0, 0] == 0.0
+        assert not np.shares_memory(vol.data, base)
+
+    def test_owning_array_is_frozen_in_place(self):
+        data = np.zeros((4, 2, 3), dtype=complex)
+        vol = ComplexVolume(("t", "rx", "sx"), data)
+        assert np.shares_memory(vol.data, data)
+        assert not data.flags.writeable
+        with pytest.raises(ValueError):
+            data[0, 0, 0] = 1.0
+
+    @pytest.mark.parametrize("data", [np.zeros((4, 2, 3), dtype=np.complex64),
+                                      np.zeros((4, 2, 3), dtype=complex, order="F"),
+                                      np.zeros((4, 2, 3))])
+    def test_other_dtype_or_layout_is_copied(self, data):
+        vol = ComplexVolume(("t", "rx", "sx"), data)
+        assert vol.data.dtype == np.complex128 and vol.data.flags.c_contiguous
+        assert not np.shares_memory(vol.data, data)
+        assert data.flags.writeable
+
+    def test_reordered_same_order_is_self(self):
+        vol = random_volume(np.random.default_rng(0))
+        assert vol.reordered(vol.axes) is vol
+        assert vol.reordered(list(vol.axes)) is vol
+
     def test_reordered_permutes_content(self):
         rng = np.random.default_rng(0)
         vol = random_volume(rng)
