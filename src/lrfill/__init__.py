@@ -30,9 +30,7 @@ from .pdsolver import (
     DualState,
     FactorPair,
     PdConfig,
-    op_norm,
     solve_factor,
-    solve_factor_exact,
 )
 from .pipeline import PipelineConfig, RunResult, load_config, mask_volume, run_interpolation
 from .reporting import SliceReport, snr_db

@@ -1,7 +1,7 @@
 """Outer alternating loop: relax the residual budget geometrically while
 trading R- and L-factor subproblems, each solved exactly by
-:func:`~lrfill.pdsolver.solve_factor_exact` (r x r eigendecompositions row
-by row and a root-find on the multiplier)."""
+:func:`~lrfill.pdsolver.solve_factor` (r x r eigendecompositions row by row
+and a root-find on the multiplier)."""
 
 from __future__ import annotations
 
@@ -10,10 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pdsolver import _TINY, FactorPair, PdConfig, solve_factor_exact
-# Not called here; kept importable because benchmark tracing patches
-# ``lrfill.altmin.solve_factor`` by name.
-from .pdsolver import solve_factor  # noqa: F401
+from .pdsolver import _TINY, FactorPair, PdConfig, solve_factor
 from .reporting import SliceReport
 
 
@@ -150,8 +147,8 @@ def interpolate_slice(op, b, cfg: OuterConfig):
     for k in range(cfg.outer_iters):
         eta_k = eta_schedule(eta_k, cfg.alpha, eta_target)
         try:
-            R, _, info_R = solve_factor_exact(A_T, b_obs_T, L, eta_k, cfg.pd)
-            L, _, info_L = solve_factor_exact(A, b_obs, R, eta_k, cfg.pd)
+            R, _, info_R = solve_factor(A_T, b_obs_T, L, eta_k, cfg.pd)
+            L, _, info_L = solve_factor(A, b_obs, R, eta_k, cfg.pd)
         except ValueError as exc:
             raise RuntimeError(
                 f"inner solve failed at outer iteration {k} (eta={eta_k:.3e}): {exc}"

@@ -114,6 +114,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_svdscan(args) -> int:
+    if not (math.isfinite(args.dt) and args.dt > 0.0):
+        raise ValueError("--dt must be a positive finite number")
     vol = read_volume(args.input)
     if vol.has_axis("t"):
         vol = dft_time_axis(vol.reordered(CANONICAL_AXES))

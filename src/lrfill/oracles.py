@@ -1,8 +1,7 @@
 """Small-instance reference solvers, used by the test-suite only.
 
-Everything here runs dense SVDs and is restricted to desk-scale matrices;
-none of it is reachable from the CLI or the pipeline.  The two solvers act
-as independent ground truth for the matrix-free code paths:
+None of it is reachable from the CLI or the pipeline.  The solvers act as
+independent ground truth for the code paths that are:
 
 * :func:`solve_nn_reference` computes the convex nuclear-norm completion
   (full matrix variable, singular-value thresholding inside a primal-dual
@@ -10,13 +9,20 @@ as independent ground truth for the matrix-free code paths:
 * :func:`solve_factor_reference` solves one factor subproblem by projected
   gradient, with the exact projection onto the residual ball computed in a
   dense SVD basis via bisection on the scalar Lagrange multiplier.
+* :func:`solve_factor_pd` solves the same subproblem by the paper's
+  primal-dual splitting, matrix-free.
+
+The first two run dense SVDs and are restricted to desk-scale matrices.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .pdsolver import _TINY
+from .pdsolver import _TINY, DualState, FactorSolveInfo, PdConfig
+
+# solve_factor_pd: the constant c < 1 of the step size gamma = c / ||R||_op.
+_STEP_C = 0.99
 
 
 class OracleConvergenceError(RuntimeError):
@@ -166,3 +172,136 @@ def solve_factor_reference(op, b, R, eta, tol=1e-8, max_iters=200, step=0.9):
     raise OracleConvergenceError(
         f"factor reference did not converge in {max_iters} iterations"
     )
+
+
+def op_norm(R: np.ndarray) -> float:
+    """Largest singular value of R by power iteration on the r x r Gram
+    matrix R^H R, to relative tolerance 1e-12 or 1000 steps.  Deterministic:
+    the start vector is drawn from a fixed seed."""
+    R = np.asarray(R)
+    if R.size == 0 or not np.linalg.norm(R) > 0:
+        raise ValueError("operator norm of a zero matrix: step size undefined")
+    gram = R.conj().T @ R
+    r = gram.shape[0]
+    rng = np.random.default_rng(0)
+    v = rng.standard_normal(r) + 1j * rng.standard_normal(r)
+    v /= np.linalg.norm(v)
+    lam = 0.0
+    for _ in range(1000):
+        w = gram @ v
+        lam_new = float(np.linalg.norm(w))
+        if lam_new <= 0:
+            # v landed in the null space; restart once from a fresh vector.
+            v = rng.standard_normal(r) + 1j * rng.standard_normal(r)
+            v /= np.linalg.norm(v)
+            continue
+        v = w / lam_new
+        if abs(lam_new - lam) <= 1e-12 * lam_new:
+            lam = lam_new
+            break
+        lam = lam_new
+    if lam <= 0:
+        # Entries so small that the Gram matrix underflows to zero.
+        raise ValueError("operator norm of a numerically zero matrix")
+    return float(np.sqrt(lam))
+
+
+def _shrink(y_plus, threshold):
+    """Block soft threshold: y+ scaled by max(1 - threshold/||y+||, 0); a
+    zero y+ returns zero outright (the formula would divide by it)."""
+    ny = float(np.linalg.norm(y_plus))
+    if ny == 0.0:
+        return np.zeros_like(y_plus)
+    scale = max(1.0 - threshold / ny, 0.0)
+    return scale * y_plus
+
+
+def solve_factor_pd(op, b, R, eta, cfg: PdConfig | None = None, warm=None):
+    """Solve the factor subproblem by the paper's primal-dual splitting;
+    returns (L, DualState, FactorSolveInfo), as
+    :func:`lrfill.pdsolver.solve_factor` does.
+
+    The saddle-point form is  min_L max_y 1/2||L||^2 + <A~L - b, y> - eta||y||,
+    where A~ : L -> A(L R^H) is the lifted linear operator.  Each iteration
+    is one proximal step on L (a scalar shrink) and one on y (a block soft
+    threshold toward the origin), using a single step size
+
+        gamma = c / ||R||_op,   c = 0.99,
+
+    which is admissible because the measurement operator is nonexpansive,
+    so ||A~||_op <= ||R||_op.  Only operator applications and matrix
+    products are used; no SVDs, no projections.
+
+    Parameters
+    ----------
+    op : measurement operator (forward/adjoint/factor_shape/data_shape)
+    b : observed data, shape ``op.data_shape``
+    R : the held-fixed factor (q x r); must be nonzero
+    eta : residual budget, >= 0
+    warm : optional (L0, y0) from a previous, nearby subproblem.  Cold
+        starts use zeros for both.
+
+    Stops after ``cfg.max_iters`` iterations or once the relative primal
+    change drops below ``primal_tol`` while the feasibility overshoot
+    max(||A(LR^H) - b|| - eta, 0) / ||b|| is below ``feas_tol``.
+    """
+    cfg = cfg or PdConfig()
+    if eta < 0:
+        raise ValueError("eta must be nonnegative")
+    b = np.asarray(b, dtype=np.complex128)
+    if b.shape != op.data_shape:
+        raise ValueError(f"b has shape {b.shape}, operator expects {op.data_shape}")
+    R = np.asarray(R, dtype=np.complex128)
+    gamma = _STEP_C / op_norm(R)
+    Rh = R.conj().T
+
+    p = op.factor_shape[0]
+    r = R.shape[1]
+    if warm is not None and warm[0] is not None:
+        L = np.array(warm[0], dtype=np.complex128)
+    else:
+        L = np.zeros((p, r), dtype=np.complex128)
+    if warm is not None and warm[1] is not None:
+        y = np.array(warm[1], dtype=np.complex128)
+    else:
+        y = np.zeros(op.data_shape, dtype=np.complex128)
+
+    b_norm = float(np.linalg.norm(b))
+    feas_scale = max(b_norm, _TINY)
+    AL = op.forward(L @ Rh)
+    history = []
+    converged = False
+    iters = 0
+    resid = float(np.linalg.norm(AL - b))
+    for k in range(cfg.max_iters):
+        L_new = (L - gamma * (op.adjoint(y) @ R)) / (1.0 + gamma)
+        if float(np.linalg.norm(L_new)) <= 1e-140:
+            # The iterate is contracting to the zero solution (happens when
+            # eta >= ||b|| keeps the dual at zero); snap it there instead of
+            # grinding through hundreds more shrink iterations into
+            # underflow.
+            L_new = np.zeros_like(L_new)
+        AL_new = op.forward(L_new @ Rh)
+        y = _shrink(y + gamma * (2.0 * AL_new - AL) - gamma * b, eta * gamma)
+        resid = float(np.linalg.norm(AL_new - b))
+        gap = max(resid - eta, 0.0) / feas_scale
+        change = float(np.linalg.norm(L_new - L)) / max(float(np.linalg.norm(L)), _TINY)
+        history.append(resid)
+        zero_fixed_point = not L_new.any() and not y.any()
+        L, AL = L_new, AL_new
+        iters = k + 1
+        if (change < cfg.primal_tol or zero_fixed_point) and gap < cfg.feas_tol:
+            converged = True
+            break
+
+    residual = AL - b
+    info = FactorSolveInfo(
+        iterations=iters,
+        residual_norm=resid,
+        objective=0.5 * float(np.linalg.norm(L)) ** 2,
+        feasibility_gap=max(resid - eta, 0.0) / feas_scale,
+        converged=converged,
+        gamma=gamma,
+        residual_history=history,
+    )
+    return L, DualState(y=y, residual=residual), info

@@ -1,31 +1,20 @@
-"""Solvers for one convex factor subproblem.
+"""The solver of one convex factor subproblem.
 
 With the other factor R held fixed, the subproblem is
 
     min_L  1/2 ||L||_F^2   s.t.  ||A(L R^H) - b||_F <= eta.
 
-:func:`solve_factor` is the paper's primal-dual splitting.  Its saddle-point
-form is  min_L max_y 1/2||L||^2 + <A~L - b, y> - eta||y||,  where
-A~ : L -> A(L R^H) is the lifted linear operator.  Each iteration is one
-proximal step on L (a scalar shrink) and one on y (a block soft threshold
-toward the origin), using a single step size
+The paper solves it with a primal-dual splitting; that scheme is kept as a
+test reference, :func:`lrfill.oracles.solve_factor_pd`.  :func:`solve_factor`
+solves it directly instead.  The measurement operator is a permutation
+followed by a coordinate mask, so with the multiplier of the constraint
+fixed the problem splits into one r x r system per row of L, and the
+multiplier that meets eta is the root of a scalar secular equation.  It
+costs one r x r eigendecomposition per row and a few dozen vector
+operations, where the splitting takes hundreds to thousands of iterations.
 
-    gamma = c / ||R||_op,   c = 0.99,
-
-which is admissible because the measurement operator is nonexpansive, so
-||A~||_op <= ||R||_op.  Only operator applications and matrix products are
-used; no SVDs, no projections.
-
-:func:`solve_factor_exact` solves the same problem directly.  The
-measurement operator is a permutation followed by a coordinate mask, so
-with the multiplier of the constraint fixed the problem splits into one
-r x r system per row of L, and the multiplier that meets eta is the root
-of a scalar secular equation.  It costs two r x r eigendecompositions per
-row and a few dozen vector operations, where the splitting takes hundreds
-to thousands of iterations; the alternating loop uses it.
-
-Both solvers need of the operator only ``forward``, ``adjoint``,
-``factor_shape`` and ``data_shape``.  The alternating loop hands them
+The solver needs of the operator only ``forward``, ``adjoint``,
+``factor_shape`` and ``data_shape``.  The alternating loop hands it
 ``MeasurementOp.packed``, whose data are vectors over the observed entries,
 and that operator's transposed view for the R-factor subproblem.
 """
@@ -38,15 +27,11 @@ import numpy as np
 
 # Floor for norms used as divisors; the other solver modules import it.
 _TINY = 1e-300
-# solve_factor: the constant c < 1 of the step size gamma = c / ||R||_op.
-_STEP_C = 0.99
-# solve_factor_exact: eigenvalues of a row's Gram matrix below this fraction
-# of the row's largest are rounding noise, and the multiplier bracket is
-# closed once its ends agree to this relative tolerance.
+# Eigenvalues of a row's Gram matrix below this fraction of the row's
+# largest are rounding noise, and the multiplier bracket is closed once its
+# ends agree to this relative tolerance.
 _EIG_FLOOR = 1e-12
 _LAM_RTOL = 1e-12
-# Entries of the (p, r, r) Gram stack held at once (64 KiB).
-_BLOCK_ENTRIES = 4096
 
 
 @dataclass
@@ -86,11 +71,12 @@ class DualState:
 class PdConfig:
     """Settings of the factor solvers.
 
-    ``max_iters`` caps the iterations of :func:`solve_factor` and the
-    root-find steps of :func:`solve_factor_exact`.  ``primal_tol`` is
-    :func:`solve_factor`'s stopping test on the relative primal change.
-    ``feas_tol`` bounds the feasibility overshoot in :func:`solve_factor`'s
-    stopping test and in the alternating loop's outer stop.
+    ``max_iters`` caps the root-find steps of :func:`solve_factor` and the
+    iterations of the reference :func:`lrfill.oracles.solve_factor_pd`.
+    ``primal_tol`` is read only by ``solve_factor_pd``, as its stopping test
+    on the relative primal change.  ``feas_tol`` bounds the feasibility
+    overshoot in ``solve_factor_pd``'s stopping test and in the alternating
+    loop's outer stop.
     """
 
     max_iters: int = 500
@@ -104,6 +90,10 @@ class PdConfig:
 
 @dataclass
 class FactorSolveInfo:
+    """What a factor solve did.  ``gamma`` and ``residual_history`` are the
+    step size and the per-iteration residuals of ``solve_factor_pd``;
+    :func:`solve_factor` sets ``gamma`` to nan and leaves the history empty."""
+
     iterations: int
     residual_norm: float
     objective: float
@@ -111,126 +101,6 @@ class FactorSolveInfo:
     converged: bool
     gamma: float
     residual_history: list = field(default_factory=list, repr=False)
-
-
-def op_norm(R: np.ndarray) -> float:
-    """Largest singular value of R by power iteration on the r x r Gram
-    matrix R^H R, to relative tolerance 1e-12 or 1000 steps.  Deterministic:
-    the start vector is drawn from a fixed seed."""
-    R = np.asarray(R)
-    if R.size == 0 or not np.linalg.norm(R) > 0:
-        raise ValueError("operator norm of a zero matrix: step size undefined")
-    gram = R.conj().T @ R
-    r = gram.shape[0]
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(r) + 1j * rng.standard_normal(r)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(1000):
-        w = gram @ v
-        lam_new = float(np.linalg.norm(w))
-        if lam_new <= 0:
-            # v landed in the null space; restart once from a fresh vector.
-            v = rng.standard_normal(r) + 1j * rng.standard_normal(r)
-            v /= np.linalg.norm(v)
-            continue
-        v = w / lam_new
-        if abs(lam_new - lam) <= 1e-12 * lam_new:
-            lam = lam_new
-            break
-        lam = lam_new
-    if lam <= 0:
-        # Entries so small that the Gram matrix underflows to zero.
-        raise ValueError("operator norm of a numerically zero matrix")
-    return float(np.sqrt(lam))
-
-
-def _shrink(y_plus, threshold):
-    """Block soft threshold: y+ scaled by max(1 - threshold/||y+||, 0); a
-    zero y+ returns zero outright (the formula would divide by it)."""
-    ny = float(np.linalg.norm(y_plus))
-    if ny == 0.0:
-        return np.zeros_like(y_plus)
-    scale = max(1.0 - threshold / ny, 0.0)
-    return scale * y_plus
-
-
-def solve_factor(op, b, R, eta, cfg: PdConfig | None = None, warm=None):
-    """Solve the factor subproblem; returns (L, DualState, FactorSolveInfo).
-
-    Parameters
-    ----------
-    op : measurement operator (forward/adjoint/factor_shape/data_shape)
-    b : observed data, shape ``op.data_shape``
-    R : the held-fixed factor (q x r); must be nonzero
-    eta : residual budget, >= 0
-    warm : optional (L0, y0) from a previous, nearby subproblem.  Cold
-        starts use zeros for both.
-
-    Stops after ``cfg.max_iters`` iterations or once the relative primal
-    change drops below ``primal_tol`` while the feasibility overshoot
-    max(||A(LR^H) - b|| - eta, 0) / ||b|| is below ``feas_tol``.
-    """
-    cfg = cfg or PdConfig()
-    if eta < 0:
-        raise ValueError("eta must be nonnegative")
-    b = np.asarray(b, dtype=np.complex128)
-    if b.shape != op.data_shape:
-        raise ValueError(f"b has shape {b.shape}, operator expects {op.data_shape}")
-    R = np.asarray(R, dtype=np.complex128)
-    gamma = _STEP_C / op_norm(R)
-    Rh = R.conj().T
-
-    p = op.factor_shape[0]
-    r = R.shape[1]
-    if warm is not None and warm[0] is not None:
-        L = np.array(warm[0], dtype=np.complex128)
-    else:
-        L = np.zeros((p, r), dtype=np.complex128)
-    if warm is not None and warm[1] is not None:
-        y = np.array(warm[1], dtype=np.complex128)
-    else:
-        y = np.zeros(op.data_shape, dtype=np.complex128)
-
-    b_norm = float(np.linalg.norm(b))
-    feas_scale = max(b_norm, _TINY)
-    AL = op.forward(L @ Rh)
-    history = []
-    converged = False
-    iters = 0
-    resid = float(np.linalg.norm(AL - b))
-    for k in range(cfg.max_iters):
-        L_new = (L - gamma * (op.adjoint(y) @ R)) / (1.0 + gamma)
-        if float(np.linalg.norm(L_new)) <= 1e-140:
-            # The iterate is contracting to the zero solution (happens when
-            # eta >= ||b|| keeps the dual at zero); snap it there instead of
-            # grinding through hundreds more shrink iterations into
-            # underflow.
-            L_new = np.zeros_like(L_new)
-        AL_new = op.forward(L_new @ Rh)
-        y = _shrink(y + gamma * (2.0 * AL_new - AL) - gamma * b, eta * gamma)
-        resid = float(np.linalg.norm(AL_new - b))
-        gap = max(resid - eta, 0.0) / feas_scale
-        change = float(np.linalg.norm(L_new - L)) / max(float(np.linalg.norm(L)), _TINY)
-        history.append(resid)
-        zero_fixed_point = not L_new.any() and not y.any()
-        L, AL = L_new, AL_new
-        iters = k + 1
-        if (change < cfg.primal_tol or zero_fixed_point) and gap < cfg.feas_tol:
-            converged = True
-            break
-
-    residual = AL - b
-    info = FactorSolveInfo(
-        iterations=iters,
-        residual_norm=resid,
-        objective=0.5 * float(np.linalg.norm(L)) ** 2,
-        feasibility_gap=max(resid - eta, 0.0) / feas_scale,
-        converged=converged,
-        gamma=gamma,
-        residual_history=history,
-    )
-    return L, DualState(y=y, residual=residual), info
 
 
 def _row_grams(mask, R):
@@ -247,12 +117,18 @@ def _row_grams(mask, R):
     return H
 
 
-def solve_factor_exact(op, b, R, eta, cfg: PdConfig | None = None):
+def solve_factor(op, b, R, eta, cfg: PdConfig | None = None):
     """Solve the factor subproblem exactly; returns (L, DualState, FactorSolveInfo).
 
-    Same problem, arguments and results as :func:`solve_factor`, without
-    a warm start.  The operator is a permutation followed by a coordinate
-    mask, so for a multiplier lam >= 0 the optimality condition
+    Parameters
+    ----------
+    op : measurement operator (forward/adjoint/factor_shape/data_shape)
+    b : observed data, shape ``op.data_shape``
+    R : the held-fixed factor (q x r); must be finite and nonzero
+    eta : residual budget, >= 0
+
+    The operator is a permutation followed by a coordinate mask, so for a
+    multiplier lam >= 0 the optimality condition
     ``L + lam A*(A(L R^H) - b) R = 0`` splits into one r x r system per row:
 
         L_i (I + lam H_i) = lam g_i,   H_i = sum_{j in Omega_i} R_j^H R_j,
@@ -309,18 +185,12 @@ def solve_factor_exact(op, b, R, eta, cfg: PdConfig | None = None):
         # Zero is feasible and has the least norm.
         return result(np.zeros((p, r), dtype=np.complex128), 0.0, 0, True)
 
-    # The (p, r, r) stack is built a block of rows at a time, and never held
-    # whole: once to diagonalize it for the secular function, and once more
-    # to form the solution when the multiplier is known.
+    # The (p, r, r) stack is diagonalized once, and its eigenvectors V are
+    # kept to form the solution when the multiplier is known.  With
+    # r^2 <= q it holds no more entries than the p x q slice.
     mask = op.adjoint(np.ones(op.data_shape)).real
-    rows = max(1, _BLOCK_ENTRIES // (r * r))
-    blocks = [slice(i, i + rows) for i in range(0, p, rows)]
-    g = op.adjoint(b) @ R
-    w = np.empty((p, r))
-    d = np.empty((p, r), dtype=np.complex128)
-    for blk in blocks:
-        w[blk], V = np.linalg.eigh(_row_grams(mask[blk], R))
-        d[blk] = (g[blk, None, :] @ V)[:, 0, :]
+    w, V = np.linalg.eigh(_row_grams(mask, R))
+    d = ((op.adjoint(b) @ R)[:, None, :] @ V)[:, 0, :]
     # Directions with eigenvalues at rounding level are unobserved: the data
     # carry no energy there, and dropping them bounds the secular function.
     keep = w > _EIG_FLOOR * np.maximum(w[:, -1:], 0.0)
@@ -331,11 +201,7 @@ def solve_factor_exact(op, b, R, eta, cfg: PdConfig | None = None):
     def factor(scale):
         # Rows (d_i * scale_i) V_i^H, formed as conj(V_i conj(d_i * scale_i)).
         coef = np.where(keep, d * scale, 0.0).conj()
-        L = np.empty((p, r), dtype=np.complex128)
-        for blk in blocks:
-            V = np.linalg.eigh(_row_grams(mask[blk], R))[1]
-            L[blk] = (V @ coef[blk, :, None])[:, :, 0].conj()
-        return L
+        return (V @ coef[:, :, None])[:, :, 0].conj()
 
     delta_sq = eta * eta - rho_sq
     if delta_sq <= 0.0:

@@ -15,8 +15,13 @@ import pytest
 from lrfill.altmin import OuterConfig, eta_schedule, interpolate_slice
 from lrfill.fileio import read_volume, write_mask, write_volume
 from lrfill.levelset import LevelSetConfig, solve_levelset
-from lrfill.oracles import nuclear_norm, solve_factor_reference, solve_nn_reference
-from lrfill.pdsolver import PdConfig, solve_factor
+from lrfill.oracles import (
+    nuclear_norm,
+    solve_factor_pd,
+    solve_factor_reference,
+    solve_nn_reference,
+)
+from lrfill.pdsolver import PdConfig
 from lrfill.pipeline import PipelineConfig, run_interpolation
 from lrfill.reporting import snr_db
 from lrfill.sampling import SamplingMask, jittered_volume_mask, uniform_entry_mask
@@ -105,7 +110,7 @@ def test_criterion_1_subproblem_oracle_equivalence():
         b_norm = float(np.linalg.norm(b))
         eta = float(rng.uniform(0.05, 0.3)) * b_norm
         cfg = PdConfig(max_iters=30000, primal_tol=1e-10, feas_tol=2e-7)
-        L_pd, dual, info = solve_factor(op, b, R, eta, cfg)
+        L_pd, dual, info = solve_factor_pd(op, b, R, eta, cfg)
         L_ref = solve_factor_reference(op, b, R, eta)
         obj_pd = 0.5 * np.linalg.norm(L_pd) ** 2
         obj_ref = 0.5 * np.linalg.norm(L_ref) ** 2
@@ -415,7 +420,7 @@ def test_criterion_9_numerical_properties(tmp_path):
         assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
 
     # dual prox nonexpansive
-    from lrfill.pdsolver import _shrink
+    from lrfill.oracles import _shrink
     for _ in range(50):
         u = crandn(rng, 6, 5)
         v = crandn(rng, 6, 5)

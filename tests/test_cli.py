@@ -174,6 +174,17 @@ def test_svdscan(tmp_path, events_spec_file):
         assert all(b <= a + 1e-12 for a, b in zip(sigmas, sigmas[1:]))
 
 
+@pytest.mark.parametrize("dt", ["0", "-0.004"])
+def test_svdscan_bad_dt_stops_before_any_data(tmp_path, events_spec_file, dt):
+    vol_path = tmp_path / "vol.lrv"
+    main(["generate", "--kind", "events", "--spec", str(events_spec_file),
+          "--out", str(vol_path)])
+    rc = main(["svdscan", "--input", str(vol_path), "--freq", "30",
+               "--dt", dt, "--out", str(tmp_path / "decay")])
+    assert rc == 2
+    assert not list(tmp_path.glob("*_srcpair.csv"))
+
+
 def test_compare(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"

@@ -6,15 +6,22 @@ imports names only to re-export them, and so is any import on a line marked
 
 No ``.write(x.tobytes())``: a payload is written from its own buffer, not
 from a full-size bytes copy of it.
+
+Every lrfill name the benchmark under ``perfbench/`` imports or patches
+exists, so a rename in the package cannot silently break the benchmark.
 """
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "lrfill"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "lrfill"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+BENCH_MODULES = sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -69,3 +76,47 @@ def test_no_unused_imports(path):
 def test_check_sees_an_unused_import():
     source = "import os\nimport sys  # noqa: F401\nfrom math import pi, tau\nprint(pi)\n"
     assert unused_imports(source) == ["os (line 1)", "tau (line 3)"]
+
+
+def _resolves(module: str, name: str) -> bool:
+    """``name`` is an attribute or a submodule of ``module``."""
+    try:
+        return (hasattr(importlib.import_module(module), name)
+                or importlib.util.find_spec(f"{module}.{name}") is not None)
+    except ModuleNotFoundError:
+        return False
+
+
+def unresolved_bench_names(source: str) -> list:
+    """``module.name`` references that benchmark source takes from lrfill
+    and lrfill lacks: the names of ``from lrfill... import`` statements and
+    the (module, attribute) pairs that open each entry of a ``SITES`` table."""
+    refs = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "lrfill":
+            refs += [(node.module, alias.name) for alias in node.names]
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "SITES" for t in node.targets):
+            for site in node.value.elts:
+                module, attr = (ast.literal_eval(e) for e in site.elts[:2])
+                refs.append((module, attr))
+    return sorted(f"{m}.{n}" for m, n in refs if not _resolves(m, n))
+
+
+@pytest.mark.parametrize("path", BENCH_MODULES, ids=lambda p: p.name)
+def test_bench_names_resolve(path):
+    assert unresolved_bench_names(path.read_text()) == []
+
+
+def test_check_sees_a_missing_bench_name():
+    source = ("from lrfill.altmin import interpolate_slice, solve_factor_exact\n"
+              "from lrfill import pipeline, no_such_module\n"
+              "import lrfill\n"
+              "SITES = (\n"
+              "    ('lrfill.altmin', 'solve_factor', 'pdsolver.solve_factor', None),\n"
+              "    ('lrfill.pipeline', 'read_volumes', 'fileio.read_volume', None),\n"
+              "    ('lrfill.nowhere', 'run', 'nowhere.run', None),\n"
+              ")\n")
+    assert unresolved_bench_names(source) == [
+        "lrfill.altmin.solve_factor_exact", "lrfill.no_such_module",
+        "lrfill.nowhere.run", "lrfill.pipeline.read_volumes"]

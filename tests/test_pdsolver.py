@@ -1,16 +1,8 @@
 import numpy as np
 import pytest
 
-from lrfill.oracles import solve_factor_reference
-from lrfill.pdsolver import (
-    DualState,
-    FactorPair,
-    PdConfig,
-    _shrink,
-    op_norm,
-    solve_factor,
-    solve_factor_exact,
-)
+from lrfill.oracles import _shrink, op_norm, solve_factor_pd, solve_factor_reference
+from lrfill.pdsolver import DualState, FactorPair, PdConfig, solve_factor
 from lrfill.sampling import SamplingMask, jittered_volume_mask, uniform_entry_mask
 from lrfill.transforms import MODE_REC_SRC_X, Matricization, MeasurementOp
 
@@ -91,15 +83,15 @@ class TestOpNorm:
 
 
 def _pd_step(op, b, R, eta, L0, y0):
-    """One iteration of solve_factor from (L0, y0): (L1, y1, gamma)."""
+    """One iteration of solve_factor_pd from (L0, y0): (L1, y1, gamma)."""
     cfg = PdConfig(max_iters=1, primal_tol=0.0, feas_tol=0.0)
-    L1, dual, info = solve_factor(op, b, R, eta, cfg, warm=(L0, y0))
+    L1, dual, info = solve_factor_pd(op, b, R, eta, cfg, warm=(L0, y0))
     assert info.iterations == 1
     return L1, dual.y, info.gamma
 
 
 class TestPrimalUpdate:
-    """The proximal step on the factor inside solve_factor:
+    """The proximal step on the factor inside solve_factor_pd:
     L1 = (L0 - gamma * A*(y0) R) / (1 + gamma)."""
 
     def test_zero_dual_is_pure_shrink(self, small_problem):
@@ -138,7 +130,7 @@ class TestPrimalUpdate:
 
 
 class TestDualUpdate:
-    """The dual step inside solve_factor: the extrapolated residual step
+    """The dual step inside solve_factor_pd: the extrapolated residual step
     y+ = y0 + gamma * A((2 L1 - L0) R^H) - gamma * b, then the block soft
     threshold toward the origin by eta * gamma."""
 
@@ -187,16 +179,18 @@ class TestDualUpdate:
 
 
 class TestSolveFactor:
+    """The primal-dual splitting, ``oracles.solve_factor_pd``."""
+
     def test_zero_data_zero_eta(self, small_problem):
         op, _, R, rng = small_problem
         b0 = np.zeros(op.data_shape, dtype=complex)
-        L, dual, info = solve_factor(op, b0, R, 0.0)
+        L, dual, info = solve_factor_pd(op, b0, R, 0.0)
         assert np.all(L == 0)
         assert info.converged
 
     def test_eta_above_data_norm_gives_zero(self, small_problem):
         op, b, R, rng = small_problem
-        L, dual, info = solve_factor(op, b, R, 1.5 * float(np.linalg.norm(b)))
+        L, dual, info = solve_factor_pd(op, b, R, 1.5 * float(np.linalg.norm(b)))
         assert np.all(L == 0)
         assert info.converged
         assert info.residual_norm <= 1.5 * float(np.linalg.norm(b))
@@ -207,7 +201,7 @@ class TestSolveFactor:
         op, b, R, rng = small_problem
         warm_L = crandn(rng, op.factor_shape[0], R.shape[1])
         cfg = PdConfig(max_iters=5000)
-        L, dual, info = solve_factor(op, b, R, 1.5 * float(np.linalg.norm(b)),
+        L, dual, info = solve_factor_pd(op, b, R, 1.5 * float(np.linalg.norm(b)),
                                      cfg, warm=(warm_L, None))
         assert np.all(L == 0)
         assert info.converged
@@ -215,7 +209,7 @@ class TestSolveFactor:
     def test_zero_fixed_factor_rejected(self, small_problem):
         op, b, R, rng = small_problem
         with pytest.raises(ValueError):
-            solve_factor(op, b, np.zeros_like(R), 0.1)
+            solve_factor_pd(op, b, np.zeros_like(R), 0.1)
 
     def test_matches_projected_gradient_reference(self):
         # 20x15, r=3, full mask, random R, eta = 0.1 ||b||.
@@ -227,7 +221,7 @@ class TestSolveFactor:
         b = op.forward(crandn(rng, p, r) @ R.conj().T)
         eta = 0.1 * float(np.linalg.norm(b))
         cfg = PdConfig(max_iters=20000, primal_tol=1e-10, feas_tol=1e-8)
-        L, dual, info = solve_factor(op, b, R, eta, cfg)
+        L, dual, info = solve_factor_pd(op, b, R, eta, cfg)
         L_ref = solve_factor_reference(op, b, R, eta)
         obj = 0.5 * np.linalg.norm(L) ** 2
         obj_ref = 0.5 * np.linalg.norm(L_ref) ** 2
@@ -237,7 +231,7 @@ class TestSolveFactor:
         op, b, R, rng = small_problem
         eta = 0.1 * float(np.linalg.norm(b))
         cfg = PdConfig(max_iters=20000, primal_tol=1e-10, feas_tol=1e-8)
-        L, dual, info = solve_factor(op, b, R, eta, cfg)
+        L, dual, info = solve_factor_pd(op, b, R, eta, cfg)
         # Fixed point of the primal prox: L = -A*(y) R.
         kkt = np.linalg.norm(L + op.adjoint(dual.y) @ R)
         assert kkt <= 1e-3 * max(1.0, np.linalg.norm(L))
@@ -254,7 +248,7 @@ class TestSolveFactor:
         op, b, R, rng = small_problem
         eta = 0.05 * float(np.linalg.norm(b))
         cfg = PdConfig(max_iters=1000, primal_tol=0.0, feas_tol=0.0)  # run full budget
-        L, dual, info = solve_factor(op, b, R, eta, cfg)
+        L, dual, info = solve_factor_pd(op, b, R, eta, cfg)
         hist = info.residual_history
         gap = [max(h - eta, 0.0) for h in hist]
         assert gap[-1] <= gap[len(gap) // 10] + 1e-12
@@ -262,8 +256,8 @@ class TestSolveFactor:
     def test_warm_start_roundtrip(self, small_problem):
         op, b, R, rng = small_problem
         eta = 0.1 * float(np.linalg.norm(b))
-        L1, d1, i1 = solve_factor(op, b, R, eta)
-        L2, d2, i2 = solve_factor(op, b, R, eta, warm=(L1, d1.y))
+        L1, d1, i1 = solve_factor_pd(op, b, R, eta)
+        L2, d2, i2 = solve_factor_pd(op, b, R, eta, warm=(L1, d1.y))
         assert i2.iterations <= i1.iterations
 
     def test_iteration_matches_standalone_updates(self, small_problem):
@@ -274,7 +268,7 @@ class TestSolveFactor:
         L0 = crandn(rng, op.factor_shape[0], R.shape[1])
         y0 = crandn(rng, *op.data_shape)
         cfg = PdConfig(max_iters=1, primal_tol=0.0, feas_tol=0.0)
-        L1, d1, _ = solve_factor(op, b, R, eta, cfg, warm=(L0, y0))
+        L1, d1, _ = solve_factor_pd(op, b, R, eta, cfg, warm=(L0, y0))
         gamma = 0.99 / op_norm(R)
         L1_ref = (L0 - gamma * (op.adjoint(y0) @ R)) / (1.0 + gamma)
         y1_ref = _shrink(y0 + gamma * op.forward((2.0 * L1_ref - L0) @ R.conj().T)
@@ -285,7 +279,7 @@ class TestSolveFactor:
     def test_dual_supported_on_observed_set(self, small_problem):
         op, b, R, rng = small_problem
         eta = 0.1 * float(np.linalg.norm(b))
-        L, dual, info = solve_factor(op, b, R, eta)
+        L, dual, info = solve_factor_pd(op, b, R, eta)
         assert np.all(dual.y[~op.observed] == 0)
 
     @pytest.mark.parametrize("side", ["L", "R"])
@@ -302,11 +296,11 @@ class TestSolveFactor:
         eta = 0.05 * float(np.linalg.norm(b))
         cfg = PdConfig(max_iters=400)
         if side == "L":
-            dense = solve_factor(op, b, R, eta, cfg)
-            packed = solve_factor(op.packed, op.pack(b), R, eta, cfg)
+            dense = solve_factor_pd(op, b, R, eta, cfg)
+            packed = solve_factor_pd(op.packed, op.pack(b), R, eta, cfg)
         else:
-            dense = solve_factor(_DenseConjTranspose(op), b.conj().T, L, eta, cfg)
-            packed = solve_factor(op.packed.transposed(), op.pack(b).conj(), L, eta, cfg)
+            dense = solve_factor_pd(_DenseConjTranspose(op), b.conj().T, L, eta, cfg)
+            packed = solve_factor_pd(op.packed.transposed(), op.pack(b).conj(), L, eta, cfg)
         assert packed[2].iterations == dense[2].iterations
         assert np.linalg.norm(packed[0] - dense[0]) <= 1e-12 * np.linalg.norm(dense[0])
 
@@ -334,6 +328,8 @@ def _criterion_1_instance(rng, noise=0.0):
 
 
 class TestSolveFactorExact:
+    """The exact row-wise solve, ``pdsolver.solve_factor``."""
+
     @pytest.mark.parametrize("side", ["L", "R"])
     def test_matches_reference_and_converged_pd(self, side):
         rng = np.random.default_rng(107)
@@ -341,10 +337,10 @@ class TestSolveFactorExact:
         for _ in range(5):
             op, b, L, R, eta = _criterion_1_instance(rng)
             A, data, fixed, dense, dense_b = _exact_side(op, b, L, R, side)
-            X, dual, info = solve_factor_exact(A, data, fixed, eta)
+            X, dual, info = solve_factor(A, data, fixed, eta)
             ref = solve_factor_reference(dense, dense_b, fixed, eta, tol=1e-13,
                                          max_iters=5000)
-            pd, _, _ = solve_factor(A, data, fixed, eta, pd_cfg)
+            pd, _, _ = solve_factor_pd(A, data, fixed, eta, pd_cfg)
             assert info.converged
             assert np.linalg.norm(X - ref) <= 1e-9 * np.linalg.norm(ref)
             assert np.linalg.norm(X - pd) <= 1e-9 * np.linalg.norm(pd)
@@ -367,7 +363,7 @@ class TestSolveFactorExact:
                 b = op.forward(L @ R.conj().T + 0.02 * crandn(rng, p, q))
                 eta = float(rng.uniform(0.05, 0.3)) * float(np.linalg.norm(b))
             A, data, fixed, _, _ = _exact_side(op, b, L, R, side)
-            X, dual, info = solve_factor_exact(A, data, fixed, eta)
+            X, dual, info = solve_factor(A, data, fixed, eta)
             resid = np.linalg.norm(A.forward(X @ fixed.conj().T) - data)
             assert info.converged
             assert resid <= eta * (1 + 1e-12)
@@ -384,7 +380,7 @@ class TestSolveFactorExact:
         for _ in range(10):
             op, b, L, R, eta = _criterion_1_instance(rng, noise=0.02)
             A, data, fixed, _, _ = _exact_side(op, b, L, R, side)
-            X, _, info = solve_factor_exact(A, data, fixed, eta, PdConfig(max_iters=1))
+            X, _, info = solve_factor(A, data, fixed, eta, PdConfig(max_iters=1))
             assert info.iterations == 1 and not info.converged
             assert info.residual_norm <= eta * (1 + 1e-12)
 
@@ -395,7 +391,7 @@ class TestSolveFactorExact:
         A, data, fixed, _, _ = _exact_side(op, b, L, R, side)
         for scale in (1.0, 1.5):
             eta = scale * float(np.linalg.norm(data))
-            X, dual, info = solve_factor_exact(A, data, fixed, eta)
+            X, dual, info = solve_factor(A, data, fixed, eta)
             assert X.shape == (A.factor_shape[0], fixed.shape[1])
             assert np.all(X == 0) and np.all(dual.y == 0)
             assert info.converged and info.iterations == 0
@@ -409,7 +405,7 @@ class TestSolveFactorExact:
         b = op.forward(crandn(rng, 14, 11))
         A, data, fixed, _, _ = _exact_side(op, b, L, R, side)
         eta = 0.01 * float(np.linalg.norm(data))
-        X, dual, info = solve_factor_exact(A, data, fixed, eta)
+        X, dual, info = solve_factor(A, data, fixed, eta)
         assert not info.converged
         assert np.isfinite(X).all()
         assert info.residual_norm > eta
@@ -435,7 +431,7 @@ class TestSolveFactorExact:
         A, data, fixed, _, _ = _exact_side(op, b, L, R, side)
         empty = [0, 4] if side == "L" else [3]
         for eta in (0.05 * float(np.linalg.norm(data)), 0.0):
-            X, _, _ = solve_factor_exact(A, data, fixed, eta)
+            X, _, _ = solve_factor(A, data, fixed, eta)
             assert np.all(X[empty] == 0)
             assert np.all(np.delete(X, empty, axis=0) != 0)
 
@@ -450,7 +446,7 @@ class TestSolveFactorExact:
             # Also when eta alone would make zero the answer.
             for eta in (0.1, 2.0 * float(np.linalg.norm(data))):
                 with pytest.raises(ValueError):
-                    solve_factor_exact(A, data, F, eta)
+                    solve_factor(A, data, F, eta)
 
 
 def test_factorization_bound_and_balanced_equality():
