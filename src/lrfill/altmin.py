@@ -100,7 +100,8 @@ def init_factors(p: int, q: int, r: int, seed: int = 0) -> FactorPair:
 
 
 def interpolate_slice(op, b, cfg: OuterConfig):
-    """Complete one slice from its masked measurements.
+    """Complete one slice from its masked measurements ``b``, shaped like
+    the mask's grid (``op.data_shape``).
 
     Runs the outer loop: tighten eta, solve for R with L fixed, then for L
     with R fixed, each subproblem exactly, then equalize the factor norms;
@@ -110,9 +111,8 @@ def interpolate_slice(op, b, cfg: OuterConfig):
     ``inner_iters`` counts the multiplier root-find steps of both solves.
     ``cfg.pd.max_iters`` caps those steps per solve, and ``cfg.pd.feas_tol``
     is the outer stop's tolerance on the budget.  Returns
-    ``(FactorPair, X, SliceReport)`` with
-    X = L R^H in the factor domain; callers that need the acquisition layout
-    fold it back through ``op.to_acquisition``.
+    ``(FactorPair, X, SliceReport)`` with X = L R^H in the factor domain;
+    ``op.to_acquisition(X)`` folds it back onto the acquisition grid.
     """
     t_start = time.perf_counter()
     b = np.asarray(b, dtype=np.complex128)

@@ -38,31 +38,22 @@ def _parse_floats(text, n, what):
 
 
 def cmd_generate(args) -> int:
+    # The spec's keys are the fields of the spec class; events come from
+    # repeated ``event`` keys.  A bad spec stops before anything is written.
     raw = parse_kv_file(args.spec)
     if args.kind == "plant":
-        spec = PlantSpec(
-            p=int(raw["p"]), q=int(raw["q"]), rank=int(raw["rank"]),
-            profile=raw.get("profile", "flat"),
-            decay_ratio=float(raw.get("decay_ratio", 0.5)),
-            seed=int(raw.get("seed", 0)),
-        )
+        spec = config_from_dict(raw, PlantSpec)
         sl, _ = plant_slice(spec)
         vol = ComplexVolume(("f", "rx", "sx"), sl.data[None])
         write_volume(vol, args.out)
         print(f"wrote planted {spec.p}x{spec.q} rank-{spec.rank} slice to {args.out}")
         return 0
-    events_raw = raw.get("event", [])
+    events_raw = raw.pop("event", [])
     if isinstance(events_raw, str):
         events_raw = [events_raw]
     events = [tuple(_parse_floats(e, 4, "event")) for e in events_raw]
-    spec = EventSpec(
-        n_rx=int(raw["n_rx"]), n_ry=int(raw["n_ry"]),
-        n_sx=int(raw["n_sx"]), n_sy=int(raw["n_sy"]),
-        spacing_m=float(raw.get("spacing_m", 25.0)),
-        nt=int(raw["nt"]), dt=float(raw.get("dt", 0.004)),
-        events=events,
-        wavelet_peak_hz=float(raw.get("wavelet_peak_hz", 20.0)),
-    )
+    spec = config_from_dict({"spacing_m": "25.0", "dt": "0.004", **raw}, EventSpec,
+                            events=events)
     vol = linear_events(spec)
     write_volume(vol, args.out)
     print(f"wrote {len(events)}-event volume {vol.dims} to {args.out}")

@@ -17,6 +17,8 @@ The first two run dense SVDs and are restricted to desk-scale matrices.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .pdsolver import _TINY, DualState, FactorSolveInfo, PdConfig
@@ -98,9 +100,8 @@ def _lifted_matrix(op, R):
     """Dense matrix of L -> A(L R^H) acting on vec(L); desk scale only."""
     p = op.factor_shape[0]
     r = R.shape[1]
-    n, m = op.data_shape
     Rh = R.conj().T
-    M = np.zeros((n * m, p * r), dtype=np.complex128)
+    M = np.zeros((math.prod(op.data_shape), p * r), dtype=np.complex128)
     E = np.zeros((p, r), dtype=np.complex128)
     for j in range(p * r):
         E.flat[j] = 1.0

@@ -123,18 +123,21 @@ def parse_rank_schedule(text: str) -> RankSchedule:
         raise ValueError(f"bad rank schedule {text!r}, want 'f:r,f:r'") from exc
 
 
-def config_parser(f: Field) -> type:
-    """Parser of a config value: ``int`` or ``float`` when the field is
-    annotated so (alone or ``| None``), else ``str``.  A ``rank_schedule``
-    string is parsed by ``PipelineConfig.__post_init__``."""
-    hint = get_type_hints(PipelineConfig)[f.name]
+def config_parser(f: Field, cls: type = PipelineConfig) -> type:
+    """Parser of a value of field ``f`` of ``cls``: ``int`` or ``float``
+    when the field is annotated so (alone or ``| None``), else ``str``.  A
+    ``rank_schedule`` string is parsed by ``PipelineConfig.__post_init__``."""
+    hint = get_type_hints(cls)[f.name]
     return next((t for t in (int, float) if t is hint or t in get_args(hint)), str)
 
 
-def config_from_dict(raw: dict) -> PipelineConfig:
-    """Build the config from raw values; ``None`` values count as unset."""
-    schema = {f.name: f for f in fields(PipelineConfig)}
-    kwargs = {}
+def config_from_dict(raw: dict, cls: type = PipelineConfig, **given):
+    """Build the config, or another dataclass of flat settings, from raw
+    values keyed by its field names; ``None`` values count as unset.  The
+    fields in ``given`` are not keys: their values are passed as they are.
+    Unknown, repeated and missing keys raise ``ValueError``."""
+    schema = {f.name: f for f in fields(cls) if f.name not in given}
+    kwargs = dict(given)
     for key, value in raw.items():
         if value is None:
             continue
@@ -142,12 +145,12 @@ def config_from_dict(raw: dict) -> PipelineConfig:
             raise ValueError(f"unknown config key {key!r}")
         if isinstance(value, list):
             raise ValueError(f"config key {key!r} given more than once")
-        kwargs[key] = config_parser(schema[key])(value)
+        kwargs[key] = config_parser(schema[key], cls)(value)
     missing = [f.name for f in schema.values()
                if f.default is MISSING and f.name not in kwargs]
     if missing:
         raise ValueError(f"config is missing required keys {missing}")
-    return PipelineConfig(**kwargs)
+    return cls(**kwargs)
 
 
 def load_config(path, overrides: dict | None = None) -> PipelineConfig:
@@ -233,9 +236,7 @@ def run_interpolation(cfg: PipelineConfig) -> RunResult:
     del masked
     nt = spec.dims[0]
     freqs = freq_values_hz(nt, cfg.dt)
-    acq = Matricization("srcpair", *extents)
-    matric = Matricization(cfg.matricization, *extents)
-    op = MeasurementOp(mask, matric)
+    op = MeasurementOp(mask, Matricization(cfg.matricization, *extents))
     p, q = op.factor_shape
 
     truth_spec = None
@@ -265,7 +266,7 @@ def run_interpolation(cfg: PipelineConfig) -> RunResult:
     fully_observed = bool(op.observed.all())
 
     def worker(k):
-        b = acq.unfold(out_data[k])
+        b = out_data[k]
         freq_hz = abs(float(freqs[k]))
         if fully_observed:
             # Nothing to interpolate: pass the slice through untouched.
@@ -282,10 +283,10 @@ def run_interpolation(cfg: PipelineConfig) -> RunResult:
                                   status=f"failed: {type(exc).__name__}")
                 done = b
         if truth_spec is not None and rep.status == "ok":
-            truth_slice = acq.unfold(truth_spec.data[k])
+            truth_slice = truth_spec.data[k]
             if np.linalg.norm(truth_slice) > 0:
                 rep.snr_db = snr_db(truth_slice, done)
-        return k, acq.fold(done), rep
+        return k, done, rep
 
     rows = []
     if cfg.threads == 1:
@@ -293,12 +294,12 @@ def run_interpolation(cfg: PipelineConfig) -> RunResult:
     else:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
             results = list(pool.map(worker, solve_bins))
-    for k, t4_done, rep in results:
+    for k, done, rep in results:
         if real_input and k in self_conj:
-            t4_done = t4_done.real.astype(np.complex128)
-        out_data[k] = t4_done
+            done = done.real.astype(np.complex128)
+        out_data[k] = done
         if real_input and 0 < k < nt - k:
-            out_data[nt - k] = np.conj(t4_done)
+            out_data[nt - k] = np.conj(done)
         rows.append(rep)
 
     result = RunResult(rows=rows, output_path=cfg.output)

@@ -34,7 +34,6 @@ class PlantSpec:
     rank: int
     profile: str = "flat"  # flat | geometric
     decay_ratio: float = 0.5
-    noise_eps: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
@@ -42,8 +41,6 @@ class PlantSpec:
             raise ValueError("rank out of range")
         if self.profile not in ("flat", "geometric"):
             raise ValueError("profile must be 'flat' or 'geometric'")
-        if self.noise_eps < 0:
-            raise ValueError("noise_eps must be nonnegative")
 
 
 def _haar_columns(n, r, rng):
@@ -114,6 +111,8 @@ class EventSpec:
             raise ValueError("all extents must be positive")
         if self.spacing_m <= 0 or self.dt <= 0:
             raise ValueError("spacing and dt must be positive")
+        if not self.wavelet_peak_hz > 0:
+            raise ValueError("wavelet_peak_hz must be positive")
         for ev in self.events:
             if not 0 <= ev[0] <= self.nt * self.dt:
                 raise ValueError(f"event apex {ev[0]} outside the record")

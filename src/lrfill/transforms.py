@@ -9,15 +9,17 @@ whole test-suite depends on them:
     srcpair   row = rx + ry * n_rx      col = sx + sy * n_sx
     recsrcx   row = ry + sy * n_ry      col = rx + sx * n_rx
 
-"srcpair" is the acquisition layout itself (receivers on rows, sources on
-columns); removing a source empties a whole column.  "recsrcx" mixes source
-and receiver indices across rows and columns, which is what gives coherent
-data a fast-decaying singular spectrum while scattering the missing entries.
+"srcpair" puts receivers on rows and sources on columns, so removing a
+source empties a whole column.  "recsrcx" mixes source and receiver indices
+across rows and columns, which is what gives coherent data a fast-decaying
+singular spectrum while scattering the missing entries.
 
-The measurement operator composes the mask with the change of unfolding:
-``measure(Z) = mask * to_acquisition(Z)``.  Because the re-unfolding is a
-pure permutation and the mask a coordinate projection, the operator norm is
-at most 1, with equality whenever the mask is nonempty.
+The measurement operator folds a factor-domain matrix back onto the
+acquisition grid and masks it: ``measure(Z) = mask * fold(Z)``.  Its data
+live on the mask's own grid, the 4-d tensor for a volume mask and the
+matrix for a 2-d one.  Because folding is a pure permutation and the mask a
+coordinate projection, the operator norm is at most 1, with equality
+whenever the mask is nonempty.
 
 Since the operator is a permutation followed by a coordinate mask, it is
 fully described by where each observed entry sits in the factor domain.
@@ -93,61 +95,48 @@ class Matricization:
         return interim.transpose(3, 1, 2, 0)
 
 
-def _mask_matrix(mask: SamplingMask) -> np.ndarray:
-    """Mask grid in acquisition (srcpair) matrix layout."""
-    if mask.grid.ndim == 2:
-        return mask.grid
-    if mask.grid.ndim == 4:
-        m = Matricization(MODE_SRC_PAIR, *mask.grid.shape)
-        return m.unfold(mask.grid)
-    raise ValueError(f"cannot lay out a {mask.grid.ndim}-d mask as a matrix")
-
-
 def apply_sampling(mask: SamplingMask, data: np.ndarray) -> np.ndarray:
-    """Zero every entry outside the observed set.  Idempotent, self-adjoint."""
-    omega = _mask_matrix(mask)
+    """Zero every entry outside the observed set of data shaped like the
+    mask's grid.  Idempotent, self-adjoint."""
     data = np.asarray(data)
-    if data.shape != omega.shape:
-        raise ValueError(f"data shape {data.shape} != mask shape {omega.shape}")
-    return np.where(omega, data, 0)
+    if data.shape != mask.grid.shape:
+        raise ValueError(f"data shape {data.shape} != mask shape {mask.grid.shape}")
+    return np.where(mask.grid, data, 0)
 
 
 class MeasurementOp:
     """Sampling-plus-transform operator from factor domain to data domain.
 
     ``forward`` maps a factor-domain matrix (the chosen unfolding, shape
-    ``factor_shape``) to the masked acquisition-layout matrix (shape
-    ``data_shape``); ``adjoint`` is its exact adjoint.  With no
-    matricization (2-d masks), the transform is the identity and the
-    operator is the bare coordinate projection.
+    ``factor_shape``) to the masked data on the mask's grid (shape
+    ``data_shape``, equal to ``mask.grid.shape``); ``adjoint`` is its exact
+    adjoint.  With no matricization (2-d masks), the transform is the
+    identity and the operator is the bare coordinate projection.
 
     Both directions move only the observed entries, through two index
-    arrays computed once here: ``data_index`` holds the flat
-    acquisition-layout index of each observed entry and ``factor_index``
-    the flat factor-domain index of the same entry, in the same order.
-    ``packed`` is the same operator with the zeros left out of the data
-    domain; the solvers run on it and on its ``transposed()`` view.
+    arrays computed once here: ``data_index`` holds the flat grid index of
+    each observed entry and ``factor_index`` the flat factor-domain index
+    of the same entry, in the same order.  ``packed`` is the same operator
+    with the zeros left out of the data domain; the solvers run on it and
+    on its ``transposed()`` view.
     """
 
     def __init__(self, mask: SamplingMask, matricization: Matricization | None = None):
         self.mask = mask
         self.matricization = matricization
+        self.observed = mask.grid
+        self.data_shape = mask.grid.shape
         if matricization is None:
             if mask.grid.ndim != 2:
                 raise ValueError("a 4-d mask requires a matricization")
-            self._acq = None
             self.factor_shape = mask.grid.shape
-            self.data_shape = mask.grid.shape
         else:
             if mask.grid.ndim != 4 or mask.grid.shape != matricization.extents:
                 raise ValueError(
                     f"mask grid {mask.grid.shape} does not match "
                     f"matricization extents {matricization.extents}"
                 )
-            self._acq = Matricization(MODE_SRC_PAIR, *matricization.extents)
             self.factor_shape = matricization.shape
-            self.data_shape = self._acq.shape
-        self.observed = _mask_matrix(mask)
         # Observed entries in factor order: sorted factor indices keep the
         # solvers' gathers and scatters sequential in memory.
         self.factor_index = np.flatnonzero(self.from_acquisition(self.observed))
@@ -159,26 +148,28 @@ class MeasurementOp:
         self.packed = PackedOp(self.factor_index, self.factor_shape, matricization)
 
     def to_acquisition(self, Z: np.ndarray) -> np.ndarray:
-        """Transform only (no masking): factor domain -> acquisition layout."""
+        """Transform only (no masking): fold a factor-domain matrix onto
+        the acquisition grid."""
         Z = np.asarray(Z)
         if Z.shape != self.factor_shape:
             raise ValueError(f"expected factor shape {self.factor_shape}, got {Z.shape}")
         if self.matricization is None:
             return Z
-        return self._acq.unfold(self.matricization.fold(Z))
+        return self.matricization.fold(Z)
 
     def from_acquisition(self, W: np.ndarray) -> np.ndarray:
-        """Transform only: acquisition layout -> factor domain."""
+        """Transform only: unfold data on the acquisition grid into the
+        factor domain."""
         W = np.asarray(W)
         if W.shape != self.data_shape:
             raise ValueError(f"expected data shape {self.data_shape}, got {W.shape}")
         if self.matricization is None:
             return W
-        return self.matricization.unfold(self._acq.fold(W))
+        return self.matricization.unfold(W)
 
     def pack(self, W: np.ndarray) -> np.ndarray:
-        """The observed entries of an acquisition-layout matrix, in the
-        order of ``packed``'s data vectors."""
+        """The observed entries of data on the grid, in the order of
+        ``packed``'s data vectors."""
         W = np.asarray(W)
         if W.shape != self.data_shape:
             raise ValueError(f"expected data shape {self.data_shape}, got {W.shape}")
@@ -195,7 +186,7 @@ class MeasurementOp:
 
 
 def _scatter(values: np.ndarray, index: np.ndarray, shape: tuple) -> np.ndarray:
-    """Zero matrix of ``shape`` holding ``values`` at the flat ``index``."""
+    """Zero array of ``shape`` holding ``values`` at the flat ``index``."""
     out = np.zeros(shape, dtype=np.result_type(values, 0))
     out.reshape(-1)[index] = values
     return out

@@ -10,6 +10,7 @@ from lrfill.cli import build_parser, main
 from lrfill.fileio import read_mask, read_volume
 from lrfill.pipeline import PipelineConfig, RunResult
 from lrfill.reporting import SliceReport, write_report
+from lrfill.synthgen import EventSpec, linear_events
 
 
 @pytest.fixture
@@ -51,6 +52,40 @@ def test_generate_plant(tmp_path, plant_spec_file):
     assert vol.dims == (1, 12, 9)
     s = np.linalg.svd(vol.data[0], compute_uv=False)
     assert s[2] < 1e-10 * s[0]
+
+
+@pytest.mark.parametrize("kind, spec", [
+    ("plant", "p = 12\nq = 9\nrank = 2\ndecay_ration = 0.9\n"),
+    ("plant", "p = 12\nq = 9\nrank = 2\nnoise_eps = 0.1\n"),
+    ("events", "n_rx = 2\nn_ry = 2\nn_sx = 2\nn_sy = 2\nnt = 16\nwavelet_peak = 30\n"),
+    ("plant", "p = 12\nrank = 2\n"),
+    ("events", "n_rx = 2\nn_ry = 2\nn_sx = 2\nnt = 16\n"),
+    ("plant", "p = 12\nq = 9\nrank = 2\np = 10\n"),
+    ("events", "n_rx = 2\nn_ry = 2\nn_sx = 2\nn_sy = 2\nnt = 16\nnt = 32\n"),
+    ("events", "n_rx = 2\nn_ry = 2\nn_sx = 2\nn_sy = 2\nnt = 16\nwavelet_peak_hz = 0\n"
+               "event = 0.03, 0.0001, 0.0001, 1.0\n"),
+], ids=["unknown-plant", "unknown-noise_eps", "unknown-events", "missing-plant",
+        "missing-events", "repeated-plant", "repeated-events", "zero-wavelet-peak"])
+def test_generate_bad_spec_writes_nothing(tmp_path, kind, spec):
+    path = tmp_path / "bad.cfg"
+    path.write_text(spec)
+    out = tmp_path / "out.lrv"
+    rc = main(["generate", "--kind", kind, "--spec", str(path), "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+
+
+def test_generate_keeps_spec_defaults(tmp_path):
+    # spacing_m, dt and wavelet_peak_hz may be left out of an events spec.
+    path = tmp_path / "events.cfg"
+    path.write_text("n_rx = 3\nn_ry = 2\nn_sx = 2\nn_sy = 2\nnt = 64\n"
+                    "event = 0.10, 0.0001, 0.0001, 1.0\n")
+    out = tmp_path / "vol.lrv"
+    rc = main(["generate", "--kind", "events", "--spec", str(path), "--out", str(out)])
+    assert rc == 0
+    spec = EventSpec(n_rx=3, n_ry=2, n_sx=2, n_sy=2, spacing_m=25.0, nt=64, dt=0.004,
+                     events=[(0.10, 0.0001, 0.0001, 1.0)], wavelet_peak_hz=20.0)
+    np.testing.assert_array_equal(read_volume(out).data, linear_events(spec).data)
 
 
 def test_subsample_and_evaluate(tmp_path, events_spec_file):

@@ -9,6 +9,10 @@ from a full-size bytes copy of it.
 
 Every lrfill name the benchmark under ``perfbench/`` imports or patches
 exists, so a rename in the package cannot silently break the benchmark.
+
+Every setting is read: each field of a ``@dataclass`` named ``*Config`` or
+``*Spec`` is read as an attribute somewhere in the package outside that
+class's own ``__post_init__``, so no setting is validated and then ignored.
 """
 
 import ast
@@ -76,6 +80,65 @@ def test_no_unused_imports(path):
 def test_check_sees_an_unused_import():
     source = "import os\nimport sys  # noqa: F401\nfrom math import pi, tau\nprint(pi)\n"
     assert unused_imports(source) == ["os (line 1)", "tau (line 3)"]
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def dead_settings(sources: list) -> list:
+    """``Class.field`` for each field of a ``@dataclass`` named ``*Config``
+    or ``*Spec`` that no attribute read in ``sources`` names, reads inside
+    the class's own ``__post_init__`` aside."""
+    trees = [ast.parse(source) for source in sources]
+    reads = [node for tree in trees for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)]
+    dead = []
+    for tree in trees:
+        for cls in ast.walk(tree):
+            if not (isinstance(cls, ast.ClassDef) and cls.name.endswith(("Config", "Spec"))
+                    and _is_dataclass(cls)):
+                continue
+            own_checks = {id(node) for stmt in cls.body
+                          if isinstance(stmt, ast.FunctionDef) and stmt.name == "__post_init__"
+                          for node in ast.walk(stmt)}
+            read = {node.attr for node in reads if id(node) not in own_checks}
+            dead += [f"{cls.name}.{stmt.target.id}" for stmt in cls.body
+                     if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                     and stmt.target.id not in read]
+    return sorted(dead)
+
+
+def test_no_dead_settings():
+    sources = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
+    assert dead_settings(sources) == []
+
+
+def test_check_sees_a_dead_setting():
+    source = ("@dataclass\n"
+              "class PlantSpec:\n"
+              "    p: int\n"
+              "    noise_eps: float = 0.0\n"
+              "    def __post_init__(self):\n"
+              "        if self.noise_eps < 0 or self.p < 1:\n"
+              "            raise ValueError\n"
+              "@dataclasses.dataclass(frozen=True)\n"
+              "class OuterConfig:\n"
+              "    tol: float = 1e-4\n"
+              "    unused: int = 0\n"
+              "class HelperConfig:\n"
+              "    ignored: int = 0\n"
+              "@dataclass\n"
+              "class RunResult:\n"
+              "    rows: list\n"
+              "def solve(spec, cfg):\n"
+              "    cfg.unused = spec.p\n"
+              "    return spec.p * cfg.tol\n")
+    assert dead_settings([source]) == ["OuterConfig.unused", "PlantSpec.noise_eps"]
 
 
 def _resolves(module: str, name: str) -> bool:

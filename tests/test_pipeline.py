@@ -16,6 +16,7 @@ from lrfill.pipeline import (
 from lrfill.reporting import read_report, snr_db
 from lrfill.sampling import SamplingMask, jittered_volume_mask
 from lrfill.synthgen import EventSpec, linear_events
+from lrfill.transforms import MODE_REC_SRC_X, MODE_SRC_PAIR
 
 
 def small_volume():
@@ -282,7 +283,8 @@ def test_run_holds_few_copies_of_the_volume(tmp_path):
 
 
 class TestObservedConsistency:
-    def test_completed_volume_fits_observations(self, tmp_path):
+    @pytest.mark.parametrize("mode", [MODE_REC_SRC_X, MODE_SRC_PAIR])
+    def test_completed_volume_fits_observations(self, tmp_path, mode):
         vol = small_volume()
         mask = jittered_volume_mask(4, 3, 3, 2, 0.5, seed=1)
         write_volume(vol, tmp_path / "in.lrv")
@@ -291,7 +293,7 @@ class TestObservedConsistency:
             input=str(tmp_path / "in.lrv"), output=str(tmp_path / "out.lrv"),
             mask=str(tmp_path / "mask.lrm"), rank=3, eta_fraction=0.02,
             alpha=0.5, outer_iters=10, inner_iters=800, f_min=3.0, f_max=70.0,
-            dt=0.004, seed=0,
+            dt=0.004, seed=0, matricization=mode,
         )
         run_interpolation(cfg)
         out = read_volume(cfg.output)

@@ -178,6 +178,9 @@ class TestMeasurementOp:
         Z = rng.standard_normal((5, 6)) + 1j * rng.standard_normal((5, 6))
         np.testing.assert_array_equal(op.forward(Z), apply_sampling(mask, Z))
         np.testing.assert_array_equal(op.to_acquisition(Z), Z)
+        # The 2-d path shares one index map between both domains.
+        assert op.data_shape == mask.grid.shape
+        assert op.data_index is op.factor_index
 
     def test_hermitian_flip_adjoint_and_involution(self):
         rng = np.random.default_rng(19)
@@ -207,9 +210,13 @@ class TestMeasurementOp:
     def test_forward_is_sampling_of_transform(self, mode):
         rng = np.random.default_rng(24)
         mask = random_mask(rng)
-        op = MeasurementOp(mask, Matricization(mode, *mask.grid.shape))
+        matric = Matricization(mode, *mask.grid.shape)
+        op = MeasurementOp(mask, matric)
         Z = rng.standard_normal(op.factor_shape) + 1j * rng.standard_normal(op.factor_shape)
         np.testing.assert_array_equal(op.forward(Z), apply_sampling(mask, op.to_acquisition(Z)))
+        # The data live on the mask's own grid: the transform is the fold.
+        assert op.data_shape == mask.grid.shape
+        np.testing.assert_array_equal(op.to_acquisition(Z), matric.fold(Z))
 
     @pytest.mark.parametrize("mode", [*MODES, None])
     def test_packed_pair_is_dense_restricted_to_observed(self, mode):
