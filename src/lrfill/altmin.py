@@ -1,7 +1,7 @@
 """Outer alternating loop: relax the residual budget geometrically while
 trading R- and L-factor subproblems, each solved exactly by
-:func:`~lrfill.pdsolver.solve_factor` (r x r eigendecompositions row by row
-and a root-find on the multiplier)."""
+:func:`~lrfill.pdsolver.solve_factor` (one r x r eigendecomposition per
+distinct sampling pattern and a root-find on the multiplier)."""
 
 from __future__ import annotations
 

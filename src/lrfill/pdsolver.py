@@ -9,14 +9,17 @@ test reference, :func:`lrfill.oracles.solve_factor_pd`.  :func:`solve_factor`
 solves it directly instead.  The measurement operator is a permutation
 followed by a coordinate mask, so with the multiplier of the constraint
 fixed the problem splits into one r x r system per row of L, and the
-multiplier that meets eta is the root of a scalar secular equation.  It
-costs one r x r eigendecomposition per row and a few dozen vector
-operations, where the splitting takes hundreds to thousands of iterations.
+multiplier that meets eta is the root of a scalar secular equation.  A
+row's system depends on the row only through its set of observed columns,
+so the solve costs one r x r eigendecomposition per distinct sampling
+pattern and a few dozen vector operations, where the splitting takes
+hundreds to thousands of iterations.
 
 The solver needs of the operator only ``forward``, ``adjoint``,
-``factor_shape`` and ``data_shape``.  The alternating loop hands it
-``MeasurementOp.packed``, whose data are vectors over the observed entries,
-and that operator's transposed view for the R-factor subproblem.
+``factor_shape``, ``data_shape`` and ``row_patterns``.  The alternating
+loop hands it ``MeasurementOp.packed``, whose data are vectors over the
+observed entries, and that operator's transposed view for the R-factor
+subproblem.
 """
 
 from __future__ import annotations
@@ -105,11 +108,12 @@ class FactorSolveInfo:
 
 def _row_grams(mask, R):
     """The stack H_i = sum_j mask_ij R_j^H R_j, one r x r matrix per row i
-    of the 0/1 ``mask``.
+    of the boolean ``mask``.
 
     Column c of every H_i is ``mask @ (conj(R) * R[:, c])``, taken as one
     real product on the interleaved real and imaginary parts.
     """
+    mask = mask.astype(np.float64)
     r = R.shape[1]
     H = np.empty((mask.shape[0], r, r), dtype=np.complex128)
     for c in range(r):
@@ -133,9 +137,11 @@ def solve_factor(op, b, R, eta, cfg: PdConfig | None = None):
 
         L_i (I + lam H_i) = lam g_i,   H_i = sum_{j in Omega_i} R_j^H R_j,
 
-    with ``g = A*(b) R`` and R_j the j-th row of R.  A batched ``eigh`` of
-    the (p, r, r) stack, H_i = V_i diag(w_i) V_i^H, turns the squared
-    residual into the secular function
+    with ``g = A*(b) R`` and R_j the j-th row of R.  H_i depends on row i
+    only through Omega_i, so one batched ``eigh`` of the stack over the
+    distinct patterns of ``op.row_patterns`` gives every row its
+    H_i = V_i diag(w_i) V_i^H through the pattern index.  That turns the
+    squared residual into the secular function
 
         psi(lam) = ||b||^2 - sum_ik |d_ik|^2 lam (2 + lam w_ik) / (1 + lam w_ik)^2,
 
@@ -185,11 +191,13 @@ def solve_factor(op, b, R, eta, cfg: PdConfig | None = None):
         # Zero is feasible and has the least norm.
         return result(np.zeros((p, r), dtype=np.complex128), 0.0, 0, True)
 
-    # The (p, r, r) stack is diagonalized once, and its eigenvectors V are
-    # kept to form the solution when the multiplier is known.  With
-    # r^2 <= q it holds no more entries than the p x q slice.
-    mask = op.adjoint(np.ones(op.data_shape)).real
-    w, V = np.linalg.eigh(_row_grams(mask, R))
+    # One Gram matrix per sampling pattern is diagonalized, and each row
+    # takes its pattern's w and V; V is kept to form the solution when the
+    # multiplier is known.  With r^2 <= q the expanded (p, r, r) stack
+    # holds no more entries than the p x q slice.
+    patterns, inverse = op.row_patterns
+    w, V = np.linalg.eigh(_row_grams(patterns, R))
+    w, V = w[inverse], V[inverse]
     d = ((op.adjoint(b) @ R)[:, None, :] @ V)[:, 0, :]
     # Directions with eigenvalues at rounding level are unobserved: the data
     # carry no energy there, and dropping them bounds the secular function.

@@ -41,6 +41,9 @@ class PlantSpec:
             raise ValueError("rank out of range")
         if self.profile not in ("flat", "geometric"):
             raise ValueError("profile must be 'flat' or 'geometric'")
+        # NaN and inf fail the comparison too.
+        if not 0.0 < self.decay_ratio <= 1.0:
+            raise ValueError(f"decay_ratio must lie in (0, 1], got {self.decay_ratio}")
 
 
 def _haar_columns(n, r, rng):

@@ -32,6 +32,7 @@ map for the R-factor subproblem.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -199,7 +200,9 @@ class PackedOp:
     a vector of length |Omega| (``data_shape``); ``adjoint`` scatters such
     a vector into a zero ``factor_shape`` matrix.  ``index`` holds the flat
     factor-domain position of each observed entry.  Data vectors come from
-    :meth:`MeasurementOp.pack`.
+    :meth:`MeasurementOp.pack`.  ``row_patterns`` and ``transposed()`` are
+    computed on first use and kept, so a run that builds the operator once
+    pays for them once.
     """
 
     def __init__(self, index: np.ndarray, factor_shape: tuple,
@@ -221,13 +224,33 @@ class PackedOp:
             raise ValueError(f"expected data shape {self.data_shape}, got {y.shape}")
         return _scatter(y, self.index, self.factor_shape)
 
+    @cached_property
+    def row_patterns(self) -> tuple:
+        """``(patterns, inverse)``: the distinct rows of the boolean
+        factor-domain mask, one per set of observed columns, and for each
+        row the index of its pattern, so ``patterns[inverse]`` is the mask.
+
+        Removing a source removes it from every receiver, so a source mask
+        has few patterns however many rows it has; the factor solve
+        diagonalizes one Gram matrix per pattern.  Solver threads share
+        the cache; two that race to fill it compute the same value.
+        """
+        mask = self.adjoint(np.ones(self.data_shape)) != 0
+        patterns, inverse = np.unique(mask, axis=0, return_inverse=True)
+        # numpy 2.0.0 returns the inverse with an extra axis.
+        return patterns, inverse.reshape(-1)
+
+    @cached_property
+    def _transpose(self) -> "PackedTranspose":
+        return PackedTranspose(self)
+
     def transposed(self) -> "PackedTranspose":
         """View of the operator acting on conjugate-transposed arguments.
 
         Solving the R-factor subproblem reuses the L-factor solver through
         this view: ||A(L R^H) - b|| equals ||T(R L^H) - conj(b)||.
         """
-        return PackedTranspose(self)
+        return self._transpose
 
 
 class PackedTranspose(PackedOp):

@@ -316,6 +316,7 @@ def reference_completion_db(vol, mask, cfg):
     return snr_db(vol.data, estimate.data)
 
 
+@pytest.mark.slow
 def test_criterion_8_end_to_end_pipeline(tmp_path):
     spec = EventSpec(n_rx=10, n_ry=10, n_sx=8, n_sy=8, spacing_m=25.0,
                      nt=128, dt=0.004,
@@ -369,6 +370,7 @@ def test_criterion_8_end_to_end_pipeline(tmp_path):
         f"through the (sy, sx) block graph")
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_criterion_8_instance_meets_budget_at_every_solver_seed(tmp_path, seed):
     # Criterion 8 asserts the residual budget at solver seed 0 only; every

@@ -64,8 +64,11 @@ def test_generate_plant(tmp_path, plant_spec_file):
     ("events", "n_rx = 2\nn_ry = 2\nn_sx = 2\nn_sy = 2\nnt = 16\nnt = 32\n"),
     ("events", "n_rx = 2\nn_ry = 2\nn_sx = 2\nn_sy = 2\nnt = 16\nwavelet_peak_hz = 0\n"
                "event = 0.03, 0.0001, 0.0001, 1.0\n"),
+    ("plant", "p = 12\nq = 9\nrank = 2\nprofile = geometric\ndecay_ratio = 0\n"),
+    ("plant", "p = 12\nq = 9\nrank = 2\nprofile = geometric\ndecay_ratio = -2\n"),
 ], ids=["unknown-plant", "unknown-noise_eps", "unknown-events", "missing-plant",
-        "missing-events", "repeated-plant", "repeated-events", "zero-wavelet-peak"])
+        "missing-events", "repeated-plant", "repeated-events", "zero-wavelet-peak",
+        "zero-decay-ratio", "negative-decay-ratio"])
 def test_generate_bad_spec_writes_nothing(tmp_path, kind, spec):
     path = tmp_path / "bad.cfg"
     path.write_text(spec)

@@ -4,7 +4,7 @@ import pytest
 from lrfill.oracles import _shrink, op_norm, solve_factor_pd, solve_factor_reference
 from lrfill.pdsolver import DualState, FactorPair, PdConfig, solve_factor
 from lrfill.sampling import SamplingMask, jittered_volume_mask, uniform_entry_mask
-from lrfill.transforms import MODE_REC_SRC_X, Matricization, MeasurementOp
+from lrfill.transforms import MODE_REC_SRC_X, MODE_SRC_PAIR, Matricization, MeasurementOp
 
 
 def crandn(rng, *shape):
@@ -327,6 +327,27 @@ def _criterion_1_instance(rng, noise=0.0):
     return op, b, L, R, eta
 
 
+def _per_row_factor(A, data, fixed, lam):
+    """The factor subproblem's solution at the multiplier lam, solved row
+    by row: L_i (I + lam H_i) = lam g_i, with H_i built from row i's own
+    observed columns and g = A*(b) R."""
+    observed = A.adjoint(np.ones(A.data_shape)) != 0
+    g = A.adjoint(data) @ fixed
+    eye = np.eye(fixed.shape[1])
+    X = np.zeros_like(g)
+    for i in range(X.shape[0]):
+        F = fixed[observed[i]]
+        X[i] = np.linalg.solve((eye + lam * F.conj().T @ F).T, lam * g[i])
+    return X
+
+
+def _criterion_8_op(mode):
+    """The operator of acceptance criterion 8: 80% of an 8x8 source grid
+    removed by jittered sampling, mask seed 75."""
+    mask = jittered_volume_mask(10, 10, 8, 8, 0.2, seed=75)
+    return MeasurementOp(mask, Matricization(mode, 10, 10, 8, 8))
+
+
 class TestSolveFactorExact:
     """The exact row-wise solve, ``pdsolver.solve_factor``."""
 
@@ -434,6 +455,45 @@ class TestSolveFactorExact:
             X, _, _ = solve_factor(A, data, fixed, eta)
             assert np.all(X[empty] == 0)
             assert np.all(np.delete(X, empty, axis=0) != 0)
+
+    @pytest.mark.parametrize("side", ["L", "R"])
+    @pytest.mark.parametrize("mask", [MODE_REC_SRC_X, MODE_SRC_PAIR, "uniform"])
+    def test_per_pattern_solve_equals_per_row_solve(self, side, mask):
+        rng = np.random.default_rng(112)
+        if mask == "uniform":
+            op = MeasurementOp(uniform_entry_mask(30, 24, 0.5, seed=6))
+        else:
+            op = _criterion_8_op(mask)
+        p, q = op.factor_shape
+        L, R = crandn(rng, p, 3), crandn(rng, q, 3)
+        b = op.forward(L @ R.conj().T + 0.05 * crandn(rng, p, q))
+        A, data, fixed, _, _ = _exact_side(op, b, L, R, side)
+        for eta in (0.3 * float(np.linalg.norm(data)), 0.1 * float(np.linalg.norm(data))):
+            X, dual, info = solve_factor(A, data, fixed, eta)
+            assert info.converged
+            # The multiplier the solve found, from its dual y = lam * residual.
+            lam = np.vdot(dual.residual, dual.y).real / np.vdot(dual.residual, dual.residual).real
+            X_row = _per_row_factor(A, data, fixed, lam)
+            assert np.linalg.norm(X - X_row) <= 1e-12 * np.linalg.norm(X_row)
+
+    @pytest.mark.parametrize("side, patterns", [("L", 8), ("R", 7)])
+    def test_one_eigendecomposition_per_pattern(self, side, patterns, monkeypatch):
+        rng = np.random.default_rng(113)
+        op = _criterion_8_op(MODE_REC_SRC_X)
+        p, q = op.factor_shape
+        L, R = crandn(rng, p, 8), crandn(rng, q, 8)
+        b = op.forward(L @ R.conj().T)
+        A, data, fixed, _, _ = _exact_side(op, b, L, R, side)
+        batches = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(a):
+            batches.append(a.shape)
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        solve_factor(A, data, fixed, 0.1 * float(np.linalg.norm(data)))
+        assert batches == [(patterns, 8, 8)]
 
     @pytest.mark.parametrize("side", ["L", "R"])
     def test_zero_or_nonfinite_fixed_factor_rejected(self, side, small_problem):

@@ -29,6 +29,17 @@ class TestPlantSlice:
         np.testing.assert_allclose(s[:8], expected, atol=1e-10)
         assert np.all(s[8:] < 1e-12)
 
+    @pytest.mark.parametrize("ratio", [0.0, -2.0, 1.5, np.nan, np.inf])
+    def test_decay_ratio_outside_unit_interval_rejected(self, ratio):
+        with pytest.raises(ValueError, match="decay_ratio"):
+            PlantSpec(p=12, q=9, rank=2, profile="geometric", decay_ratio=ratio)
+
+    def test_decay_ratio_one_is_flat(self):
+        sl, _ = plant_slice(PlantSpec(p=12, q=9, rank=3, profile="geometric",
+                                      decay_ratio=1.0, seed=3))
+        s = np.linalg.svd(sl.data, compute_uv=False)
+        np.testing.assert_allclose(s[:3], 1.0, atol=1e-12)
+
     def test_factors_reproduce_slice(self):
         sl, pair = plant_slice(PlantSpec(p=10, q=10, rank=4, seed=2))
         np.testing.assert_allclose(pair.product(), sl.data, atol=1e-12)

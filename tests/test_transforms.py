@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from lrfill.sampling import SamplingMask, uniform_entry_mask
+from lrfill.pdsolver import solve_factor
+from lrfill.sampling import SamplingMask, jittered_volume_mask, uniform_entry_mask
 from lrfill.transforms import (
     MODE_REC_SRC_X,
     MODE_SRC_PAIR,
@@ -188,6 +189,8 @@ class TestMeasurementOp:
         op = MeasurementOp(mask, Matricization(MODE_REC_SRC_X, *mask.grid.shape))
         flip = op.packed.transposed()
         assert flip.transposed() is op.packed
+        # Built once per operator, so a run's slices share its index maps.
+        assert op.packed.transposed() is flip
         V = rng.standard_normal(flip.factor_shape) + 1j * rng.standard_normal(flip.factor_shape)
         W = rng.standard_normal(flip.data_shape) + 1j * rng.standard_normal(flip.data_shape)
         lhs = np.vdot(W, flip.forward(V))
@@ -251,6 +254,31 @@ class TestMeasurementOp:
         assert A_T.base is A
         # perfbench tells an R-side solve from an L-side one by ``.base``.
         assert not hasattr(A, "base")
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_row_patterns_index_the_factor_domain_mask(self, mode):
+        mask = jittered_volume_mask(10, 10, 8, 8, 0.2, seed=75)
+        op = MeasurementOp(mask, Matricization(mode, 10, 10, 8, 8))
+        observed = op.from_acquisition(mask.grid)
+        for A, rows in ((op.packed, observed), (op.packed.transposed(), observed.T)):
+            patterns, inverse = A.row_patterns
+            np.testing.assert_array_equal(patterns[inverse], rows)
+            assert len({tuple(row) for row in rows}) == len(patterns)
+
+    def test_row_patterns_are_computed_on_first_solve_and_kept(self):
+        # A timed operator build must not pay for the pattern index: it is
+        # computed by the first solve that needs it, then reused.
+        rng = np.random.default_rng(28)
+        mask = jittered_volume_mask(4, 3, 4, 3, 0.5, seed=7)
+        op = MeasurementOp(mask, Matricization(MODE_REC_SRC_X, 4, 3, 4, 3))
+        A, A_T = op.packed, op.packed.transposed()
+        assert "row_patterns" not in vars(A) and "row_patterns" not in vars(A_T)
+        q = op.factor_shape[1]
+        R = rng.standard_normal((q, 2)) + 1j * rng.standard_normal((q, 2))
+        b = op.pack(rng.standard_normal(op.data_shape) + 0j)
+        solve_factor(A, b, R, 0.5 * float(np.linalg.norm(b)))
+        assert "row_patterns" in vars(A) and "row_patterns" not in vars(A_T)
+        assert A.row_patterns is vars(A)["row_patterns"]
 
     def test_mask_matric_shape_mismatch(self):
         rng = np.random.default_rng(21)
