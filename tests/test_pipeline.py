@@ -5,6 +5,7 @@ import pytest
 
 from lrfill.fileio import read_mask, read_volume, write_mask, write_volume
 from lrfill.pipeline import (
+    CANONICAL_AXES,
     PipelineConfig,
     config_from_dict,
     load_config,
@@ -17,6 +18,7 @@ from lrfill.reporting import read_report, snr_db
 from lrfill.sampling import SamplingMask, jittered_volume_mask
 from lrfill.synthgen import EventSpec, linear_events
 from lrfill.transforms import MODE_REC_SRC_X, MODE_SRC_PAIR
+from lrfill.volume import ComplexVolume
 
 
 def small_volume():
@@ -280,6 +282,36 @@ def test_run_holds_few_copies_of_the_volume(tmp_path):
         tracemalloc.stop()
     assert len(res.rows) == 1 and res.failed == 0
     assert peak <= 4 * nbytes, f"peak {peak / nbytes:.2f} volumes"
+
+
+@pytest.mark.parametrize("layout", [("sy", "sx", "ry", "rx", "t"),
+                                    ("rx", "t", "ry", "sx", "sy"), "complex64"])
+def test_any_layout_runs_as_the_canonical_complex128_file(tmp_path, layout):
+    # A file in another axis order, or with a complex64 payload, gives the
+    # output and SNR of the canonical complex128 file of the same values.
+    vol = small_volume()
+    if layout == "complex64":
+        vol = ComplexVolume(vol.axes, vol.data.astype(np.complex64))
+    write_mask(jittered_volume_mask(4, 3, 3, 2, 0.5, seed=1), tmp_path / "mask.lrm")
+
+    def run(name, write):
+        path = tmp_path / f"{name}.lrv"
+        write(path)
+        cfg = PipelineConfig(input=str(path), output=str(tmp_path / f"{name}_out.lrv"),
+                             mask=str(tmp_path / "mask.lrm"), truth=str(path),
+                             rank=3, eta_fraction=0.01, alpha=0.5, outer_iters=8,
+                             inner_iters=400)
+        res = run_interpolation(cfg)
+        return read_volume(cfg.output), res
+
+    ref_out, ref = run("canonical", lambda path: write_volume(vol, path))
+    if layout == "complex64":
+        out, res = run("other", lambda path: write_volume(vol, path, single_precision=True))
+    else:
+        out, res = run("other", lambda path: write_volume(vol.reordered(layout), path))
+    assert out.axes == ref_out.axes == CANONICAL_AXES
+    assert np.linalg.norm(out.data - ref_out.data) <= 1e-12 * np.linalg.norm(ref_out.data)
+    assert res.overall_snr_db == pytest.approx(ref.overall_snr_db, rel=1e-12)
 
 
 class TestObservedConsistency:
