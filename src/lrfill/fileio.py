@@ -16,6 +16,7 @@ byte per grid point (1 = observed, 0 = missing).
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
@@ -34,6 +35,11 @@ MAX_ELEMENTS = 1 << 40
 _MAX_HEADER = 4 + 1 + 1 + 1 + len(AXIS_LABELS) * (1 + 8)
 # Payload scalar type by scalar code.
 _VOLUME_DTYPES = ("<c16", "<c8")
+# A block of a payload is moved one contiguous run per call, but runs less
+# than _MERGE_GAP bytes apart, where a call costs more than moving the
+# bytes between them, go as one span of at most about _MERGE_SPAN bytes.
+_MERGE_GAP = 16 << 10
+_MERGE_SPAN = 1 << 20
 
 
 class FileFormatError(ValueError):
@@ -102,41 +108,174 @@ def _check_payload(found: int, nbytes: int, what: str):
         raise FileFormatError(f"{what}: {found - nbytes} trailing bytes")
 
 
-def _read_file(path, magic: bytes, with_scalar: bool, what: str):
-    """Axis labels and payload of an LRV1/LRM1 file.  The payload length is
-    checked against the file size, then the payload is read once, straight
-    into the array returned."""
+def _open_payload(fh, magic: bytes, with_scalar: bool, what: str):
+    """Parse the header of an open LRV1/LRM1 file and check the payload
+    length against the file size; nothing of the payload is read."""
+    axes, extents, count, scalar_code, pos = _read_header(
+        fh.read(_MAX_HEADER), magic, with_scalar)
+    dtype = np.dtype(_VOLUME_DTYPES[scalar_code] if with_scalar else np.uint8)
+    _check_payload(os.fstat(fh.fileno()).st_size - pos, count * dtype.itemsize, what)
+    return axes, extents, dtype, pos
+
+
+def _box(axes, extents, block) -> list:
+    """``(start, stop)`` per axis of the box that ``block`` names: a slice
+    per axis label, and the whole extent of every axis it leaves out."""
+    block = block or {}
+    unknown = set(block) - set(axes)
+    if unknown:
+        raise ValueError(f"block names axes {sorted(unknown)} the file lacks")
+    box = [block.get(a, slice(None)).indices(n) for a, n in zip(axes, extents)]
+    if any(step != 1 or (a in block and start >= stop)
+           for a, (start, stop, step) in zip(axes, box)):
+        raise ValueError(f"block {block} is not a nonempty box of {extents}")
+    return [(start, stop) for start, stop, _ in box]
+
+
+def _runs(extents, box):
+    """Element offsets of the contiguous runs of a C-ordered payload that
+    make up ``box``, in the box's own C order, and the length of a run."""
+    last = len(extents) - 1
+    while last > 0 and box[last] == (0, extents[last]):
+        last -= 1
+    strides = [math.prod(extents[i + 1:]) for i in range(len(extents))]
+    offsets = np.zeros(1, dtype=np.int64)
+    for (start, stop), stride in zip(box[:last], strides):
+        offsets = (offsets[:, None] + np.arange(start, stop) * stride).ravel()
+    start, stop = box[last]
+    return offsets + start * strides[last], (stop - start) * strides[last]
+
+
+def _spans(offsets: np.ndarray, run: int, itemsize: int) -> list:
+    """Bounds of the groups of runs at ascending element ``offsets`` that
+    are moved as one span of the file: runs closer than ``_MERGE_GAP``
+    bytes, within one ``_MERGE_SPAN``-byte window.  Group g holds runs
+    ``bounds[g]`` up to ``bounds[g + 1]``."""
+    gaps = (np.diff(offsets) - run) * itemsize
+    windows = offsets * itemsize // _MERGE_SPAN
+    cuts = np.flatnonzero((gaps > _MERGE_GAP) | (np.diff(windows) != 0)) + 1
+    return [0, *cuts.tolist(), len(offsets)]
+
+
+def _move(call, fd: int, view: memoryview, at: int):
+    """All of the bytes of ``view`` through ``os.preadv`` or ``os.pwritev``
+    at byte ``at`` of the file."""
+    while len(view):
+        done = call(fd, [view], at)
+        if done == 0:
+            raise TruncatedFileError("file ends inside the payload")
+        view, at = view[done:], at + done
+
+
+def _bytes(data: np.ndarray) -> memoryview:
+    return memoryview(data.reshape(-1).view(np.uint8))
+
+
+def _transfer(fd: int, data: np.ndarray, pos: int, extents, box, write: bool):
+    """Read or write the C-contiguous ``data`` of ``box`` from or to the
+    payload at byte ``pos`` of the file.  Each contiguous run of the box is
+    one call, except that runs close together are moved as one span staged
+    in memory: read whole, or read, patched and written back.  The payload
+    is never mapped into memory."""
+    itemsize = data.dtype.itemsize
+    offsets, run = _runs(extents, box)
+    bounds = _spans(offsets, run, itemsize)
+    starts = (pos + offsets[bounds[:-1]] * itemsize).tolist()
+    call = os.pwritev if write else os.preadv
+    flat, raw, nbytes = data.reshape(-1), _bytes(data), run * itemsize
+    for first, last, at in zip(bounds[:-1], bounds[1:], starts):
+        if last - first == 1:
+            # Most runs: one call, unless it moves fewer bytes than asked.
+            view = raw[first * nbytes:last * nbytes]
+            done = call(fd, [view], at)
+            if done != nbytes:
+                _move(call, fd, view[done:], at + done)
+            continue
+        span = np.empty(int(offsets[last - 1] - offsets[first]) + run, dtype=data.dtype)
+        _move(os.preadv, fd, _bytes(span), at)
+        index = (offsets[first:last] - offsets[first])[:, None] + np.arange(run)
+        part = flat[first * run:last * run].reshape(-1, run)
+        if write:
+            span[index] = part
+            _move(os.pwritev, fd, _bytes(span), at)
+        else:
+            part[...] = span[index]
+
+
+def _read_file(path, magic: bytes, with_scalar: bool, what: str, block=None):
+    """Axis labels and payload of an LRV1/LRM1 file, or of the box of it
+    that ``block`` names.  The header and the payload length are checked
+    before any of the payload is read; the payload goes straight into the
+    array returned."""
     with open(path, "rb") as fh:
-        axes, extents, count, scalar_code, pos = _read_header(
-            fh.read(_MAX_HEADER), magic, with_scalar)
-        dtype = np.dtype(_VOLUME_DTYPES[scalar_code] if with_scalar else np.uint8)
-        nbytes = count * dtype.itemsize
-        _check_payload(os.fstat(fh.fileno()).st_size - pos, nbytes, what)
-        data = np.empty(extents, dtype=dtype)
-        fh.seek(pos)
-        _check_payload(fh.readinto(data), nbytes, what)
+        axes, extents, dtype, pos = _open_payload(fh, magic, with_scalar, what)
+        box = _box(axes, extents, block)
+        data = np.empty([stop - start for start, stop in box], dtype=dtype)
+        _transfer(fh.fileno(), data, pos, extents, box, write=False)
     return axes, data
 
 
-def write_volume(vol: ComplexVolume, path: str | os.PathLike, single_precision: bool = False):
-    """Serialize a volume as LRV1."""
-    scalar_code = 1 if single_precision else 0
+def read_volume_header(path: str | os.PathLike) -> tuple:
+    """``(axes, extents)`` of an LRV1 file, read and checked without its
+    payload."""
+    with open(path, "rb") as fh:
+        axes, extents, _, _ = _open_payload(fh, VOLUME_MAGIC, True, "volume payload")
+    return axes, extents
+
+
+def create_volume(path: str | os.PathLike, axes, extents):
+    """Write the header of a complex128 LRV1 volume and size the file for
+    its payload, so that :func:`write_volume` can fill it block by block."""
+    header = _volume_header(0, axes, extents)
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.truncate(len(header) + math.prod(extents) * np.dtype(_VOLUME_DTYPES[0]).itemsize)
+
+
+def _volume_header(scalar_code: int, axes, extents) -> bytes:
     header = bytearray(VOLUME_MAGIC)
     header.append(FORMAT_VERSION)
     header.append(scalar_code)
-    header.append(len(vol.axes))
-    header.extend(AXIS_CODES[a] for a in vol.axes)
-    header.extend(np.asarray(vol.dims, dtype="<u8").tobytes())
-    payload = np.ascontiguousarray(vol.data, dtype=_VOLUME_DTYPES[scalar_code])
-    with open(path, "wb") as fh:
-        fh.write(bytes(header))
-        fh.write(memoryview(payload))
+    header.append(len(axes))
+    header.extend(AXIS_CODES[a] for a in axes)
+    header.extend(np.asarray(extents, dtype="<u8").tobytes())
+    return bytes(header)
 
 
-def read_volume(path: str | os.PathLike) -> ComplexVolume:
+def write_volume(vol: ComplexVolume, path: str | os.PathLike, single_precision: bool = False,
+                 block: dict | None = None):
+    """Serialize a volume as LRV1.
+
+    With ``block``, a slice per axis label as for :func:`read_volume`,
+    ``vol`` is that box of the LRV1 file at ``path`` instead, which must
+    exist (see :func:`create_volume`): it is written into place in the
+    file's axis order and scalar type, and nothing else of the file changes.
+    """
+    if block is None:
+        scalar_code = 1 if single_precision else 0
+        payload = np.ascontiguousarray(vol.data, dtype=_VOLUME_DTYPES[scalar_code])
+        with open(path, "wb") as fh:
+            fh.write(_volume_header(scalar_code, vol.axes, vol.dims))
+            fh.write(memoryview(payload))
+        return
+    with open(path, "r+b") as fh:
+        axes, extents, dtype, pos = _open_payload(fh, VOLUME_MAGIC, True, "volume payload")
+        box = _box(axes, extents, block)
+        vol = vol.reordered(axes)
+        if vol.dims != tuple(stop - start for start, stop in box):
+            raise ValueError(f"block of dims {vol.dims} does not fill the box {box}")
+        payload = np.ascontiguousarray(vol.data, dtype=dtype)
+        _transfer(fh.fileno(), payload, pos, extents, box, write=True)
+
+
+def read_volume(path: str | os.PathLike, block: dict | None = None) -> ComplexVolume:
     """Read an LRV1 file back into a volume; a complex64 payload is
-    widened to complex128."""
-    return ComplexVolume(*_read_file(path, VOLUME_MAGIC, True, "volume payload"))
+    widened to complex128.
+
+    ``block`` maps axis labels to slices and reads only that box of the
+    volume, in the file's axis order; axes it leaves out are read whole.
+    """
+    return ComplexVolume(*_read_file(path, VOLUME_MAGIC, True, "volume payload", block))
 
 
 def write_mask(mask: SamplingMask, path: str | os.PathLike):

@@ -191,24 +191,30 @@ def solve_factor(op, b, R, eta, cfg: PdConfig | None = None):
         # Zero is feasible and has the least norm.
         return result(np.zeros((p, r), dtype=np.complex128), 0.0, 0, True)
 
-    # One Gram matrix per sampling pattern is diagonalized, and each row
-    # takes its pattern's w and V; V is kept to form the solution when the
-    # multiplier is known.  With r^2 <= q the expanded (p, r, r) stack
-    # holds no more entries than the p x q slice.
+    # One Gram matrix per sampling pattern is diagonalized.  The root-find
+    # needs of the rows only the per-pattern totals of |d_ik|^2, so it works
+    # on (patterns, r) arrays; the rows take their pattern's V to form d and
+    # the solution.  With r^2 <= q the expanded (p, r, r) stack holds no
+    # more entries than the p x q slice.
     patterns, inverse = op.row_patterns
     w, V = np.linalg.eigh(_row_grams(patterns, R))
-    w, V = w[inverse], V[inverse]
+    V = V[inverse]
     d = ((op.adjoint(b) @ R)[:, None, :] @ V)[:, 0, :]
     # Directions with eigenvalues at rounding level are unobserved: the data
     # carry no energy there, and dropping them bounds the secular function.
     keep = w > _EIG_FLOOR * np.maximum(w[:, -1:], 0.0)
     w = np.where(keep, w, 1.0)
-    c2 = np.where(keep, np.abs(d) ** 2 / w, 0.0)   # fitted energy per direction
+    n_patterns = w.shape[0]
+    d_sq = np.bincount((inverse[:, None] * r + np.arange(r)).ravel(),
+                       weights=(np.abs(d) ** 2).ravel(),
+                       minlength=n_patterns * r).reshape(n_patterns, r)
+    c2 = np.where(keep, d_sq / w, 0.0)   # fitted energy per pattern and direction
     rho_sq = max(b_norm**2 - float(c2.sum()), 0.0)
 
     def factor(scale):
-        # Rows (d_i * scale_i) V_i^H, formed as conj(V_i conj(d_i * scale_i)).
-        coef = np.where(keep, d * scale, 0.0).conj()
+        # Rows (d_i * scale_i) V_i^H, formed as conj(V_i conj(d_i * scale_i)),
+        # with each row's scale that of its pattern.
+        coef = np.where(keep[inverse], d * scale[inverse], 0.0).conj()
         return (V @ coef[:, :, None])[:, :, 0].conj()
 
     delta_sq = eta * eta - rho_sq
@@ -216,7 +222,7 @@ def solve_factor(op, b, R, eta, cfg: PdConfig | None = None):
         return result(factor(1.0 / w), 0.0, 0, False)
 
     def excess(lam):
-        # psi(lam) - rho^2 and its derivative in lam
+        # psi(lam) - rho^2 and its derivative in lam, summed by pattern
         t = 1.0 / (1.0 + lam * w)
         c2t2 = c2 * t * t
         return float(c2t2.sum()), -2.0 * float((c2t2 * w * t).sum())

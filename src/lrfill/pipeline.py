@@ -1,5 +1,6 @@
-"""End-to-end interpolation runs: subsample, transform, solve every
-in-band frequency slice, transform back, report.
+"""End-to-end interpolation runs: mask, transform, solve every in-band
+frequency slice, transform the corrections back, report.  The volume is
+streamed through blocks of traces, never held whole.
 
 The run configuration lives in a flat ``key = value`` text file whose keys
 are the fields of :class:`PipelineConfig`; every key can be overridden by
@@ -11,7 +12,9 @@ their mirrors are filled in by conjugation so the output stays real.
 
 from __future__ import annotations
 
+import itertools
 import math
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, Field, dataclass, field, fields
@@ -20,17 +23,33 @@ from typing import get_args, get_type_hints
 import numpy as np
 
 from .altmin import OuterConfig, RankSchedule, interpolate_slice, rank_for_frequency
-from .fileio import read_mask, read_volume, write_volume
+from .fileio import create_volume, read_mask, read_volume, read_volume_header, write_volume
 from .levelset import LevelSetConfig, solve_levelset
 from .pdsolver import PdConfig
-from .reporting import SliceReport, snr_db, write_report
+from .reporting import SliceReport, snr_db, snr_from_norms, write_report
 from .sampling import SamplingMask
 from .transforms import MODE_REC_SRC_X, MODES, Matricization, MeasurementOp
-from .volume import SPATIAL_AXES, ComplexVolume, dft_time_axis, freq_values_hz, idft_freq_axis
+from .volume import (
+    SPATIAL_AXES,
+    AxisLayoutError,
+    ComplexVolume,
+    dft_time_axis,
+    freq_values_hz,
+    idft_freq_axis,
+)
 
 CANONICAL_AXES = ("t", "rx", "ry", "sx", "sy")
 
 SOLVERS = ("pd", "levelset")
+
+# Bytes of complex128 samples in one block of traces.  A run holds about
+# three blocks at a time besides the in-band bins, so blocks are kept
+# small; but a full block (at least _BLOCK_FILL of this) stays above the
+# 4 MiB from which numpy asks the kernel for transparent huge pages, so
+# that each fresh block array is not faulted in 4 KiB at a time.
+BLOCK_BYTES = 5 << 20
+# Share of the fullest box's traces that a block must hold; see _block_shape.
+_BLOCK_FILL = 0.9
 
 
 @dataclass
@@ -161,14 +180,18 @@ def load_config(path, overrides: dict | None = None) -> PipelineConfig:
     return config_from_dict(raw)
 
 
-def mask_volume(vol: ComplexVolume, mask: SamplingMask) -> ComplexVolume:
-    """Zero the traces of unobserved grid points (mask is time-invariant)."""
+def mask_volume(vol: ComplexVolume, mask: SamplingMask,
+                block: dict | None = None) -> ComplexVolume:
+    """Zero the traces of unobserved grid points (mask is time-invariant).
+    For a block of a volume, ``block`` is the slice per spatial axis that
+    it covers (see :func:`trace_blocks`), and the mask is cut to match."""
     vol = vol.reordered(_canonical_axes(vol))
-    if mask.grid.shape != vol.dims[1:]:
+    grid = mask.grid if block is None else mask.grid[_spatial_index(block)]
+    if grid.shape != vol.dims[1:]:
         raise ValueError(
-            f"mask grid {mask.grid.shape} does not match spatial dims {vol.dims[1:]}"
+            f"mask grid {grid.shape} does not match spatial dims {vol.dims[1:]}"
         )
-    return ComplexVolume(vol.axes, vol.data * mask.grid[None])
+    return ComplexVolume(vol.axes, vol.data * grid[None])
 
 
 def _canonical_axes(vol: ComplexVolume):
@@ -176,12 +199,69 @@ def _canonical_axes(vol: ComplexVolume):
     return (lead,) + CANONICAL_AXES[1:]
 
 
-def _norms(data: np.ndarray) -> tuple[float, float]:
-    """Frobenius norms of a complex array and of its imaginary part, taken
-    on flat views so that neither part is copied."""
-    flat = data.reshape(-1)
-    imag_sq = float(np.dot(flat.imag, flat.imag))
-    return math.sqrt(float(np.dot(flat.real, flat.real)) + imag_sq), math.sqrt(imag_sq)
+def _spatial_index(block: dict) -> tuple:
+    return tuple(block[a] for a in SPATIAL_AXES)
+
+
+def _block_shape(extents: tuple, most: int) -> tuple:
+    """Extents of a box of at most ``most`` traces of a spatial grid.
+
+    The boxes tried take whole trailing axes, a range of one axis, a range
+    of the axis before it and one index of each axis before those.  Of the
+    boxes that hold at least ``_BLOCK_FILL`` of the most any of them holds,
+    the one read in the fewest contiguous runs per time sample of a
+    canonical file is taken, the fuller of equals first: filling the budget
+    keeps the block's memory the same whatever the record length, and few
+    runs keep the reads few.
+    """
+    candidates = []
+    for j, n in enumerate(extents):
+        tail = math.prod(extents[j + 1:])
+        for r in range(1, n + 1):
+            if r * tail > most:
+                break
+            lead = (min(extents[j - 1], most // (r * tail)),) if j else ()
+            shape = (1,) * max(j - 1, 0) + lead + (r,) + extents[j + 1:]
+            runs = 1 if r == n or not lead else lead[0]
+            candidates.append((runs, -math.prod(shape), shape))
+    fullest = -min(size for _, size, _ in candidates)
+    return min(c for c in candidates if -c[1] >= _BLOCK_FILL * fullest)[2]
+
+
+def trace_blocks(dims: tuple) -> list:
+    """Blocks that tile a canonical ``(t, rx, ry, sx, sy)`` volume of
+    ``dims``, each a slice per spatial axis: a box of whole traces, every
+    time sample included, of at most ``BLOCK_BYTES`` of complex128 unless
+    one trace is larger."""
+    nt, extents = dims[0], tuple(dims[1:])
+    shape = _block_shape(extents, max(1, BLOCK_BYTES // (16 * max(nt, 1))))
+    ranges = [[slice(a, min(a + b, n)) for a in range(0, n, b)]
+              for n, b in zip(extents, shape)]
+    return [dict(zip(SPATIAL_AXES, box)) for box in itertools.product(*ranges)]
+
+
+def _canonical_dims(path, what: str) -> tuple:
+    """Extents of the LRV1 volume at ``path`` in canonical axis order, read
+    from its header."""
+    axes, extents = read_volume_header(path)
+    if sorted(axes) != sorted(CANONICAL_AXES):
+        raise AxisLayoutError(f"{what} has axes {axes}; need {CANONICAL_AXES} in any order")
+    return tuple(extents[axes.index(a)] for a in CANONICAL_AXES)
+
+
+# Sums of squares by einsum, not BLAS: a threaded BLAS dot can spend
+# milliseconds waking its threads, once per block.
+def _energy(data: np.ndarray) -> float:
+    """Squared Frobenius norm."""
+    flat = data.reshape(-1).view(np.float64)
+    return float(np.einsum("i,i->", flat, flat))
+
+
+def _imag_energy(data: np.ndarray) -> float:
+    """Squared Frobenius norm of the imaginary part, taken on a strided
+    view so that the part is not copied."""
+    imag = data.reshape(-1).imag
+    return float(np.einsum("i,i->", imag, imag))
 
 
 @dataclass
@@ -214,41 +294,66 @@ def _solve_one(op, b, freq_hz, rank, cfg: PipelineConfig, bin_index: int):
 def run_interpolation(cfg: PipelineConfig) -> RunResult:
     """Execute a full run; writes the completed volume and the report CSV.
 
+    The volume is never held whole: the run passes twice over it in the
+    blocks of :func:`trace_blocks`, whose time DFT is exact because each
+    holds every time sample of its traces.  Pass 1 reads and masks each
+    block of the input, takes its DFT and keeps the in-band bins; the
+    truth's blocks, unmasked, go the same way.  Those bins are solved slice
+    by slice.  Pass 2 reads and masks each input block again, adds the
+    inverse DFT of its corrections (solved minus observed bins) and writes
+    it into its place in the output, so out-of-band bins pass through as
+    observed.  The headers are checked before any data is read, and no
+    output is written before pass 2.
+
     Per-slice failures are recorded in their report row and the run
     continues; the result carries the failure count for the exit code.
     """
     t_run = time.perf_counter()
-    # Each stage is dropped as soon as the next one exists, so that at most
-    # three full-size arrays are alive at once.
-    vol = read_volume(cfg.input).reordered(CANONICAL_AXES)
-    extents = vol.dims[1:]
+    dims = _canonical_dims(cfg.input, "input")
+    nt, extents = dims[0], dims[1:]
+    if cfg.truth is not None and (truth_dims := _canonical_dims(cfg.truth, "truth")) != dims:
+        raise ValueError(f"truth dims {truth_dims} != input dims {dims} "
+                         f"(in {CANONICAL_AXES} order)")
+    if os.path.exists(cfg.output) and os.path.samefile(cfg.output, cfg.input):
+        raise ValueError("the output must not overwrite the input, which the run reads twice")
     if cfg.mask is None:
         mask = SamplingMask(np.ones(extents, dtype=bool), axes=SPATIAL_AXES)
     else:
         mask = read_mask(cfg.mask)
-    masked = mask_volume(vol, mask)
-    del vol
-
-    total, imag = _norms(masked.data)
-    real_input = total == 0.0 or imag <= 1e-12 * total
-
-    spec = dft_time_axis(masked)
-    del masked
-    nt = spec.dims[0]
+    if mask.grid.shape != extents:
+        raise ValueError(f"mask grid {mask.grid.shape} does not match spatial dims {extents}")
     freqs = freq_values_hz(nt, cfg.dt)
+    in_band = np.flatnonzero((np.abs(freqs) >= cfg.f_min)
+                             & (np.abs(freqs) <= cfg.f_max)).tolist()
+    blocks = trace_blocks(dims)
+
+    # Pass 1.  The observed bins, and the truth's for the SNRs.  The DFT is
+    # unitary, so the truth's error before any bin is solved is taken on
+    # the samples.  Each block's arrays are dropped before the next block
+    # is read.
+    observed = np.empty((len(in_band),) + extents, dtype=np.complex128)
+    truth = None if cfg.truth is None else np.empty_like(observed)
+    total_sq = imag_sq = truth_sq = err_sq = 0.0
+    for block in blocks:
+        at = (slice(None),) + _spatial_index(block)
+        masked = mask_volume(read_volume(cfg.input, block), mask, block)
+        total_sq += _energy(masked.data)
+        imag_sq += _imag_energy(masked.data)
+        observed[at] = dft_time_axis(masked).data[in_band]
+        if truth is not None:
+            true_block = read_volume(cfg.truth, block).reordered(CANONICAL_AXES)
+            truth_sq += _energy(true_block.data)
+            err_sq += _energy(true_block.data - masked.data)
+            truth[at] = dft_time_axis(true_block).data[in_band]
+            del true_block
+        del masked
+    if truth is not None and truth_sq == 0.0:
+        raise ValueError("SNR undefined for all-zero truth")
+    real_input = total_sq == 0.0 or math.sqrt(imag_sq) <= 1e-12 * math.sqrt(total_sq)
+
     op = MeasurementOp(mask, Matricization(cfg.matricization, *extents))
     p, q = op.factor_shape
-
-    truth_spec = None
-    if cfg.truth is not None:
-        truth_spec = dft_time_axis(read_volume(cfg.truth).reordered(CANONICAL_AXES))
-
-    # The output spectrum starts as the observed one: out-of-band bins pass
-    # through.  The workers read their bin from it before any bin is set.
-    out_axes, out_data = spec.axes, np.array(spec.data)
-    del spec
-
-    in_band = [k for k in range(nt) if cfg.f_min <= abs(freqs[k]) <= cfg.f_max]
+    slot = {k: i for i, k in enumerate(in_band)}
     if real_input:
         solve_bins = [k for k in in_band if 0 < k <= nt // 2]
         self_conj = {0, nt // 2} if nt % 2 == 0 else {0}
@@ -266,7 +371,9 @@ def run_interpolation(cfg: PipelineConfig) -> RunResult:
     fully_observed = bool(op.observed.all())
 
     def worker(k):
-        b = out_data[k]
+        # A copy, which a slice passed through keeps: the corrections
+        # overwrite the observed bins.
+        b = observed[slot[k]].copy()
         freq_hz = abs(float(freqs[k]))
         if fully_observed:
             # Nothing to interpolate: pass the slice through untouched.
@@ -282,8 +389,8 @@ def run_interpolation(cfg: PipelineConfig) -> RunResult:
                 rep = SliceReport(freq_hz=freq_hz, rank=rank_at(freq_hz),
                                   status=f"failed: {type(exc).__name__}")
                 done = b
-        if truth_spec is not None and rep.status == "ok":
-            truth_slice = truth_spec.data[k]
+        if truth is not None and rep.status == "ok":
+            truth_slice = truth[slot[k]]
             if np.linalg.norm(truth_slice) > 0:
                 rep.snr_db = snr_db(truth_slice, done)
         return k, done, rep
@@ -294,27 +401,55 @@ def run_interpolation(cfg: PipelineConfig) -> RunResult:
     else:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
             results = list(pool.map(worker, solve_bins))
+    solved = {}
     for k, done, rep in results:
         if real_input and k in self_conj:
             done = done.real.astype(np.complex128)
-        out_data[k] = done
-        if real_input and 0 < k < nt - k:
-            out_data[nt - k] = np.conj(done)
+        solved[k] = done
         rows.append(rep)
+    del results
+
+    # The observed bins become the corrections, solved minus observed; a
+    # real input's negative bins take the conjugates of their mirrors.  Each
+    # changed bin moves the truth's error by the difference of its errors.
+    corrections = observed
+    for i, k in enumerate(in_band):
+        if k in solved:
+            done = solved[k]
+        elif real_input and nt - k in solved:
+            done = np.conj(solved[nt - k])
+        else:
+            corrections[i] = 0.0
+            continue
+        if truth is not None:
+            err_sq += _energy(truth[i] - done) - _energy(truth[i] - corrections[i])
+        corrections[i] = done - corrections[i]
+    del observed, truth, solved
 
     result = RunResult(rows=rows, output_path=cfg.output)
     result.failed = sum(1 for r in rows if r.status != "ok")
-    if truth_spec is not None:
-        # The DFT is unitary, so the spectra give the time-domain SNR.
-        result.overall_snr_db = snr_db(truth_spec.data, out_data)
-        del truth_spec
+    if cfg.truth is not None:
+        result.overall_snr_db = snr_from_norms(math.sqrt(truth_sq),
+                                               math.sqrt(max(err_sq, 0.0)))
 
-    out_vol = idft_freq_axis(ComplexVolume(out_axes, out_data))
-    del out_data
-    write_volume(out_vol, cfg.output)
-    out_total, out_imag = _norms(out_vol.data)
-    if out_total > 0:
-        result.imag_leakage = out_imag / out_total
+    # Pass 2.  Output = masked input + inverse DFT of the corrections.
+    create_volume(cfg.output, CANONICAL_AXES, dims)
+    out_sq = out_imag_sq = 0.0
+    for block in blocks:
+        part = corrections[(slice(None),) + _spatial_index(block)]
+        spectrum = np.zeros((nt,) + part.shape[1:], dtype=np.complex128)
+        spectrum[in_band] = part
+        fix = idft_freq_axis(ComplexVolume(("f",) + SPATIAL_AXES, spectrum))
+        del spectrum
+        masked = mask_volume(read_volume(cfg.input, block), mask, block)
+        out = ComplexVolume(CANONICAL_AXES, masked.data + fix.data)
+        del masked, fix
+        write_volume(out, cfg.output, block=block)
+        out_sq += _energy(out.data)
+        out_imag_sq += _imag_energy(out.data)
+        del out
+    if out_sq > 0:
+        result.imag_leakage = math.sqrt(out_imag_sq / out_sq)
     result.wall_s = time.perf_counter() - t_run
 
     if cfg.report is not None:

@@ -47,8 +47,6 @@ def snr_db(truth, estimate) -> float:
     truth = np.asarray(truth)
     estimate = np.asarray(estimate)
     tn = float(np.linalg.norm(truth))
-    if tn == 0.0:
-        raise ValueError("SNR undefined for all-zero truth")
     if truth.ndim > 2:
         if estimate.shape != truth.shape:
             raise ValueError(f"estimate shape {estimate.shape} != truth shape {truth.shape}")
@@ -56,9 +54,17 @@ def snr_db(truth, estimate) -> float:
                            for t, e in zip(truth, estimate)))
     else:
         dn = float(np.linalg.norm(truth - estimate))
-    if dn == 0.0:
+    return snr_from_norms(tn, dn)
+
+
+def snr_from_norms(truth_norm: float, error_norm: float) -> float:
+    """The SNR of :func:`snr_db` from the Frobenius norms of the truth and
+    of the error, for a run that sums them block by block."""
+    if truth_norm == 0.0:
+        raise ValueError("SNR undefined for all-zero truth")
+    if error_norm == 0.0:
         return SNR_CAP_DB
-    return -20.0 * math.log10(dn / tn)
+    return -20.0 * math.log10(error_norm / truth_norm)
 
 
 def write_report(path: str | os.PathLike, rows, aggregates: dict | None = None):

@@ -5,7 +5,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from lrfill import cli
+from lrfill import cli, pipeline
 from lrfill.cli import build_parser, main
 from lrfill.fileio import read_mask, read_volume
 from lrfill.pipeline import PipelineConfig, RunResult
@@ -172,6 +172,36 @@ def test_interpolate_bad_dt_or_rank_stops_before_any_data(tmp_path, events_spec_
                "--output", str(tmp_path / "out.lrv"),
                "--report", str(tmp_path / "report.csv"), "--rank", "2", flag, value])
     assert rc == 2
+    assert not (tmp_path / "out.lrv").exists()
+    assert not (tmp_path / "report.csv").exists()
+
+
+@pytest.mark.parametrize("extent, changed", [("n_rx = 4", "n_rx = 5"), ("nt = 16", "nt = 32")])
+def test_interpolate_mismatched_truth_stops_before_any_solve(tmp_path, events_spec_file,
+                                                             monkeypatch, extent, changed):
+    vol_path, truth_path = tmp_path / "vol.lrv", tmp_path / "truth.lrv"
+    main(["generate", "--kind", "events", "--spec", str(events_spec_file),
+          "--out", str(vol_path)])
+    main(["subsample", "--input", str(vol_path), "--keep", "0.5", "--seed", "1",
+          "--out-volume", str(tmp_path / "sub.lrv"), "--out-mask", str(tmp_path / "mask.lrm")])
+    truth_spec = tmp_path / "truth.cfg"
+    truth_spec.write_text(events_spec_file.read_text().replace(extent, changed))
+    main(["generate", "--kind", "events", "--spec", str(truth_spec), "--out", str(truth_path)])
+    solves = []
+    solve = pipeline.interpolate_slice
+
+    def counting(*args, **kwargs):
+        solves.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "interpolate_slice", counting)
+    rc = main(["interpolate", "--input", str(vol_path), "--truth", str(truth_path),
+               "--mask", str(tmp_path / "mask.lrm"),
+               "--output", str(tmp_path / "out.lrv"),
+               "--report", str(tmp_path / "report.csv"), "--rank", "2",
+               "--outer-iters", "2", "--inner-iters", "50"])
+    assert rc == 2
+    assert solves == []
     assert not (tmp_path / "out.lrv").exists()
     assert not (tmp_path / "report.csv").exists()
 

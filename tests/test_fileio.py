@@ -1,14 +1,20 @@
+import itertools
+import os
+
 import numpy as np
 import pytest
 
+from lrfill import fileio
 from lrfill.fileio import (
     BadMagicError,
     DimsOverflowError,
     FileFormatError,
     TruncatedFileError,
     VersionError,
+    create_volume,
     read_mask,
     read_volume,
+    read_volume_header,
     write_mask,
     write_volume,
 )
@@ -164,3 +170,120 @@ class TestMaskFormat:
         path.write_bytes(bytes(raw))
         with pytest.raises(FileFormatError):
             read_mask(path)
+
+
+BLOCKS = [{}, {"rx": slice(1, 2)}, {"ry": slice(0, 1), "sx": slice(1, 3)},
+          {"t": slice(2, 4), "sy": slice(1, 2)}, {"rx": slice(0, 3), "sy": slice(0, 1)}]
+
+
+@pytest.fixture(params=[("t", "rx", "ry", "sx", "sy"), ("rx", "t", "sy", "sx", "ry")],
+                ids=["canonical", "permuted"])
+def layout(request):
+    return request.param
+
+
+@pytest.fixture(params=[0, 1 << 14, 1 << 40], ids=["runs", "default", "merged"])
+def merge_gap(request, monkeypatch):
+    # Every run its own call, the default, or every run of a box merged
+    # into spans; a small span window cuts the merged spans often.
+    monkeypatch.setattr(fileio, "_MERGE_GAP", request.param)
+    monkeypatch.setattr(fileio, "_MERGE_SPAN", 256)
+    return request.param
+
+
+def _volume(axes):
+    rng = np.random.default_rng(7)
+    dims = {"t": 5, "rx": 3, "ry": 2, "sx": 3, "sy": 2}
+    shape = tuple(dims[a] for a in axes)
+    return ComplexVolume(axes, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+def _index(vol, block):
+    return tuple(block.get(a, slice(None)) for a in vol.axes)
+
+
+@pytest.mark.parametrize("single", [False, True], ids=["complex128", "complex64"])
+def test_block_read_is_the_box_of_the_whole(tmp_path, layout, merge_gap, single):
+    vol = _volume(layout)
+    path = tmp_path / "v.lrv"
+    write_volume(vol, path, single_precision=single)
+    whole = read_volume(path)
+    for block in BLOCKS:
+        part = read_volume(path, block)
+        assert part.axes == vol.axes
+        assert part.data.dtype == np.complex128
+        np.testing.assert_array_equal(part.data, whole.data[_index(vol, block)])
+
+
+def test_blocks_written_into_place_make_the_whole_file(tmp_path, layout, merge_gap):
+    vol = _volume(layout)
+    write_volume(vol, tmp_path / "whole.lrv")
+    path = tmp_path / "blocks.lrv"
+    create_volume(path, vol.axes, vol.dims)
+    assert read_volume_header(path) == (vol.axes, vol.dims)
+    canonical = vol.reordered(("t", "rx", "ry", "sx", "sy"))
+    for rx, sx in itertools.product(range(3), (slice(0, 2), slice(2, 3))):
+        block = {"rx": slice(rx, rx + 1), "sx": sx}
+        # A block may come in another axis order; it is written in the file's.
+        write_volume(ComplexVolume(canonical.axes, canonical.data[_index(canonical, block)]),
+                     path, block=block)
+    assert path.read_bytes() == (tmp_path / "whole.lrv").read_bytes()
+
+
+def test_block_write_changes_only_its_box(tmp_path, layout, merge_gap):
+    vol = _volume(layout)
+    path = tmp_path / "v.lrv"
+    write_volume(vol, path)
+    block = {"ry": slice(1, 2), "t": slice(1, 4)}
+    index = _index(vol, block)
+    zeros = ComplexVolume(vol.axes, np.zeros(vol.data[index].shape))
+    write_volume(zeros, path, block=block)
+    expected = np.array(vol.data)
+    expected[index] = 0
+    np.testing.assert_array_equal(read_volume(path).data, expected)
+
+
+@pytest.mark.parametrize("block", [{"xx": slice(0, 1)}, {"rx": slice(2, 2)},
+                                   {"rx": slice(0, 3, 2)}, {"f": slice(0, 1)}])
+def test_bad_block_rejected(tmp_path, vol, block):
+    path = tmp_path / "v.lrv"
+    write_volume(vol, path)
+    with pytest.raises(ValueError):
+        read_volume(path, block)
+
+
+def test_block_write_must_fill_its_box(tmp_path, vol):
+    path = tmp_path / "v.lrv"
+    write_volume(vol, path)
+    with pytest.raises(ValueError):
+        write_volume(vol, path, block={"rx": slice(0, 1)})
+    np.testing.assert_array_equal(read_volume(path).data, vol.data)
+
+
+def test_truncated_payload_rejected_before_a_block_is_read(tmp_path, vol):
+    path = tmp_path / "v.lrv"
+    write_volume(vol, path)
+    path.write_bytes(path.read_bytes()[:-16])
+    for reader in (read_volume_header, lambda p: read_volume(p, {"rx": slice(0, 1)})):
+        with pytest.raises(TruncatedFileError):
+            reader(path)
+
+
+def test_close_runs_are_read_in_one_call(tmp_path, monkeypatch):
+    # A box of a long record on a small grid is one short run per time
+    # sample; runs this close are staged as one span, not read one by one.
+    rng = np.random.default_rng(3)
+    vol = ComplexVolume(("t", "rx", "ry", "sx", "sy"), rng.standard_normal((64, 4, 3, 3, 2)))
+    path = tmp_path / "v.lrv"
+    write_volume(vol, path)
+    calls = []
+    preadv = os.preadv
+
+    def counting(*args):
+        calls.append(args[2])
+        return preadv(*args)
+
+    monkeypatch.setattr(os, "preadv", counting)
+    part = read_volume(path, {"rx": slice(1, 2)})
+    np.testing.assert_array_equal(part.data, vol.data[:, 1:2])
+    assert len(calls) == 1

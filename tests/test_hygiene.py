@@ -7,6 +7,11 @@ imports names only to re-export them, and so is any import on a line marked
 No ``.write(x.tobytes())``: a payload is written from its own buffer, not
 from a full-size bytes copy of it.
 
+No file is mapped into memory: no ``np.memmap``, no ``mmap`` module and
+no ``mmap_mode=``.  Touching mapped pages of a file counts toward the
+process's resident memory, whole large folios at a time, so a mapped read
+of blocks can peak near the size of the file.
+
 Every lrfill name the benchmark under ``perfbench/`` imports or patches
 exists, so a rename in the package cannot silently break the benchmark.
 
@@ -70,6 +75,47 @@ def test_check_sees_a_copying_write():
               "fh.write(memoryview(payload))\n"
               "out.write(bytes(header)); fh.write(grid.astype(np.uint8).tobytes())\n")
     assert copying_writes(source) == [1, 4]
+
+
+def memory_maps(source: str) -> list:
+    """Lines that map a file into memory: a ``memmap`` name or attribute,
+    an import of the ``mmap`` module or a name from it, an ``mmap`` name,
+    or an ``mmap_mode=`` argument."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            mapped = any(alias.name.split(".")[0] == "mmap" for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            mapped = (node.module == "mmap"
+                      or any(alias.name in ("memmap", "mmap") for alias in node.names))
+        elif isinstance(node, ast.Attribute):
+            mapped = node.attr == "memmap"
+        elif isinstance(node, ast.Name):
+            mapped = node.id in ("memmap", "mmap")
+        elif isinstance(node, ast.keyword):
+            mapped = node.arg == "mmap_mode"
+        else:
+            continue
+        if mapped:
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_memory_maps(path):
+    assert memory_maps(path.read_text()) == []
+
+
+def test_check_sees_a_memory_map():
+    source = ("import mmap\n"
+              "data = np.memmap(path, dtype='<c16', mode='r')\n"
+              "arr = np.load(path, mmap_mode='r')\n"
+              "from numpy import memmap\n"
+              "os.preadv(fd, [view], at)  # reads, never maps a memmap\n"
+              "fh.readinto(buf)\n"
+              "'np.memmap is not used'\n"
+              "m = mmap.mmap(fd, 0)\n")
+    assert memory_maps(source) == [1, 2, 3, 4, 8]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

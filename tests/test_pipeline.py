@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from lrfill import pipeline
 from lrfill.fileio import read_mask, read_volume, write_mask, write_volume
 from lrfill.pipeline import (
     CANONICAL_AXES,
@@ -258,13 +259,12 @@ class TestRunInterpolation:
         assert len(res.rows) > real_rows  # negative bins included
 
 
-def test_run_holds_few_copies_of_the_volume(tmp_path):
-    # A long record on a small grid, one solved bin: the volume's copies
-    # dominate what the run allocates.  Reading, masking, both DFTs, the
-    # output spectrum, the SNR and the write together stay below four
-    # volumes at any moment.
+def _long_record_run(tmp_path, nt):
+    """Write a long record on a small grid and run it with its truth over
+    3.0-3.03 Hz; the ``tracemalloc`` peak of the run, the volume's bytes
+    and the result."""
     spec = EventSpec(n_rx=4, n_ry=3, n_sx=3, n_sy=2, spacing_m=25.0,
-                     nt=8192, dt=0.004, events=[(0.030, 0.0001, 0.00005, 1.0)],
+                     nt=nt, dt=0.004, events=[(0.030, 0.0001, 0.00005, 1.0)],
                      wavelet_peak_hz=80.0)
     vol = linear_events(spec)
     nbytes = vol.data.nbytes
@@ -280,8 +280,84 @@ def test_run_holds_few_copies_of_the_volume(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(res.rows) == 1 and res.failed == 0
+    assert res.failed == 0
+    return peak, nbytes, res
+
+
+def test_run_holds_few_copies_of_the_volume(tmp_path):
+    # A long record on a small grid, one solved bin: the volume's copies
+    # dominate what the run allocates.  Reading, masking, both DFTs, the
+    # corrections, the SNR and the write together stay below four volumes
+    # at any moment.
+    peak, nbytes, res = _long_record_run(tmp_path, 8192)
+    assert len(res.rows) == 1
     assert peak <= 4 * nbytes, f"peak {peak / nbytes:.2f} volumes"
+
+
+def test_run_memory_does_not_grow_with_the_record(tmp_path):
+    # The run streams blocks of traces: its peak is a fraction of the
+    # volume and stays put when the record doubles, although the band then
+    # holds twice the bins.
+    peak, nbytes, res = _long_record_run(tmp_path, 32768)
+    assert len(res.rows) == 4
+    assert peak <= 0.5 * nbytes, f"peak {peak / nbytes:.2f} volumes"
+    peak2, _, res2 = _long_record_run(tmp_path, 2 * 32768)
+    assert len(res2.rows) == 8
+    assert peak2 <= 1.1 * peak, f"peak {peak2 / peak:.2f} times the peak at half the record"
+
+
+def test_blocks_tile_the_volume_within_the_budget(monkeypatch):
+    # Every trace is in exactly one block, and a block stays within the
+    # budget unless a single trace exceeds it.
+    dims = (16, 4, 3, 3, 2)
+    for traces in (1, 5, 7, 8, 24, 72, 1000):
+        monkeypatch.setattr(pipeline, "BLOCK_BYTES", 16 * 16 * traces)
+        seen = np.zeros(dims[1:], dtype=int)
+        for block in pipeline.trace_blocks(dims):
+            box = tuple(block[a] for a in ("rx", "ry", "sx", "sy"))
+            seen[box] += 1
+            assert seen[box].size <= traces
+        assert np.all(seen == 1)
+    monkeypatch.setattr(pipeline, "BLOCK_BYTES", 1)
+    assert len(pipeline.trace_blocks(dims)) == 72
+
+
+@pytest.mark.parametrize("traces", [1, 5, 7])
+def test_blocks_give_the_output_of_one_block(tmp_path, monkeypatch, traces):
+    # Cutting the run into many blocks changes no output sample; the SNR,
+    # summed block by block, moves only by rounding.
+    vol = small_volume()
+    write_volume(vol, tmp_path / "in.lrv")
+    write_mask(jittered_volume_mask(4, 3, 3, 2, 0.5, seed=1), tmp_path / "mask.lrm")
+
+    def run(name):
+        cfg = PipelineConfig(input=str(tmp_path / "in.lrv"), output=str(tmp_path / name),
+                             mask=str(tmp_path / "mask.lrm"), truth=str(tmp_path / "in.lrv"),
+                             rank=3, eta_fraction=0.01, alpha=0.5, outer_iters=8,
+                             inner_iters=400)
+        res = run_interpolation(cfg)
+        return read_volume(cfg.output), res
+
+    one, res_one = run("one.lrv")
+    monkeypatch.setattr(pipeline, "BLOCK_BYTES", 16 * 16 * traces)
+    assert len(pipeline.trace_blocks(vol.dims)) > 1
+    many, res_many = run("many.lrv")
+    np.testing.assert_array_equal(many.data, one.data)
+    assert res_many.overall_snr_db == pytest.approx(res_one.overall_snr_db, rel=1e-12)
+    assert res_many.imag_leakage == pytest.approx(res_one.imag_leakage, rel=1e-6)
+
+
+def test_output_may_not_overwrite_the_input(tmp_path):
+    # The run reads the input twice; writing over it would corrupt the
+    # second pass, so it stops before anything is read or written.
+    vol = small_volume()
+    write_volume(vol, tmp_path / "in.lrv")
+    before = (tmp_path / "in.lrv").read_bytes()
+    cfg = PipelineConfig(input=str(tmp_path / "in.lrv"), output=str(tmp_path / "in.lrv"),
+                         rank=2)
+    with pytest.raises(ValueError):
+        run_interpolation(cfg)
+    assert (tmp_path / "in.lrv").read_bytes() == before
 
 
 @pytest.mark.parametrize("layout", [("sy", "sx", "ry", "rx", "t"),
