@@ -228,16 +228,18 @@ def _block_shape(extents: tuple, most: int) -> tuple:
     return min(c for c in candidates if -c[1] >= _BLOCK_FILL * fullest)[2]
 
 
-def trace_blocks(dims: tuple) -> list:
-    """Blocks that tile a canonical ``(t, rx, ry, sx, sy)`` volume of
-    ``dims``, each a slice per spatial axis: a box of whole traces, every
-    time sample included, of at most ``BLOCK_BYTES`` of complex128 unless
-    one trace is larger."""
+def trace_blocks(dims: tuple):
+    """The blocks that tile a canonical ``(t, rx, ry, sx, sy)`` volume of
+    ``dims``, in order, each a slice per spatial axis: a box of whole
+    traces, every time sample included, of at most ``BLOCK_BYTES`` of
+    complex128 unless one trace is larger.  Generated one at a time, so
+    that their number does not cost memory."""
     nt, extents = dims[0], tuple(dims[1:])
     shape = _block_shape(extents, max(1, BLOCK_BYTES // (16 * max(nt, 1))))
     ranges = [[slice(a, min(a + b, n)) for a in range(0, n, b)]
               for n, b in zip(extents, shape)]
-    return [dict(zip(SPATIAL_AXES, box)) for box in itertools.product(*ranges)]
+    for box in itertools.product(*ranges):
+        yield dict(zip(SPATIAL_AXES, box))
 
 
 def _canonical_dims(path, what: str) -> tuple:
@@ -325,7 +327,6 @@ def run_interpolation(cfg: PipelineConfig) -> RunResult:
     freqs = freq_values_hz(nt, cfg.dt)
     in_band = np.flatnonzero((np.abs(freqs) >= cfg.f_min)
                              & (np.abs(freqs) <= cfg.f_max)).tolist()
-    blocks = trace_blocks(dims)
 
     # Pass 1.  The observed bins, and the truth's for the SNRs.  The DFT is
     # unitary, so the truth's error before any bin is solved is taken on
@@ -334,7 +335,7 @@ def run_interpolation(cfg: PipelineConfig) -> RunResult:
     observed = np.empty((len(in_band),) + extents, dtype=np.complex128)
     truth = None if cfg.truth is None else np.empty_like(observed)
     total_sq = imag_sq = truth_sq = err_sq = 0.0
-    for block in blocks:
+    for block in trace_blocks(dims):
         at = (slice(None),) + _spatial_index(block)
         masked = mask_volume(read_volume(cfg.input, block), mask, block)
         total_sq += _energy(masked.data)
@@ -435,7 +436,7 @@ def run_interpolation(cfg: PipelineConfig) -> RunResult:
     # Pass 2.  Output = masked input + inverse DFT of the corrections.
     create_volume(cfg.output, CANONICAL_AXES, dims)
     out_sq = out_imag_sq = 0.0
-    for block in blocks:
+    for block in trace_blocks(dims):
         part = corrections[(slice(None),) + _spatial_index(block)]
         spectrum = np.zeros((nt,) + part.shape[1:], dtype=np.complex128)
         spectrum[in_band] = part

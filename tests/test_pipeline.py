@@ -319,7 +319,7 @@ def test_blocks_tile_the_volume_within_the_budget(monkeypatch):
             assert seen[box].size <= traces
         assert np.all(seen == 1)
     monkeypatch.setattr(pipeline, "BLOCK_BYTES", 1)
-    assert len(pipeline.trace_blocks(dims)) == 72
+    assert len(list(pipeline.trace_blocks(dims))) == 72
 
 
 @pytest.mark.parametrize("traces", [1, 5, 7])
@@ -340,7 +340,7 @@ def test_blocks_give_the_output_of_one_block(tmp_path, monkeypatch, traces):
 
     one, res_one = run("one.lrv")
     monkeypatch.setattr(pipeline, "BLOCK_BYTES", 16 * 16 * traces)
-    assert len(pipeline.trace_blocks(vol.dims)) > 1
+    assert len(list(pipeline.trace_blocks(vol.dims))) > 1
     many, res_many = run("many.lrv")
     np.testing.assert_array_equal(many.data, one.data)
     assert res_many.overall_snr_db == pytest.approx(res_one.overall_snr_db, rel=1e-12)
