@@ -16,6 +16,7 @@ byte per grid point (1 = observed, 0 = missing).
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 
@@ -35,11 +36,6 @@ MAX_ELEMENTS = 1 << 40
 _MAX_HEADER = 4 + 1 + 1 + 1 + len(AXIS_LABELS) * (1 + 8)
 # Payload scalar type by scalar code.
 _VOLUME_DTYPES = ("<c16", "<c8")
-# A block of a payload is moved one contiguous run per call, but runs less
-# than _MERGE_GAP bytes apart, where a call costs more than moving the
-# bytes between them, go as one span of at most about _MERGE_SPAN bytes.
-_MERGE_GAP = 16 << 10
-_MERGE_SPAN = 1 << 20
 
 
 class FileFormatError(ValueError):
@@ -146,17 +142,6 @@ def _runs(extents, box):
     return offsets + start * strides[last], (stop - start) * strides[last]
 
 
-def _spans(offsets: np.ndarray, run: int, itemsize: int) -> list:
-    """Bounds of the groups of runs at ascending element ``offsets`` that
-    are moved as one span of the file: runs closer than ``_MERGE_GAP``
-    bytes, within one ``_MERGE_SPAN``-byte window.  Group g holds runs
-    ``bounds[g]`` up to ``bounds[g + 1]``."""
-    gaps = (np.diff(offsets) - run) * itemsize
-    windows = offsets * itemsize // _MERGE_SPAN
-    cuts = np.flatnonzero((gaps > _MERGE_GAP) | (np.diff(windows) != 0)) + 1
-    return [0, *cuts.tolist(), len(offsets)]
-
-
 def _move(call, fd: int, view: memoryview, at: int):
     """All of the bytes of ``view`` through ``os.preadv`` or ``os.pwritev``
     at byte ``at`` of the file."""
@@ -173,33 +158,14 @@ def _bytes(data: np.ndarray) -> memoryview:
 
 def _transfer(fd: int, data: np.ndarray, pos: int, extents, box, write: bool):
     """Read or write the C-contiguous ``data`` of ``box`` from or to the
-    payload at byte ``pos`` of the file.  Each contiguous run of the box is
-    one call, except that runs close together are moved as one span staged
-    in memory: read whole, or read, patched and written back.  The payload
-    is never mapped into memory."""
+    payload at byte ``pos`` of the file, one call per contiguous run of the
+    box.  The payload is never mapped into memory."""
     itemsize = data.dtype.itemsize
     offsets, run = _runs(extents, box)
-    bounds = _spans(offsets, run, itemsize)
-    starts = (pos + offsets[bounds[:-1]] * itemsize).tolist()
     call = os.pwritev if write else os.preadv
-    flat, raw, nbytes = data.reshape(-1), _bytes(data), run * itemsize
-    for first, last, at in zip(bounds[:-1], bounds[1:], starts):
-        if last - first == 1:
-            # Most runs: one call, unless it moves fewer bytes than asked.
-            view = raw[first * nbytes:last * nbytes]
-            done = call(fd, [view], at)
-            if done != nbytes:
-                _move(call, fd, view[done:], at + done)
-            continue
-        span = np.empty(int(offsets[last - 1] - offsets[first]) + run, dtype=data.dtype)
-        _move(os.preadv, fd, _bytes(span), at)
-        index = (offsets[first:last] - offsets[first])[:, None] + np.arange(run)
-        part = flat[first * run:last * run].reshape(-1, run)
-        if write:
-            span[index] = part
-            _move(os.pwritev, fd, _bytes(span), at)
-        else:
-            part[...] = span[index]
+    raw, nbytes = _bytes(data), run * itemsize
+    for i, at in enumerate((pos + offsets * itemsize).tolist()):
+        _move(call, fd, raw[i * nbytes:(i + 1) * nbytes], at)
 
 
 def _read_file(path, magic: bytes, with_scalar: bool, what: str, block=None):
@@ -223,13 +189,29 @@ def read_volume_header(path: str | os.PathLike) -> tuple:
     return axes, extents
 
 
-def create_volume(path: str | os.PathLike, axes, extents):
-    """Write the header of a complex128 LRV1 volume and size the file for
-    its payload, so that :func:`write_volume` can fill it block by block."""
-    header = _volume_header(0, axes, extents)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.truncate(len(header) + math.prod(extents) * np.dtype(_VOLUME_DTYPES[0]).itemsize)
+@contextlib.contextmanager
+def create_volume(path: str | os.PathLike, axes, extents, scalar_code: int = 0):
+    """Create an LRV1 volume for :func:`write_volume` to fill block by block
+    in the body of a ``with``; the path to write to is the value bound.
+
+    The file is built under a temporary name beside ``path``, sized for its
+    payload, and takes the name ``path`` when the body ends.  If the body
+    raises, the file is removed and ``path`` is left as it was, so a write
+    that stops partway leaves no file of full length with blocks of zeros.
+    """
+    part = f"{os.fspath(path)}.part"
+    header = _volume_header(scalar_code, axes, extents)
+    nbytes = math.prod(extents) * np.dtype(_VOLUME_DTYPES[scalar_code]).itemsize
+    try:
+        with open(part, "wb") as fh:
+            fh.write(header)
+            fh.truncate(len(header) + nbytes)
+        yield part
+        os.replace(part, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(part)
+        raise
 
 
 def _volume_header(scalar_code: int, axes, extents) -> bytes:
@@ -244,20 +226,20 @@ def _volume_header(scalar_code: int, axes, extents) -> bytes:
 
 def write_volume(vol: ComplexVolume, path: str | os.PathLike, single_precision: bool = False,
                  block: dict | None = None):
-    """Serialize a volume as LRV1.
+    """Serialize a volume as LRV1; a write that fails leaves no file.
 
     With ``block``, a slice per axis label as for :func:`read_volume`,
     ``vol`` is that box of the LRV1 file at ``path`` instead, which must
     exist (see :func:`create_volume`): it is written into place in the
     file's axis order and scalar type, and nothing else of the file changes.
+    The whole volume is written so too, as the box of every axis, ``{}``.
     """
     if block is None:
-        scalar_code = 1 if single_precision else 0
-        payload = np.ascontiguousarray(vol.data, dtype=_VOLUME_DTYPES[scalar_code])
-        with open(path, "wb") as fh:
-            fh.write(_volume_header(scalar_code, vol.axes, vol.dims))
-            fh.write(memoryview(payload))
+        with create_volume(path, vol.axes, vol.dims, int(single_precision)) as part:
+            write_volume(vol, part, block={})
         return
+    if single_precision:
+        raise ValueError("a block is written in the scalar type of its file")
     with open(path, "r+b") as fh:
         axes, extents, dtype, pos = _open_payload(fh, VOLUME_MAGIC, True, "volume payload")
         box = _box(axes, extents, block)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, Field, dataclass, field, fields
@@ -304,8 +303,10 @@ def run_interpolation(cfg: PipelineConfig) -> RunResult:
     by slice.  Pass 2 reads and masks each input block again, adds the
     inverse DFT of its corrections (solved minus observed bins) and writes
     it into its place in the output, so out-of-band bins pass through as
-    observed.  The headers are checked before any data is read, and no
-    output is written before pass 2.
+    observed; the truth's blocks are read again there for the overall SNR.
+    The headers are checked before any data is read, and the output is
+    built under a temporary name that it takes only when pass 2 ends, so a
+    run that stops early leaves no output.
 
     Per-slice failures are recorded in their report row and the run
     continues; the result carries the failure count for the exit code.
@@ -316,8 +317,6 @@ def run_interpolation(cfg: PipelineConfig) -> RunResult:
     if cfg.truth is not None and (truth_dims := _canonical_dims(cfg.truth, "truth")) != dims:
         raise ValueError(f"truth dims {truth_dims} != input dims {dims} "
                          f"(in {CANONICAL_AXES} order)")
-    if os.path.exists(cfg.output) and os.path.samefile(cfg.output, cfg.input):
-        raise ValueError("the output must not overwrite the input, which the run reads twice")
     if cfg.mask is None:
         mask = SamplingMask(np.ones(extents, dtype=bool), axes=SPATIAL_AXES)
     else:
@@ -328,13 +327,11 @@ def run_interpolation(cfg: PipelineConfig) -> RunResult:
     in_band = np.flatnonzero((np.abs(freqs) >= cfg.f_min)
                              & (np.abs(freqs) <= cfg.f_max)).tolist()
 
-    # Pass 1.  The observed bins, and the truth's for the SNRs.  The DFT is
-    # unitary, so the truth's error before any bin is solved is taken on
-    # the samples.  Each block's arrays are dropped before the next block
-    # is read.
+    # Pass 1.  The observed bins, and the truth's for the per-slice SNRs.
+    # Each block's arrays are dropped before the next block is read.
     observed = np.empty((len(in_band),) + extents, dtype=np.complex128)
     truth = None if cfg.truth is None else np.empty_like(observed)
-    total_sq = imag_sq = truth_sq = err_sq = 0.0
+    total_sq = imag_sq = truth_sq = 0.0
     for block in trace_blocks(dims):
         at = (slice(None),) + _spatial_index(block)
         masked = mask_volume(read_volume(cfg.input, block), mask, block)
@@ -344,7 +341,6 @@ def run_interpolation(cfg: PipelineConfig) -> RunResult:
         if truth is not None:
             true_block = read_volume(cfg.truth, block).reordered(CANONICAL_AXES)
             truth_sq += _energy(true_block.data)
-            err_sq += _energy(true_block.data - masked.data)
             truth[at] = dft_time_axis(true_block).data[in_band]
             del true_block
         del masked
@@ -411,8 +407,7 @@ def run_interpolation(cfg: PipelineConfig) -> RunResult:
     del results
 
     # The observed bins become the corrections, solved minus observed; a
-    # real input's negative bins take the conjugates of their mirrors.  Each
-    # changed bin moves the truth's error by the difference of its errors.
+    # real input's negative bins take the conjugates of their mirrors.
     corrections = observed
     for i, k in enumerate(in_band):
         if k in solved:
@@ -422,35 +417,36 @@ def run_interpolation(cfg: PipelineConfig) -> RunResult:
         else:
             corrections[i] = 0.0
             continue
-        if truth is not None:
-            err_sq += _energy(truth[i] - done) - _energy(truth[i] - corrections[i])
         corrections[i] = done - corrections[i]
     del observed, truth, solved
 
     result = RunResult(rows=rows, output_path=cfg.output)
     result.failed = sum(1 for r in rows if r.status != "ok")
-    if cfg.truth is not None:
-        result.overall_snr_db = snr_from_norms(math.sqrt(truth_sq),
-                                               math.sqrt(max(err_sq, 0.0)))
 
     # Pass 2.  Output = masked input + inverse DFT of the corrections.
-    create_volume(cfg.output, CANONICAL_AXES, dims)
-    out_sq = out_imag_sq = 0.0
-    for block in trace_blocks(dims):
-        part = corrections[(slice(None),) + _spatial_index(block)]
-        spectrum = np.zeros((nt,) + part.shape[1:], dtype=np.complex128)
-        spectrum[in_band] = part
-        fix = idft_freq_axis(ComplexVolume(("f",) + SPATIAL_AXES, spectrum))
-        del spectrum
-        masked = mask_volume(read_volume(cfg.input, block), mask, block)
-        out = ComplexVolume(CANONICAL_AXES, masked.data + fix.data)
-        del masked, fix
-        write_volume(out, cfg.output, block=block)
-        out_sq += _energy(out.data)
-        out_imag_sq += _imag_energy(out.data)
-        del out
+    out_sq = out_imag_sq = err_sq = 0.0
+    with create_volume(cfg.output, CANONICAL_AXES, dims) as partial:
+        for block in trace_blocks(dims):
+            part = corrections[(slice(None),) + _spatial_index(block)]
+            spectrum = np.zeros((nt,) + part.shape[1:], dtype=np.complex128)
+            spectrum[in_band] = part
+            fix = idft_freq_axis(ComplexVolume(("f",) + SPATIAL_AXES, spectrum))
+            del spectrum
+            masked = mask_volume(read_volume(cfg.input, block), mask, block)
+            out = ComplexVolume(CANONICAL_AXES, masked.data + fix.data)
+            del masked, fix
+            write_volume(out, partial, block=block)
+            out_sq += _energy(out.data)
+            out_imag_sq += _imag_energy(out.data)
+            if cfg.truth is not None:
+                true_block = read_volume(cfg.truth, block).reordered(CANONICAL_AXES)
+                err_sq += _energy(true_block.data - out.data)
+                del true_block
+            del out
     if out_sq > 0:
         result.imag_leakage = math.sqrt(out_imag_sq / out_sq)
+    if cfg.truth is not None:
+        result.overall_snr_db = snr_from_norms(math.sqrt(truth_sq), math.sqrt(err_sq))
     result.wall_s = time.perf_counter() - t_run
 
     if cfg.report is not None:

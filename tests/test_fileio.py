@@ -1,10 +1,10 @@
+import errno
 import itertools
 import os
 
 import numpy as np
 import pytest
 
-from lrfill import fileio
 from lrfill.fileio import (
     BadMagicError,
     DimsOverflowError,
@@ -182,15 +182,6 @@ def layout(request):
     return request.param
 
 
-@pytest.fixture(params=[0, 1 << 14, 1 << 40], ids=["runs", "default", "merged"])
-def merge_gap(request, monkeypatch):
-    # Every run its own call, the default, or every run of a box merged
-    # into spans; a small span window cuts the merged spans often.
-    monkeypatch.setattr(fileio, "_MERGE_GAP", request.param)
-    monkeypatch.setattr(fileio, "_MERGE_SPAN", 256)
-    return request.param
-
-
 def _volume(axes):
     rng = np.random.default_rng(7)
     dims = {"t": 5, "rx": 3, "ry": 2, "sx": 3, "sy": 2}
@@ -203,7 +194,7 @@ def _index(vol, block):
 
 
 @pytest.mark.parametrize("single", [False, True], ids=["complex128", "complex64"])
-def test_block_read_is_the_box_of_the_whole(tmp_path, layout, merge_gap, single):
+def test_block_read_is_the_box_of_the_whole(tmp_path, layout, single):
     vol = _volume(layout)
     path = tmp_path / "v.lrv"
     write_volume(vol, path, single_precision=single)
@@ -215,22 +206,24 @@ def test_block_read_is_the_box_of_the_whole(tmp_path, layout, merge_gap, single)
         np.testing.assert_array_equal(part.data, whole.data[_index(vol, block)])
 
 
-def test_blocks_written_into_place_make_the_whole_file(tmp_path, layout, merge_gap):
+def test_blocks_written_into_place_make_the_whole_file(tmp_path, layout):
     vol = _volume(layout)
     write_volume(vol, tmp_path / "whole.lrv")
     path = tmp_path / "blocks.lrv"
-    create_volume(path, vol.axes, vol.dims)
-    assert read_volume_header(path) == (vol.axes, vol.dims)
-    canonical = vol.reordered(("t", "rx", "ry", "sx", "sy"))
-    for rx, sx in itertools.product(range(3), (slice(0, 2), slice(2, 3))):
-        block = {"rx": slice(rx, rx + 1), "sx": sx}
-        # A block may come in another axis order; it is written in the file's.
-        write_volume(ComplexVolume(canonical.axes, canonical.data[_index(canonical, block)]),
-                     path, block=block)
+    with create_volume(path, vol.axes, vol.dims) as partial:
+        assert read_volume_header(partial) == (vol.axes, vol.dims)
+        canonical = vol.reordered(("t", "rx", "ry", "sx", "sy"))
+        for rx, sx in itertools.product(range(3), (slice(0, 2), slice(2, 3))):
+            block = {"rx": slice(rx, rx + 1), "sx": sx}
+            # A block may come in another axis order; it is written in the file's.
+            write_volume(ComplexVolume(canonical.axes, canonical.data[_index(canonical, block)]),
+                         partial, block=block)
+        assert not path.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["blocks.lrv", "whole.lrv"]
     assert path.read_bytes() == (tmp_path / "whole.lrv").read_bytes()
 
 
-def test_block_write_changes_only_its_box(tmp_path, layout, merge_gap):
+def test_block_write_changes_only_its_box(tmp_path, layout):
     vol = _volume(layout)
     path = tmp_path / "v.lrv"
     write_volume(vol, path)
@@ -269,21 +262,68 @@ def test_truncated_payload_rejected_before_a_block_is_read(tmp_path, vol):
             reader(path)
 
 
-def test_close_runs_are_read_in_one_call(tmp_path, monkeypatch):
-    # A box of a long record on a small grid is one short run per time
-    # sample; runs this close are staged as one span, not read one by one.
-    rng = np.random.default_rng(3)
-    vol = ComplexVolume(("t", "rx", "ry", "sx", "sy"), rng.standard_normal((64, 4, 3, 3, 2)))
+def _counting(monkeypatch, name, most=None):
+    """Count the calls to ``os.<name>``; with ``most``, each moves at most
+    that many bytes, as a short read or write may."""
+    calls = []
+    call = getattr(os, name)
+
+    def counting(fd, buffers, at):
+        calls.append(at)
+        return call(fd, [buffers[0][:most]], at)
+
+    monkeypatch.setattr(os, name, counting)
+    return calls
+
+
+def test_block_is_moved_one_call_per_run(tmp_path, monkeypatch):
+    # A box of one rx line of a canonical file is one contiguous run per
+    # time sample, each read and written in one call.
+    vol = _volume(("t", "rx", "ry", "sx", "sy"))
     path = tmp_path / "v.lrv"
     write_volume(vol, path)
-    calls = []
-    preadv = os.preadv
-
-    def counting(*args):
-        calls.append(args[2])
-        return preadv(*args)
-
-    monkeypatch.setattr(os, "preadv", counting)
-    part = read_volume(path, {"rx": slice(1, 2)})
+    block = {"rx": slice(1, 2)}
+    reads = _counting(monkeypatch, "preadv")
+    part = read_volume(path, block)
     np.testing.assert_array_equal(part.data, vol.data[:, 1:2])
-    assert len(calls) == 1
+    assert len(reads) == vol.dims[0]
+    writes = _counting(monkeypatch, "pwritev")
+    write_volume(part, path, block=block)
+    assert len(writes) == vol.dims[0]
+
+
+def test_short_transfers_are_completed(tmp_path, monkeypatch):
+    vol = _volume(("rx", "t", "sy", "sx", "ry"))
+    path = tmp_path / "v.lrv"
+    write_volume(vol, path)
+    block = {"t": slice(1, 4), "sx": slice(0, 2)}
+    writes = _counting(monkeypatch, "pwritev", most=7)
+    write_volume(ComplexVolume(vol.axes, vol.data[_index(vol, block)]), path, block=block)
+    reads = _counting(monkeypatch, "preadv", most=7)
+    np.testing.assert_array_equal(read_volume(path).data, vol.data)
+    assert len(writes) > 1 and len(reads) > 1
+
+
+def test_failed_write_leaves_no_file(tmp_path, monkeypatch, vol):
+    # A write that stops partway leaves neither a partial file nor one of
+    # full length with zeros where it stopped; a file already at the path
+    # stays as it was.
+    def full(fd, buffers, at):
+        raise OSError(errno.ENOSPC, "no space left on device")
+
+    monkeypatch.setattr(os, "pwritev", full)
+    with pytest.raises(OSError):
+        write_volume(vol, tmp_path / "new.lrv")
+    (tmp_path / "old.lrv").write_bytes(b"old")
+    with pytest.raises(OSError):
+        write_volume(vol, tmp_path / "old.lrv")
+    assert [p.name for p in tmp_path.iterdir()] == ["old.lrv"]
+    assert (tmp_path / "old.lrv").read_bytes() == b"old"
+
+
+def test_single_precision_block_rejected(tmp_path, vol):
+    path = tmp_path / "v.lrv"
+    write_volume(vol, path)
+    with pytest.raises(ValueError):
+        write_volume(vol, path, single_precision=True, block={})
+    np.testing.assert_array_equal(read_volume(path).data, vol.data)

@@ -347,17 +347,63 @@ def test_blocks_give_the_output_of_one_block(tmp_path, monkeypatch, traces):
     assert res_many.imag_leakage == pytest.approx(res_one.imag_leakage, rel=1e-6)
 
 
-def test_output_may_not_overwrite_the_input(tmp_path):
-    # The run reads the input twice; writing over it would corrupt the
-    # second pass, so it stops before anything is read or written.
-    vol = small_volume()
-    write_volume(vol, tmp_path / "in.lrv")
-    before = (tmp_path / "in.lrv").read_bytes()
-    cfg = PipelineConfig(input=str(tmp_path / "in.lrv"), output=str(tmp_path / "in.lrv"),
-                         rank=2)
-    with pytest.raises(ValueError):
-        run_interpolation(cfg)
-    assert (tmp_path / "in.lrv").read_bytes() == before
+def _masked_run(tmp_path, output, truth=None):
+    cfg = PipelineConfig(input=str(tmp_path / "in.lrv"), output=str(output),
+                         mask=str(tmp_path / "mask.lrm"), truth=truth and str(truth),
+                         rank=3, eta_fraction=0.01, alpha=0.5, outer_iters=8, inner_iters=400)
+    return run_interpolation(cfg)
+
+
+def test_run_that_stops_in_pass_2_leaves_no_output(tmp_path, monkeypatch):
+    # The output is built under a temporary name: a write that fails on the
+    # second block leaves no file of full length with blocks of zeros, and
+    # an earlier output stays as it was.
+    write_volume(small_volume(), tmp_path / "in.lrv")
+    write_mask(jittered_volume_mask(4, 3, 3, 2, 0.5, seed=1), tmp_path / "mask.lrm")
+    (tmp_path / "out.lrv").write_bytes(b"earlier")
+    monkeypatch.setattr(pipeline, "BLOCK_BYTES", 16 * 16 * 5)
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(kwargs["block"])
+        if len(calls) == 2:
+            raise OSError(28, "no space left on device")
+        return write_volume(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "write_volume", failing)
+    with pytest.raises(OSError):
+        _masked_run(tmp_path, tmp_path / "out.lrv")
+    assert len(calls) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.lrv", "mask.lrm", "out.lrv"]
+    assert (tmp_path / "out.lrv").read_bytes() == b"earlier"
+
+
+def test_output_may_replace_the_input(tmp_path):
+    # Pass 2 reads the input again while the output is written, so the
+    # output takes the input's name only when the run ends.
+    write_volume(small_volume(), tmp_path / "in.lrv")
+    write_mask(jittered_volume_mask(4, 3, 3, 2, 0.5, seed=1), tmp_path / "mask.lrm")
+    _masked_run(tmp_path, tmp_path / "other.lrv")
+    _masked_run(tmp_path, tmp_path / "in.lrv")
+    assert (tmp_path / "in.lrv").read_bytes() == (tmp_path / "other.lrv").read_bytes()
+
+
+def test_overall_snr_is_exact_near_a_perfect_reconstruction(tmp_path):
+    # The overall error is summed on the samples written, so a truth a
+    # hair from the output gets its SNR, far above what a difference of
+    # large sums would resolve.
+    write_volume(small_volume(), tmp_path / "in.lrv")
+    write_mask(jittered_volume_mask(4, 3, 3, 2, 0.5, seed=1), tmp_path / "mask.lrm")
+    _masked_run(tmp_path, tmp_path / "out.lrv")
+    out = read_volume(tmp_path / "out.lrv")
+    rng = np.random.default_rng(5)
+    near = out.data + 1e-9 * np.abs(out.data).max() * rng.standard_normal(out.dims)
+    write_volume(ComplexVolume(out.axes, near), tmp_path / "near.lrv")
+    res = _masked_run(tmp_path, tmp_path / "out2.lrv", truth=tmp_path / "near.lrv")
+    assert (tmp_path / "out2.lrv").read_bytes() == (tmp_path / "out.lrv").read_bytes()
+    expected = snr_db(near, out.data)
+    assert expected > 150
+    assert res.overall_snr_db == pytest.approx(expected, rel=1e-9)
 
 
 @pytest.mark.parametrize("layout", [("sy", "sx", "ry", "rx", "t"),
