@@ -303,10 +303,11 @@ def run_interpolation(cfg: PipelineConfig) -> RunResult:
     by slice.  Pass 2 reads and masks each input block again, adds the
     inverse DFT of its corrections (solved minus observed bins) and writes
     it into its place in the output, so out-of-band bins pass through as
-    observed; the truth's blocks are read again there for the overall SNR.
-    The headers are checked before any data is read, and the output is
-    built under a temporary name that it takes only when pass 2 ends, so a
-    run that stops early leaves no output.
+    observed.  The overall error is summed bin by bin, out of band in pass
+    1 and in band after the solve, so that it stays exact near a perfect
+    reconstruction.  The headers are checked before any data is read, and
+    the output is built under a temporary name that it takes only when
+    pass 2 ends, so a run that stops early leaves no output.
 
     Per-slice failures are recorded in their report row and the run
     continues; the result carries the failure count for the exit code.
@@ -327,23 +328,31 @@ def run_interpolation(cfg: PipelineConfig) -> RunResult:
     in_band = np.flatnonzero((np.abs(freqs) >= cfg.f_min)
                              & (np.abs(freqs) <= cfg.f_max)).tolist()
 
-    # Pass 1.  The observed bins, and the truth's for the per-slice SNRs.
-    # Each block's arrays are dropped before the next block is read.
+    # Pass 1.  The observed bins, and the truth's for the SNRs.  Each
+    # block's arrays are dropped before the next block is read.
     observed = np.empty((len(in_band),) + extents, dtype=np.complex128)
     truth = None if cfg.truth is None else np.empty_like(observed)
-    total_sq = imag_sq = truth_sq = 0.0
+    total_sq = imag_sq = truth_sq = err_sq = 0.0
     for block in trace_blocks(dims):
         at = (slice(None),) + _spatial_index(block)
         masked = mask_volume(read_volume(cfg.input, block), mask, block)
         total_sq += _energy(masked.data)
         imag_sq += _imag_energy(masked.data)
-        observed[at] = dft_time_axis(masked).data[in_band]
-        if truth is not None:
-            true_block = read_volume(cfg.truth, block).reordered(CANONICAL_AXES)
-            truth_sq += _energy(true_block.data)
-            truth[at] = dft_time_axis(true_block).data[in_band]
-            del true_block
+        spectrum = dft_time_axis(masked).data
         del masked
+        observed[at] = spectrum[in_band]
+        if truth is not None:
+            true_spectrum = dft_time_axis(
+                read_volume(cfg.truth, block).reordered(CANONICAL_AXES)).data
+            truth_sq += _energy(true_spectrum)
+            truth[at] = true_spectrum[in_band]
+            # The output's out-of-band bins are the observed ones.
+            miss = true_spectrum - spectrum
+            del true_spectrum
+            miss[in_band] = 0.0
+            err_sq += _energy(miss)
+            del miss
+        del spectrum
     if truth is not None and truth_sq == 0.0:
         raise ValueError("SNR undefined for all-zero truth")
     real_input = total_sq == 0.0 or math.sqrt(imag_sq) <= 1e-12 * math.sqrt(total_sq)
@@ -407,7 +416,8 @@ def run_interpolation(cfg: PipelineConfig) -> RunResult:
     del results
 
     # The observed bins become the corrections, solved minus observed; a
-    # real input's negative bins take the conjugates of their mirrors.
+    # real input's negative bins take the conjugates of their mirrors.  The
+    # output's in-band bins are done, so their error completes the sum.
     corrections = observed
     for i, k in enumerate(in_band):
         if k in solved:
@@ -415,16 +425,19 @@ def run_interpolation(cfg: PipelineConfig) -> RunResult:
         elif real_input and nt - k in solved:
             done = np.conj(solved[nt - k])
         else:
-            corrections[i] = 0.0
-            continue
+            done = corrections[i]
+        if truth is not None:
+            err_sq += _energy(truth[i] - done)
         corrections[i] = done - corrections[i]
     del observed, truth, solved
 
     result = RunResult(rows=rows, output_path=cfg.output)
     result.failed = sum(1 for r in rows if r.status != "ok")
+    if cfg.truth is not None:
+        result.overall_snr_db = snr_from_norms(math.sqrt(truth_sq), math.sqrt(err_sq))
 
     # Pass 2.  Output = masked input + inverse DFT of the corrections.
-    out_sq = out_imag_sq = err_sq = 0.0
+    out_sq = out_imag_sq = 0.0
     with create_volume(cfg.output, CANONICAL_AXES, dims) as partial:
         for block in trace_blocks(dims):
             part = corrections[(slice(None),) + _spatial_index(block)]
@@ -438,15 +451,9 @@ def run_interpolation(cfg: PipelineConfig) -> RunResult:
             write_volume(out, partial, block=block)
             out_sq += _energy(out.data)
             out_imag_sq += _imag_energy(out.data)
-            if cfg.truth is not None:
-                true_block = read_volume(cfg.truth, block).reordered(CANONICAL_AXES)
-                err_sq += _energy(true_block.data - out.data)
-                del true_block
             del out
     if out_sq > 0:
         result.imag_leakage = math.sqrt(out_imag_sq / out_sq)
-    if cfg.truth is not None:
-        result.overall_snr_db = snr_from_norms(math.sqrt(truth_sq), math.sqrt(err_sq))
     result.wall_s = time.perf_counter() - t_run
 
     if cfg.report is not None:

@@ -389,9 +389,8 @@ def test_output_may_replace_the_input(tmp_path):
 
 
 def test_overall_snr_is_exact_near_a_perfect_reconstruction(tmp_path):
-    # The overall error is summed on the samples written, so a truth a
-    # hair from the output gets its SNR, far above what a difference of
-    # large sums would resolve.
+    # The overall error is summed bin by bin, not taken as a difference of
+    # large sums, so a truth a hair from the output gets its SNR.
     write_volume(small_volume(), tmp_path / "in.lrv")
     write_mask(jittered_volume_mask(4, 3, 3, 2, 0.5, seed=1), tmp_path / "mask.lrm")
     _masked_run(tmp_path, tmp_path / "out.lrv")
