@@ -1,5 +1,6 @@
 import argparse
 import csv
+import math
 from dataclasses import fields
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from lrfill import cli, pipeline
 from lrfill.cli import build_parser, main
 from lrfill.fileio import read_mask, read_volume
-from lrfill.pipeline import PipelineConfig, RunResult
+from lrfill.pipeline import PipelineConfig, RunResult, mask_volume
 from lrfill.reporting import SliceReport, write_report
 from lrfill.synthgen import EventSpec, linear_events
 
@@ -108,6 +109,26 @@ def test_subsample_and_evaluate(tmp_path, events_spec_file):
     assert np.all(sub.data[:, :, :, ~mask.grid[0, 0]] == 0)
     rc = main(["evaluate", "--truth", str(vol_path), "--estimate", str(sub_path)])
     assert rc == 0
+
+
+def test_subsample_uniform(tmp_path, events_spec_file):
+    # Uniform sampling of grid points of a 4-d grid: a canonical mask of
+    # ceil(keep * N) points, and the input masked by it.
+    vol_path = tmp_path / "vol.lrv"
+    main(["generate", "--kind", "events", "--spec", str(events_spec_file),
+          "--out", str(vol_path)])
+    sub_path = tmp_path / "sub.lrv"
+    mask_path = tmp_path / "mask.lrm"
+    rc = main(["subsample", "--input", str(vol_path), "--scheme", "uniform",
+               "--keep", "0.3", "--seed", "2",
+               "--out-volume", str(sub_path), "--out-mask", str(mask_path)])
+    assert rc == 0
+    mask = read_mask(mask_path)
+    assert mask.axes == ("rx", "ry", "sx", "sy")
+    assert mask.grid.shape == (4, 3, 3, 2)
+    assert mask.num_observed == math.ceil(0.3 * 72)
+    np.testing.assert_array_equal(read_volume(sub_path).data,
+                                  mask_volume(read_volume(vol_path), mask).data)
 
 
 def test_interpolate_via_config_file(tmp_path, events_spec_file):

@@ -259,6 +259,28 @@ class TestRunInterpolation:
         assert len(res.rows) > real_rows  # negative bins included
 
 
+def test_run_without_a_mask_solves_nothing(tmp_path, monkeypatch):
+    # With every trace observed there is nothing to interpolate: no slice
+    # is solved, every row is ok with no residual and the output is the
+    # input.
+    vol = small_volume()
+    write_volume(vol, tmp_path / "in.lrv")
+    solve, calls = pipeline.interpolate_slice, []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "interpolate_slice", counting)
+    cfg = PipelineConfig(input=str(tmp_path / "in.lrv"), output=str(tmp_path / "out.lrv"),
+                         truth=str(tmp_path / "in.lrv"), rank=3)
+    res = run_interpolation(cfg)
+    assert calls == []
+    assert res.rows and all(r.status == "ok" and r.rel_residual == 0.0 for r in res.rows)
+    out = read_volume(cfg.output)
+    assert np.linalg.norm(out.data - vol.data) <= 1e-15 * np.linalg.norm(vol.data)
+
+
 def _long_record_run(tmp_path, nt):
     """Write a long record on a small grid and run it with its truth over
     3.0-3.03 Hz; the ``tracemalloc`` peak of the run, the volume's bytes
