@@ -200,7 +200,7 @@ def create_volume(path: str | os.PathLike, axes, extents, scalar_code: int = 0):
     that stops partway leaves no file of full length with blocks of zeros.
     """
     part = f"{os.fspath(path)}.part"
-    header = _volume_header(scalar_code, axes, extents)
+    header = _header(VOLUME_MAGIC, axes, extents, scalar_code)
     nbytes = math.prod(extents) * np.dtype(_VOLUME_DTYPES[scalar_code]).itemsize
     try:
         with open(part, "wb") as fh:
@@ -214,10 +214,12 @@ def create_volume(path: str | os.PathLike, axes, extents, scalar_code: int = 0):
         raise
 
 
-def _volume_header(scalar_code: int, axes, extents) -> bytes:
-    header = bytearray(VOLUME_MAGIC)
+def _header(magic: bytes, axes, extents, scalar_code: int | None = None) -> bytes:
+    """LRV1 header with its ``scalar_code``, or LRM1 header without one."""
+    header = bytearray(magic)
     header.append(FORMAT_VERSION)
-    header.append(scalar_code)
+    if scalar_code is not None:
+        header.append(scalar_code)
     header.append(len(axes))
     header.extend(AXIS_CODES[a] for a in axes)
     header.extend(np.asarray(extents, dtype="<u8").tobytes())
@@ -262,13 +264,8 @@ def read_volume(path: str | os.PathLike, block: dict | None = None) -> ComplexVo
 
 def write_mask(mask: SamplingMask, path: str | os.PathLike):
     """Serialize a mask as LRM1 (metadata is not stored)."""
-    header = bytearray(MASK_MAGIC)
-    header.append(FORMAT_VERSION)
-    header.append(mask.grid.ndim)
-    header.extend(AXIS_CODES[a] for a in mask.axes)
-    header.extend(np.asarray(mask.grid.shape, dtype="<u8").tobytes())
     with open(path, "wb") as fh:
-        fh.write(bytes(header))
+        fh.write(_header(MASK_MAGIC, mask.axes, mask.grid.shape))
         fh.write(memoryview(np.ascontiguousarray(mask.grid, dtype=np.uint8)))
 
 

@@ -299,12 +299,14 @@ def run_interpolation(cfg: PipelineConfig) -> RunResult:
     blocks of :func:`trace_blocks`, whose time DFT is exact because each
     holds every time sample of its traces.  Pass 1 reads and masks each
     block of the input, takes its DFT and keeps the in-band bins; the
-    truth's blocks, unmasked, go the same way.  Those bins are solved slice
-    by slice.  Pass 2 reads and masks each input block again, adds the
-    inverse DFT of its corrections (solved minus observed bins) and writes
+    truth's blocks, unmasked, go the same way.  Each solve turns its bin
+    into its correction (solved minus observed) in place; for a real input
+    only the nonnegative bins are solved, and each also writes the
+    conjugate correction into its mirror bin.  Pass 2 reads and masks each
+    input block again, adds the inverse DFT of its corrections and writes
     it into its place in the output, so out-of-band bins pass through as
     observed.  The overall error is summed bin by bin, out of band in pass
-    1 and in band after the solve, so that it stays exact near a perfect
+    1 and in band by each solve, so that it stays exact near a perfect
     reconstruction.  The headers are checked before any data is read, and
     the output is built under a temporary name that it takes only when
     pass 2 ends, so a run that stops early leaves no output.
@@ -322,6 +324,8 @@ def run_interpolation(cfg: PipelineConfig) -> RunResult:
         mask = SamplingMask(np.ones(extents, dtype=bool), axes=SPATIAL_AXES)
     else:
         mask = read_mask(cfg.mask)
+    if mask.axes != SPATIAL_AXES:
+        raise AxisLayoutError(f"mask has axes {mask.axes}; need {SPATIAL_AXES} in any order")
     if mask.grid.shape != extents:
         raise ValueError(f"mask grid {mask.grid.shape} does not match spatial dims {extents}")
     freqs = freq_values_hz(nt, cfg.dt)
@@ -360,12 +364,7 @@ def run_interpolation(cfg: PipelineConfig) -> RunResult:
     op = MeasurementOp(mask, Matricization(cfg.matricization, *extents))
     p, q = op.factor_shape
     slot = {k: i for i, k in enumerate(in_band)}
-    if real_input:
-        solve_bins = [k for k in in_band if 0 < k <= nt // 2]
-        self_conj = {0, nt // 2} if nt % 2 == 0 else {0}
-    else:
-        solve_bins = in_band
-        self_conj = set()
+    solve_bins = [k for k in in_band if k <= nt // 2] if real_input else in_band
 
     def rank_at(f_hz):
         if cfg.rank is not None:
@@ -377,59 +376,51 @@ def run_interpolation(cfg: PipelineConfig) -> RunResult:
     fully_observed = bool(op.observed.all())
 
     def worker(k):
-        # A copy, which a slice passed through keeps: the corrections
-        # overwrite the observed bins.
-        b = observed[slot[k]].copy()
+        # The bin's observed values become its correction, solved minus
+        # observed, in place, and a real input's mirror bin takes the
+        # conjugate correction: no two workers write the same slot.
+        i = slot[k]
+        b = done = observed[i]
         freq_hz = abs(float(freqs[k]))
+        rank = rank_at(freq_hz)
         if fully_observed:
             # Nothing to interpolate: pass the slice through untouched.
-            rep = SliceReport(freq_hz=freq_hz, rank=rank_at(freq_hz),
+            rep = SliceReport(freq_hz=freq_hz, rank=rank,
                               eta_target=cfg.eta_fraction * float(np.linalg.norm(b)),
                               rel_residual=0.0, status="ok")
-            done = b
         else:
             try:
-                X, rep = _solve_one(op, b, freq_hz, rank_at(freq_hz), cfg, k)
+                X, rep = _solve_one(op, b, freq_hz, rank, cfg, k)
                 done = op.to_acquisition(X)
             except Exception as exc:  # degrade to the observed data for this slice
-                rep = SliceReport(freq_hz=freq_hz, rank=rank_at(freq_hz),
+                rep = SliceReport(freq_hz=freq_hz, rank=rank,
                                   status=f"failed: {type(exc).__name__}")
-                done = b
-        if truth is not None and rep.status == "ok":
-            truth_slice = truth[slot[k]]
-            if np.linalg.norm(truth_slice) > 0:
-                rep.snr_db = snr_db(truth_slice, done)
-        return k, done, rep
+        mirror = slot[-k % nt] if real_input else i
+        if real_input and mirror == i:  # 0 Hz, and Nyquist for an even nt
+            done = done.real.astype(np.complex128)
+        bin_sq = 0.0
+        if truth is not None:
+            if rep.status == "ok" and np.linalg.norm(truth[i]) > 0:
+                rep.snr_db = snr_db(truth[i], done)
+            bin_sq = _energy(truth[i] - done)
+        if mirror != i:
+            mirrored = np.conj(done)
+            if truth is not None:
+                bin_sq += _energy(truth[mirror] - mirrored)
+            observed[mirror] = mirrored - observed[mirror]
+        observed[i] = done - b
+        return rep, bin_sq
 
-    rows = []
     if cfg.threads == 1:
         results = [worker(k) for k in solve_bins]
     else:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
             results = list(pool.map(worker, solve_bins))
-    solved = {}
-    for k, done, rep in results:
-        if real_input and k in self_conj:
-            done = done.real.astype(np.complex128)
-        solved[k] = done
-        rows.append(rep)
-    del results
-
-    # The observed bins become the corrections, solved minus observed; a
-    # real input's negative bins take the conjugates of their mirrors.  The
-    # output's in-band bins are done, so their error completes the sum.
+    # The output's in-band bins are done, so their error completes the sum.
+    rows = [rep for rep, _ in results]
+    err_sq += sum(bin_sq for _, bin_sq in results)
     corrections = observed
-    for i, k in enumerate(in_band):
-        if k in solved:
-            done = solved[k]
-        elif real_input and nt - k in solved:
-            done = np.conj(solved[nt - k])
-        else:
-            done = corrections[i]
-        if truth is not None:
-            err_sq += _energy(truth[i] - done)
-        corrections[i] = done - corrections[i]
-    del observed, truth, solved
+    del observed, truth
 
     result = RunResult(rows=rows, output_path=cfg.output)
     result.failed = sum(1 for r in rows if r.status != "ok")

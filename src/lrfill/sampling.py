@@ -14,7 +14,8 @@ class SamplingMask:
     """Boolean observation grid plus provenance metadata.
 
     The grid covers the acquisition axes: 4-d ``(rx, ry, sx, sy)`` for
-    volume experiments, 2-d for bare-matrix instances.  Metadata records
+    volume experiments, 2-d for bare-matrix instances.  A grid given with
+    its axes in another order is transposed into that order.  Metadata records
     how the mask was drawn; it is not stored in the LRM1 file format, so
     masks read back from disk carry ``scheme="unknown"``.
     """
@@ -37,8 +38,11 @@ class SamplingMask:
                 raise ValueError(f"unknown axis label {label!r}")
         if len(set(axes)) != len(axes):
             raise ValueError(f"duplicate axis labels in {axes}")
-        self.grid = grid
-        self.axes = axes
+        # The grid is kept with its axes in the order of AXIS_LABELS, so a
+        # mask means the same whatever order it was given in.
+        order = sorted(range(grid.ndim), key=lambda i: AXIS_CODES[axes[i]])
+        self.grid = np.ascontiguousarray(grid.transpose(order))
+        self.axes = tuple(axes[i] for i in order)
 
     @property
     def num_observed(self) -> int:

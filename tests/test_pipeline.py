@@ -19,7 +19,13 @@ from lrfill.reporting import read_report, snr_db
 from lrfill.sampling import SamplingMask, jittered_volume_mask
 from lrfill.synthgen import EventSpec, linear_events
 from lrfill.transforms import MODE_REC_SRC_X, MODE_SRC_PAIR
-from lrfill.volume import ComplexVolume
+from lrfill.volume import (
+    AXIS_CODES,
+    SPATIAL_AXES,
+    AxisLayoutError,
+    ComplexVolume,
+    dft_time_axis,
+)
 
 
 def small_volume():
@@ -110,6 +116,41 @@ class TestMaskVolume:
         vol = small_volume()
         with pytest.raises(ValueError):
             mask_volume(vol, SamplingMask(np.ones((2, 2, 2, 2), dtype=bool)))
+
+    def test_mask_file_axes_are_honored(self, tmp_path):
+        # A mask file whose axes are stored in another order masks the
+        # same traces, and runs the same, as the canonical file.
+        vol = small_volume()
+        mask = jittered_volume_mask(4, 3, 3, 2, 0.5, seed=1)
+        write_mask(mask, tmp_path / "canonical.lrm")
+        order = ("sx", "sy", "rx", "ry")
+        grid = mask.grid.transpose([SPATIAL_AXES.index(a) for a in order])
+        header = (b"LRM1" + bytes([1, 4]) + bytes(AXIS_CODES[a] for a in order)
+                  + np.asarray(grid.shape, dtype="<u8").tobytes())
+        (tmp_path / "permuted.lrm").write_bytes(header + grid.astype(np.uint8).tobytes())
+        permuted = read_mask(tmp_path / "permuted.lrm")
+        assert permuted.axes == SPATIAL_AXES
+        np.testing.assert_array_equal(mask_volume(vol, permuted).data,
+                                      mask_volume(vol, mask).data)
+        write_volume(vol, tmp_path / "in.lrv")
+        outputs = []
+        for name in ("canonical", "permuted"):
+            cfg = PipelineConfig(input=str(tmp_path / "in.lrv"),
+                                 output=str(tmp_path / f"{name}.lrv"),
+                                 mask=str(tmp_path / f"{name}.lrm"), rank=3)
+            run_interpolation(cfg)
+            outputs.append((tmp_path / f"{name}.lrv").read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_mask_must_cover_the_spatial_axes(self, tmp_path):
+        write_volume(small_volume(), tmp_path / "in.lrv")
+        write_mask(SamplingMask(np.ones((4, 3, 3, 2), dtype=bool), axes=("t", "rx", "ry", "sx")),
+                   tmp_path / "mask.lrm")
+        cfg = PipelineConfig(input=str(tmp_path / "in.lrv"), output=str(tmp_path / "out.lrv"),
+                             mask=str(tmp_path / "mask.lrm"), rank=3)
+        with pytest.raises(AxisLayoutError):
+            run_interpolation(cfg)
+        assert not (tmp_path / "out.lrv").exists()
 
 
 class TestRunInterpolation:
@@ -259,6 +300,21 @@ class TestRunInterpolation:
         assert len(res.rows) > real_rows  # negative bins included
 
 
+    def test_real_input_solves_its_zero_hz_bin(self, tmp_path):
+        # A real input's 0 Hz bin is its own mirror: it is solved when in
+        # band, and taken real, so the DC offset reaches the missing traces
+        # and the output stays real.
+        base = small_volume()
+        vol = ComplexVolume(base.axes, base.data + 0.2)
+        mask = jittered_volume_mask(4, 3, 3, 2, 0.5, seed=1)
+        cfg, res = self.run(tmp_path, vol, mask, f_min=0.0)
+        rows, _ = read_report(cfg.report)
+        assert rows[0]["freq_hz"] == 0.0 and rows[0]["status"] == "ok"
+        dc = dft_time_axis(read_volume(cfg.output)).data[0]
+        assert np.abs(dc[~mask.grid]).max() > 0.1 * np.abs(dc[mask.grid]).max()
+        assert res.imag_leakage <= 1e-12
+
+
 def test_run_without_a_mask_solves_nothing(tmp_path, monkeypatch):
     # With every trace observed there is nothing to interpolate: no slice
     # is solved, every row is ok with no residual and the output is the
@@ -316,6 +372,7 @@ def test_run_holds_few_copies_of_the_volume(tmp_path):
     assert peak <= 4 * nbytes, f"peak {peak / nbytes:.2f} volumes"
 
 
+@pytest.mark.slow
 def test_run_memory_does_not_grow_with_the_record(tmp_path):
     # The run streams blocks of traces: its peak is a fraction of the
     # volume and stays put when the record doubles, although the band then

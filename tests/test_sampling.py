@@ -137,6 +137,14 @@ class TestSamplingMask:
         mask = SamplingMask(np.ones((2, 2), dtype=bool))
         assert mask.axes == ("rx", "sx")
 
+    def test_grid_is_kept_in_canonical_axis_order(self):
+        grid = np.zeros((2, 3, 4, 5), dtype=bool)
+        grid[1, 2, 3, 4] = True
+        mask = SamplingMask(grid, axes=("sx", "sy", "rx", "ry"))
+        assert mask.axes == ("rx", "ry", "sx", "sy")
+        assert mask.grid.shape == (4, 5, 2, 3)
+        assert mask.grid[3, 4, 1, 2] and mask.num_observed == 1
+
     def test_axis_count_mismatch(self):
         with pytest.raises(ValueError):
             SamplingMask(np.ones((2, 2), dtype=bool), axes=("rx",))
