@@ -15,9 +15,10 @@ class SamplingMask:
 
     The grid covers the acquisition axes: 4-d ``(rx, ry, sx, sy)`` for
     volume experiments, 2-d for bare-matrix instances.  A grid given with
-    its axes in another order is transposed into that order.  Metadata records
-    how the mask was drawn; it is not stored in the LRM1 file format, so
-    masks read back from disk carry ``scheme="unknown"``.
+    its axes in another order is transposed into the order of
+    ``AXIS_LABELS``, so a mask means the same whatever order it comes in.
+    Metadata records how the mask was drawn; it is not stored in the LRM1
+    file format, so masks read back from disk carry ``scheme="unknown"``.
     """
 
     grid: np.ndarray
@@ -38,8 +39,6 @@ class SamplingMask:
                 raise ValueError(f"unknown axis label {label!r}")
         if len(set(axes)) != len(axes):
             raise ValueError(f"duplicate axis labels in {axes}")
-        # The grid is kept with its axes in the order of AXIS_LABELS, so a
-        # mask means the same whatever order it was given in.
         order = sorted(range(grid.ndim), key=lambda i: AXIS_CODES[axes[i]])
         self.grid = np.ascontiguousarray(grid.transpose(order))
         self.axes = tuple(axes[i] for i in order)

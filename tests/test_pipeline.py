@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 
 import numpy as np
@@ -299,7 +300,6 @@ class TestRunInterpolation:
         assert res.failed == 0
         assert len(res.rows) > real_rows  # negative bins included
 
-
     def test_real_input_solves_its_zero_hz_bin(self, tmp_path):
         # A real input's 0 Hz bin is its own mirror: it is solved when in
         # band, and taken real, so the DC offset reaches the missing traces
@@ -335,6 +335,34 @@ def test_run_without_a_mask_solves_nothing(tmp_path, monkeypatch):
     assert res.rows and all(r.status == "ok" and r.rel_residual == 0.0 for r in res.rows)
     out = read_volume(cfg.output)
     assert np.linalg.norm(out.data - vol.data) <= 1e-15 * np.linalg.norm(vol.data)
+
+
+def test_many_threads_write_only_their_own_bins(tmp_path):
+    # Each worker writes its bin of the shared band, and a real input's
+    # mirror bin, while the others run: with more threads than cores and a
+    # short switch interval the run still gives the output of one thread.
+    spec = EventSpec(n_rx=4, n_ry=3, n_sx=3, n_sy=2, spacing_m=25.0, nt=64, dt=0.004,
+                     events=[(0.030, 0.0001, 0.00005, 1.0)], wavelet_peak_hz=80.0)
+    write_volume(linear_events(spec), tmp_path / "in.lrv")
+    write_mask(jittered_volume_mask(4, 3, 3, 2, 0.5, seed=1), tmp_path / "mask.lrm")
+
+    def run(threads):
+        cfg = PipelineConfig(input=str(tmp_path / "in.lrv"),
+                             output=str(tmp_path / f"out{threads}.lrv"),
+                             mask=str(tmp_path / "mask.lrm"), truth=str(tmp_path / "in.lrv"),
+                             rank=3, outer_iters=4, inner_iters=100, threads=threads)
+        res = run_interpolation(cfg)
+        return (tmp_path / f"out{threads}.lrv").read_bytes(), res
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        (one, res_one), (many, res_many) = run(1), run(8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(res_one.rows) == 17
+    assert many == one
+    assert res_many.overall_snr_db == res_one.overall_snr_db
 
 
 def _long_record_run(tmp_path, nt):
