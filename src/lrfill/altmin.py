@@ -96,7 +96,7 @@ def init_factors(p: int, q: int, r: int, seed: int = 0) -> FactorPair:
     scale = np.sqrt(0.5 / r)
     L = scale * (rng.standard_normal((p, r)) + 1j * rng.standard_normal((p, r)))
     R = scale * (rng.standard_normal((q, r)) + 1j * rng.standard_normal((q, r)))
-    return FactorPair(L, R, r)
+    return FactorPair(L, R)
 
 
 def interpolate_slice(op, b, cfg: OuterConfig):
@@ -124,7 +124,7 @@ def interpolate_slice(op, b, cfg: OuterConfig):
     if b_norm == 0.0 or eta_target >= b_norm:
         # The zero completion is already feasible and minimum-norm.
         zero = np.zeros((p, q), dtype=np.complex128)
-        pair = FactorPair(np.zeros((p, r)), np.zeros((q, r)), r)
+        pair = FactorPair(np.zeros((p, r)), np.zeros((q, r)))
         report = SliceReport(rank=r, eta_target=eta_target,
                              rel_residual=b_norm / max(b_norm, _TINY),
                              outer_iters=0, inner_iters=0,
@@ -189,4 +189,4 @@ def interpolate_slice(op, b, cfg: OuterConfig):
         status="ok",
         history=history,
     )
-    return FactorPair(L, R, r), X_prev, report
+    return FactorPair(L, R), X_prev, report

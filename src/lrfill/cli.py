@@ -70,8 +70,7 @@ def cmd_subsample(args) -> int:
     else:
         flat = uniform_entry_mask(n_rx * n_ry, n_sx * n_sy, args.keep, seed=args.seed)
         acq = Matricization("srcpair", n_rx, n_ry, n_sx, n_sy)
-        mask = SamplingMask(acq.fold(flat.grid), axes=("rx", "ry", "sx", "sy"),
-                            scheme="uniform", keep_fraction=args.keep)
+        mask = SamplingMask(acq.fold(flat.grid), axes=("rx", "ry", "sx", "sy"))
     write_mask(mask, args.out_mask)
     write_volume(mask_volume(vol, mask), args.out_volume)
     kept = mask.num_observed / mask.grid.size

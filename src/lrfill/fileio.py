@@ -263,7 +263,7 @@ def read_volume(path: str | os.PathLike, block: dict | None = None) -> ComplexVo
 
 
 def write_mask(mask: SamplingMask, path: str | os.PathLike):
-    """Serialize a mask as LRM1 (metadata is not stored)."""
+    """Serialize a mask as LRM1: its axis labels, extents and grid."""
     with open(path, "wb") as fh:
         fh.write(_header(MASK_MAGIC, mask.axes, mask.grid.shape))
         fh.write(memoryview(np.ascontiguousarray(mask.grid, dtype=np.uint8)))
@@ -274,6 +274,4 @@ def read_mask(path: str | os.PathLike) -> SamplingMask:
     bad = np.setdiff1d(raw, [0, 1])
     if bad.size:
         raise FileFormatError(f"mask bytes must be 0 or 1, found {bad[:4]}")
-    grid = raw.astype(bool)
-    kept = float(grid.mean())
-    return SamplingMask(grid, axes=axes, scheme="unknown", keep_fraction=kept)
+    return SamplingMask(raw.astype(bool), axes=axes)

@@ -147,7 +147,7 @@ def solve_levelset(op, b, eta, r, cfg: LevelSetConfig | None = None):
     b_norm = float(np.linalg.norm(b))
     if eta >= b_norm:
         # Zero factors are already feasible and have the smallest ball.
-        pair = FactorPair(np.zeros((p, r)), np.zeros((q, r)), r)
+        pair = FactorPair(np.zeros((p, r)), np.zeros((q, r)))
         report = SliceReport(rank=r, eta_target=eta,
                              rel_residual=b_norm / max(b_norm, _TINY),
                              outer_iters=0, inner_iters=0,
@@ -261,4 +261,4 @@ def solve_levelset(op, b, eta, r, cfg: LevelSetConfig | None = None):
         status="ok",
         history=bracket_history,
     )
-    return FactorPair(L, R, r), X, report
+    return FactorPair(L, R), X, report

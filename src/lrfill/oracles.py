@@ -18,6 +18,7 @@ The first two run dense SVDs and are restricted to desk-scale matrices.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,6 +26,15 @@ from .pdsolver import _TINY, DualState, FactorSolveInfo, PdConfig
 
 # solve_factor_pd: the constant c < 1 of the step size gamma = c / ||R||_op.
 _STEP_C = 0.99
+
+
+@dataclass
+class PdSolveInfo(FactorSolveInfo):
+    """What :func:`solve_factor_pd` did: a factor solve's record plus its
+    step size ``gamma`` and the residual norm after each iteration."""
+
+    gamma: float
+    residual_history: list = field(default_factory=list, repr=False)
 
 
 class OracleConvergenceError(RuntimeError):
@@ -219,8 +229,8 @@ def _shrink(y_plus, threshold):
 
 def solve_factor_pd(op, b, R, eta, cfg: PdConfig | None = None, warm=None):
     """Solve the factor subproblem by the paper's primal-dual splitting;
-    returns (L, DualState, FactorSolveInfo), as
-    :func:`lrfill.pdsolver.solve_factor` does.
+    returns (L, DualState, PdSolveInfo), as
+    :func:`lrfill.pdsolver.solve_factor` returns (L, DualState, FactorSolveInfo).
 
     The saddle-point form is  min_L max_y 1/2||L||^2 + <A~L - b, y> - eta||y||,
     where A~ : L -> A(L R^H) is the lifted linear operator.  Each iteration
@@ -295,14 +305,6 @@ def solve_factor_pd(op, b, R, eta, cfg: PdConfig | None = None, warm=None):
             converged = True
             break
 
-    residual = AL - b
-    info = FactorSolveInfo(
-        iterations=iters,
-        residual_norm=resid,
-        objective=0.5 * float(np.linalg.norm(L)) ** 2,
-        feasibility_gap=max(resid - eta, 0.0) / feas_scale,
-        converged=converged,
-        gamma=gamma,
-        residual_history=history,
-    )
-    return L, DualState(y=y, residual=residual), info
+    info = PdSolveInfo(iterations=iters, residual_norm=resid, converged=converged,
+                       gamma=gamma, residual_history=history)
+    return L, DualState(y=y, residual=AL - b), info

@@ -24,7 +24,7 @@ subproblem.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,20 +43,21 @@ class FactorPair:
 
     L: np.ndarray
     R: np.ndarray
-    rank: int
 
     def __post_init__(self):
         L = np.asarray(self.L, dtype=np.complex128)
         R = np.asarray(self.R, dtype=np.complex128)
         if L.ndim != 2 or R.ndim != 2 or L.shape[1] != R.shape[1]:
             raise ValueError(f"incompatible factor shapes {L.shape}, {R.shape}")
-        if not 1 <= self.rank <= min(L.shape[0], R.shape[0]):
-            raise ValueError(f"rank {self.rank} out of range for {L.shape}, {R.shape}")
-        if L.shape[1] != self.rank:
-            raise ValueError(f"factors have {L.shape[1]} columns, rank says {self.rank}")
+        if not 1 <= L.shape[1] <= min(L.shape[0], R.shape[0]):
+            raise ValueError(f"rank {L.shape[1]} out of range for {L.shape}, {R.shape}")
         if not (np.isfinite(L).all() and np.isfinite(R).all()):
             raise ValueError("factors contain non-finite values")
         self.L, self.R = L, R
+
+    @property
+    def rank(self) -> int:
+        return self.L.shape[1]
 
     def product(self) -> np.ndarray:
         return self.L @ self.R.conj().T
@@ -93,17 +94,12 @@ class PdConfig:
 
 @dataclass
 class FactorSolveInfo:
-    """What a factor solve did.  ``gamma`` and ``residual_history`` are the
-    step size and the per-iteration residuals of ``solve_factor_pd``;
-    :func:`solve_factor` sets ``gamma`` to nan and leaves the history empty."""
+    """What a factor solve did: its iteration count, the norm of its final
+    residual A(L R^H) - b, and whether it stopped by its own test."""
 
     iterations: int
     residual_norm: float
-    objective: float
-    feasibility_gap: float
     converged: bool
-    gamma: float
-    residual_history: list = field(default_factory=list, repr=False)
 
 
 def _row_grams(mask, R):
@@ -153,12 +149,11 @@ def solve_factor(op, b, R, eta, cfg: PdConfig | None = None):
     L_i = lam d_i diag(1 / (1 + lam w_i)) V_i^H, with dual y = lam times
     the residual.  No SVD of a data-sized matrix is taken.
 
-    ``iterations`` counts root-find steps, capped by ``cfg.max_iters``;
-    ``gamma`` is nan, as no step size is used.  ``eta >= ||b||`` gives
-    L = 0.  When eta < rho, the subproblem is infeasible: the result is
-    the minimum-norm least-squares limit lam -> inf, in which eigenvalues
-    below ``_EIG_FLOOR`` of their row's largest count as zero, with a zero
-    dual and ``converged=False``.
+    ``iterations`` counts root-find steps, capped by ``cfg.max_iters``.
+    ``eta >= ||b||`` gives L = 0.  When eta < rho, the subproblem is
+    infeasible: the result is the minimum-norm least-squares limit
+    lam -> inf, in which eigenvalues below ``_EIG_FLOOR`` of their row's
+    largest count as zero, with a zero dual and ``converged=False``.
     """
     cfg = cfg or PdConfig()
     if eta < 0:
@@ -172,19 +167,11 @@ def solve_factor(op, b, R, eta, cfg: PdConfig | None = None):
     p, q = op.factor_shape
     r = R.shape[1]
     b_norm = float(np.linalg.norm(b))
-    feas_scale = max(b_norm, _TINY)
 
     def result(L, lam, iters, converged):
         residual = op.forward(L @ R.conj().T) - b
-        resid = float(np.linalg.norm(residual))
-        info = FactorSolveInfo(
-            iterations=iters,
-            residual_norm=resid,
-            objective=0.5 * float(np.linalg.norm(L)) ** 2,
-            feasibility_gap=max(resid - eta, 0.0) / feas_scale,
-            converged=converged,
-            gamma=float("nan"),
-        )
+        info = FactorSolveInfo(iterations=iters, residual_norm=float(np.linalg.norm(residual)),
+                               converged=converged)
         return L, DualState(y=lam * residual, residual=residual), info
 
     if eta >= b_norm:

@@ -99,6 +99,8 @@ class PipelineConfig:
             raise ValueError(f"matricization must be one of {MODES}")
         if self.threads < 1:
             raise ValueError("threads must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         # The solver settings pass their own checks before any data is read.
         self.outer_config(rank=1, seed=0)
 
@@ -272,7 +274,6 @@ class RunResult:
     imag_leakage: float = math.nan
     wall_s: float = 0.0
     failed: int = 0
-    output_path: str = ""
 
 
 def _solve_one(op, b, freq_hz, rank, cfg: PipelineConfig, bin_index: int):
@@ -422,7 +423,7 @@ def run_interpolation(cfg: PipelineConfig) -> RunResult:
     corrections = observed
     del observed, truth
 
-    result = RunResult(rows=rows, output_path=cfg.output)
+    result = RunResult(rows=rows)
     result.failed = sum(1 for r in rows if r.status != "ok")
     if cfg.truth is not None:
         result.overall_snr_db = snr_from_norms(math.sqrt(truth_sq), math.sqrt(err_sq))

@@ -46,10 +46,10 @@ def snr_db(truth, estimate) -> float:
     """
     truth = np.asarray(truth)
     estimate = np.asarray(estimate)
+    if estimate.shape != truth.shape:
+        raise ValueError(f"estimate shape {estimate.shape} != truth shape {truth.shape}")
     tn = float(np.linalg.norm(truth))
     if truth.ndim > 2:
-        if estimate.shape != truth.shape:
-            raise ValueError(f"estimate shape {estimate.shape} != truth shape {truth.shape}")
         dn = math.sqrt(sum(float(np.linalg.norm(t - e)) ** 2
                            for t, e in zip(truth, estimate)))
     else:

@@ -11,21 +11,16 @@ from .volume import AXIS_CODES
 
 @dataclass
 class SamplingMask:
-    """Boolean observation grid plus provenance metadata.
+    """Boolean observation grid over labelled axes.
 
     The grid covers the acquisition axes: 4-d ``(rx, ry, sx, sy)`` for
     volume experiments, 2-d for bare-matrix instances.  A grid given with
     its axes in another order is transposed into the order of
     ``AXIS_LABELS``, so a mask means the same whatever order it comes in.
-    Metadata records how the mask was drawn; it is not stored in the LRM1
-    file format, so masks read back from disk carry ``scheme="unknown"``.
     """
 
     grid: np.ndarray
     axes: tuple = ()
-    scheme: str = "unknown"
-    keep_fraction: float | None = None
-    decimated_axis: str | None = None
 
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=bool)
@@ -132,13 +127,7 @@ def jittered_volume_mask(
         grid[:, :, kept] = True
     else:
         grid[kept] = True
-    return SamplingMask(
-        grid,
-        axes=("rx", "ry", "sx", "sy"),
-        scheme="jittered",
-        keep_fraction=keep_fraction,
-        decimated_axis=axis,
-    )
+    return SamplingMask(grid, axes=("rx", "ry", "sx", "sy"))
 
 
 def uniform_entry_mask(p: int, q: int, keep_fraction: float, seed: int = 0) -> SamplingMask:
@@ -152,10 +141,4 @@ def uniform_entry_mask(p: int, q: int, keep_fraction: float, seed: int = 0) -> S
     flat = rng.choice(total, size=count, replace=False)
     grid = np.zeros(total, dtype=bool)
     grid[flat] = True
-    return SamplingMask(
-        grid.reshape(p, q),
-        axes=("rx", "sx"),
-        scheme="uniform",
-        keep_fraction=keep_fraction,
-        decimated_axis=None,
-    )
+    return SamplingMask(grid.reshape(p, q), axes=("rx", "sx"))

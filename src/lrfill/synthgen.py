@@ -66,8 +66,8 @@ def plant_slice(spec: PlantSpec):
         sigma = spec.decay_ratio ** np.arange(spec.rank)
     X = (U * sigma) @ V.conj().T
     root = np.sqrt(sigma)
-    pair = FactorPair(U * root, V * root, spec.rank)
-    return FrequencySlice(spec.p, spec.q, 0, 0.0, X), pair
+    pair = FactorPair(U * root, V * root)
+    return FrequencySlice(spec.p, spec.q, X), pair
 
 
 def observe_slice(X, mask: SamplingMask, noise_eps: float = 0.0, seed: int = 0):

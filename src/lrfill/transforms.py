@@ -123,7 +123,6 @@ class MeasurementOp:
     """
 
     def __init__(self, mask: SamplingMask, matricization: Matricization | None = None):
-        self.mask = mask
         self.matricization = matricization
         self.observed = mask.grid
         self.data_shape = mask.grid.shape

@@ -102,8 +102,6 @@ class FrequencySlice:
 
     p: int
     q: int
-    freq_index: int
-    freq_hz: float
     data: np.ndarray
 
     def __post_init__(self):

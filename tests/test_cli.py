@@ -182,7 +182,7 @@ def test_interpolate_bad_setting_stops_before_any_data(tmp_path, events_spec_fil
     assert not (tmp_path / "report.csv").exists()
 
 
-@pytest.mark.parametrize("flag, value", [("--dt", "0"), ("--rank", "0")])
+@pytest.mark.parametrize("flag, value", [("--dt", "0"), ("--rank", "0"), ("--seed", "-1")])
 def test_interpolate_bad_dt_or_rank_stops_before_any_data(tmp_path, events_spec_file,
                                                           flag, value):
     vol_path = tmp_path / "vol.lrv"

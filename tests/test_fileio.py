@@ -147,13 +147,12 @@ class TestMaskFormat:
         rng = np.random.default_rng(0)
         grid = rng.random((3, 2, 4, 2)) < 0.4
         grid.flat[0] = True
-        mask = SamplingMask(grid, axes=("rx", "ry", "sx", "sy"), scheme="jittered")
+        mask = SamplingMask(grid, axes=("rx", "ry", "sx", "sy"))
         path = tmp_path / "m.lrm"
         write_mask(mask, path)
         back = read_mask(path)
         assert np.array_equal(back.grid, grid)
         assert back.axes == ("rx", "ry", "sx", "sy")
-        assert back.scheme == "unknown"  # metadata is not serialized
 
     def test_mask_bad_magic(self, tmp_path):
         path = tmp_path / "m.lrm"

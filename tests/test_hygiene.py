@@ -18,6 +18,11 @@ exists, so a rename in the package cannot silently break the benchmark.
 Every setting is read: each field of a ``@dataclass`` named ``*Config`` or
 ``*Spec`` is read as an attribute somewhere in the package outside that
 class's own ``__post_init__``, so no setting is validated and then ignored.
+
+No state is write-only: each field of a ``@dataclass`` in the package, and
+each attribute an ``__init__`` there sets on ``self``, is read as an
+attribute somewhere in the package, the tests or the benchmark, reads in
+the class's own ``__post_init__`` aside.
 """
 
 import ast
@@ -136,26 +141,40 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
     return False
 
 
+def _attribute_reads(trees) -> list:
+    return [node for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)]
+
+
+def _methods(cls: ast.ClassDef, name: str) -> list:
+    return [stmt for stmt in cls.body if isinstance(stmt, ast.FunctionDef) and stmt.name == name]
+
+
+def _fields(cls: ast.ClassDef) -> list:
+    return [stmt.target.id for stmt in cls.body
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+
+
+def _read_outside_post_init(cls: ast.ClassDef, reads: list) -> set:
+    own_checks = {id(node) for method in _methods(cls, "__post_init__")
+                  for node in ast.walk(method)}
+    return {node.attr for node in reads if id(node) not in own_checks}
+
+
 def dead_settings(sources: list) -> list:
     """``Class.field`` for each field of a ``@dataclass`` named ``*Config``
     or ``*Spec`` that no attribute read in ``sources`` names, reads inside
     the class's own ``__post_init__`` aside."""
     trees = [ast.parse(source) for source in sources]
-    reads = [node for tree in trees for node in ast.walk(tree)
-             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)]
+    reads = _attribute_reads(trees)
     dead = []
     for tree in trees:
         for cls in ast.walk(tree):
             if not (isinstance(cls, ast.ClassDef) and cls.name.endswith(("Config", "Spec"))
                     and _is_dataclass(cls)):
                 continue
-            own_checks = {id(node) for stmt in cls.body
-                          if isinstance(stmt, ast.FunctionDef) and stmt.name == "__post_init__"
-                          for node in ast.walk(stmt)}
-            read = {node.attr for node in reads if id(node) not in own_checks}
-            dead += [f"{cls.name}.{stmt.target.id}" for stmt in cls.body
-                     if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
-                     and stmt.target.id not in read]
+            read = _read_outside_post_init(cls, reads)
+            dead += [f"{cls.name}.{name}" for name in _fields(cls) if name not in read]
     return sorted(dead)
 
 
@@ -185,6 +204,68 @@ def test_check_sees_a_dead_setting():
               "    cfg.unused = spec.p\n"
               "    return spec.p * cfg.tol\n")
     assert dead_settings([source]) == ["OuterConfig.unused", "PlantSpec.noise_eps"]
+
+
+def write_only_state(sources: list, readers: list) -> list:
+    """``Class.name`` for each field of a ``@dataclass`` in ``sources``, and
+    each attribute an ``__init__`` there sets on ``self``, that no attribute
+    read in ``sources`` or ``readers`` names, reads inside the class's own
+    ``__post_init__`` aside.
+
+    Reads are matched by attribute name alone, so a field is missed when
+    another object's attribute of the same name is read: at the time of
+    writing, ``MeasurementOp.mask`` (a config's ``mask`` is read),
+    ``SamplingMask.keep_fraction`` (a ``JitterSpec``'s is read) and
+    ``FrequencySlice.freq_hz`` (a ``SliceReport``'s is read) would pass
+    while written only.
+    """
+    trees = [ast.parse(source) for source in sources]
+    reads = _attribute_reads(trees + [ast.parse(source) for source in readers])
+    unread = []
+    for tree in trees:
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            stored = _fields(cls) if _is_dataclass(cls) else []
+            stored += [node.attr for method in _methods(cls, "__init__")
+                       for node in ast.walk(method)
+                       if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                       and isinstance(node.value, ast.Name) and node.value.id == "self"]
+            read = _read_outside_post_init(cls, reads)
+            unread += [f"{cls.name}.{name}" for name in dict.fromkeys(stored)
+                       if name not in read]
+    return sorted(unread)
+
+
+def test_no_write_only_state():
+    sources = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
+    readers = [path.read_text() for path in
+               sorted([*(ROOT / "tests").glob("*.py"), *BENCH_MODULES])]
+    assert write_only_state(sources, readers) == []
+
+
+def test_check_sees_write_only_state():
+    source = ("@dataclass\n"
+              "class Info:\n"
+              "    iterations: int\n"
+              "    objective: float\n"
+              "    gap: float = 0.0\n"
+              "    def __post_init__(self):\n"
+              "        if self.gap < 0:\n"
+              "            raise ValueError\n"
+              "class Op:\n"
+              "    shape = (1, 1)\n"
+              "    def __init__(self, grid):\n"
+              "        self.grid = grid\n"
+              "        self.size, self.kept = grid.size, grid.sum()\n"
+              "        self.size = int(self.size)\n"
+              "class Plain:\n"
+              "    unused: int = 0\n"
+              "def solve(op):\n"
+              "    op.grid[0] = 1\n"
+              "    return op.size\n")
+    reader = "def test_info(info):\n    assert info.iterations > 0\n"
+    assert write_only_state([source], [reader]) == ["Info.gap", "Info.objective", "Op.kept"]
 
 
 def _resolves(module: str, name: str) -> bool:

@@ -41,20 +41,21 @@ class _DenseConjTranspose:
 
 class TestFactorPair:
     def test_valid(self):
-        pair = FactorPair(np.ones((5, 2)), np.ones((4, 2)), 2)
+        pair = FactorPair(np.ones((5, 2)), np.ones((4, 2)))
+        assert pair.rank == 2
         assert pair.product().shape == (5, 4)
 
     def test_rank_bounds(self):
         with pytest.raises(ValueError):
-            FactorPair(np.ones((5, 6)), np.ones((4, 6)), 6)  # r > min(p, q)
+            FactorPair(np.ones((5, 6)), np.ones((4, 6)))  # r > min(p, q)
         with pytest.raises(ValueError):
-            FactorPair(np.ones((5, 2)), np.ones((4, 2)), 0)
+            FactorPair(np.ones((5, 0)), np.ones((4, 0)))
 
     def test_nonfinite_rejected(self):
         L = np.ones((5, 2))
         L[0, 0] = np.inf
         with pytest.raises(ValueError):
-            FactorPair(L, np.ones((4, 2)), 2)
+            FactorPair(L, np.ones((4, 2)))
 
 
 class TestOpNorm:

@@ -94,6 +94,8 @@ class TestConfigParsing:
         for dt in (0.0, -0.004, float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 PipelineConfig(input="a", output="b", rank=3, dt=dt)
+        with pytest.raises(ValueError):
+            PipelineConfig(input="a", output="b", rank=3, seed=-1)
 
     @pytest.mark.parametrize("key, value", [("alpha", "7"), ("inner_iters", "0")])
     def test_solver_settings_checked_for_every_solver(self, key, value):

@@ -32,6 +32,15 @@ class TestSnr:
         with pytest.raises(ValueError):
             snr_db(np.zeros((2, 2)), np.ones((2, 2)))
 
+    @pytest.mark.parametrize("truth_shape, estimate_shape",
+                             [((3,), (1,)), ((3, 3), (3,)), ((3, 3), (1, 3)),
+                              ((2, 3, 3), (3, 3)), ((2, 3, 3), (1, 3, 3))])
+    def test_shape_mismatch_rejected(self, truth_shape, estimate_shape):
+        # A mismatch that would broadcast must not yield an SNR.
+        truth = np.arange(1.0, 1.0 + math.prod(truth_shape)).reshape(truth_shape)
+        with pytest.raises(ValueError):
+            snr_db(truth, np.zeros(estimate_shape))
+
 
 class TestReportIo:
     def make_rows(self):

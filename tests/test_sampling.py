@@ -90,7 +90,6 @@ class TestJitteredVolumeMask:
 
     def test_receiver_removal(self):
         mask = jittered_volume_mask(6, 4, 2, 2, 0.5, seed=4, axis="receivers")
-        assert mask.decimated_axis == "receivers"
         per_recv = mask.grid.all(axis=(2, 3)) | ~mask.grid.any(axis=(2, 3))
         assert per_recv.all()
 

@@ -317,7 +317,7 @@ class TestSingularDecay:
 
         rng = np.random.default_rng(26)
         X = np.outer(rng.standard_normal(4), rng.standard_normal(5)).astype(complex)
-        sl = FrequencySlice(4, 5, 0, 0.0, X)
+        sl = FrequencySlice(4, 5, X)
         decay = singular_decay(sl)
         assert decay[0] == pytest.approx(1.0)
         assert np.all(decay[1:] < 1e-12)
