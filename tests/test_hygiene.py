@@ -212,12 +212,12 @@ def write_only_state(sources: list, readers: list) -> list:
     read in ``sources`` or ``readers`` names, reads inside the class's own
     ``__post_init__`` aside.
 
-    Reads are matched by attribute name alone, so a field is missed when
-    another object's attribute of the same name is read: at the time of
-    writing, ``MeasurementOp.mask`` (a config's ``mask`` is read),
-    ``SamplingMask.keep_fraction`` (a ``JitterSpec``'s is read) and
-    ``FrequencySlice.freq_hz`` (a ``SliceReport``'s is read) would pass
-    while written only.
+    Reads are matched by attribute name alone, so a field that is only
+    written still passes when an attribute of the same name is read on
+    another object: an operator's ``mask`` would pass because a config's
+    ``mask`` is read, and so would a mask's ``keep_fraction`` (a
+    ``JitterSpec``'s is read) or a slice's ``freq_hz`` (a ``SliceReport``'s
+    is read).
     """
     trees = [ast.parse(source) for source in sources]
     reads = _attribute_reads(trees + [ast.parse(source) for source in readers])
