@@ -23,7 +23,7 @@ import os
 import numpy as np
 
 from .sampling import SamplingMask
-from .volume import AXIS_CODES, AXIS_LABELS, ComplexVolume
+from .volume import AXIS_CODES, AXIS_LABELS, ComplexVolume, buffer_view
 
 VOLUME_MAGIC = b"LRV1"
 MASK_MAGIC = b"LRM1"
@@ -168,16 +168,23 @@ def _transfer(fd: int, data: np.ndarray, pos: int, extents, box, write: bool):
         _move(call, fd, raw[i * nbytes:(i + 1) * nbytes], at)
 
 
-def _read_file(path, magic: bytes, with_scalar: bool, what: str, block=None):
+def _read_file(path, magic: bytes, with_scalar: bool, what: str, block=None, out=None):
     """Axis labels and payload of an LRV1/LRM1 file, or of the box of it
     that ``block`` names.  The header and the payload length are checked
     before any of the payload is read; the payload goes straight into the
-    array returned."""
+    array returned, which is the leading elements of the complex128 buffer
+    ``out`` (see :func:`buffer_view`) if one is given.  A payload of
+    another scalar type is then read into a staging array and copied."""
     with open(path, "rb") as fh:
         axes, extents, dtype, pos = _open_payload(fh, magic, with_scalar, what)
         box = _box(axes, extents, block)
-        data = np.empty([stop - start for start, stop in box], dtype=dtype)
+        shape = [stop - start for start, stop in box]
+        direct = out is not None and dtype == out.dtype
+        data = buffer_view(out, shape) if direct else np.empty(shape, dtype=dtype)
         _transfer(fh.fileno(), data, pos, extents, box, write=False)
+    if out is not None and not direct:
+        staged, data = data, buffer_view(out, shape)
+        data[...] = staged
     return axes, data
 
 
@@ -252,14 +259,19 @@ def write_volume(vol: ComplexVolume, path: str | os.PathLike, single_precision: 
         _transfer(fh.fileno(), payload, pos, extents, box, write=True)
 
 
-def read_volume(path: str | os.PathLike, block: dict | None = None) -> ComplexVolume:
+def read_volume(path: str | os.PathLike, block: dict | None = None,
+                out: np.ndarray | None = None) -> ComplexVolume:
     """Read an LRV1 file back into a volume; a complex64 payload is
     widened to complex128.
 
     ``block`` maps axis labels to slices and reads only that box of the
     volume, in the file's axis order; axes it leaves out are read whole.
+    With ``out``, a buffer as for :func:`lrfill.volume.buffer_view`, the
+    samples are read into its leading elements and the volume returned
+    lies over them (:meth:`ComplexVolume.over`).
     """
-    return ComplexVolume(*_read_file(path, VOLUME_MAGIC, True, "volume payload", block))
+    axes, data = _read_file(path, VOLUME_MAGIC, True, "volume payload", block, out)
+    return ComplexVolume(axes, data) if out is None else ComplexVolume.over(axes, data)
 
 
 def write_mask(mask: SamplingMask, path: str | os.PathLike):

@@ -32,6 +32,7 @@ from .volume import (
     SPATIAL_AXES,
     AxisLayoutError,
     ComplexVolume,
+    buffer_view,
     dft_time_axis,
     freq_values_hz,
     idft_freq_axis,
@@ -41,11 +42,12 @@ CANONICAL_AXES = ("t", "rx", "ry", "sx", "sy")
 
 SOLVERS = ("pd", "levelset")
 
-# Bytes of complex128 samples in one block of traces.  A run holds about
-# three blocks at a time besides the in-band bins, so blocks are kept
-# small; but a full block (at least _BLOCK_FILL of this) stays above the
-# 4 MiB from which numpy asks the kernel for transparent huge pages, so
-# that each fresh block array is not faulted in 4 KiB at a time.
+# Bytes of complex128 samples in one block of traces.  Each pass of a run
+# works in two buffers of one block, allocated once, besides the in-band
+# bins, so this bounds the run's memory.  Much smaller blocks are read in
+# more and shorter runs: on a 16x16x10x10 grid of 512 samples, 1 MiB blocks
+# took twice as long as blocks of 2.5 to 20 MiB, which all took about the
+# same time while the peak RSS rose from 46 to 80 MB.
 BLOCK_BYTES = 5 << 20
 # Share of the fullest box's traces that a block must hold; see _block_shape.
 _BLOCK_FILL = 0.9
@@ -181,18 +183,24 @@ def load_config(path, overrides: dict | None = None) -> PipelineConfig:
     return config_from_dict(raw)
 
 
-def mask_volume(vol: ComplexVolume, mask: SamplingMask,
-                block: dict | None = None) -> ComplexVolume:
+def mask_volume(vol: ComplexVolume, mask: SamplingMask, block: dict | None = None,
+                out: np.ndarray | None = None) -> ComplexVolume:
     """Zero the traces of unobserved grid points (mask is time-invariant).
     For a block of a volume, ``block`` is the slice per spatial axis that
-    it covers (see :func:`trace_blocks`), and the mask is cut to match."""
+    it covers (see :func:`trace_blocks`), and the mask is cut to match.
+    With ``out``, a buffer as for :func:`buffer_view`, the masked volume is
+    written into its leading elements, which may be the ones that hold
+    ``vol``, and the volume returned lies over them."""
     vol = vol.reordered(_canonical_axes(vol))
     grid = mask.grid if block is None else mask.grid[_spatial_index(block)]
     if grid.shape != vol.dims[1:]:
         raise ValueError(
             f"mask grid {grid.shape} does not match spatial dims {vol.dims[1:]}"
         )
-    return ComplexVolume(vol.axes, vol.data * grid[None])
+    if out is None:
+        return ComplexVolume(vol.axes, vol.data * grid[None])
+    masked = np.multiply(vol.data, grid[None], out=buffer_view(out, vol.dims))
+    return ComplexVolume.over(vol.axes, masked)
 
 
 def _canonical_axes(vol: ComplexVolume):
@@ -293,6 +301,74 @@ def _solve_one(op, b, freq_hz, rank, cfg: PipelineConfig, bin_index: int):
     return X, rep
 
 
+def _block_buffer(dims: tuple) -> np.ndarray:
+    """A buffer for any block of :func:`trace_blocks`; the first block is
+    the largest, since each axis is cut from its start."""
+    first = next(trace_blocks(dims))
+    return np.empty(dims[0] * math.prod(s.stop - s.start for s in first.values()),
+                    dtype=np.complex128)
+
+
+def _read_band(cfg: PipelineConfig, dims: tuple, mask: SamplingMask, in_band: list):
+    """Pass 1 of :func:`run_interpolation`: the in-band bins of the masked
+    input and of the truth (``None`` without one), and the sums of squares
+    of the masked input, of its imaginary part, of the truth and of the
+    output's error in the out-of-band bins.  Each block goes through two
+    buffers that the pass allocates once and drops when it returns."""
+    observed = np.empty((len(in_band),) + dims[1:], dtype=np.complex128)
+    truth = None if cfg.truth is None else np.empty_like(observed)
+    inputs = _block_buffer(dims)
+    truths = None if truth is None else _block_buffer(dims)
+    total_sq = imag_sq = truth_sq = err_sq = 0.0
+    for block in trace_blocks(dims):
+        at = (slice(None),) + _spatial_index(block)
+        masked = mask_volume(read_volume(cfg.input, block, out=inputs), mask, block,
+                             out=inputs)
+        total_sq += _energy(masked.data)
+        imag_sq += _imag_energy(masked.data)
+        spectrum = dft_time_axis(masked, out=inputs).data
+        observed[at] = spectrum[in_band]
+        if truth is not None:
+            true_spectrum = dft_time_axis(
+                read_volume(cfg.truth, block, out=truths).reordered(CANONICAL_AXES),
+                out=truths).data
+            truth_sq += _energy(true_spectrum)
+            truth[at] = true_spectrum[in_band]
+            # The output's out-of-band bins are the observed ones.
+            miss = buffer_view(truths, true_spectrum.shape)
+            miss -= spectrum
+            miss[in_band] = 0.0
+            err_sq += _energy(miss)
+    return observed, truth, (total_sq, imag_sq, truth_sq, err_sq)
+
+
+def _write_output(cfg: PipelineConfig, dims: tuple, mask: SamplingMask, in_band: list,
+                  corrections: np.ndarray) -> tuple:
+    """Pass 2 of :func:`run_interpolation`: write the output, the masked
+    input plus the inverse DFT of the in-band ``corrections``, block by
+    block through two buffers, and return its sum of squares and that of
+    its imaginary part."""
+    out_sq = out_imag_sq = 0.0
+    with create_volume(cfg.output, CANONICAL_AXES, dims) as partial:
+        inputs, fixes = _block_buffer(dims), _block_buffer(dims)
+        for block in trace_blocks(dims):
+            part = corrections[(slice(None),) + _spatial_index(block)]
+            spectrum = buffer_view(fixes, (dims[0],) + part.shape[1:])
+            spectrum[...] = 0.0
+            spectrum[in_band] = part
+            fix = idft_freq_axis(ComplexVolume.over(("f",) + SPATIAL_AXES, spectrum),
+                                 out=fixes)
+            masked = mask_volume(read_volume(cfg.input, block, out=inputs), mask, block,
+                                 out=inputs)
+            total = buffer_view(inputs, masked.dims)
+            total += fix.data
+            out = ComplexVolume.over(CANONICAL_AXES, total)
+            write_volume(out, partial, block=block)
+            out_sq += _energy(out.data)
+            out_imag_sq += _imag_energy(out.data)
+    return out_sq, out_imag_sq
+
+
 def run_interpolation(cfg: PipelineConfig) -> RunResult:
     """Execute a full run; writes the completed volume and the report CSV.
 
@@ -308,7 +384,9 @@ def run_interpolation(cfg: PipelineConfig) -> RunResult:
     it into its place in the output, so out-of-band bins pass through as
     observed.  The overall error is summed bin by bin, out of band in pass
     1 and in band by each solve, so that it stays exact near a perfect
-    reconstruction.  The headers are checked before any data is read, and
+    reconstruction.  Each pass works in two buffers of one block that it
+    allocates once, and pass 1 drops its own before the solve.  The
+    headers are checked before any data is read, and
     the output is built under a temporary name that it takes only when
     pass 2 ends, so a run that stops early leaves no output.
 
@@ -333,31 +411,8 @@ def run_interpolation(cfg: PipelineConfig) -> RunResult:
     in_band = np.flatnonzero((np.abs(freqs) >= cfg.f_min)
                              & (np.abs(freqs) <= cfg.f_max)).tolist()
 
-    # Pass 1.  The observed bins, and the truth's for the SNRs.  Each
-    # block's arrays are dropped before the next block is read.
-    observed = np.empty((len(in_band),) + extents, dtype=np.complex128)
-    truth = None if cfg.truth is None else np.empty_like(observed)
-    total_sq = imag_sq = truth_sq = err_sq = 0.0
-    for block in trace_blocks(dims):
-        at = (slice(None),) + _spatial_index(block)
-        masked = mask_volume(read_volume(cfg.input, block), mask, block)
-        total_sq += _energy(masked.data)
-        imag_sq += _imag_energy(masked.data)
-        spectrum = dft_time_axis(masked).data
-        del masked
-        observed[at] = spectrum[in_band]
-        if truth is not None:
-            true_spectrum = dft_time_axis(
-                read_volume(cfg.truth, block).reordered(CANONICAL_AXES)).data
-            truth_sq += _energy(true_spectrum)
-            truth[at] = true_spectrum[in_band]
-            # The output's out-of-band bins are the observed ones.
-            miss = true_spectrum - spectrum
-            del true_spectrum
-            miss[in_band] = 0.0
-            err_sq += _energy(miss)
-            del miss
-        del spectrum
+    observed, truth, (total_sq, imag_sq, truth_sq, err_sq) = _read_band(
+        cfg, dims, mask, in_band)
     if truth is not None and truth_sq == 0.0:
         raise ValueError("SNR undefined for all-zero truth")
     real_input = total_sq == 0.0 or math.sqrt(imag_sq) <= 1e-12 * math.sqrt(total_sq)
@@ -428,22 +483,7 @@ def run_interpolation(cfg: PipelineConfig) -> RunResult:
     if cfg.truth is not None:
         result.overall_snr_db = snr_from_norms(math.sqrt(truth_sq), math.sqrt(err_sq))
 
-    # Pass 2.  Output = masked input + inverse DFT of the corrections.
-    out_sq = out_imag_sq = 0.0
-    with create_volume(cfg.output, CANONICAL_AXES, dims) as partial:
-        for block in trace_blocks(dims):
-            part = corrections[(slice(None),) + _spatial_index(block)]
-            spectrum = np.zeros((nt,) + part.shape[1:], dtype=np.complex128)
-            spectrum[in_band] = part
-            fix = idft_freq_axis(ComplexVolume(("f",) + SPATIAL_AXES, spectrum))
-            del spectrum
-            masked = mask_volume(read_volume(cfg.input, block), mask, block)
-            out = ComplexVolume(CANONICAL_AXES, masked.data + fix.data)
-            del masked, fix
-            write_volume(out, partial, block=block)
-            out_sq += _energy(out.data)
-            out_imag_sq += _imag_energy(out.data)
-            del out
+    out_sq, out_imag_sq = _write_output(cfg, dims, mask, in_band, corrections)
     if out_sq > 0:
         result.imag_leakage = math.sqrt(out_imag_sq / out_sq)
     result.wall_s = time.perf_counter() - t_run

@@ -9,6 +9,7 @@ name, never by assumed order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,13 +39,39 @@ class ComplexVolume:
         place, not copied, so whoever hands it over gives up writing to it.
         Any other array (a view, another dtype or layout) is copied into
         a new C-contiguous complex128 array first, so a volume never shares
-        memory with an array that someone else can still write.
+        memory with an array that someone else can still write, unless it
+        is made by :meth:`over`.
     """
 
     axes: tuple
     data: np.ndarray
 
     def __post_init__(self):
+        arr = self.data
+        if not (type(arr) is np.ndarray and arr.flags.owndata
+                and arr.dtype == np.complex128 and arr.flags.c_contiguous):
+            arr = np.array(arr, dtype=np.complex128, order="C", copy=True)
+        self._take(arr)
+
+    @classmethod
+    def over(cls, axes, data: np.ndarray) -> "ComplexVolume":
+        """A volume whose data is a read-only view of ``data``, a
+        C-contiguous complex128 array that the caller keeps writing: a block
+        buffer used again for the next block.  It is checked as any volume
+        is, but neither copied nor frozen, so its values change when the
+        caller writes ``data`` again; the caller must be done with it first.
+        """
+        if not (type(data) is np.ndarray and data.dtype == np.complex128
+                and data.flags.c_contiguous):
+            raise ValueError("a volume over a buffer needs C-contiguous complex128 data")
+        vol = object.__new__(cls)
+        object.__setattr__(vol, "axes", axes)
+        vol._take(data.view())
+        return vol
+
+    def _take(self, arr: np.ndarray):
+        """Check the axes and ``arr`` and make them the volume's, with
+        ``arr`` frozen."""
         axes = tuple(self.axes)
         for label in axes:
             if label not in AXIS_CODES:
@@ -53,10 +80,6 @@ class ComplexVolume:
             raise AxisLayoutError(f"duplicate axis labels in {axes}")
         if ("t" in axes) == ("f" in axes):
             raise AxisLayoutError("exactly one of axes 't' and 'f' is required")
-        arr = self.data
-        if not (type(arr) is np.ndarray and arr.flags.owndata
-                and arr.dtype == np.complex128 and arr.flags.c_contiguous):
-            arr = np.array(arr, dtype=np.complex128, order="C", copy=True)
         if arr.ndim != len(axes):
             raise AxisLayoutError(
                 f"data has {arr.ndim} dimensions but {len(axes)} axes declared"
@@ -113,26 +136,49 @@ class FrequencySlice:
         self.data = arr
 
 
-def dft_time_axis(vol: ComplexVolume) -> ComplexVolume:
+def buffer_view(buffer: np.ndarray, shape) -> np.ndarray:
+    """The leading elements of ``buffer``, a writable C-contiguous complex128
+    array, as an array of ``shape`` over the same memory: a buffer sized
+    for the largest block holds each block in its first elements."""
+    if not (buffer.dtype == np.complex128 and buffer.flags.c_contiguous
+            and buffer.flags.writeable):
+        raise ValueError("a buffer must be a writable C-contiguous complex128 array")
+    count = math.prod(shape)
+    if buffer.size < count:
+        raise ValueError(f"a buffer of {buffer.size} elements cannot hold {tuple(shape)}")
+    return buffer.reshape(-1)[:count].reshape(shape)
+
+
+def _transform(fft, vol: ComplexVolume, src: str, dst: str, out) -> ComplexVolume:
+    """Unitary ``fft`` along axis ``src`` of ``vol``, relabeled ``dst``; into
+    the leading elements of the buffer ``out`` unless it is ``None``."""
+    k = vol.axis_index(src)
+    axes = tuple(dst if a == src else a for a in vol.axes)
+    if out is None:
+        return ComplexVolume(axes, fft(vol.data, axis=k, norm="ortho"))
+    dest = buffer_view(out, vol.dims)
+    return ComplexVolume.over(axes, fft(vol.data, axis=k, norm="ortho", out=dest))
+
+
+def dft_time_axis(vol: ComplexVolume, out: np.ndarray | None = None) -> ComplexVolume:
     """Unitary forward DFT along the time axis; relabels ``t`` to ``f``.
 
     Unitary (1/sqrt(N) both ways) normalization keeps Frobenius norms
     identical in both domains, so residual thresholds are comparable no
     matter which side they are measured on.
+
+    With ``out``, a buffer as for :func:`buffer_view`, the spectrum is
+    written into its leading elements, which may be the ones that hold
+    ``vol`` (the DFT is then taken in place, with the same result), and
+    the volume returned lies over them (:meth:`ComplexVolume.over`).
     """
-    k = vol.axis_index("t")
-    spec = np.fft.fft(vol.data, axis=k, norm="ortho")
-    axes = tuple("f" if a == "t" else a for a in vol.axes)
-    return ComplexVolume(axes, spec)
+    return _transform(np.fft.fft, vol, "t", "f", out)
 
 
-def idft_freq_axis(vol: ComplexVolume) -> ComplexVolume:
+def idft_freq_axis(vol: ComplexVolume, out: np.ndarray | None = None) -> ComplexVolume:
     """Unitary inverse DFT along the frequency axis; exact inverse of
-    :func:`dft_time_axis`."""
-    k = vol.axis_index("f")
-    series = np.fft.ifft(vol.data, axis=k, norm="ortho")
-    axes = tuple("t" if a == "f" else a for a in vol.axes)
-    return ComplexVolume(axes, series)
+    :func:`dft_time_axis`, and written into ``out`` as it is."""
+    return _transform(np.fft.ifft, vol, "f", "t", out)
 
 
 def freq_values_hz(n: int, dt: float) -> np.ndarray:

@@ -198,11 +198,16 @@ def test_block_read_is_the_box_of_the_whole(tmp_path, layout, single):
     path = tmp_path / "v.lrv"
     write_volume(vol, path, single_precision=single)
     whole = read_volume(path)
+    # A buffer used for every block, read into its leading elements.
+    buffer = np.full(vol.data.size, np.nan, dtype=np.complex128)
     for block in BLOCKS:
         part = read_volume(path, block)
         assert part.axes == vol.axes
         assert part.data.dtype == np.complex128
         np.testing.assert_array_equal(part.data, whole.data[_index(vol, block)])
+        into = read_volume(path, block, out=buffer)
+        assert into.axes == vol.axes and np.shares_memory(into.data, buffer)
+        np.testing.assert_array_equal(into.data, part.data)
 
 
 def test_blocks_written_into_place_make_the_whole_file(tmp_path, layout):

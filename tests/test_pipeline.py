@@ -1,3 +1,5 @@
+import math
+import os
 import sys
 import tracemalloc
 
@@ -402,6 +404,16 @@ def test_run_holds_few_copies_of_the_volume(tmp_path):
     assert peak <= 4 * nbytes, f"peak {peak / nbytes:.2f} volumes"
 
 
+def test_run_holds_two_blocks_per_pass(tmp_path):
+    # Each pass reads, masks and transforms its blocks in two buffers of
+    # the largest block, allocated once: the run's peak is little more.
+    peak, _, _ = _long_record_run(tmp_path, 8192)
+    dims = (8192, 4, 3, 3, 2)
+    block = 16 * dims[0] * max(math.prod(s.stop - s.start for s in b.values())
+                               for b in pipeline.trace_blocks(dims))
+    assert peak <= 2.5 * block, f"peak {peak / block:.2f} blocks"
+
+
 @pytest.mark.slow
 def test_run_memory_does_not_grow_with_the_record(tmp_path):
     # The run streams blocks of traces: its peak is a fraction of the
@@ -456,8 +468,81 @@ def test_blocks_give_the_output_of_one_block(tmp_path, monkeypatch, traces):
     assert res_many.imag_leakage == pytest.approx(res_one.imag_leakage, rel=1e-6)
 
 
-def _masked_run(tmp_path, output, truth=None):
-    cfg = PipelineConfig(input=str(tmp_path / "in.lrv"), output=str(output),
+def _block_counts(monkeypatch):
+    """Count the calls a run makes to the names that ``lrfill.pipeline``
+    looks up for each stage of a block and for each solve, by name, and
+    check that each path argument names an existing file."""
+    counts = dict.fromkeys(("read_volume", "mask_volume", "dft_time_axis",
+                            "idft_freq_axis", "write_volume", "interpolate_slice"), 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            if name == "read_volume":
+                assert os.path.isfile(args[0])
+            if name == "write_volume":
+                assert os.path.isfile(args[1]) and "block" in kwargs
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(pipeline, name, counting(name, getattr(pipeline, name)))
+    return counts
+
+
+@pytest.mark.parametrize("f_min, f_max, solved", [(200.0, 210.0, 0), (3.0, 70.0, 4)])
+def test_run_calls_each_stage_once_per_block(tmp_path, monkeypatch, f_min, f_max, solved):
+    # Outside tools time a run by wrapping these names: a run whose band
+    # holds no bin still takes an inverse DFT of each block, and a run
+    # solves each of its bins through ``interpolate_slice`` once.
+    write_volume(small_volume(), tmp_path / "in.lrv")
+    write_mask(jittered_volume_mask(4, 3, 3, 2, 0.5, seed=1), tmp_path / "mask.lrm")
+    monkeypatch.setattr(pipeline, "BLOCK_BYTES", 16 * 16 * 5)
+    blocks = len(list(pipeline.trace_blocks((16, 4, 3, 3, 2))))
+    counts = _block_counts(monkeypatch)
+    cfg = PipelineConfig(input=str(tmp_path / "in.lrv"), output=str(tmp_path / "out.lrv"),
+                         mask=str(tmp_path / "mask.lrm"), truth=str(tmp_path / "in.lrv"),
+                         rank=3, f_min=f_min, f_max=f_max, outer_iters=2,
+                         inner_iters=50)
+    res = run_interpolation(cfg)
+    assert counts == {"read_volume": 3 * blocks, "mask_volume": 2 * blocks,
+                      "dft_time_axis": 2 * blocks, "idft_freq_axis": blocks,
+                      "write_volume": blocks, "interpolate_slice": len(res.rows)}
+    assert res.failed == 0 and len(res.rows) == solved
+
+
+@pytest.mark.parametrize("bad", ["input", "truth"])
+def test_non_finite_sample_in_the_last_block_stops_before_any_solve(
+        tmp_path, monkeypatch, bad):
+    # Every block read into the reused buffers is checked: a NaN in the
+    # last block of the input or of the truth stops the run before any
+    # slice is solved, and leaves no output.
+    vol = small_volume()
+    for name in ("input", "truth"):
+        write_volume(vol, tmp_path / f"{name}.lrv")
+    write_mask(jittered_volume_mask(4, 3, 3, 2, 0.5, seed=1), tmp_path / "mask.lrm")
+    monkeypatch.setattr(pipeline, "BLOCK_BYTES", 16 * 16 * 5)
+    last = list(pipeline.trace_blocks(vol.dims))[-1]
+    at = np.ravel_multi_index((vol.dims[0] - 1,) + tuple(s.stop - 1 for s in last.values()),
+                              vol.dims)
+    path = tmp_path / f"{bad}.lrv"
+    with open(path, "r+b") as fh:
+        fh.seek(os.path.getsize(path) - vol.data.nbytes + 16 * int(at))
+        fh.write(np.array([np.nan], dtype=np.complex128).tobytes())
+    counts = _block_counts(monkeypatch)
+    with pytest.raises(ValueError, match="non-finite"):
+        _masked_run(tmp_path, tmp_path / "out.lrv", truth=tmp_path / "truth.lrv",
+                    input=tmp_path / "input.lrv")
+    assert counts["interpolate_slice"] == 0
+    # Pass 1 reads the input, then the truth, of each block.
+    blocks = len(list(pipeline.trace_blocks(vol.dims)))
+    assert counts["read_volume"] == 2 * blocks - (bad == "input")
+    assert not (tmp_path / "out.lrv").exists()
+    assert not (tmp_path / "out.lrv.part").exists()
+
+
+def _masked_run(tmp_path, output, truth=None, input=None):
+    cfg = PipelineConfig(input=str(input or tmp_path / "in.lrv"), output=str(output),
                          mask=str(tmp_path / "mask.lrm"), truth=truth and str(truth),
                          rank=3, eta_fraction=0.01, alpha=0.5, outer_iters=8, inner_iters=400)
     return run_interpolation(cfg)
@@ -540,6 +625,29 @@ def test_any_layout_runs_as_the_canonical_complex128_file(tmp_path, layout):
     else:
         out, res = run("other", lambda path: write_volume(vol.reordered(layout), path))
     assert out.axes == ref_out.axes == CANONICAL_AXES
+    assert np.linalg.norm(out.data - ref_out.data) <= 1e-12 * np.linalg.norm(ref_out.data)
+    assert res.overall_snr_db == pytest.approx(ref.overall_snr_db, rel=1e-12)
+
+
+def test_uneven_blocks_of_a_complex64_file_in_another_order(tmp_path, monkeypatch):
+    # Blocks of 4 and 2 traces, each staged from a complex64 file in another
+    # axis order into buffers that still hold the previous block, give the
+    # output and SNR of the canonical complex128 file run in one block.
+    vol = small_volume()
+    vol = ComplexVolume(vol.axes, vol.data.astype(np.complex64))
+    write_volume(vol, tmp_path / "canonical.lrv")
+    write_volume(vol.reordered(("sy", "sx", "ry", "rx", "t")), tmp_path / "other.lrv",
+                 single_precision=True)
+    write_mask(jittered_volume_mask(4, 3, 3, 2, 0.5, seed=1), tmp_path / "mask.lrm")
+    ref = _masked_run(tmp_path, tmp_path / "ref.lrv", truth=tmp_path / "canonical.lrv",
+                      input=tmp_path / "canonical.lrv")
+    monkeypatch.setattr(pipeline, "BLOCK_BYTES", 16 * 16 * 5)
+    sizes = [math.prod(s.stop - s.start for s in b.values())
+             for b in pipeline.trace_blocks(vol.dims)]
+    assert len(sizes) == 24 and set(sizes) == {4, 2}
+    res = _masked_run(tmp_path, tmp_path / "out.lrv", truth=tmp_path / "other.lrv",
+                      input=tmp_path / "other.lrv")
+    out, ref_out = read_volume(tmp_path / "out.lrv"), read_volume(tmp_path / "ref.lrv")
     assert np.linalg.norm(out.data - ref_out.data) <= 1e-12 * np.linalg.norm(ref_out.data)
     assert res.overall_snr_db == pytest.approx(ref.overall_snr_db, rel=1e-12)
 

@@ -4,6 +4,7 @@ import pytest
 from lrfill.volume import (
     AxisLayoutError,
     ComplexVolume,
+    buffer_view,
     dft_time_axis,
     freq_values_hz,
     idft_freq_axis,
@@ -74,6 +75,21 @@ class TestComplexVolume:
         assert not np.shares_memory(vol.data, data)
         assert data.flags.writeable
 
+    def test_volume_over_a_buffer(self):
+        # The volume shares the buffer and cannot write it; the buffer stays
+        # writable, and its values are checked as any volume's are.
+        buffer = np.zeros(10, dtype=np.complex128)
+        vol = ComplexVolume.over(("t", "rx"), buffer_view(buffer, (2, 3)))
+        assert vol.dims == (2, 3) and np.shares_memory(vol.data, buffer)
+        assert not vol.data.flags.writeable and buffer.flags.writeable
+        buffer[5] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            ComplexVolume.over(("t", "rx"), buffer_view(buffer, (2, 3)))
+        with pytest.raises(ValueError, match="cannot hold"):
+            buffer_view(buffer, (3, 4))
+        with pytest.raises(ValueError, match="complex128"):
+            buffer_view(np.zeros(10), (2, 3))
+
     def test_reordered_same_order_is_self(self):
         vol = random_volume(np.random.default_rng(0))
         assert vol.reordered(vol.axes) is vol
@@ -104,6 +120,19 @@ class TestDft:
         err = np.linalg.norm(back.data - vol.data) / np.linalg.norm(vol.data)
         assert err < 1e-12
         assert back.axes == vol.axes
+
+    def test_transforms_into_a_buffer(self):
+        # Into a larger buffer, and then in place over their own input, the
+        # pair gives the fresh results bit for bit.
+        vol = random_volume(np.random.default_rng(3))
+        buffer = np.full(vol.data.size + 7, np.nan, dtype=np.complex128)
+        spec = dft_time_axis(vol)
+        into = dft_time_axis(vol, out=buffer)
+        assert into.axes == spec.axes and np.shares_memory(into.data, buffer)
+        np.testing.assert_array_equal(into.data, spec.data)
+        back = idft_freq_axis(into, out=buffer)
+        assert back.axes == vol.axes and np.shares_memory(back.data, buffer)
+        np.testing.assert_array_equal(back.data, idft_freq_axis(spec).data)
 
     def test_parseval(self):
         rng = np.random.default_rng(2)
