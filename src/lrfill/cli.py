@@ -27,7 +27,7 @@ from .reporting import compare_reports, read_report, snr_db, write_comparison
 from .sampling import SamplingMask, jittered_volume_mask, uniform_entry_mask
 from .synthgen import EventSpec, PlantSpec, linear_events, plant_slice
 from .transforms import MODES, Matricization, singular_decay
-from .volume import ComplexVolume, dft_time_axis, freq_values_hz
+from .volume import SPATIAL_AXES, ComplexVolume, dft_time_axis, freq_values_hz
 
 
 def _parse_floats(text, n, what):
@@ -61,8 +61,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_subsample(args) -> int:
-    vol = read_volume(args.input).reordered(CANONICAL_AXES)
-    _, n_rx, n_ry, n_sx, n_sy = vol.dims
+    vol = read_volume(args.input, axes=CANONICAL_AXES)
+    n_rx, n_ry, n_sx, n_sy, _ = vol.dims
     if args.scheme == "jittered":
         mask = jittered_volume_mask(n_rx, n_ry, n_sx, n_sy, args.keep,
                                     seed=args.seed, axis=args.axis,
@@ -97,7 +97,7 @@ def cmd_interpolate(args) -> int:
 
 def cmd_evaluate(args) -> int:
     truth = read_volume(args.truth)
-    estimate = read_volume(args.estimate).reordered(truth.axes)
+    estimate = read_volume(args.estimate, axes=truth.axes)
     value = snr_db(truth.data, estimate.data)
     print(f"SNR {value:.2f} dB")
     return 0
@@ -108,9 +108,8 @@ def cmd_svdscan(args) -> int:
         raise ValueError("--dt must be a positive finite number")
     vol = read_volume(args.input)
     if vol.has_axis("t"):
-        vol = dft_time_axis(vol.reordered(CANONICAL_AXES))
-    else:
-        vol = vol.reordered(("f",) + CANONICAL_AXES[1:])
+        vol = dft_time_axis(vol)
+    vol = vol.reordered(("f",) + SPATIAL_AXES)
     nt = vol.dims[0]
     freqs = freq_values_hz(nt, args.dt)
     k = int(np.argmin(np.abs(np.abs(freqs) - args.freq)))

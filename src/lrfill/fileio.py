@@ -12,18 +12,26 @@ LRV1 layout, all integers little-endian:
 
 LRM1 is the same header without the scalar-code byte; its payload is one
 byte per grid point (1 = observed, 0 = missing).
+
+lrfill writes its volumes trace-major, ``(rx, ry, sx, sy, t)``, the order
+of SEG-Y field data: every trace is contiguous, and a block of whole
+traces over whole trailing axes is one contiguous run of the payload.
+Files in any other axis order are read and written as well, one call per
+contiguous run, through a small staging array where the order asked for
+is not the file's.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 import os
 
 import numpy as np
 
 from .sampling import SamplingMask
-from .volume import AXIS_CODES, AXIS_LABELS, ComplexVolume, buffer_view
+from .volume import AXIS_CODES, AXIS_LABELS, AxisLayoutError, ComplexVolume, buffer_view
 
 VOLUME_MAGIC = b"LRV1"
 MASK_MAGIC = b"LRM1"
@@ -36,6 +44,12 @@ MAX_ELEMENTS = 1 << 40
 _MAX_HEADER = 4 + 1 + 1 + 1 + len(AXIS_LABELS) * (1 + 8)
 # Payload scalar type by scalar code.
 _VOLUME_DTYPES = ("<c16", "<c8")
+# Runs of a transfer whose offsets are built at a time, so that a box of
+# many short runs (a block of a time-first file) costs no list of them all.
+_CHUNK_RUNS = 4096
+# Most bytes of the array that stages a transfer in another scalar type or
+# axis order; it is allocated per transfer, so it is kept small.
+_STAGE_BYTES = 1 << 18
 
 
 class FileFormatError(ValueError):
@@ -128,18 +142,12 @@ def _box(axes, extents, block) -> list:
     return [(start, stop) for start, stop, _ in box]
 
 
-def _runs(extents, box):
-    """Element offsets of the contiguous runs of a C-ordered payload that
-    make up ``box``, in the box's own C order, and the length of a run."""
-    last = len(extents) - 1
-    while last > 0 and box[last] == (0, extents[last]):
-        last -= 1
-    strides = [math.prod(extents[i + 1:]) for i in range(len(extents))]
-    offsets = np.zeros(1, dtype=np.int64)
-    for (start, stop), stride in zip(box[:last], strides):
-        offsets = (offsets[:, None] + np.arange(start, stop) * stride).ravel()
-    start, stop = box[last]
-    return offsets + start * strides[last], (stop - start) * strides[last]
+def _order(axes, want) -> list:
+    """Positions in ``axes`` of the labels of ``want``, the same labels in
+    another order."""
+    if sorted(axes) != sorted(want):
+        raise AxisLayoutError(f"cannot reorder {axes} to {want}")
+    return [axes.index(a) for a in want]
 
 
 def _move(call, fd: int, view: memoryview, at: int):
@@ -152,39 +160,89 @@ def _move(call, fd: int, view: memoryview, at: int):
         view, at = view[done:], at + done
 
 
-def _bytes(data: np.ndarray) -> memoryview:
-    return memoryview(data.reshape(-1).view(np.uint8))
-
-
-def _transfer(fd: int, data: np.ndarray, pos: int, extents, box, write: bool):
-    """Read or write the C-contiguous ``data`` of ``box`` from or to the
-    payload at byte ``pos`` of the file, one call per contiguous run of the
-    box.  The payload is never mapped into memory."""
-    itemsize = data.dtype.itemsize
-    offsets, run = _runs(extents, box)
-    call = os.pwritev if write else os.preadv
-    raw, nbytes = _bytes(data), run * itemsize
-    for i, at in enumerate((pos + offsets * itemsize).tolist()):
+def _move_runs(call, fd: int, data: np.ndarray, offsets: np.ndarray):
+    """The C-contiguous ``data`` through :func:`_move`, in runs of equal
+    length, one at each byte offset of ``offsets``.  (A function of its
+    own: under ``tracemalloc`` every object made here looks up a line of
+    the function it is made in, which costs less in a short one.)"""
+    raw = memoryview(data.reshape(-1).view(np.uint8))
+    nbytes = len(raw) // len(offsets)
+    for i, at in enumerate(offsets.tolist()):
         _move(call, fd, raw[i * nbytes:(i + 1) * nbytes], at)
 
 
-def _read_file(path, magic: bytes, with_scalar: bool, what: str, block=None, out=None):
+def _transfer(fd: int, data: np.ndarray, pos: int, extents, box, dtype, write: bool):
+    """Read or write ``data``, the samples of ``box`` in the file's axis
+    order, from or to the payload of ``dtype`` at byte ``pos`` of the file,
+    one call per contiguous run of the box.  The payload is never mapped
+    into memory.
+
+    The runs are moved a chunk at a time, a box of at most ``_CHUNK_RUNS``
+    runs, so that a box of many short runs (a block of a time-first file)
+    costs no list of them all.  Data that is C-contiguous and of the
+    payload's type is moved in place; any other, such as a transposed view
+    of a block buffer, goes through a staging array of at most
+    ``_STAGE_BYTES`` (or one run) and is cast and transposed on the way.
+    """
+    if data.size == 0:
+        return
+    # A unit axis in front gives every box an axis that indexes its runs.
+    data, extents, box = data[None], (1, *extents), [(0, 1), *box]
+    last = len(extents) - 1
+    while last > 1 and box[last] == (0, extents[last]):
+        last -= 1
+    strides = [math.prod(extents[i + 1:]) for i in range(len(extents))]
+    lead, run = data.shape[:last], math.prod(data.shape[last:])
+    itemsize = np.dtype(dtype).itemsize
+    staged = data.dtype != dtype or not data.flags.c_contiguous
+    most = _CHUNK_RUNS
+    if staged:
+        most = max(1, min(most, _STAGE_BYTES // (run * itemsize)))
+    # A chunk takes one index of each lead axis before axis j, a range of
+    # axis j and all of the axes after it, whose runs lie ``inner`` apart.
+    j, inner = last - 1, np.zeros(1, dtype=np.int64)
+    while j > 0 and inner.size * lead[j] <= most:
+        inner = (np.arange(lead[j])[:, None] * strides[j] + inner).ravel()
+        j -= 1
+    width = min(lead[j], most // inner.size)
+    if staged:
+        stage = np.empty(width * inner.size * run, dtype=dtype)
+    first = sum(start * stride for (start, _), stride in zip(box, strides))
+    call = os.pwritev if write else os.preadv
+    for outer in itertools.product(*map(range, lead[:j])):
+        head = first + sum(i * stride for i, stride in zip(outer, strides))
+        for start in range(0, lead[j], width):
+            stop = min(start + width, lead[j])
+            view = data[outer + (slice(start, stop),)]
+            if staged:
+                part = stage[:view.size].reshape(view.shape)
+                if write:
+                    part[...] = view
+            offsets = pos + itemsize * (
+                head + np.arange(start, stop)[:, None] * strides[j] + inner).ravel()
+            _move_runs(call, fd, part if staged else view, offsets)
+            if staged and not write:
+                view[...] = part
+
+
+def _read_file(path, magic: bytes, with_scalar: bool, what: str, block=None, out=None,
+               axes=None):
     """Axis labels and payload of an LRV1/LRM1 file, or of the box of it
-    that ``block`` names.  The header and the payload length are checked
-    before any of the payload is read; the payload goes straight into the
-    array returned, which is the leading elements of the complex128 buffer
+    that ``block`` names, with its axes in the order ``axes`` (the file's
+    by default).  The header and the payload length are checked before any
+    of the payload is read; the payload goes straight into the array
+    returned, which is the leading elements of the complex128 buffer
     ``out`` (see :func:`buffer_view`) if one is given.  A payload of
-    another scalar type is then read into a staging array and copied."""
+    another scalar type or axis order is cast or transposed on the way,
+    through a staging array of bounded size (see :func:`_transfer`)."""
     with open(path, "rb") as fh:
-        axes, extents, dtype, pos = _open_payload(fh, magic, with_scalar, what)
-        box = _box(axes, extents, block)
-        shape = [stop - start for start, stop in box]
-        direct = out is not None and dtype == out.dtype
-        data = buffer_view(out, shape) if direct else np.empty(shape, dtype=dtype)
-        _transfer(fh.fileno(), data, pos, extents, box, write=False)
-    if out is not None and not direct:
-        staged, data = data, buffer_view(out, shape)
-        data[...] = staged
+        file_axes, extents, dtype, pos = _open_payload(fh, magic, with_scalar, what)
+        box = _box(file_axes, extents, block)
+        axes = file_axes if axes is None else tuple(axes)
+        shape = [box[i][1] - box[i][0] for i in _order(file_axes, axes)]
+        data = np.empty(shape, dtype=dtype) if out is None else buffer_view(out, shape)
+        _transfer(fh.fileno(), data.transpose(_order(axes, file_axes)), pos, extents, box,
+                  dtype, write=False)
     return axes, data
 
 
@@ -242,6 +300,8 @@ def write_volume(vol: ComplexVolume, path: str | os.PathLike, single_precision: 
     exist (see :func:`create_volume`): it is written into place in the
     file's axis order and scalar type, and nothing else of the file changes.
     The whole volume is written so too, as the box of every axis, ``{}``.
+    Samples are not checked for non-finite values here (see
+    :func:`lrfill.volume.check_finite`).
     """
     if block is None:
         with create_volume(path, vol.axes, vol.dims, int(single_precision)) as part:
@@ -252,25 +312,26 @@ def write_volume(vol: ComplexVolume, path: str | os.PathLike, single_precision: 
     with open(path, "r+b") as fh:
         axes, extents, dtype, pos = _open_payload(fh, VOLUME_MAGIC, True, "volume payload")
         box = _box(axes, extents, block)
-        vol = vol.reordered(axes)
-        if vol.dims != tuple(stop - start for start, stop in box):
-            raise ValueError(f"block of dims {vol.dims} does not fill the box {box}")
-        payload = np.ascontiguousarray(vol.data, dtype=dtype)
-        _transfer(fh.fileno(), payload, pos, extents, box, write=True)
+        data = vol.data.transpose(_order(vol.axes, axes))
+        if data.shape != tuple(stop - start for start, stop in box):
+            raise ValueError(f"block of dims {data.shape} does not fill the box {box}")
+        _transfer(fh.fileno(), data, pos, extents, box, dtype, write=True)
 
 
 def read_volume(path: str | os.PathLike, block: dict | None = None,
-                out: np.ndarray | None = None) -> ComplexVolume:
+                out: np.ndarray | None = None, axes: tuple | None = None) -> ComplexVolume:
     """Read an LRV1 file back into a volume; a complex64 payload is
     widened to complex128.
 
     ``block`` maps axis labels to slices and reads only that box of the
-    volume, in the file's axis order; axes it leaves out are read whole.
-    With ``out``, a buffer as for :func:`lrfill.volume.buffer_view`, the
+    volume; axes it leaves out are read whole.  The volume's axes are in
+    the file's order, or in the order ``axes`` of the same labels.  With
+    ``out``, a buffer as for :func:`lrfill.volume.buffer_view`, the
     samples are read into its leading elements and the volume returned
-    lies over them (:meth:`ComplexVolume.over`).
+    lies over them (:meth:`ComplexVolume.over`), unchecked for non-finite
+    values: the caller checks them.
     """
-    axes, data = _read_file(path, VOLUME_MAGIC, True, "volume payload", block, out)
+    axes, data = _read_file(path, VOLUME_MAGIC, True, "volume payload", block, out, axes)
     return ComplexVolume(axes, data) if out is None else ComplexVolume.over(axes, data)
 
 

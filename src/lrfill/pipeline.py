@@ -33,21 +33,27 @@ from .volume import (
     AxisLayoutError,
     ComplexVolume,
     buffer_view,
+    check_finite,
     dft_time_axis,
     freq_values_hz,
     idft_freq_axis,
 )
 
-CANONICAL_AXES = ("t", "rx", "ry", "sx", "sy")
+# Trace-major: each trace's samples are contiguous, in memory and in the
+# files the run writes, and the DFTs run along the last axis.
+CANONICAL_AXES = ("rx", "ry", "sx", "sy", "t")
 
 SOLVERS = ("pd", "levelset")
 
 # Bytes of complex128 samples in one block of traces.  Each pass of a run
 # works in two buffers of one block, allocated once, besides the in-band
-# bins, so this bounds the run's memory.  Much smaller blocks are read in
-# more and shorter runs: on a 16x16x10x10 grid of 512 samples, 1 MiB blocks
-# took twice as long as blocks of 2.5 to 20 MiB, which all took about the
-# same time while the peak RSS rose from 46 to 80 MB.
+# bins, so this bounds the run's memory.  A block of a trace-major file is
+# read in one call per run of whole traces, one in all when it spans whole
+# trailing axes, so a larger block saves calls only on a time-first file,
+# which takes a call per time sample and run; there, on a 16x16x10x10 grid
+# of 512 samples, 1 MiB blocks took twice as long as blocks of 2.5 to
+# 20 MiB, which all took about the same time while the peak RSS rose from
+# 46 to 80 MB.
 BLOCK_BYTES = 5 << 20
 # Share of the fullest box's traces that a block must hold; see _block_shape.
 _BLOCK_FILL = 0.9
@@ -186,26 +192,26 @@ def load_config(path, overrides: dict | None = None) -> PipelineConfig:
 def mask_volume(vol: ComplexVolume, mask: SamplingMask, block: dict | None = None,
                 out: np.ndarray | None = None) -> ComplexVolume:
     """Zero the traces of unobserved grid points (mask is time-invariant).
-    For a block of a volume, ``block`` is the slice per spatial axis that
-    it covers (see :func:`trace_blocks`), and the mask is cut to match.
-    With ``out``, a buffer as for :func:`buffer_view`, the masked volume is
+    The volume returned is in canonical, trace-major, axis order.  For a
+    block of a volume, ``block`` is the slice per spatial axis that it
+    covers (see :func:`trace_blocks`), and the mask is cut to match.  With
+    ``out``, a buffer as for :func:`buffer_view`, the masked volume is
     written into its leading elements, which may be the ones that hold
-    ``vol``, and the volume returned lies over them."""
+    ``vol``, and the volume returned lies over them, unchecked."""
     vol = vol.reordered(_canonical_axes(vol))
     grid = mask.grid if block is None else mask.grid[_spatial_index(block)]
-    if grid.shape != vol.dims[1:]:
+    if grid.shape != vol.dims[:-1]:
         raise ValueError(
-            f"mask grid {grid.shape} does not match spatial dims {vol.dims[1:]}"
+            f"mask grid {grid.shape} does not match spatial dims {vol.dims[:-1]}"
         )
     if out is None:
-        return ComplexVolume(vol.axes, vol.data * grid[None])
-    masked = np.multiply(vol.data, grid[None], out=buffer_view(out, vol.dims))
+        return ComplexVolume(vol.axes, vol.data * grid[..., None])
+    masked = np.multiply(vol.data, grid[..., None], out=buffer_view(out, vol.dims))
     return ComplexVolume.over(vol.axes, masked)
 
 
 def _canonical_axes(vol: ComplexVolume):
-    lead = "t" if vol.has_axis("t") else "f"
-    return (lead,) + CANONICAL_AXES[1:]
+    return SPATIAL_AXES + ("t" if vol.has_axis("t") else "f",)
 
 
 def _spatial_index(block: dict) -> tuple:
@@ -218,10 +224,11 @@ def _block_shape(extents: tuple, most: int) -> tuple:
     The boxes tried take whole trailing axes, a range of one axis, a range
     of the axis before it and one index of each axis before those.  Of the
     boxes that hold at least ``_BLOCK_FILL`` of the most any of them holds,
-    the one read in the fewest contiguous runs per time sample of a
-    canonical file is taken, the fuller of equals first: filling the budget
-    keeps the block's memory the same whatever the record length, and few
-    runs keep the reads few.
+    the one read in the fewest contiguous runs of a trace-major file is
+    taken, the fuller of equals first: filling the budget keeps the block's
+    memory the same whatever the record length, and few runs keep the reads
+    few.  A box over whole trailing axes is one run.  (A time-first file
+    takes these runs once per time sample.)
     """
     candidates = []
     for j, n in enumerate(extents):
@@ -238,12 +245,12 @@ def _block_shape(extents: tuple, most: int) -> tuple:
 
 
 def trace_blocks(dims: tuple):
-    """The blocks that tile a canonical ``(t, rx, ry, sx, sy)`` volume of
+    """The blocks that tile a canonical ``(rx, ry, sx, sy, t)`` volume of
     ``dims``, in order, each a slice per spatial axis: a box of whole
     traces, every time sample included, of at most ``BLOCK_BYTES`` of
     complex128 unless one trace is larger.  Generated one at a time, so
     that their number does not cost memory."""
-    nt, extents = dims[0], tuple(dims[1:])
+    nt, extents = dims[-1], tuple(dims[:-1])
     shape = _block_shape(extents, max(1, BLOCK_BYTES // (16 * max(nt, 1))))
     ranges = [[slice(a, min(a + b, n)) for a in range(0, n, b)]
               for n, b in zip(extents, shape)]
@@ -305,39 +312,45 @@ def _block_buffer(dims: tuple) -> np.ndarray:
     """A buffer for any block of :func:`trace_blocks`; the first block is
     the largest, since each axis is cut from its start."""
     first = next(trace_blocks(dims))
-    return np.empty(dims[0] * math.prod(s.stop - s.start for s in first.values()),
+    return np.empty(dims[-1] * math.prod(s.stop - s.start for s in first.values()),
                     dtype=np.complex128)
 
 
 def _read_band(cfg: PipelineConfig, dims: tuple, mask: SamplingMask, in_band: list):
     """Pass 1 of :func:`run_interpolation`: the in-band bins of the masked
-    input and of the truth (``None`` without one), and the sums of squares
-    of the masked input, of its imaginary part, of the truth and of the
-    output's error in the out-of-band bins.  Each block goes through two
-    buffers that the pass allocates once and drops when it returns."""
-    observed = np.empty((len(in_band),) + dims[1:], dtype=np.complex128)
+    input and of the truth (``None`` without one), bin-major, and the sums
+    of squares of the masked input, of its imaginary part, of the truth and
+    of the output's error in the out-of-band bins.  Each block goes through
+    two buffers that the pass allocates once and drops when it returns.
+    Every block read, and both spectra, since a DFT of finite samples can
+    overflow, are checked for non-finite values, so a bad sample stops the
+    run before any solve."""
+    observed = np.empty((len(in_band),) + dims[:-1], dtype=np.complex128)
     truth = None if cfg.truth is None else np.empty_like(observed)
     inputs = _block_buffer(dims)
     truths = None if truth is None else _block_buffer(dims)
     total_sq = imag_sq = truth_sq = err_sq = 0.0
     for block in trace_blocks(dims):
         at = (slice(None),) + _spatial_index(block)
-        masked = mask_volume(read_volume(cfg.input, block, out=inputs), mask, block,
-                             out=inputs)
+        read = read_volume(cfg.input, block, out=inputs, axes=CANONICAL_AXES)
+        check_finite(read.data)
+        masked = mask_volume(read, mask, block, out=inputs)
         total_sq += _energy(masked.data)
         imag_sq += _imag_energy(masked.data)
         spectrum = dft_time_axis(masked, out=inputs).data
-        observed[at] = spectrum[in_band]
+        check_finite(spectrum)
+        observed[at] = np.moveaxis(spectrum[..., in_band], -1, 0)
         if truth is not None:
-            true_spectrum = dft_time_axis(
-                read_volume(cfg.truth, block, out=truths).reordered(CANONICAL_AXES),
-                out=truths).data
+            read = read_volume(cfg.truth, block, out=truths, axes=CANONICAL_AXES)
+            check_finite(read.data)
+            true_spectrum = dft_time_axis(read, out=truths).data
+            check_finite(true_spectrum)
             truth_sq += _energy(true_spectrum)
-            truth[at] = true_spectrum[in_band]
+            truth[at] = np.moveaxis(true_spectrum[..., in_band], -1, 0)
             # The output's out-of-band bins are the observed ones.
             miss = buffer_view(truths, true_spectrum.shape)
             miss -= spectrum
-            miss[in_band] = 0.0
+            miss[..., in_band] = 0.0
             err_sq += _energy(miss)
     return observed, truth, (total_sq, imag_sq, truth_sq, err_sq)
 
@@ -347,21 +360,24 @@ def _write_output(cfg: PipelineConfig, dims: tuple, mask: SamplingMask, in_band:
     """Pass 2 of :func:`run_interpolation`: write the output, the masked
     input plus the inverse DFT of the in-band ``corrections``, block by
     block through two buffers, and return its sum of squares and that of
-    its imaginary part."""
+    its imaginary part.  Only the block written is checked for non-finite
+    values: one in the read, the mask product or the inverse DFT reaches
+    it, since NaN times 0 is NaN."""
     out_sq = out_imag_sq = 0.0
     with create_volume(cfg.output, CANONICAL_AXES, dims) as partial:
         inputs, fixes = _block_buffer(dims), _block_buffer(dims)
         for block in trace_blocks(dims):
             part = corrections[(slice(None),) + _spatial_index(block)]
-            spectrum = buffer_view(fixes, (dims[0],) + part.shape[1:])
+            spectrum = buffer_view(fixes, part.shape[1:] + (dims[-1],))
             spectrum[...] = 0.0
-            spectrum[in_band] = part
-            fix = idft_freq_axis(ComplexVolume.over(("f",) + SPATIAL_AXES, spectrum),
+            spectrum[..., in_band] = np.moveaxis(part, 0, -1)
+            fix = idft_freq_axis(ComplexVolume.over(SPATIAL_AXES + ("f",), spectrum),
                                  out=fixes)
-            masked = mask_volume(read_volume(cfg.input, block, out=inputs), mask, block,
-                                 out=inputs)
+            masked = mask_volume(read_volume(cfg.input, block, out=inputs,
+                                             axes=CANONICAL_AXES), mask, block, out=inputs)
             total = buffer_view(inputs, masked.dims)
             total += fix.data
+            check_finite(total)
             out = ComplexVolume.over(CANONICAL_AXES, total)
             write_volume(out, partial, block=block)
             out_sq += _energy(out.data)
@@ -385,17 +401,20 @@ def run_interpolation(cfg: PipelineConfig) -> RunResult:
     observed.  The overall error is summed bin by bin, out of band in pass
     1 and in band by each solve, so that it stays exact near a perfect
     reconstruction.  Each pass works in two buffers of one block that it
-    allocates once, and pass 1 drops its own before the solve.  The
-    headers are checked before any data is read, and
-    the output is built under a temporary name that it takes only when
-    pass 2 ends, so a run that stops early leaves no output.
+    allocates once, and pass 1 drops its own before the solve.  A block is
+    held trace-major whatever the order of its file, which is read one
+    call per contiguous run: one call for a block of a trace-major file
+    that spans whole trailing axes.  The headers are checked before any
+    data is read, and the output is written trace-major under a temporary
+    name that it takes only when pass 2 ends, so a run that stops early
+    leaves no output.
 
     Per-slice failures are recorded in their report row and the run
     continues; the result carries the failure count for the exit code.
     """
     t_run = time.perf_counter()
     dims = _canonical_dims(cfg.input, "input")
-    nt, extents = dims[0], dims[1:]
+    nt, extents = dims[-1], dims[:-1]
     if cfg.truth is not None and (truth_dims := _canonical_dims(cfg.truth, "truth")) != dims:
         raise ValueError(f"truth dims {truth_dims} != input dims {dims} "
                          f"(in {CANONICAL_AXES} order)")

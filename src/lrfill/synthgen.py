@@ -122,7 +122,8 @@ class EventSpec:
 
 
 def linear_events(spec: EventSpec) -> ComplexVolume:
-    """Time-domain volume of summed plane events (imaginary parts zero).
+    """Time-domain volume of summed plane events (imaginary parts zero),
+    trace-major: axes ``(rx, ry, sx, sy, t)``.
 
     Arrivals whose wavelet support reaches past the record edges are
     clipped; a warning reports how many.
@@ -132,7 +133,7 @@ def linear_events(spec: EventSpec) -> ComplexVolume:
     x_sx = np.arange(spec.n_sx) * spec.spacing_m
     x_sy = np.arange(spec.n_sy) * spec.spacing_m
     t = np.arange(spec.nt) * spec.dt
-    out = np.zeros((spec.nt, spec.n_rx, spec.n_ry, spec.n_sx, spec.n_sy))
+    out = np.zeros((spec.n_rx, spec.n_ry, spec.n_sx, spec.n_sy, spec.nt))
     half_width = 1.5 / spec.wavelet_peak_hz
     clipped = 0
     for t0, px, py, amp in spec.events:
@@ -140,8 +141,8 @@ def linear_events(spec: EventSpec) -> ComplexVolume:
         off_y = np.abs(x_ry[None, :, None, None] - x_sy[None, None, None, :])
         tau = t0 + px * off_x + py * off_y  # (n_rx, n_ry, n_sx, n_sy)
         clipped += int((tau < half_width).sum() + (tau > t[-1] - half_width).sum())
-        out += amp * ricker(t[:, None, None, None, None] - tau[None], spec.wavelet_peak_hz)
+        out += amp * ricker(t - tau[..., None], spec.wavelet_peak_hz)
     if clipped:
         warnings.warn(f"{clipped} arrivals within {half_width:.3f}s of the record "
                       "edge; wavelets clipped", stacklevel=2)
-    return ComplexVolume(("t", "rx", "ry", "sx", "sy"), out.astype(np.complex128))
+    return ComplexVolume(("rx", "ry", "sx", "sy", "t"), out.astype(np.complex128))

@@ -17,6 +17,8 @@ import numpy as np
 AXIS_LABELS = ("t", "f", "rx", "ry", "sx", "sy")
 AXIS_CODES = {label: code for code, label in enumerate(AXIS_LABELS)}
 SPATIAL_AXES = ("rx", "ry", "sx", "sy")
+# Floats that check_finite takes at a time.
+_CHECK_FLOATS = 1 << 17
 
 
 class AxisLayoutError(ValueError):
@@ -40,7 +42,8 @@ class ComplexVolume:
         Any other array (a view, another dtype or layout) is copied into
         a new C-contiguous complex128 array first, so a volume never shares
         memory with an array that someone else can still write, unless it
-        is made by :meth:`over`.
+        is made by :meth:`over`.  Values are checked by
+        :func:`check_finite`.
     """
 
     axes: tuple
@@ -52,14 +55,18 @@ class ComplexVolume:
                 and arr.dtype == np.complex128 and arr.flags.c_contiguous):
             arr = np.array(arr, dtype=np.complex128, order="C", copy=True)
         self._take(arr)
+        check_finite(arr)
 
     @classmethod
     def over(cls, axes, data: np.ndarray) -> "ComplexVolume":
         """A volume whose data is a read-only view of ``data``, a
         C-contiguous complex128 array that the caller keeps writing: a block
-        buffer used again for the next block.  It is checked as any volume
-        is, but neither copied nor frozen, so its values change when the
-        caller writes ``data`` again; the caller must be done with it first.
+        buffer used again for the next block.  Its axes are checked as any
+        volume's are, but ``data`` is neither copied nor frozen, so its
+        values change when the caller writes ``data`` again; the caller must
+        be done with it first.  Its values are not checked: the caller
+        checks a buffer with :func:`check_finite` where its samples enter
+        and where they leave, not after every stage.
         """
         if not (type(data) is np.ndarray and data.dtype == np.complex128
                 and data.flags.c_contiguous):
@@ -70,8 +77,8 @@ class ComplexVolume:
         return vol
 
     def _take(self, arr: np.ndarray):
-        """Check the axes and ``arr`` and make them the volume's, with
-        ``arr`` frozen."""
+        """Check the axes and the dimensions of ``arr`` and make them the
+        volume's, with ``arr`` frozen."""
         axes = tuple(self.axes)
         for label in axes:
             if label not in AXIS_CODES:
@@ -84,8 +91,6 @@ class ComplexVolume:
             raise AxisLayoutError(
                 f"data has {arr.ndim} dimensions but {len(axes)} axes declared"
             )
-        if arr.size and not np.isfinite(arr).all():
-            raise ValueError("volume contains non-finite values")
         arr.setflags(write=False)
         object.__setattr__(self, "axes", axes)
         object.__setattr__(self, "data", arr)
@@ -136,6 +141,17 @@ class FrequencySlice:
         self.data = arr
 
 
+def check_finite(data: np.ndarray):
+    """Raise ``ValueError`` if complex128 ``data`` holds a NaN or an
+    infinity.  Its real and imaginary parts are checked as floats, which is
+    faster than a complex check, ``_CHECK_FLOATS`` at a time, so that the
+    mask of each step stays small."""
+    flat = data.reshape(-1).view(np.float64)
+    for i in range(0, flat.size, _CHECK_FLOATS):
+        if not np.isfinite(flat[i:i + _CHECK_FLOATS]).all():
+            raise ValueError("volume contains non-finite values")
+
+
 def buffer_view(buffer: np.ndarray, shape) -> np.ndarray:
     """The leading elements of ``buffer``, a writable C-contiguous complex128
     array, as an array of ``shape`` over the same memory: a buffer sized
@@ -170,7 +186,9 @@ def dft_time_axis(vol: ComplexVolume, out: np.ndarray | None = None) -> ComplexV
     With ``out``, a buffer as for :func:`buffer_view`, the spectrum is
     written into its leading elements, which may be the ones that hold
     ``vol`` (the DFT is then taken in place, with the same result), and
-    the volume returned lies over them (:meth:`ComplexVolume.over`).
+    the volume returned lies over them (:meth:`ComplexVolume.over`),
+    unchecked: a DFT of finite samples can overflow, so the caller checks
+    the spectrum.
     """
     return _transform(np.fft.fft, vol, "t", "f", out)
 

@@ -30,6 +30,10 @@ from lrfill.transforms import Matricization, MeasurementOp, apply_sampling
 from lrfill.volume import ComplexVolume, dft_time_axis, freq_values_hz, idft_freq_axis
 
 
+# The helpers of criterion 8 index volumes time-first.
+TIME_FIRST = ("t", "rx", "ry", "sx", "sy")
+
+
 def crandn(rng, *shape):
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
 
@@ -212,7 +216,7 @@ def test_criterion_6_matricization_diagnostics():
                              (0.30, -0.00015, 0.00025, 0.7)],
                      wavelet_peak_hz=20.0)
     vol = linear_events(spec)
-    F = dft_time_axis(vol)
+    F = dft_time_axis(vol).reordered(("f", "rx", "ry", "sx", "sy"))
     freqs = freq_values_hz(128, 0.004)
     rec = Matricization("recsrcx", 10, 10, 8, 8)
     src = Matricization("srcpair", 10, 10, 8, 8)
@@ -270,6 +274,7 @@ def connectivity_ceiling_db(vol, kept):
     """Information ceiling for block-structured source sampling: only the
     (sy, sx) blocks whose nodes share a component of the kept-source
     bipartite graph are determined by matrix completion."""
+    vol = vol.reordered(TIME_FIRST)
     energy = (np.abs(vol.data) ** 2).sum(axis=(0, 1, 2))  # (sx, sy)
     n_sx, n_sy = energy.shape
     parent = list(range(n_sy + n_sx))
@@ -299,6 +304,7 @@ def reference_completion_db(vol, mask, cfg):
     every other bin passes through as observed.  The nuclear norm is the
     minimum of 1/2 (||L||^2 + ||R||^2) over X = L R^H, so a converged
     factorized run of enough rank should come out close to this."""
+    vol = vol.reordered(TIME_FIRST)
     observed = dft_time_axis(ComplexVolume(vol.axes, vol.data * mask.grid[None]))
     nt = observed.dims[0]
     freqs = freq_values_hz(nt, cfg.dt)

@@ -40,8 +40,8 @@ def test_generate_events(tmp_path, events_spec_file):
                "--out", str(out)])
     assert rc == 0
     vol = read_volume(out)
-    assert vol.dims == (16, 4, 3, 3, 2)
-    assert vol.axes == ("t", "rx", "ry", "sx", "sy")
+    assert vol.dims == (4, 3, 3, 2, 16)
+    assert vol.axes == ("rx", "ry", "sx", "sy", "t")
 
 
 def test_generate_plant(tmp_path, plant_spec_file):
@@ -106,7 +106,7 @@ def test_subsample_and_evaluate(tmp_path, events_spec_file):
     assert mask.grid.shape == (4, 3, 3, 2)
     sub = read_volume(sub_path)
     vol = read_volume(vol_path)
-    assert np.all(sub.data[:, :, :, ~mask.grid[0, 0]] == 0)
+    assert np.all(sub.data[:, :, ~mask.grid[0, 0]] == 0)
     rc = main(["evaluate", "--truth", str(vol_path), "--estimate", str(sub_path)])
     assert rc == 0
 
@@ -153,7 +153,7 @@ def test_interpolate_via_config_file(tmp_path, events_spec_file):
     rc = main(["interpolate", "--config", str(cfg)])
     assert rc == 0
     out = read_volume(tmp_path / "out.lrv")
-    assert out.dims == (16, 4, 3, 3, 2)
+    assert out.dims == (4, 3, 3, 2, 16)
     assert (tmp_path / "report.csv").exists()
 
 

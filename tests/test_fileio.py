@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from lrfill import fileio
 from lrfill.fileio import (
     BadMagicError,
     DimsOverflowError,
@@ -281,7 +282,7 @@ def _counting(monkeypatch, name, most=None):
 
 
 def test_block_is_moved_one_call_per_run(tmp_path, monkeypatch):
-    # A box of one rx line of a canonical file is one contiguous run per
+    # A box of one rx line of a time-first file is one contiguous run per
     # time sample, each read and written in one call.
     vol = _volume(("t", "rx", "ry", "sx", "sy"))
     path = tmp_path / "v.lrv"
@@ -294,6 +295,48 @@ def test_block_is_moved_one_call_per_run(tmp_path, monkeypatch):
     writes = _counting(monkeypatch, "pwritev")
     write_volume(part, path, block=block)
     assert len(writes) == vol.dims[0]
+
+
+def test_trace_major_block_is_moved_in_one_call(tmp_path, monkeypatch):
+    # A box of one rx line of a trace-major file spans whole trailing axes:
+    # one contiguous run, read and written in one call.
+    vol = _volume(("rx", "ry", "sx", "sy", "t"))
+    path = tmp_path / "v.lrv"
+    write_volume(vol, path)
+    block = {"rx": slice(1, 2)}
+    reads = _counting(monkeypatch, "preadv")
+    part = read_volume(path, block)
+    np.testing.assert_array_equal(part.data, vol.data[1:2])
+    writes = _counting(monkeypatch, "pwritev")
+    write_volume(part, path, block=block)
+    assert len(reads) == len(writes) == 1
+
+
+@pytest.mark.parametrize("single", [False, True], ids=["complex128", "complex64"])
+def test_blocks_in_another_order_move_in_small_chunks(tmp_path, monkeypatch, layout, single):
+    # Runs are moved a few at a time and staged through a small array: a
+    # box is read in the order asked for, into a buffer or not, and blocks
+    # in that order written into place make the file, whatever its order
+    # and scalar type.
+    monkeypatch.setattr(fileio, "_CHUNK_RUNS", 3)
+    monkeypatch.setattr(fileio, "_STAGE_BYTES", 5 * 16)
+    vol = _volume(layout)
+    path = tmp_path / "v.lrv"
+    write_volume(vol, path, single_precision=single)
+    want = ("rx", "ry", "sx", "sy", "t")
+    whole = read_volume(path).reordered(want)
+    buffer = np.full(vol.data.size, np.nan, dtype=np.complex128)
+    for block in BLOCKS:
+        part = read_volume(path, block, out=buffer, axes=want)
+        assert part.axes == want and np.shares_memory(part.data, buffer)
+        np.testing.assert_array_equal(part.data, whole.data[_index(whole, block)])
+        np.testing.assert_array_equal(read_volume(path, block, axes=want).data, part.data)
+    with create_volume(tmp_path / "blocks.lrv", vol.axes, vol.dims, int(single)) as partial:
+        for rx in range(3):
+            block = {"rx": slice(rx, rx + 1)}
+            write_volume(ComplexVolume(want, whole.data[_index(whole, block)]), partial,
+                         block=block)
+    assert (tmp_path / "blocks.lrv").read_bytes() == path.read_bytes()
 
 
 def test_short_transfers_are_completed(tmp_path, monkeypatch):

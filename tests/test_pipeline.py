@@ -30,6 +30,10 @@ from lrfill.volume import (
     dft_time_axis,
 )
 
+# The order of the files lrfill wrote before it wrote trace-major; it still
+# reads them, a time sample at a time.
+TIME_FIRST = ("t", "rx", "ry", "sx", "sy")
+
 
 def small_volume():
     spec = EventSpec(n_rx=4, n_ry=3, n_sx=3, n_sy=2, spacing_m=25.0,
@@ -111,11 +115,11 @@ class TestConfigParsing:
 class TestMaskVolume:
     def test_zeroes_unobserved_traces(self):
         vol = small_volume()
-        grid = np.ones(vol.dims[1:], dtype=bool)
+        grid = np.ones(vol.dims[:-1], dtype=bool)
         grid[:, :, 1, 0] = False
         masked = mask_volume(vol, SamplingMask(grid, axes=("rx", "ry", "sx", "sy")))
-        assert np.all(masked.data[:, :, :, 1, 0] == 0)
-        np.testing.assert_array_equal(masked.data[:, :, :, 0, 0], vol.data[:, :, :, 0, 0])
+        assert np.all(masked.data[:, :, 1, 0] == 0)
+        np.testing.assert_array_equal(masked.data[:, :, 0, 0], vol.data[:, :, 0, 0])
 
     def test_shape_mismatch(self):
         vol = small_volume()
@@ -180,7 +184,7 @@ class TestRunInterpolation:
         # Everything observed: every subproblem is consistent and the
         # output reproduces the input.
         vol = small_volume()
-        cfg, res = self.run(tmp_path, vol, full_mask(vol.dims[1:]),
+        cfg, res = self.run(tmp_path, vol, full_mask(vol.dims[:-1]),
                             eta_fraction=1e-6, outer_iters=16, inner_iters=1500)
         out = read_volume(cfg.output)
         rel = np.linalg.norm(out.data - vol.data) / np.linalg.norm(vol.data)
@@ -246,7 +250,7 @@ class TestRunInterpolation:
 
     def test_rank_schedule_applied(self, tmp_path):
         vol = small_volume()
-        mask = full_mask(vol.dims[1:])
+        mask = full_mask(vol.dims[:-1])
         cfg, res = self.run(tmp_path, vol, mask, rank=None,
                             rank_schedule="3:1,70:4", outer_iters=2,
                             inner_iters=50)
@@ -314,7 +318,7 @@ class TestRunInterpolation:
         cfg, res = self.run(tmp_path, vol, mask, f_min=0.0)
         rows, _ = read_report(cfg.report)
         assert rows[0]["freq_hz"] == 0.0 and rows[0]["status"] == "ok"
-        dc = dft_time_axis(read_volume(cfg.output)).data[0]
+        dc = dft_time_axis(read_volume(cfg.output)).data[..., 0]
         assert np.abs(dc[~mask.grid]).max() > 0.1 * np.abs(dc[mask.grid]).max()
         assert res.imag_leakage <= 1e-12
 
@@ -369,16 +373,17 @@ def test_many_threads_write_only_their_own_bins(tmp_path):
     assert res_many.overall_snr_db == res_one.overall_snr_db
 
 
-def _long_record_run(tmp_path, nt):
-    """Write a long record on a small grid and run it with its truth over
-    3.0-3.03 Hz; the ``tracemalloc`` peak of the run, the volume's bytes
-    and the result."""
+def _long_record_run(tmp_path, nt, layout=TIME_FIRST):
+    """Write a long record on a small grid, in the axis order ``layout``,
+    and run it with its truth over 3.0-3.03 Hz; the ``tracemalloc`` peak of
+    the run, the volume's bytes and the result.  A time-first file is read
+    in many short runs per block, so it shows what the runs cost."""
     spec = EventSpec(n_rx=4, n_ry=3, n_sx=3, n_sy=2, spacing_m=25.0,
                      nt=nt, dt=0.004, events=[(0.030, 0.0001, 0.00005, 1.0)],
                      wavelet_peak_hz=80.0)
     vol = linear_events(spec)
     nbytes = vol.data.nbytes
-    write_volume(vol, tmp_path / "in.lrv")
+    write_volume(vol.reordered(layout), tmp_path / "in.lrv")
     del vol
     write_mask(jittered_volume_mask(4, 3, 3, 2, 0.5, seed=1), tmp_path / "mask.lrm")
     cfg = PipelineConfig(input=str(tmp_path / "in.lrv"), output=str(tmp_path / "out.lrv"),
@@ -392,6 +397,13 @@ def _long_record_run(tmp_path, nt):
         tracemalloc.stop()
     assert res.failed == 0
     return peak, nbytes, res
+
+
+def _largest_block(nt):
+    """Bytes of the largest block of the long-record grid."""
+    dims = (4, 3, 3, 2, nt)
+    return 16 * nt * max(math.prod(s.stop - s.start for s in b.values())
+                         for b in pipeline.trace_blocks(dims))
 
 
 def test_run_holds_few_copies_of_the_volume(tmp_path):
@@ -408,21 +420,36 @@ def test_run_holds_two_blocks_per_pass(tmp_path):
     # Each pass reads, masks and transforms its blocks in two buffers of
     # the largest block, allocated once: the run's peak is little more.
     peak, _, _ = _long_record_run(tmp_path, 8192)
-    dims = (8192, 4, 3, 3, 2)
-    block = 16 * dims[0] * max(math.prod(s.stop - s.start for s in b.values())
-                               for b in pipeline.trace_blocks(dims))
+    block = _largest_block(8192)
+    assert peak <= 2.5 * block, f"peak {peak / block:.2f} blocks"
+
+
+def test_trace_major_run_holds_two_blocks_per_pass(tmp_path):
+    # The bounds of the time-first runs above hold for a trace-major file.
+    peak, nbytes, res = _long_record_run(tmp_path, 8192, CANONICAL_AXES)
+    assert len(res.rows) == 1
+    assert peak <= 4 * nbytes, f"peak {peak / nbytes:.2f} volumes"
+    block = _largest_block(8192)
     assert peak <= 2.5 * block, f"peak {peak / block:.2f} blocks"
 
 
 @pytest.mark.slow
 def test_run_memory_does_not_grow_with_the_record(tmp_path):
+    _memory_does_not_grow_with_the_record(tmp_path, TIME_FIRST)
+
+
+def test_trace_major_run_memory_does_not_grow_with_the_record(tmp_path):
+    _memory_does_not_grow_with_the_record(tmp_path, CANONICAL_AXES)
+
+
+def _memory_does_not_grow_with_the_record(tmp_path, layout):
     # The run streams blocks of traces: its peak is a fraction of the
     # volume and stays put when the record doubles, although the band then
     # holds twice the bins.
-    peak, nbytes, res = _long_record_run(tmp_path, 32768)
+    peak, nbytes, res = _long_record_run(tmp_path, 32768, layout)
     assert len(res.rows) == 4
     assert peak <= 0.5 * nbytes, f"peak {peak / nbytes:.2f} volumes"
-    peak2, _, res2 = _long_record_run(tmp_path, 2 * 32768)
+    peak2, _, res2 = _long_record_run(tmp_path, 2 * 32768, layout)
     assert len(res2.rows) == 8
     assert peak2 <= 1.1 * peak, f"peak {peak2 / peak:.2f} times the peak at half the record"
 
@@ -430,10 +457,10 @@ def test_run_memory_does_not_grow_with_the_record(tmp_path):
 def test_blocks_tile_the_volume_within_the_budget(monkeypatch):
     # Every trace is in exactly one block, and a block stays within the
     # budget unless a single trace exceeds it.
-    dims = (16, 4, 3, 3, 2)
+    dims = (4, 3, 3, 2, 16)
     for traces in (1, 5, 7, 8, 24, 72, 1000):
         monkeypatch.setattr(pipeline, "BLOCK_BYTES", 16 * 16 * traces)
-        seen = np.zeros(dims[1:], dtype=int)
+        seen = np.zeros(dims[:-1], dtype=int)
         for block in pipeline.trace_blocks(dims):
             box = tuple(block[a] for a in ("rx", "ry", "sx", "sy"))
             seen[box] += 1
@@ -498,7 +525,7 @@ def test_run_calls_each_stage_once_per_block(tmp_path, monkeypatch, f_min, f_max
     write_volume(small_volume(), tmp_path / "in.lrv")
     write_mask(jittered_volume_mask(4, 3, 3, 2, 0.5, seed=1), tmp_path / "mask.lrm")
     monkeypatch.setattr(pipeline, "BLOCK_BYTES", 16 * 16 * 5)
-    blocks = len(list(pipeline.trace_blocks((16, 4, 3, 3, 2))))
+    blocks = len(list(pipeline.trace_blocks((4, 3, 3, 2, 16))))
     counts = _block_counts(monkeypatch)
     cfg = PipelineConfig(input=str(tmp_path / "in.lrv"), output=str(tmp_path / "out.lrv"),
                          mask=str(tmp_path / "mask.lrm"), truth=str(tmp_path / "in.lrv"),
@@ -511,20 +538,67 @@ def test_run_calls_each_stage_once_per_block(tmp_path, monkeypatch, f_min, f_max
     assert res.failed == 0 and len(res.rows) == solved
 
 
-@pytest.mark.parametrize("bad", ["input", "truth"])
-def test_non_finite_sample_in_the_last_block_stops_before_any_solve(
-        tmp_path, monkeypatch, bad):
-    # Every block read into the reused buffers is checked: a NaN in the
-    # last block of the input or of the truth stops the run before any
-    # slice is solved, and leaves no output.
+@pytest.mark.parametrize("layout", [CANONICAL_AXES, TIME_FIRST],
+                         ids=["trace-major", "time-first"])
+def test_block_is_read_and_written_in_one_call_per_run(tmp_path, monkeypatch, layout):
+    # A block over whole trailing axes of a trace-major file is one
+    # contiguous run: one call reads it.  A time-first file takes one call
+    # per time sample.  The output is written trace-major, one call per
+    # block, and both files give the same output and SNR.
     vol = small_volume()
+    write_volume(vol, tmp_path / "trace-major.lrv")
+    write_volume(vol.reordered(layout), tmp_path / "in.lrv")
+    write_mask(jittered_volume_mask(4, 3, 3, 2, 0.5, seed=1), tmp_path / "mask.lrm")
+    ref = _masked_run(tmp_path, tmp_path / "ref.lrv", truth=tmp_path / "trace-major.lrv",
+                      input=tmp_path / "trace-major.lrv")
+    monkeypatch.setattr(pipeline, "BLOCK_BYTES", 16 * 16 * 18)
+    blocks = list(pipeline.trace_blocks(vol.dims))
+    assert [tuple(s.stop - s.start for s in b.values()) for b in blocks] == [(1, 3, 3, 2)] * 4
+    calls = {"preadv": 0, "pwritev": 0}
+    for name in calls:
+        def counting(fd, buffers, at, name=name, call=getattr(os, name)):
+            calls[name] += 1
+            return call(fd, buffers, at)
+        monkeypatch.setattr(os, name, counting)
+    per_call = {"read_volume": [], "write_volume": []}
+    for name, key in (("read_volume", "preadv"), ("write_volume", "pwritev")):
+        def moved(*args, name=name, key=key, fn=getattr(pipeline, name), **kwargs):
+            before = calls[key]
+            out = fn(*args, **kwargs)
+            per_call[name].append(calls[key] - before)
+            return out
+        monkeypatch.setattr(pipeline, name, moved)
+    res = _masked_run(tmp_path, tmp_path / "out.lrv", truth=tmp_path / "in.lrv",
+                      input=tmp_path / "in.lrv")
+    nt = vol.dims[-1]
+    runs = 1 if layout == CANONICAL_AXES else nt
+    # Pass 1 reads the input and the truth of each block, pass 2 the input.
+    assert per_call["read_volume"] == [runs] * (3 * len(blocks))
+    assert per_call["write_volume"] == [1] * len(blocks)
+    out, ref_out = read_volume(tmp_path / "out.lrv"), read_volume(tmp_path / "ref.lrv")
+    assert out.axes == CANONICAL_AXES
+    assert np.linalg.norm(out.data - ref_out.data) <= 1e-12 * np.linalg.norm(ref_out.data)
+    assert res.overall_snr_db == pytest.approx(ref.overall_snr_db, rel=1e-12)
+
+
+@pytest.mark.parametrize("bad, layout", [("input", CANONICAL_AXES), ("truth", CANONICAL_AXES),
+                                         ("input", TIME_FIRST), ("truth", TIME_FIRST)],
+                         ids=["input", "truth", "input-time-first", "truth-time-first"])
+def test_non_finite_sample_in_the_last_block_stops_before_any_solve(
+        tmp_path, monkeypatch, bad, layout):
+    # Every block read into the reused buffers is checked: a NaN in the
+    # last sample of the last block of the input or of the truth, in a
+    # trace-major or a time-first file, stops the run before any slice is
+    # solved, and leaves no output.
+    vol = small_volume().reordered(layout)
     for name in ("input", "truth"):
         write_volume(vol, tmp_path / f"{name}.lrv")
     write_mask(jittered_volume_mask(4, 3, 3, 2, 0.5, seed=1), tmp_path / "mask.lrm")
     monkeypatch.setattr(pipeline, "BLOCK_BYTES", 16 * 16 * 5)
-    last = list(pipeline.trace_blocks(vol.dims))[-1]
-    at = np.ravel_multi_index((vol.dims[0] - 1,) + tuple(s.stop - 1 for s in last.values()),
-                              vol.dims)
+    last = list(pipeline.trace_blocks(small_volume().dims))[-1]
+    corner = {"t": vol.dims[vol.axis_index("t")] - 1,
+              **{a: s.stop - 1 for a, s in last.items()}}
+    at = np.ravel_multi_index(tuple(corner[a] for a in layout), vol.dims)
     path = tmp_path / f"{bad}.lrv"
     with open(path, "r+b") as fh:
         fh.seek(os.path.getsize(path) - vol.data.nbytes + 16 * int(at))
@@ -535,7 +609,7 @@ def test_non_finite_sample_in_the_last_block_stops_before_any_solve(
                     input=tmp_path / "input.lrv")
     assert counts["interpolate_slice"] == 0
     # Pass 1 reads the input, then the truth, of each block.
-    blocks = len(list(pipeline.trace_blocks(vol.dims)))
+    blocks = len(list(pipeline.trace_blocks(small_volume().dims)))
     assert counts["read_volume"] == 2 * blocks - (bad == "input")
     assert not (tmp_path / "out.lrv").exists()
     assert not (tmp_path / "out.lrv.part").exists()

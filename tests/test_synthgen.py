@@ -98,13 +98,13 @@ class TestLinearEvents:
         spec = EventSpec(n_rx=4, n_ry=3, n_sx=3, n_sy=2, spacing_m=25.0,
                          nt=64, dt=0.004, events=[(0.12, 0.0, 0.0, 1.0)])
         vol = linear_events(spec)
-        trace0 = vol.data[:, 0, 0, 0, 0]
+        trace0 = vol.data[0, 0, 0, 0]
         for idx in np.ndindex(4, 3, 3, 2):
-            np.testing.assert_array_equal(vol.data[(slice(None),) + idx], trace0)
+            np.testing.assert_array_equal(vol.data[idx], trace0)
         spec_f = dft_time_axis(vol)
         rec = Matricization("recsrcx", 4, 3, 3, 2)
         for k in range(64):
-            slice_k = spec_f.data[k]
+            slice_k = spec_f.data[..., k]
             if np.linalg.norm(slice_k) < 1e-12:
                 continue
             decay = singular_decay(rec.unfold(slice_k))
@@ -122,7 +122,7 @@ class TestLinearEvents:
         F = dft_time_axis(vol)
         freqs = freq_values_hz(128, 0.004)
         k = int(np.argmin(np.abs(freqs[: 64] - 10.0)))
-        T = F.data[k]
+        T = F.data[..., k]
         rec = np.linalg.svd(Matricization("recsrcx", 8, 8, 6, 6).unfold(T), compute_uv=False)
         src = np.linalg.svd(Matricization("srcpair", 8, 8, 6, 6).unfold(T), compute_uv=False)
         top2_rec = rec[:2].sum() / rec.sum()
