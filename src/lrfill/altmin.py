@@ -99,6 +99,18 @@ def init_factors(p: int, q: int, r: int, seed: int = 0) -> FactorPair:
     return FactorPair(L, R)
 
 
+def zero_completion(p: int, q: int, r: int, b_norm: float, eta: float, t_start: float):
+    """``(FactorPair, X, SliceReport)`` of a p x q slice whose budget
+    ``eta`` is at least ||b|| = ``b_norm``: zero rank-``r`` factors and a
+    zero X, already feasible and of least norm, reported ``ok`` after no
+    iterations and timed from ``t_start``."""
+    pair = FactorPair(np.zeros((p, r)), np.zeros((q, r)))
+    report = SliceReport(rank=r, eta_target=eta, rel_residual=b_norm / max(b_norm, _TINY),
+                         outer_iters=0, inner_iters=0,
+                         wall_s=time.perf_counter() - t_start, status="ok")
+    return pair, np.zeros((p, q), dtype=np.complex128), report
+
+
 def interpolate_slice(op, b, cfg: OuterConfig):
     """Complete one slice from its masked measurements ``b``, shaped like
     the mask's grid (``op.data_shape``).
@@ -121,15 +133,8 @@ def interpolate_slice(op, b, cfg: OuterConfig):
     b_norm = float(np.linalg.norm(b))
     eta_target = cfg.resolve_eta(b_norm)
 
-    if b_norm == 0.0 or eta_target >= b_norm:
-        # The zero completion is already feasible and minimum-norm.
-        zero = np.zeros((p, q), dtype=np.complex128)
-        pair = FactorPair(np.zeros((p, r)), np.zeros((q, r)))
-        report = SliceReport(rank=r, eta_target=eta_target,
-                             rel_residual=b_norm / max(b_norm, _TINY),
-                             outer_iters=0, inner_iters=0,
-                             wall_s=time.perf_counter() - t_start, status="ok")
-        return pair, zero, report
+    if eta_target >= b_norm:
+        return zero_completion(p, q, r, b_norm, eta_target, t_start)
 
     pair = init_factors(p, q, r, cfg.seed)
     L, R = pair.L, pair.R

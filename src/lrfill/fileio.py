@@ -255,28 +255,38 @@ def read_volume_header(path: str | os.PathLike) -> tuple:
 
 
 @contextlib.contextmanager
-def create_volume(path: str | os.PathLike, axes, extents, scalar_code: int = 0):
-    """Create an LRV1 volume for :func:`write_volume` to fill block by block
-    in the body of a ``with``; the path to write to is the value bound.
-
-    The file is built under a temporary name beside ``path``, sized for its
-    payload, and takes the name ``path`` when the body ends.  If the body
-    raises, the file is removed and ``path`` is left as it was, so a write
-    that stops partway leaves no file of full length with blocks of zeros.
-    """
+def _replacing(path: str | os.PathLike):
+    """Bind ``<path>.part`` for the body of a ``with`` to build a file in,
+    and give it the name ``path`` when the body ends.  If the body raises,
+    the part file is removed and ``path`` is left as it was, so a write
+    that stops partway leaves no file."""
     part = f"{os.fspath(path)}.part"
-    header = _header(VOLUME_MAGIC, axes, extents, scalar_code)
-    nbytes = math.prod(extents) * np.dtype(_VOLUME_DTYPES[scalar_code]).itemsize
     try:
-        with open(part, "wb") as fh:
-            fh.write(header)
-            fh.truncate(len(header) + nbytes)
         yield part
         os.replace(part, path)
     except BaseException:
         with contextlib.suppress(OSError):
             os.unlink(part)
         raise
+
+
+@contextlib.contextmanager
+def create_volume(path: str | os.PathLike, axes, extents, scalar_code: int = 0):
+    """Create an LRV1 volume for :func:`write_volume` to fill block by block
+    in the body of a ``with``; the path to write to is the value bound.
+
+    The file is built under a temporary name beside ``path``, sized for its
+    payload, and takes the name ``path`` when the body ends (see
+    :func:`_replacing`), so a write that stops partway leaves no file of
+    full length with blocks of zeros.
+    """
+    header = _header(VOLUME_MAGIC, axes, extents, scalar_code)
+    nbytes = math.prod(extents) * np.dtype(_VOLUME_DTYPES[scalar_code]).itemsize
+    with _replacing(path) as part:
+        with open(part, "wb") as fh:
+            fh.write(header)
+            fh.truncate(len(header) + nbytes)
+        yield part
 
 
 def _header(magic: bytes, axes, extents, scalar_code: int | None = None) -> bytes:
@@ -336,8 +346,9 @@ def read_volume(path: str | os.PathLike, block: dict | None = None,
 
 
 def write_mask(mask: SamplingMask, path: str | os.PathLike):
-    """Serialize a mask as LRM1: its axis labels, extents and grid."""
-    with open(path, "wb") as fh:
+    """Serialize a mask as LRM1: its axis labels, extents and grid.  As for
+    a volume, a write that fails leaves no file."""
+    with _replacing(path) as part, open(part, "wb") as fh:
         fh.write(_header(MASK_MAGIC, mask.axes, mask.grid.shape))
         fh.write(memoryview(np.ascontiguousarray(mask.grid, dtype=np.uint8)))
 

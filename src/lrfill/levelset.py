@@ -13,11 +13,11 @@ computed, Newton steps are replaced by secants.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .altmin import init_factors
+from .altmin import init_factors, zero_completion
 from .pdsolver import _TINY, FactorPair
 from .reporting import SliceReport
 
@@ -146,29 +146,34 @@ def solve_levelset(op, b, eta, r, cfg: LevelSetConfig | None = None):
     r = max(1, min(r, p, q))
     b_norm = float(np.linalg.norm(b))
     if eta >= b_norm:
-        # Zero factors are already feasible and have the smallest ball.
-        pair = FactorPair(np.zeros((p, r)), np.zeros((q, r)))
-        report = SliceReport(rank=r, eta_target=eta,
-                             rel_residual=b_norm / max(b_norm, _TINY),
-                             outer_iters=0, inner_iters=0,
-                             wall_s=time.perf_counter() - t_start, status="ok")
-        return pair, np.zeros((p, q), dtype=np.complex128), report
+        return zero_completion(p, q, r, b_norm, eta, t_start)
 
     A = op.packed
     b_obs = op.pack(b)
     tol_abs = cfg.root_tol * b_norm
-    tau_lo, v_lo = 0.0, b_norm
-    tau_hi = _TAU_START
-    warm = None
     total_inner = 0
-    evals = 0
     tried_taus, tried_values = [], []
 
-    v_hi, warm, it = value_function(A, b_obs, tau_hi, r, cfg, warm)
-    total_inner += it
-    evals += 1
-    tried_taus.append(tau_hi)
-    tried_values.append(v_hi)
+    def evaluate(tau, warm, retry=None, seed=None):
+        """v(tau) and its factors from ``warm``; when ``retry(v)`` holds,
+        evaluated again from a fresh draw of ``seed`` and the smaller value
+        kept.  Counts the steps and records the point tried."""
+        nonlocal total_inner
+        v, warm, it = value_function(A, b_obs, tau, r, cfg, warm)
+        total_inner += it
+        if retry is not None and retry(v):
+            v_fresh, warm_fresh, it2 = value_function(A, b_obs, tau, r,
+                                                      replace(cfg, seed=seed))
+            total_inner += it2
+            if v_fresh < v:
+                v, warm = v_fresh, warm_fresh
+        tried_taus.append(tau)
+        tried_values.append(v)
+        return v, warm
+
+    tau_lo, v_lo = 0.0, b_norm
+    tau_hi = _TAU_START
+    v_hi, warm = evaluate(tau_hi, None)
     expansions = 0
     while v_hi > eta:
         if expansions >= _MAX_DOUBLINGS:
@@ -177,21 +182,11 @@ def solve_levelset(op, b, eta, r, cfg: LevelSetConfig | None = None):
                 taus=tried_taus, values=tried_values)
         tau_lo, v_lo = tau_hi, v_hi
         tau_hi *= 2.0
-        v_prev = v_hi
-        v_hi, warm, it = value_function(A, b_obs, tau_hi, r, cfg, warm)
-        total_inner += it
         # Doubling tau without the value moving means the warm start is
         # parked at a spurious stationary point of the nonconvex inner
         # problem; retry from a fresh draw and keep the better of the two.
-        if v_hi > 0.95 * v_prev:
-            fresh_cfg = LevelSetConfig(**{**cfg.__dict__, "seed": cfg.seed + expansions + 1})
-            v_fresh, warm_fresh, it2 = value_function(A, b_obs, tau_hi, r, fresh_cfg)
-            total_inner += it2
-            if v_fresh < v_hi:
-                v_hi, warm = v_fresh, warm_fresh
-        evals += 1
-        tried_taus.append(tau_hi)
-        tried_values.append(v_hi)
+        v_hi, warm = evaluate(tau_hi, warm, lambda v: v > 0.95 * v_lo,
+                              cfg.seed + expansions + 1)
         expansions += 1
 
     best_gap = abs(v_hi - eta)
@@ -218,20 +213,11 @@ def solve_levelset(op, b, eta, r, cfg: LevelSetConfig | None = None):
         hi_guard = tau_hi - 0.01 * (tau_hi - tau_lo)
         if side_repeats >= 2 or not lo_guard <= tau_next <= hi_guard:
             tau_next = 0.5 * (tau_lo + tau_hi)
-        v_next, warm, it = value_function(A, b_obs, tau_next, r, cfg, warm)
-        total_inner += it
-        if abs(v_next - eta) > tol_abs:
-            # The warm start may be hysteretic (stuck high, or dragged into
-            # an overfit basin from a larger tau).  A fresh evaluation is an
-            # independent upper bound on v(tau); keep the smaller.
-            fresh_cfg = LevelSetConfig(**{**cfg.__dict__, "seed": cfg.seed + 7919 + evals})
-            v_fresh, warm_fresh, it2 = value_function(A, b_obs, tau_next, r, fresh_cfg)
-            total_inner += it2
-            if v_fresh < v_next:
-                v_next, warm = v_fresh, warm_fresh
-        evals += 1
-        tried_taus.append(tau_next)
-        tried_values.append(v_next)
+        # The warm start may be hysteretic (stuck high, or dragged into an
+        # overfit basin from a larger tau).  A fresh evaluation is an
+        # independent upper bound on v(tau); keep the smaller.
+        v_next, warm = evaluate(tau_next, warm, lambda v: abs(v - eta) > tol_abs,
+                                cfg.seed + 7919 + len(tried_taus))
         if abs(v_next - eta) < best_gap:
             best_gap = abs(v_next - eta)
             best = (warm[0].copy(), warm[1].copy(), v_next)
@@ -255,7 +241,7 @@ def solve_levelset(op, b, eta, r, cfg: LevelSetConfig | None = None):
         rank=r,
         eta_target=eta,
         rel_residual=v_best / max(b_norm, _TINY),
-        outer_iters=evals,
+        outer_iters=len(tried_taus),
         inner_iters=total_inner,
         wall_s=time.perf_counter() - t_start,
         status="ok",

@@ -27,7 +27,7 @@ from .levelset import LevelSetConfig, solve_levelset
 from .pdsolver import PdConfig
 from .reporting import SliceReport, snr_db, snr_from_norms, write_report
 from .sampling import SamplingMask
-from .transforms import MODE_REC_SRC_X, MODES, Matricization, MeasurementOp
+from .transforms import MODE_REC_SRC_X, Matricization, MeasurementOp
 from .volume import (
     SPATIAL_AXES,
     AxisLayoutError,
@@ -62,7 +62,11 @@ _BLOCK_FILL = 0.9
 @dataclass
 class PipelineConfig:
     """Settings of one ``interpolate`` run.  The fields are the config-file
-    keys and, spelled ``--kebab-case``, the CLI flags.
+    keys and, spelled ``--kebab-case``, the CLI flags.  The unfolding of
+    the slices is not a key: every run unfolds them by ``matricization``,
+    the source-receiver unfolding of Kumar et al. (Geophysics 2015), rows
+    ``(ry, sy)`` and columns ``(rx, sx)``, which criterion 6 confirms on
+    the desk data.
 
     ``solver = levelset`` ignores ``alpha`` and ``outer_tol`` (both are
     still checked), reads ``outer_iters`` as a third of its root-find cap
@@ -88,7 +92,7 @@ class PipelineConfig:
     outer_tol: float = 1e-4
     seed: int = 0
     threads: int = 1
-    matricization: str = MODE_REC_SRC_X
+    matricization = MODE_REC_SRC_X
 
     def __post_init__(self):
         if isinstance(self.rank_schedule, str):
@@ -103,8 +107,6 @@ class PipelineConfig:
             raise ValueError("rank must be at least 1")
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise ValueError("dt must be a positive finite number")
-        if self.matricization not in MODES:
-            raise ValueError(f"matricization must be one of {MODES}")
         if self.threads < 1:
             raise ValueError("threads must be at least 1")
         if self.seed < 0:
@@ -191,14 +193,17 @@ def load_config(path, overrides: dict | None = None) -> PipelineConfig:
 
 def mask_volume(vol: ComplexVolume, mask: SamplingMask, block: dict | None = None,
                 out: np.ndarray | None = None) -> ComplexVolume:
-    """Zero the traces of unobserved grid points (mask is time-invariant).
-    The volume returned is in canonical, trace-major, axis order.  For a
-    block of a volume, ``block`` is the slice per spatial axis that it
-    covers (see :func:`trace_blocks`), and the mask is cut to match.  With
-    ``out``, a buffer as for :func:`buffer_view`, the masked volume is
+    """Zero the traces of unobserved grid points (mask is time-invariant)
+    of ``vol``, whose axes must be the canonical, trace-major,
+    ``CANONICAL_AXES``: any other order raises :class:`AxisLayoutError`.
+    For a block of a volume, ``block`` is the slice per spatial axis that
+    it covers (see :func:`trace_blocks`), and the mask is cut to match.
+    With ``out``, a buffer as for :func:`buffer_view`, the masked volume is
     written into its leading elements, which may be the ones that hold
     ``vol``, and the volume returned lies over them, unchecked."""
-    vol = vol.reordered(_canonical_axes(vol))
+    if vol.axes != CANONICAL_AXES:
+        raise AxisLayoutError(f"cannot mask a volume with axes {vol.axes}; "
+                              f"need {CANONICAL_AXES}")
     grid = mask.grid if block is None else mask.grid[_spatial_index(block)]
     if grid.shape != vol.dims[:-1]:
         raise ValueError(
@@ -208,10 +213,6 @@ def mask_volume(vol: ComplexVolume, mask: SamplingMask, block: dict | None = Non
         return ComplexVolume(vol.axes, vol.data * grid[..., None])
     masked = np.multiply(vol.data, grid[..., None], out=buffer_view(out, vol.dims))
     return ComplexVolume.over(vol.axes, masked)
-
-
-def _canonical_axes(vol: ComplexVolume):
-    return SPATIAL_AXES + ("t" if vol.has_axis("t") else "f",)
 
 
 def _spatial_index(block: dict) -> tuple:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .volume import AXIS_CODES
+from .volume import AXIS_CODES, check_axis_labels
 
 
 @dataclass
@@ -29,11 +29,7 @@ class SamplingMask:
         axes = tuple(self.axes) if self.axes else _default_axes(grid.ndim)
         if len(axes) != grid.ndim:
             raise ValueError(f"{len(axes)} axis labels for {grid.ndim}-d grid")
-        for label in axes:
-            if label not in AXIS_CODES:
-                raise ValueError(f"unknown axis label {label!r}")
-        if len(set(axes)) != len(axes):
-            raise ValueError(f"duplicate axis labels in {axes}")
+        check_axis_labels(axes)
         order = sorted(range(grid.ndim), key=lambda i: AXIS_CODES[axes[i]])
         self.grid = np.ascontiguousarray(grid.transpose(order))
         self.axes = tuple(axes[i] for i in order)

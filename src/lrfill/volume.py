@@ -25,6 +25,16 @@ class AxisLayoutError(ValueError):
     """The axes of a volume do not match what an operation requires."""
 
 
+def check_axis_labels(axes: tuple):
+    """Raise :class:`AxisLayoutError` unless ``axes`` are distinct labels
+    of ``AXIS_LABELS``."""
+    for label in axes:
+        if label not in AXIS_CODES:
+            raise AxisLayoutError(f"unknown axis label {label!r}")
+    if len(set(axes)) != len(axes):
+        raise AxisLayoutError(f"duplicate axis labels in {axes}")
+
+
 @dataclass(frozen=True)
 class ComplexVolume:
     """Dense complex N-d array with named axes.
@@ -80,11 +90,7 @@ class ComplexVolume:
         """Check the axes and the dimensions of ``arr`` and make them the
         volume's, with ``arr`` frozen."""
         axes = tuple(self.axes)
-        for label in axes:
-            if label not in AXIS_CODES:
-                raise AxisLayoutError(f"unknown axis label {label!r}")
-        if len(set(axes)) != len(axes):
-            raise AxisLayoutError(f"duplicate axis labels in {axes}")
+        check_axis_labels(axes)
         if ("t" in axes) == ("f" in axes):
             raise AxisLayoutError("exactly one of axes 't' and 'f' is required")
         if arr.ndim != len(axes):

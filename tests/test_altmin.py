@@ -10,6 +10,7 @@ from lrfill.altmin import (
     interpolate_slice,
     rank_for_frequency,
 )
+from lrfill.levelset import solve_levelset
 from lrfill.pdsolver import PdConfig
 from lrfill.reporting import snr_db
 from lrfill.sampling import SamplingMask, uniform_entry_mask
@@ -118,12 +119,17 @@ class TestOuterConfig:
 
 class TestInterpolateSlice:
     def test_zero_data_gives_zero_slice(self):
+        # Both solvers take the same exit when the budget covers ||b||.
         mask = uniform_entry_mask(8, 8, 0.5, seed=0)
         op = MeasurementOp(mask)
+        b = np.zeros((8, 8), dtype=complex)
         cfg = OuterConfig(rank=2, eta_fraction=0.03, seed=1)
-        pair, X, rep = interpolate_slice(op, np.zeros((8, 8), dtype=complex), cfg)
-        assert np.all(X == 0)
-        assert rep.status == "ok"
+        for pair, X, rep in (interpolate_slice(op, b, cfg), solve_levelset(op, b, 0.0, 2)):
+            assert X.shape == (8, 8) and np.all(X == 0)
+            assert pair.L.shape == pair.R.shape == (8, 2)
+            assert not pair.L.any() and not pair.R.any()
+            assert (rep.rel_residual, rep.outer_iters, rep.inner_iters) == (0.0, 0, 0)
+            assert rep.status == "ok"
 
     def test_full_mask_consistent_recovery(self):
         # With everything observed and eta nearly zero, the completion must

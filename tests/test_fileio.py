@@ -161,6 +161,26 @@ class TestMaskFormat:
         with pytest.raises(BadMagicError):
             read_mask(path)
 
+    def test_failed_mask_write_leaves_no_file(self, tmp_path):
+        # A write that fails after the header leaves no file, and a file
+        # already at the path stays as it was.
+        class Unreadable:
+            shape = (2, 2)
+
+            def __array__(self, dtype=None, copy=None):
+                raise OSError(errno.EIO, "input/output error")
+
+        path = tmp_path / "m.lrm"
+        mask = SamplingMask(np.eye(2, dtype=bool), axes=("rx", "sx"))
+        write_mask(mask, path)
+        before = path.read_bytes()
+        mask.grid = Unreadable()
+        for target in (path, tmp_path / "new.lrm"):
+            with pytest.raises(OSError):
+                write_mask(mask, target)
+        assert [p.name for p in tmp_path.iterdir()] == ["m.lrm"]
+        assert path.read_bytes() == before
+
     def test_mask_payload_values_checked(self, tmp_path):
         mask = SamplingMask(np.ones((2, 2), dtype=bool), axes=("rx", "sx"))
         path = tmp_path / "m.lrm"

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from lrfill import levelset
+from lrfill.altmin import OuterConfig, interpolate_slice
 from lrfill.levelset import (
     LevelSetConfig,
     RootBracketError,
@@ -95,10 +97,33 @@ class TestValueFunction:
 
 class TestSolveLevelset:
     def test_eta_above_data_norm(self, planted):
+        # Both solvers take the same exit when the budget covers ||b||.
         X_true, op, b = planted
-        pair, X, rep = solve_levelset(op, b, 2.0 * float(np.linalg.norm(b)), 3)
-        assert np.all(X == 0)
-        assert rep.outer_iters == 0
+        eta = 2.0 * float(np.linalg.norm(b))
+        for pair, X, rep in (solve_levelset(op, b, eta, 3),
+                             interpolate_slice(op, b, OuterConfig(rank=3, eta_target=eta))):
+            assert X.shape == (40, 40) and np.all(X == 0)
+            assert pair.L.shape == pair.R.shape == (40, 3)
+            assert not pair.L.any() and not pair.R.any()
+            assert (rep.rel_residual, rep.outer_iters, rep.inner_iters) == (1.0, 0, 0)
+            assert rep.status == "ok"
+
+    def test_evaluates_through_the_module_value_function(self, planted, monkeypatch):
+        # Each evaluation, warm or fresh, looks value_function up in the
+        # module, so a wrapper there sees all of them.
+        X_true, op, b = planted
+        steps = []
+
+        def counted(*args, **kwargs):
+            out = value_function(*args, **kwargs)
+            steps.append(out[2])
+            return out
+
+        monkeypatch.setattr(levelset, "value_function", counted)
+        cfg = LevelSetConfig(inner_iters=400, root_tol=2e-4, seed=5)
+        _, _, rep = solve_levelset(op, b, 1e-2 * float(np.linalg.norm(b)), 3, cfg)
+        assert sum(steps) == rep.inner_iters > 0
+        assert len(steps) >= rep.outer_iters > 0
 
     def test_planted_recovery_and_residual_window(self, planted):
         X_true, op, b = planted

@@ -21,7 +21,6 @@ from lrfill.pipeline import (
 from lrfill.reporting import read_report, snr_db
 from lrfill.sampling import SamplingMask, jittered_volume_mask
 from lrfill.synthgen import EventSpec, linear_events
-from lrfill.transforms import MODE_REC_SRC_X, MODE_SRC_PAIR
 from lrfill.volume import (
     AXIS_CODES,
     SPATIAL_AXES,
@@ -75,9 +74,11 @@ class TestConfigParsing:
             parse_rank_schedule("3,70")
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ValueError):
-            config_from_dict({"input": "a", "output": "b", "rank": "3",
-                              "tpyo": "1"})
+        # The run always unfolds recsrcx: an old file's matricization key
+        # is unknown.
+        for key, value in (("tpyo", "1"), ("matricization", "srcpair")):
+            with pytest.raises(ValueError, match="unknown config key"):
+                config_from_dict({"input": "a", "output": "b", "rank": "3", key: value})
 
     def test_overrides_take_precedence(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -125,6 +126,11 @@ class TestMaskVolume:
         vol = small_volume()
         with pytest.raises(ValueError):
             mask_volume(vol, SamplingMask(np.ones((2, 2, 2, 2), dtype=bool)))
+
+    def test_time_first_volume_rejected(self):
+        vol = small_volume()
+        with pytest.raises(AxisLayoutError):
+            mask_volume(vol.reordered(TIME_FIRST), full_mask(vol.dims[:-1]))
 
     def test_mask_file_axes_are_honored(self, tmp_path):
         # A mask file whose axes are stored in another order masks the
@@ -727,8 +733,7 @@ def test_uneven_blocks_of_a_complex64_file_in_another_order(tmp_path, monkeypatc
 
 
 class TestObservedConsistency:
-    @pytest.mark.parametrize("mode", [MODE_REC_SRC_X, MODE_SRC_PAIR])
-    def test_completed_volume_fits_observations(self, tmp_path, mode):
+    def test_completed_volume_fits_observations(self, tmp_path):
         vol = small_volume()
         mask = jittered_volume_mask(4, 3, 3, 2, 0.5, seed=1)
         write_volume(vol, tmp_path / "in.lrv")
@@ -737,7 +742,7 @@ class TestObservedConsistency:
             input=str(tmp_path / "in.lrv"), output=str(tmp_path / "out.lrv"),
             mask=str(tmp_path / "mask.lrm"), rank=3, eta_fraction=0.02,
             alpha=0.5, outer_iters=10, inner_iters=800, f_min=3.0, f_max=70.0,
-            dt=0.004, seed=0, matricization=mode,
+            dt=0.004, seed=0,
         )
         run_interpolation(cfg)
         out = read_volume(cfg.output)
