@@ -15,7 +15,6 @@ import numpy as np
 
 from .fileio import read_volume, write_mask, write_volume
 from .pipeline import (
-    CANONICAL_AXES,
     PipelineConfig,
     config_from_dict,
     load_config,
@@ -27,7 +26,7 @@ from .reporting import compare_reports, read_report, snr_db, write_comparison
 from .sampling import SamplingMask, jittered_volume_mask, uniform_entry_mask
 from .synthgen import EventSpec, PlantSpec, linear_events, plant_slice
 from .transforms import MODES, Matricization, singular_decay
-from .volume import SPATIAL_AXES, ComplexVolume, dft_time_axis, freq_values_hz
+from .volume import CANONICAL_AXES, SPATIAL_AXES, ComplexVolume, dft_time_axis, freq_values_hz
 
 
 def _parse_floats(text, n, what):
@@ -107,7 +106,7 @@ def cmd_svdscan(args) -> int:
     if not (math.isfinite(args.dt) and args.dt > 0.0):
         raise ValueError("--dt must be a positive finite number")
     vol = read_volume(args.input)
-    if vol.has_axis("t"):
+    if "t" in vol.axes:
         vol = dft_time_axis(vol)
     vol = vol.reordered(("f",) + SPATIAL_AXES)
     nt = vol.dims[0]

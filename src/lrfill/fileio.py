@@ -18,7 +18,12 @@ of SEG-Y field data: every trace is contiguous, and a block of whole
 traces over whole trailing axes is one contiguous run of the payload.
 Files in any other axis order are read and written as well, one call per
 contiguous run, through a small staging array where the order asked for
-is not the file's.
+is not the file's.  lrfill writes complex float64 only; complex float32
+files are read as input and widened.
+
+This is where samples cross the program's boundary, so both ways they are
+checked for NaNs and infinities: a payload after it is read, whole or a
+block, and a volume or a block before any byte of it is written.
 """
 
 from __future__ import annotations
@@ -31,7 +36,14 @@ import os
 import numpy as np
 
 from .sampling import SamplingMask
-from .volume import AXIS_CODES, AXIS_LABELS, AxisLayoutError, ComplexVolume, buffer_view
+from .volume import (
+    AXIS_CODES,
+    AXIS_LABELS,
+    ComplexVolume,
+    axis_permutation,
+    buffer_view,
+    check_finite,
+)
 
 VOLUME_MAGIC = b"LRV1"
 MASK_MAGIC = b"LRM1"
@@ -142,14 +154,6 @@ def _box(axes, extents, block) -> list:
     return [(start, stop) for start, stop, _ in box]
 
 
-def _order(axes, want) -> list:
-    """Positions in ``axes`` of the labels of ``want``, the same labels in
-    another order."""
-    if sorted(axes) != sorted(want):
-        raise AxisLayoutError(f"cannot reorder {axes} to {want}")
-    return [axes.index(a) for a in want]
-
-
 def _move(call, fd: int, view: memoryview, at: int):
     """All of the bytes of ``view`` through ``os.preadv`` or ``os.pwritev``
     at byte ``at`` of the file."""
@@ -239,10 +243,10 @@ def _read_file(path, magic: bytes, with_scalar: bool, what: str, block=None, out
         file_axes, extents, dtype, pos = _open_payload(fh, magic, with_scalar, what)
         box = _box(file_axes, extents, block)
         axes = file_axes if axes is None else tuple(axes)
-        shape = [box[i][1] - box[i][0] for i in _order(file_axes, axes)]
+        shape = [box[i][1] - box[i][0] for i in axis_permutation(file_axes, axes)]
         data = np.empty(shape, dtype=dtype) if out is None else buffer_view(out, shape)
-        _transfer(fh.fileno(), data.transpose(_order(axes, file_axes)), pos, extents, box,
-                  dtype, write=False)
+        _transfer(fh.fileno(), data.transpose(axis_permutation(axes, file_axes)), pos,
+                  extents, box, dtype, write=False)
     return axes, data
 
 
@@ -271,17 +275,18 @@ def _replacing(path: str | os.PathLike):
 
 
 @contextlib.contextmanager
-def create_volume(path: str | os.PathLike, axes, extents, scalar_code: int = 0):
-    """Create an LRV1 volume for :func:`write_volume` to fill block by block
-    in the body of a ``with``; the path to write to is the value bound.
+def create_volume(path: str | os.PathLike, axes, extents):
+    """Create an LRV1 volume of complex128 samples for :func:`write_volume`
+    to fill block by block in the body of a ``with``; the path to write to
+    is the value bound.
 
     The file is built under a temporary name beside ``path``, sized for its
     payload, and takes the name ``path`` when the body ends (see
     :func:`_replacing`), so a write that stops partway leaves no file of
     full length with blocks of zeros.
     """
-    header = _header(VOLUME_MAGIC, axes, extents, scalar_code)
-    nbytes = math.prod(extents) * np.dtype(_VOLUME_DTYPES[scalar_code]).itemsize
+    header = _header(VOLUME_MAGIC, axes, extents)
+    nbytes = math.prod(extents) * np.dtype(_VOLUME_DTYPES[0]).itemsize
     with _replacing(path) as part:
         with open(part, "wb") as fh:
             fh.write(header)
@@ -289,40 +294,36 @@ def create_volume(path: str | os.PathLike, axes, extents, scalar_code: int = 0):
         yield part
 
 
-def _header(magic: bytes, axes, extents, scalar_code: int | None = None) -> bytes:
-    """LRV1 header with its ``scalar_code``, or LRM1 header without one."""
+def _header(magic: bytes, axes, extents) -> bytes:
+    """LRV1 header of a complex128 payload, or LRM1 header."""
     header = bytearray(magic)
     header.append(FORMAT_VERSION)
-    if scalar_code is not None:
-        header.append(scalar_code)
+    if magic == VOLUME_MAGIC:
+        header.append(0)
     header.append(len(axes))
     header.extend(AXIS_CODES[a] for a in axes)
     header.extend(np.asarray(extents, dtype="<u8").tobytes())
     return bytes(header)
 
 
-def write_volume(vol: ComplexVolume, path: str | os.PathLike, single_precision: bool = False,
-                 block: dict | None = None):
-    """Serialize a volume as LRV1; a write that fails leaves no file.
+def write_volume(vol: ComplexVolume, path: str | os.PathLike, block: dict | None = None):
+    """Serialize a volume as LRV1 of complex128 samples; a write that fails
+    leaves no file (see :func:`create_volume`).
 
     With ``block``, a slice per axis label as for :func:`read_volume`,
     ``vol`` is that box of the LRV1 file at ``path`` instead, which must
-    exist (see :func:`create_volume`): it is written into place in the
-    file's axis order and scalar type, and nothing else of the file changes.
-    The whole volume is written so too, as the box of every axis, ``{}``.
-    Samples are not checked for non-finite values here (see
-    :func:`lrfill.volume.check_finite`).
+    exist: it is written into place in the file's axis order and scalar
+    type, and nothing else of the file changes.  Either way the samples
+    are checked by :func:`lrfill.volume.check_finite` before any byte is
+    written, so a NaN or an infinity leaves the file as it was.
     """
-    if block is None:
-        with create_volume(path, vol.axes, vol.dims, int(single_precision)) as part:
-            write_volume(vol, part, block={})
-        return
-    if single_precision:
-        raise ValueError("a block is written in the scalar type of its file")
-    with open(path, "r+b") as fh:
+    check_finite(vol.data)
+    target = (create_volume(path, vol.axes, vol.dims) if block is None
+              else contextlib.nullcontext(path))
+    with target as part, open(part, "r+b") as fh:
         axes, extents, dtype, pos = _open_payload(fh, VOLUME_MAGIC, True, "volume payload")
         box = _box(axes, extents, block)
-        data = vol.data.transpose(_order(vol.axes, axes))
+        data = vol.data.transpose(axis_permutation(vol.axes, axes))
         if data.shape != tuple(stop - start for start, stop in box):
             raise ValueError(f"block of dims {data.shape} does not fill the box {box}")
         _transfer(fh.fileno(), data, pos, extents, box, dtype, write=True)
@@ -338,11 +339,14 @@ def read_volume(path: str | os.PathLike, block: dict | None = None,
     the file's order, or in the order ``axes`` of the same labels.  With
     ``out``, a buffer as for :func:`lrfill.volume.buffer_view`, the
     samples are read into its leading elements and the volume returned
-    lies over them (:meth:`ComplexVolume.over`), unchecked for non-finite
-    values: the caller checks them.
+    lies over them.  The samples read are checked by
+    :func:`lrfill.volume.check_finite`: a NaN or an infinity raises
+    ``ValueError``.
     """
-    axes, data = _read_file(path, VOLUME_MAGIC, True, "volume payload", block, out, axes)
-    return ComplexVolume(axes, data) if out is None else ComplexVolume.over(axes, data)
+    vol = ComplexVolume(*_read_file(path, VOLUME_MAGIC, True, "volume payload", block, out,
+                                    axes))
+    check_finite(vol.data)
+    return vol
 
 
 def write_mask(mask: SamplingMask, path: str | os.PathLike):

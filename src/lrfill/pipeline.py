@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, Field, dataclass, field, fields
@@ -29,19 +30,17 @@ from .reporting import SliceReport, snr_db, snr_from_norms, write_report
 from .sampling import SamplingMask
 from .transforms import MODE_REC_SRC_X, Matricization, MeasurementOp
 from .volume import (
+    CANONICAL_AXES,
     SPATIAL_AXES,
     AxisLayoutError,
     ComplexVolume,
+    axis_permutation,
     buffer_view,
     check_finite,
     dft_time_axis,
     freq_values_hz,
     idft_freq_axis,
 )
-
-# Trace-major: each trace's samples are contiguous, in memory and in the
-# files the run writes, and the DFTs run along the last axis.
-CANONICAL_AXES = ("rx", "ry", "sx", "sy", "t")
 
 SOLVERS = ("pd", "levelset")
 
@@ -111,6 +110,11 @@ class PipelineConfig:
             raise ValueError("threads must be at least 1")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
+        # The report is written last, over whatever file it names.
+        for key in ("input", "output", "truth", "mask"):
+            path = getattr(self, key)
+            if self.report and path and os.path.realpath(path) == os.path.realpath(self.report):
+                raise ValueError(f"report {self.report!r} names the {key} file")
         # The solver settings pass their own checks before any data is read.
         self.outer_config(rank=1, seed=0)
 
@@ -200,7 +204,7 @@ def mask_volume(vol: ComplexVolume, mask: SamplingMask, block: dict | None = Non
     it covers (see :func:`trace_blocks`), and the mask is cut to match.
     With ``out``, a buffer as for :func:`buffer_view`, the masked volume is
     written into its leading elements, which may be the ones that hold
-    ``vol``, and the volume returned lies over them, unchecked."""
+    ``vol``, and the volume returned lies over them."""
     if vol.axes != CANONICAL_AXES:
         raise AxisLayoutError(f"cannot mask a volume with axes {vol.axes}; "
                               f"need {CANONICAL_AXES}")
@@ -209,10 +213,8 @@ def mask_volume(vol: ComplexVolume, mask: SamplingMask, block: dict | None = Non
         raise ValueError(
             f"mask grid {grid.shape} does not match spatial dims {vol.dims[:-1]}"
         )
-    if out is None:
-        return ComplexVolume(vol.axes, vol.data * grid[..., None])
-    masked = np.multiply(vol.data, grid[..., None], out=buffer_view(out, vol.dims))
-    return ComplexVolume.over(vol.axes, masked)
+    dest = None if out is None else buffer_view(out, vol.dims)
+    return ComplexVolume(vol.axes, np.multiply(vol.data, grid[..., None], out=dest))
 
 
 def _spatial_index(block: dict) -> tuple:
@@ -263,9 +265,10 @@ def _canonical_dims(path, what: str) -> tuple:
     """Extents of the LRV1 volume at ``path`` in canonical axis order, read
     from its header."""
     axes, extents = read_volume_header(path)
-    if sorted(axes) != sorted(CANONICAL_AXES):
-        raise AxisLayoutError(f"{what} has axes {axes}; need {CANONICAL_AXES} in any order")
-    return tuple(extents[axes.index(a)] for a in CANONICAL_AXES)
+    try:
+        return tuple(extents[i] for i in axis_permutation(axes, CANONICAL_AXES))
+    except AxisLayoutError as exc:
+        raise AxisLayoutError(f"{what}: {exc}") from None
 
 
 # Sums of squares by einsum, not BLAS: a threaded BLAS dot can spend
@@ -323,9 +326,9 @@ def _read_band(cfg: PipelineConfig, dims: tuple, mask: SamplingMask, in_band: li
     of squares of the masked input, of its imaginary part, of the truth and
     of the output's error in the out-of-band bins.  Each block goes through
     two buffers that the pass allocates once and drops when it returns.
-    Every block read, and both spectra, since a DFT of finite samples can
-    overflow, are checked for non-finite values, so a bad sample stops the
-    run before any solve."""
+    :func:`read_volume` checks every block it reads for non-finite values,
+    and both spectra are checked here, since a DFT of finite samples can
+    overflow, so a bad sample stops the run before any solve."""
     observed = np.empty((len(in_band),) + dims[:-1], dtype=np.complex128)
     truth = None if cfg.truth is None else np.empty_like(observed)
     inputs = _block_buffer(dims)
@@ -334,7 +337,6 @@ def _read_band(cfg: PipelineConfig, dims: tuple, mask: SamplingMask, in_band: li
     for block in trace_blocks(dims):
         at = (slice(None),) + _spatial_index(block)
         read = read_volume(cfg.input, block, out=inputs, axes=CANONICAL_AXES)
-        check_finite(read.data)
         masked = mask_volume(read, mask, block, out=inputs)
         total_sq += _energy(masked.data)
         imag_sq += _imag_energy(masked.data)
@@ -343,7 +345,6 @@ def _read_band(cfg: PipelineConfig, dims: tuple, mask: SamplingMask, in_band: li
         observed[at] = np.moveaxis(spectrum[..., in_band], -1, 0)
         if truth is not None:
             read = read_volume(cfg.truth, block, out=truths, axes=CANONICAL_AXES)
-            check_finite(read.data)
             true_spectrum = dft_time_axis(read, out=truths).data
             check_finite(true_spectrum)
             truth_sq += _energy(true_spectrum)
@@ -361,9 +362,8 @@ def _write_output(cfg: PipelineConfig, dims: tuple, mask: SamplingMask, in_band:
     """Pass 2 of :func:`run_interpolation`: write the output, the masked
     input plus the inverse DFT of the in-band ``corrections``, block by
     block through two buffers, and return its sum of squares and that of
-    its imaginary part.  Only the block written is checked for non-finite
-    values: one in the read, the mask product or the inverse DFT reaches
-    it, since NaN times 0 is NaN."""
+    its imaginary part.  :func:`read_volume` checks each block it reads and
+    :func:`write_volume` each block it writes for non-finite values."""
     out_sq = out_imag_sq = 0.0
     with create_volume(cfg.output, CANONICAL_AXES, dims) as partial:
         inputs, fixes = _block_buffer(dims), _block_buffer(dims)
@@ -372,17 +372,14 @@ def _write_output(cfg: PipelineConfig, dims: tuple, mask: SamplingMask, in_band:
             spectrum = buffer_view(fixes, part.shape[1:] + (dims[-1],))
             spectrum[...] = 0.0
             spectrum[..., in_band] = np.moveaxis(part, 0, -1)
-            fix = idft_freq_axis(ComplexVolume.over(SPATIAL_AXES + ("f",), spectrum),
-                                 out=fixes)
+            fix = idft_freq_axis(ComplexVolume(SPATIAL_AXES + ("f",), spectrum), out=fixes)
             masked = mask_volume(read_volume(cfg.input, block, out=inputs,
                                              axes=CANONICAL_AXES), mask, block, out=inputs)
             total = buffer_view(inputs, masked.dims)
             total += fix.data
-            check_finite(total)
-            out = ComplexVolume.over(CANONICAL_AXES, total)
-            write_volume(out, partial, block=block)
-            out_sq += _energy(out.data)
-            out_imag_sq += _imag_energy(out.data)
+            write_volume(ComplexVolume(CANONICAL_AXES, total), partial, block=block)
+            out_sq += _energy(total)
+            out_imag_sq += _imag_energy(total)
     return out_sq, out_imag_sq
 
 

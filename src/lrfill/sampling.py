@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .volume import AXIS_CODES, check_axis_labels
+from .volume import AXIS_LABELS, axis_permutation, check_axis_labels
 
 
 @dataclass
@@ -30,9 +30,8 @@ class SamplingMask:
         if len(axes) != grid.ndim:
             raise ValueError(f"{len(axes)} axis labels for {grid.ndim}-d grid")
         check_axis_labels(axes)
-        order = sorted(range(grid.ndim), key=lambda i: AXIS_CODES[axes[i]])
-        self.grid = np.ascontiguousarray(grid.transpose(order))
-        self.axes = tuple(axes[i] for i in order)
+        self.axes = tuple(a for a in AXIS_LABELS if a in axes)
+        self.grid = np.ascontiguousarray(grid.transpose(axis_permutation(axes, self.axes)))
 
     @property
     def num_observed(self) -> int:

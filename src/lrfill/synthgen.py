@@ -24,7 +24,7 @@ import numpy as np
 from .pdsolver import FactorPair
 from .sampling import SamplingMask
 from .transforms import apply_sampling
-from .volume import ComplexVolume, FrequencySlice
+from .volume import CANONICAL_AXES, ComplexVolume, FrequencySlice
 
 
 @dataclass
@@ -145,4 +145,4 @@ def linear_events(spec: EventSpec) -> ComplexVolume:
     if clipped:
         warnings.warn(f"{clipped} arrivals within {half_width:.3f}s of the record "
                       "edge; wavelets clipped", stacklevel=2)
-    return ComplexVolume(("rx", "ry", "sx", "sy", "t"), out.astype(np.complex128))
+    return ComplexVolume(CANONICAL_AXES, out.astype(np.complex128))

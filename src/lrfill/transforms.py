@@ -9,6 +9,10 @@ whole test-suite depends on them:
     srcpair   row = rx + ry * n_rx      col = sx + sy * n_sx
     recsrcx   row = ry + sy * n_ry      col = rx + sx * n_rx
 
+Each is one order of the four axis labels, slowest first, in ``UNFOLDINGS``:
+the grid is permuted into that order and its first two axes become the
+rows, its last two the columns.
+
 "srcpair" puts receivers on rows and sources on columns, so removing a
 source empties a whole column.  "recsrcx" mixes source and receiver indices
 across rows and columns, which is what gives coherent data a fast-decaying
@@ -37,11 +41,14 @@ from functools import cached_property
 import numpy as np
 
 from .sampling import SamplingMask
-from .volume import AxisLayoutError, FrequencySlice
+from .volume import SPATIAL_AXES, AxisLayoutError, FrequencySlice, axis_permutation
 
 MODE_SRC_PAIR = "srcpair"
 MODE_REC_SRC_X = "recsrcx"
-MODES = (MODE_SRC_PAIR, MODE_REC_SRC_X)
+# The grid's axis order of each unfolding, slowest first: rows, then columns.
+UNFOLDINGS = {MODE_SRC_PAIR: ("ry", "rx", "sy", "sx"),
+              MODE_REC_SRC_X: ("sy", "ry", "sx", "rx")}
+MODES = tuple(UNFOLDINGS)
 
 
 @dataclass(frozen=True)
@@ -66,11 +73,15 @@ class Matricization:
         return (self.n_rx, self.n_ry, self.n_sx, self.n_sy)
 
     @property
+    def _order(self) -> list:
+        """Positions in the grid of the unfolding's axes, slowest first."""
+        return axis_permutation(SPATIAL_AXES, UNFOLDINGS[self.mode])
+
+    @property
     def shape(self) -> tuple:
         """(rows, cols) of the unfolded matrix."""
-        if self.mode == MODE_SRC_PAIR:
-            return (self.n_rx * self.n_ry, self.n_sx * self.n_sy)
-        return (self.n_ry * self.n_sy, self.n_rx * self.n_sx)
+        n = [self.extents[i] for i in self._order]
+        return (n[0] * n[1], n[2] * n[3])
 
     def unfold(self, tensor: np.ndarray) -> np.ndarray:
         tensor = np.asarray(tensor)
@@ -78,10 +89,7 @@ class Matricization:
             raise AxisLayoutError(
                 f"tensor shape {tensor.shape} does not match extents {self.extents}"
             )
-        if self.mode == MODE_SRC_PAIR:
-            # (ry, rx, sy, sx) in C order makes rx/sx the fast indices.
-            return tensor.transpose(1, 0, 3, 2).reshape(self.shape)
-        return tensor.transpose(3, 1, 2, 0).reshape(self.shape)
+        return tensor.transpose(self._order).reshape(self.shape)
 
     def fold(self, matrix: np.ndarray) -> np.ndarray:
         matrix = np.asarray(matrix)
@@ -89,11 +97,8 @@ class Matricization:
             raise AxisLayoutError(
                 f"matrix shape {matrix.shape} does not match unfolding {self.shape}"
             )
-        if self.mode == MODE_SRC_PAIR:
-            interim = matrix.reshape(self.n_ry, self.n_rx, self.n_sy, self.n_sx)
-            return interim.transpose(1, 0, 3, 2)
-        interim = matrix.reshape(self.n_sy, self.n_ry, self.n_sx, self.n_rx)
-        return interim.transpose(3, 1, 2, 0)
+        interim = matrix.reshape([self.extents[i] for i in self._order])
+        return interim.transpose(axis_permutation(UNFOLDINGS[self.mode], SPATIAL_AXES))
 
 
 def apply_sampling(mask: SamplingMask, data: np.ndarray) -> np.ndarray:

@@ -4,7 +4,8 @@ A volume is a dense complex array whose axes carry labels from
 ``{t, f, rx, ry, sx, sy}`` (time, frequency, two receiver axes, two source
 axes).  Labeling the axes instead of relying on positional conventions is
 what keeps the later matricization steps honest: every reshape is done by
-name, never by assumed order.
+name, never by assumed order, and every permutation of axes is taken
+from their labels by :func:`axis_permutation`.
 """
 
 from __future__ import annotations
@@ -17,6 +18,9 @@ import numpy as np
 AXIS_LABELS = ("t", "f", "rx", "ry", "sx", "sy")
 AXIS_CODES = {label: code for code, label in enumerate(AXIS_LABELS)}
 SPATIAL_AXES = ("rx", "ry", "sx", "sy")
+# Trace-major: each trace's samples are contiguous, in memory and in the
+# files a run writes, and the DFTs run along the last axis.
+CANONICAL_AXES = SPATIAL_AXES + ("t",)
 # Floats that check_finite takes at a time.
 _CHECK_FLOATS = 1 << 17
 
@@ -35,6 +39,17 @@ def check_axis_labels(axes: tuple):
         raise AxisLayoutError(f"duplicate axis labels in {axes}")
 
 
+def axis_permutation(axes, want) -> list:
+    """Positions in ``axes`` of the labels of ``want``, in the order of
+    ``want``: the permutation that takes an array whose axes are ``axes``
+    to one whose axes are ``want``.  Raises :class:`AxisLayoutError` unless
+    both hold the same labels."""
+    axes, want = tuple(axes), tuple(want)
+    if sorted(axes) != sorted(want):
+        raise AxisLayoutError(f"cannot reorder {axes} to {want}")
+    return [axes.index(a) for a in want]
+
+
 @dataclass(frozen=True)
 class ComplexVolume:
     """Dense complex N-d array with named axes.
@@ -45,61 +60,33 @@ class ComplexVolume:
         Axis labels, one per array dimension, drawn from ``AXIS_LABELS``.
         Labels must be unique and exactly one of ``t``/``f`` must appear.
     data : ndarray
-        Complex values, frozen (read-only) so volumes can be shared across
-        threads.  The volume takes ownership of an array that owns its
-        memory, is complex128 and is C-contiguous: that array is frozen in
-        place, not copied, so whoever hands it over gives up writing to it.
-        Any other array (a view, another dtype or layout) is copied into
-        a new C-contiguous complex128 array first, so a volume never shares
-        memory with an array that someone else can still write, unless it
-        is made by :meth:`over`.  Values are checked by
-        :func:`check_finite`.
+        Complex values.  A C-contiguous complex128 array, whether it owns
+        its memory or is a view such as a block buffer's, is wrapped as a
+        read-only view without a copy: the volume cannot write it, and
+        whoever can still write the array changes the volume's values, so
+        must be done with the volume first.  Any other array (another dtype
+        or layout) is copied into a new C-contiguous complex128 array.  The
+        labels and the dimensions are checked, not the values: samples are
+        checked where they enter and leave the program (see
+        :func:`check_finite`).
     """
 
     axes: tuple
     data: np.ndarray
 
     def __post_init__(self):
-        arr = self.data
-        if not (type(arr) is np.ndarray and arr.flags.owndata
-                and arr.dtype == np.complex128 and arr.flags.c_contiguous):
-            arr = np.array(arr, dtype=np.complex128, order="C", copy=True)
-        self._take(arr)
-        check_finite(arr)
-
-    @classmethod
-    def over(cls, axes, data: np.ndarray) -> "ComplexVolume":
-        """A volume whose data is a read-only view of ``data``, a
-        C-contiguous complex128 array that the caller keeps writing: a block
-        buffer used again for the next block.  Its axes are checked as any
-        volume's are, but ``data`` is neither copied nor frozen, so its
-        values change when the caller writes ``data`` again; the caller must
-        be done with it first.  Its values are not checked: the caller
-        checks a buffer with :func:`check_finite` where its samples enter
-        and where they leave, not after every stage.
-        """
-        if not (type(data) is np.ndarray and data.dtype == np.complex128
-                and data.flags.c_contiguous):
-            raise ValueError("a volume over a buffer needs C-contiguous complex128 data")
-        vol = object.__new__(cls)
-        object.__setattr__(vol, "axes", axes)
-        vol._take(data.view())
-        return vol
-
-    def _take(self, arr: np.ndarray):
-        """Check the axes and the dimensions of ``arr`` and make them the
-        volume's, with ``arr`` frozen."""
         axes = tuple(self.axes)
         check_axis_labels(axes)
         if ("t" in axes) == ("f" in axes):
             raise AxisLayoutError("exactly one of axes 't' and 'f' is required")
-        if arr.ndim != len(axes):
+        data = np.asarray(self.data, dtype=np.complex128, order="C").view()
+        if data.ndim != len(axes):
             raise AxisLayoutError(
-                f"data has {arr.ndim} dimensions but {len(axes)} axes declared"
+                f"data has {data.ndim} dimensions but {len(axes)} axes declared"
             )
-        arr.setflags(write=False)
+        data.setflags(write=False)
         object.__setattr__(self, "axes", axes)
-        object.__setattr__(self, "data", arr)
+        object.__setattr__(self, "data", data)
 
     @property
     def dims(self):
@@ -111,23 +98,13 @@ class ComplexVolume:
         except ValueError:
             raise AxisLayoutError(f"volume has no {label!r} axis") from None
 
-    def has_axis(self, label: str) -> bool:
-        return label in self.axes
-
-    def norm(self) -> float:
-        """Frobenius norm of the full volume."""
-        return float(np.linalg.norm(self.data))
-
     def reordered(self, axes) -> "ComplexVolume":
         """Return a volume with the same content, axes permuted to `axes`;
         the volume itself when they are already in that order."""
         axes = tuple(axes)
         if axes == self.axes:
             return self
-        if set(axes) != set(self.axes):
-            raise AxisLayoutError(f"cannot reorder {self.axes} to {axes}")
-        perm = [self.axes.index(a) for a in axes]
-        return ComplexVolume(axes, np.transpose(self.data, perm))
+        return ComplexVolume(axes, np.transpose(self.data, axis_permutation(self.axes, axes)))
 
 
 @dataclass
@@ -176,10 +153,8 @@ def _transform(fft, vol: ComplexVolume, src: str, dst: str, out) -> ComplexVolum
     the leading elements of the buffer ``out`` unless it is ``None``."""
     k = vol.axis_index(src)
     axes = tuple(dst if a == src else a for a in vol.axes)
-    if out is None:
-        return ComplexVolume(axes, fft(vol.data, axis=k, norm="ortho"))
-    dest = buffer_view(out, vol.dims)
-    return ComplexVolume.over(axes, fft(vol.data, axis=k, norm="ortho", out=dest))
+    dest = None if out is None else buffer_view(out, vol.dims)
+    return ComplexVolume(axes, fft(vol.data, axis=k, norm="ortho", out=dest))
 
 
 def dft_time_axis(vol: ComplexVolume, out: np.ndarray | None = None) -> ComplexVolume:
@@ -192,9 +167,9 @@ def dft_time_axis(vol: ComplexVolume, out: np.ndarray | None = None) -> ComplexV
     With ``out``, a buffer as for :func:`buffer_view`, the spectrum is
     written into its leading elements, which may be the ones that hold
     ``vol`` (the DFT is then taken in place, with the same result), and
-    the volume returned lies over them (:meth:`ComplexVolume.over`),
-    unchecked: a DFT of finite samples can overflow, so the caller checks
-    the spectrum.
+    the volume returned lies over them.  The spectrum is not checked: a
+    DFT of finite samples can overflow, so a caller that needs finite
+    values checks them with :func:`check_finite`.
     """
     return _transform(np.fft.fft, vol, "t", "f", out)
 

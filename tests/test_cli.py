@@ -227,6 +227,37 @@ def test_interpolate_mismatched_truth_stops_before_any_solve(tmp_path, events_sp
     assert not (tmp_path / "report.csv").exists()
 
 
+@pytest.mark.parametrize("key", ["input", "output", "truth", "mask"])
+def test_interpolate_report_naming_a_data_file_stops_before_any_data(
+        tmp_path, events_spec_file, monkeypatch, key):
+    # The report is written after the run, so a report path that resolves
+    # to a data file, however it is spelled, would replace that file.
+    vol_path = tmp_path / "vol.lrv"
+    main(["generate", "--kind", "events", "--spec", str(events_spec_file),
+          "--out", str(vol_path)])
+    main(["subsample", "--input", str(vol_path), "--keep", "0.5", "--seed", "1",
+          "--out-volume", str(tmp_path / "sub.lrv"), "--out-mask", str(tmp_path / "mask.lrm")])
+    paths = {"input": tmp_path / "sub.lrv", "output": tmp_path / "out.lrv",
+             "truth": vol_path, "mask": tmp_path / "mask.lrm"}
+    paths["output"].write_bytes(b"earlier")
+    before = {name: path.read_bytes() for name, path in paths.items()}
+    reads = []
+    read = pipeline.read_volume
+
+    def counting(*args, **kwargs):
+        reads.append(1)
+        return read(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "read_volume", counting)
+    (tmp_path / "sub").mkdir()
+    report = tmp_path / "sub" / ".." / paths[key].name
+    rc = main(["interpolate", *(f"--{name}={path}" for name, path in paths.items()),
+               f"--report={report}", "--rank", "2"])
+    assert rc == 2
+    assert reads == []
+    assert {name: path.read_bytes() for name, path in paths.items()} == before
+
+
 def test_interpolate_flags_are_the_config_fields(monkeypatch):
     sub = next(a for a in build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))

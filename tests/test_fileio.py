@@ -4,6 +4,7 @@ import os
 
 import numpy as np
 import pytest
+from complex64 import write_complex64
 
 from lrfill import fileio
 from lrfill.fileio import (
@@ -63,14 +64,14 @@ def test_roundtrip_every_axis_count(tmp_path, naxes):
 
 def test_single_precision_flag(tmp_path, vol):
     path = tmp_path / "v32.lrv"
-    write_volume(vol, path, single_precision=True)
+    write_complex64(vol, path)
     back = read_volume(path)
     assert np.array_equal(back.data, vol.data.astype(np.complex64).astype(np.complex128))
 
 
 def test_single_precision_reads_back_as_complex128(tmp_path, vol):
     path = tmp_path / "v32.lrv"
-    write_volume(vol, path, single_precision=True)
+    write_complex64(vol, path)
     assert path.stat().st_size == 7 + 5 * 9 + vol.data.size * 8
     back = read_volume(path)
     assert back.data.dtype == np.complex128
@@ -217,7 +218,7 @@ def _index(vol, block):
 def test_block_read_is_the_box_of_the_whole(tmp_path, layout, single):
     vol = _volume(layout)
     path = tmp_path / "v.lrv"
-    write_volume(vol, path, single_precision=single)
+    (write_complex64 if single else write_volume)(vol, path)
     whole = read_volume(path)
     # A buffer used for every block, read into its leading elements.
     buffer = np.full(vol.data.size, np.nan, dtype=np.complex128)
@@ -336,13 +337,14 @@ def test_trace_major_block_is_moved_in_one_call(tmp_path, monkeypatch):
 def test_blocks_in_another_order_move_in_small_chunks(tmp_path, monkeypatch, layout, single):
     # Runs are moved a few at a time and staged through a small array: a
     # box is read in the order asked for, into a buffer or not, and blocks
-    # in that order written into place make the file, whatever its order
-    # and scalar type.
+    # in that order written into place in a file of zeros make the file,
+    # whatever its order and scalar type.
     monkeypatch.setattr(fileio, "_CHUNK_RUNS", 3)
     monkeypatch.setattr(fileio, "_STAGE_BYTES", 5 * 16)
     vol = _volume(layout)
     path = tmp_path / "v.lrv"
-    write_volume(vol, path, single_precision=single)
+    write = write_complex64 if single else write_volume
+    write(vol, path)
     want = ("rx", "ry", "sx", "sy", "t")
     whole = read_volume(path).reordered(want)
     buffer = np.full(vol.data.size, np.nan, dtype=np.complex128)
@@ -351,12 +353,13 @@ def test_blocks_in_another_order_move_in_small_chunks(tmp_path, monkeypatch, lay
         assert part.axes == want and np.shares_memory(part.data, buffer)
         np.testing.assert_array_equal(part.data, whole.data[_index(whole, block)])
         np.testing.assert_array_equal(read_volume(path, block, axes=want).data, part.data)
-    with create_volume(tmp_path / "blocks.lrv", vol.axes, vol.dims, int(single)) as partial:
-        for rx in range(3):
-            block = {"rx": slice(rx, rx + 1)}
-            write_volume(ComplexVolume(want, whole.data[_index(whole, block)]), partial,
-                         block=block)
-    assert (tmp_path / "blocks.lrv").read_bytes() == path.read_bytes()
+    blocks = tmp_path / "blocks.lrv"
+    write(ComplexVolume(vol.axes, np.zeros(vol.dims)), blocks)
+    for rx in range(3):
+        block = {"rx": slice(rx, rx + 1)}
+        write_volume(ComplexVolume(want, whole.data[_index(whole, block)]), blocks,
+                     block=block)
+    assert blocks.read_bytes() == path.read_bytes()
 
 
 def test_short_transfers_are_completed(tmp_path, monkeypatch):
@@ -388,9 +391,40 @@ def test_failed_write_leaves_no_file(tmp_path, monkeypatch, vol):
     assert (tmp_path / "old.lrv").read_bytes() == b"old"
 
 
-def test_single_precision_block_rejected(tmp_path, vol):
+def test_non_finite_payload_rejected_where_it_is_read(tmp_path, vol):
+    # A whole read and a read of the block that holds the NaN raise, into a
+    # buffer or not; a block without it reads.
     path = tmp_path / "v.lrv"
     write_volume(vol, path)
-    with pytest.raises(ValueError):
-        write_volume(vol, path, single_precision=True, block={})
-    np.testing.assert_array_equal(read_volume(path).data, vol.data)
+    at = np.ravel_multi_index((1, 2, 0, 1, 1), vol.dims)
+    with open(path, "r+b") as fh:
+        fh.seek(os.path.getsize(path) - vol.data.nbytes + 16 * int(at))
+        fh.write(np.array([np.nan], dtype=np.complex128).tobytes())
+    buffer = np.empty(vol.data.size, dtype=np.complex128)
+    for block in ({}, {"rx": slice(2, 3)}):
+        for out in (None, buffer):
+            with pytest.raises(ValueError, match="non-finite"):
+                read_volume(path, block, out=out)
+    np.testing.assert_array_equal(read_volume(path, {"rx": slice(0, 2)}).data,
+                                  vol.data[:, 0:2])
+
+
+def test_non_finite_volume_is_not_written(tmp_path, vol):
+    # A NaN stops a whole write before any byte: no file is left, and a
+    # file already at the path keeps its bytes.  A block with a NaN leaves
+    # its file unchanged.
+    data = np.array(vol.data)
+    data[0, 1, 1, 0, 1] = np.nan
+    bad = ComplexVolume(vol.axes, data)
+    with pytest.raises(ValueError, match="non-finite"):
+        write_volume(bad, tmp_path / "new.lrv")
+    path = tmp_path / "old.lrv"
+    write_volume(vol, path)
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match="non-finite"):
+        write_volume(bad, path)
+    block = {"rx": slice(1, 2)}
+    with pytest.raises(ValueError, match="non-finite"):
+        write_volume(ComplexVolume(bad.axes, bad.data[:, 1:2]), path, block=block)
+    assert [p.name for p in tmp_path.iterdir()] == ["old.lrv"]
+    assert path.read_bytes() == before

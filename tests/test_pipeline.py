@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from complex64 import write_complex64
 
 from lrfill import pipeline
 from lrfill.fileio import read_mask, read_volume, write_mask, write_volume
@@ -701,7 +702,7 @@ def test_any_layout_runs_as_the_canonical_complex128_file(tmp_path, layout):
 
     ref_out, ref = run("canonical", lambda path: write_volume(vol, path))
     if layout == "complex64":
-        out, res = run("other", lambda path: write_volume(vol, path, single_precision=True))
+        out, res = run("other", lambda path: write_complex64(vol, path))
     else:
         out, res = run("other", lambda path: write_volume(vol.reordered(layout), path))
     assert out.axes == ref_out.axes == CANONICAL_AXES
@@ -716,8 +717,7 @@ def test_uneven_blocks_of_a_complex64_file_in_another_order(tmp_path, monkeypatc
     vol = small_volume()
     vol = ComplexVolume(vol.axes, vol.data.astype(np.complex64))
     write_volume(vol, tmp_path / "canonical.lrv")
-    write_volume(vol.reordered(("sy", "sx", "ry", "rx", "t")), tmp_path / "other.lrv",
-                 single_precision=True)
+    write_complex64(vol.reordered(("sy", "sx", "ry", "rx", "t")), tmp_path / "other.lrv")
     write_mask(jittered_volume_mask(4, 3, 3, 2, 0.5, seed=1), tmp_path / "mask.lrm")
     ref = _masked_run(tmp_path, tmp_path / "ref.lrv", truth=tmp_path / "canonical.lrv",
                       input=tmp_path / "canonical.lrv")

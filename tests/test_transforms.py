@@ -27,22 +27,27 @@ def random_mask(rng, extents=(3, 2, 4, 2), keep=0.5):
 
 class TestMatricization:
     def test_index_maps_by_exhaustive_enumeration(self):
-        # Independent oracle: walk the documented index maps entry by entry.
-        T = np.zeros((2, 2, 2, 2))
-        for rx in range(2):
-            for ry in range(2):
-                for sx in range(2):
-                    for sy in range(2):
-                        T[rx, ry, sx, sy] = rx + 2 * ry + 4 * sx + 8 * sy
-        src = Matricization(MODE_SRC_PAIR, 2, 2, 2, 2).unfold(T)
-        rec = Matricization(MODE_REC_SRC_X, 2, 2, 2, 2).unfold(T)
-        for rx in range(2):
-            for ry in range(2):
-                for sx in range(2):
-                    for sy in range(2):
-                        assert src[rx + 2 * ry, sx + 2 * sy] == T[rx, ry, sx, sy]
-                        assert rec[ry + 2 * sy, rx + 2 * sx] == T[rx, ry, sx, sy]
-        assert src[3, 3] == 15
+        # Independent oracle: walk the documented index maps entry by entry,
+        # for both modes, with extents that all differ, through unfold and
+        # fold.
+        n_rx, n_ry, n_sx, n_sy = 2, 3, 4, 5
+        T = np.arange(n_rx * n_ry * n_sx * n_sy, dtype=float).reshape(n_rx, n_ry, n_sx, n_sy)
+        maps = {
+            MODE_SRC_PAIR: ((n_rx * n_ry, n_sx * n_sy),
+                            lambda rx, ry, sx, sy: (rx + ry * n_rx, sx + sy * n_sx)),
+            MODE_REC_SRC_X: ((n_ry * n_sy, n_rx * n_sx),
+                             lambda rx, ry, sx, sy: (ry + sy * n_ry, rx + sx * n_rx)),
+        }
+        assert set(maps) == set(MODES)
+        for mode, (shape, index) in maps.items():
+            m = Matricization(mode, n_rx, n_ry, n_sx, n_sy)
+            assert m.shape == shape
+            M = m.unfold(T)
+            expected = np.zeros(shape)
+            for at in np.ndindex(T.shape):
+                assert M[index(*at)] == T[at]
+                expected[index(*at)] = T[at]
+            np.testing.assert_array_equal(m.fold(expected), T)
 
     @pytest.mark.parametrize("mode", MODES)
     def test_fold_unfold_roundtrip(self, mode):

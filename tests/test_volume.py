@@ -4,6 +4,7 @@ import pytest
 from lrfill.volume import (
     AxisLayoutError,
     ComplexVolume,
+    axis_permutation,
     buffer_view,
     check_finite,
     dft_time_axis,
@@ -43,29 +44,36 @@ class TestComplexVolume:
             ComplexVolume(("t", "f"), np.zeros((2, 2)))
 
     def test_nonfinite_rejected(self):
-        data = np.zeros((2, 2), dtype=complex)
-        data[0, 0] = np.nan
-        with pytest.raises(ValueError):
-            ComplexVolume(("t", "rx"), data)
+        # The constructor checks labels and dimensions, not values: samples
+        # are checked where they cross the file boundary, by check_finite.
+        for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+            data = np.zeros((2, 2), dtype=complex)
+            data[0, 1] = bad
+            vol = ComplexVolume(("t", "rx"), data)
+            with pytest.raises(ValueError, match="non-finite"):
+                check_finite(vol.data)
 
     def test_shape_must_match_axes(self):
         with pytest.raises(AxisLayoutError):
             ComplexVolume(("t", "rx", "sx"), np.zeros((2, 2)))
 
-    def test_view_is_copied(self):
+    def test_view_is_shared(self):
+        # A C-contiguous complex128 view is wrapped, not copied.
         base = np.zeros((4, 2, 3), dtype=complex)
-        vol = ComplexVolume(("t", "rx", "sx"), base[:])
-        base[0, 0, 0] = 1.0
-        assert vol.data[0, 0, 0] == 0.0
-        assert not np.shares_memory(vol.data, base)
+        vol = ComplexVolume(("t", "rx", "sx"), base[1:3])
+        assert np.shares_memory(vol.data, base)
+        base[1, 0, 0] = 1.0
+        assert vol.data[0, 0, 0] == 1.0
 
-    def test_owning_array_is_frozen_in_place(self):
+    def test_owning_array_stays_writable(self):
+        # The volume's own view is read-only; the array handed over is not
+        # frozen, and whoever writes it changes the volume.
         data = np.zeros((4, 2, 3), dtype=complex)
         vol = ComplexVolume(("t", "rx", "sx"), data)
         assert np.shares_memory(vol.data, data)
-        assert not data.flags.writeable
-        with pytest.raises(ValueError):
-            data[0, 0, 0] = 1.0
+        assert data.flags.writeable and not vol.data.flags.writeable
+        data[0, 0, 0] = 2.0
+        assert vol.data[0, 0, 0] == 2.0
 
     @pytest.mark.parametrize("data", [np.zeros((4, 2, 3), dtype=np.complex64),
                                       np.zeros((4, 2, 3), dtype=complex, order="F"),
@@ -77,17 +85,15 @@ class TestComplexVolume:
         assert data.flags.writeable
 
     def test_volume_over_a_buffer(self):
-        # The volume shares the buffer and cannot write it; the buffer stays
-        # writable.  Its values are not checked: the buffer's owner checks
-        # them where they enter and where they leave.
+        # A volume over the leading elements of a block buffer shares them
+        # and cannot write them; the buffer stays writable, and the volume
+        # sees what is written into it later.
         buffer = np.zeros(10, dtype=np.complex128)
-        vol = ComplexVolume.over(("t", "rx"), buffer_view(buffer, (2, 3)))
+        vol = ComplexVolume(("t", "rx"), buffer_view(buffer, (2, 3)))
         assert vol.dims == (2, 3) and np.shares_memory(vol.data, buffer)
         assert not vol.data.flags.writeable and buffer.flags.writeable
-        buffer[5] = np.nan
-        vol = ComplexVolume.over(("t", "rx"), buffer_view(buffer, (2, 3)))
-        with pytest.raises(ValueError, match="non-finite"):
-            check_finite(vol.data)
+        buffer[:6] = np.arange(6)
+        np.testing.assert_array_equal(vol.data, np.arange(6).reshape(2, 3))
         with pytest.raises(ValueError, match="cannot hold"):
             buffer_view(buffer, (3, 4))
         with pytest.raises(ValueError, match="complex128"):
@@ -97,6 +103,15 @@ class TestComplexVolume:
         vol = random_volume(np.random.default_rng(0))
         assert vol.reordered(vol.axes) is vol
         assert vol.reordered(list(vol.axes)) is vol
+
+    def test_axis_permutation(self):
+        assert axis_permutation(("t", "rx", "sx"), ("sx", "t", "rx")) == [2, 0, 1]
+        for want in (("t", "rx"), ("t", "rx", "sy"), ("t", "rx", "sx", "sy")):
+            with pytest.raises(AxisLayoutError, match="cannot reorder"):
+                axis_permutation(("t", "rx", "sx"), want)
+        vol = random_volume(np.random.default_rng(0))
+        with pytest.raises(AxisLayoutError):
+            vol.reordered(("f", "rx", "ry", "sx", "sy"))
 
     def test_reordered_permutes_content(self):
         rng = np.random.default_rng(0)
@@ -141,7 +156,8 @@ class TestDft:
         rng = np.random.default_rng(2)
         vol = random_volume(rng)
         spec = dft_time_axis(vol)
-        assert abs(spec.norm() - vol.norm()) < 1e-12 * vol.norm()
+        norm = np.linalg.norm(vol.data)
+        assert abs(np.linalg.norm(spec.data) - norm) < 1e-12 * norm
 
     def test_linearity(self):
         rng = np.random.default_rng(3)
