@@ -42,13 +42,13 @@ def rank_for_frequency(sched: RankSchedule, f_hz: float) -> int:
 class OuterConfig:
     """Configuration of one slice interpolation.
 
-    Exactly one of ``eta_target`` (absolute) or ``eta_fraction`` (relative
-    to ||b||) must be given.
+    ``eta_target`` is the slice's residual budget, an absolute norm: a run
+    passes ``eta_fraction * ||b||`` of its slice.  ``outer_tol`` bounds the
+    relative change of the product at which the outer loop stops.
     """
 
     rank: int
-    eta_target: float | None = None
-    eta_fraction: float | None = None
+    eta_target: float
     alpha: float = 0.1
     outer_iters: int = 15
     outer_tol: float = 1e-4
@@ -60,17 +60,10 @@ class OuterConfig:
             raise ValueError("alpha must lie in (0, 1)")
         if self.outer_iters < 1:
             raise ValueError("outer_iters must be at least 1")
-        if (self.eta_target is None) == (self.eta_fraction is None):
-            raise ValueError("give exactly one of eta_target / eta_fraction")
-        if self.eta_target is not None and self.eta_target < 0:
-            raise ValueError("eta_target must be nonnegative")
-        if self.eta_fraction is not None and not 0.0 <= self.eta_fraction < 1.0:
-            raise ValueError("eta_fraction must lie in [0, 1)")
-
-    def resolve_eta(self, b_norm: float) -> float:
-        if self.eta_target is not None:
-            return self.eta_target
-        return self.eta_fraction * b_norm
+        if not (np.isfinite(self.eta_target) and self.eta_target >= 0.0):
+            raise ValueError("eta_target must be a finite number >= 0")
+        if not self.outer_tol >= 0.0:  # NaN fails it too
+            raise ValueError("outer_tol must be >= 0")
 
 
 def eta_schedule(eta_prev: float, alpha: float, eta_target: float) -> float:
@@ -113,7 +106,8 @@ def zero_completion(p: int, q: int, r: int, b_norm: float, eta: float, t_start: 
 
 def interpolate_slice(op, b, cfg: OuterConfig):
     """Complete one slice from its masked measurements ``b``, shaped like
-    the mask's grid (``op.data_shape``).
+    the mask's grid (``op.data_shape``), within the residual budget
+    ``cfg.eta_target``, an absolute norm.
 
     Runs the outer loop: tighten eta, solve for R with L fixed, then for L
     with R fixed, each subproblem exactly, then equalize the factor norms;
@@ -131,7 +125,7 @@ def interpolate_slice(op, b, cfg: OuterConfig):
     p, q = op.factor_shape
     r = max(1, min(cfg.rank, p, q))
     b_norm = float(np.linalg.norm(b))
-    eta_target = cfg.resolve_eta(b_norm)
+    eta_target = cfg.eta_target
 
     if eta_target >= b_norm:
         return zero_completion(p, q, r, b_norm, eta_target, t_start)

@@ -105,6 +105,8 @@ def cmd_evaluate(args) -> int:
 def cmd_svdscan(args) -> int:
     if not (math.isfinite(args.dt) and args.dt > 0.0):
         raise ValueError("--dt must be a positive finite number")
+    if not (math.isfinite(args.freq) and args.freq >= 0.0):
+        raise ValueError("--freq must be a finite number >= 0")
     vol = read_volume(args.input)
     if "t" in vol.axes:
         vol = dft_time_axis(vol)

@@ -60,8 +60,9 @@ _VOLUME_DTYPES = ("<c16", "<c8")
 # many short runs (a block of a time-first file) costs no list of them all.
 _CHUNK_RUNS = 4096
 # Most bytes of the array that stages a transfer in another scalar type or
-# axis order; it is allocated per transfer, so it is kept small.
-_STAGE_BYTES = 1 << 18
+# axis order; it is allocated per transfer, beside the array it fills, so it
+# is kept small.
+_STAGE_BYTES = 1 << 17
 
 
 class FileFormatError(ValueError):
@@ -185,20 +186,24 @@ def _transfer(fd: int, data: np.ndarray, pos: int, extents, box, dtype, write: b
     runs, so that a box of many short runs (a block of a time-first file)
     costs no list of them all.  Data that is C-contiguous and of the
     payload's type is moved in place; any other, such as a transposed view
-    of a block buffer, goes through a staging array of at most
-    ``_STAGE_BYTES`` (or one run) and is cast and transposed on the way.
+    of a block buffer or a complex128 array read from a complex64 payload,
+    goes through a staging array of at most ``_STAGE_BYTES`` (or one run
+    along the last axis) and is cast and transposed on the way.
     """
     if data.size == 0:
         return
     # A unit axis in front gives every box an axis that indexes its runs.
     data, extents, box = data[None], (1, *extents), [(0, 1), *box]
+    itemsize = np.dtype(dtype).itemsize
+    staged = data.dtype != dtype or not data.flags.c_contiguous
+    # A run spans whole trailing axes; a staged one only as many as fit
+    # the staging array.
     last = len(extents) - 1
-    while last > 1 and box[last] == (0, extents[last]):
+    while last > 1 and box[last] == (0, extents[last]) and not (
+            staged and math.prod(data.shape[last - 1:]) * itemsize > _STAGE_BYTES):
         last -= 1
     strides = [math.prod(extents[i + 1:]) for i in range(len(extents))]
     lead, run = data.shape[:last], math.prod(data.shape[last:])
-    itemsize = np.dtype(dtype).itemsize
-    staged = data.dtype != dtype or not data.flags.c_contiguous
     most = _CHUNK_RUNS
     if staged:
         most = max(1, min(most, _STAGE_BYTES // (run * itemsize)))
@@ -235,16 +240,19 @@ def _read_file(path, magic: bytes, with_scalar: bool, what: str, block=None, out
     that ``block`` names, with its axes in the order ``axes`` (the file's
     by default).  The header and the payload length are checked before any
     of the payload is read; the payload goes straight into the array
-    returned, which is the leading elements of the complex128 buffer
-    ``out`` (see :func:`buffer_view`) if one is given.  A payload of
-    another scalar type or axis order is cast or transposed on the way,
-    through a staging array of bounded size (see :func:`_transfer`)."""
+    returned: a new complex128 array for a volume and uint8 for a mask, or
+    the leading elements of the complex128 buffer ``out`` (see
+    :func:`buffer_view`) if one is given.  A payload of another scalar type
+    or axis order is cast or transposed on the way, through a staging array
+    of bounded size (see :func:`_transfer`), so the payload is never held
+    twice."""
     with open(path, "rb") as fh:
         file_axes, extents, dtype, pos = _open_payload(fh, magic, with_scalar, what)
         box = _box(file_axes, extents, block)
         axes = file_axes if axes is None else tuple(axes)
         shape = [box[i][1] - box[i][0] for i in axis_permutation(file_axes, axes)]
-        data = np.empty(shape, dtype=dtype) if out is None else buffer_view(out, shape)
+        kind = np.complex128 if with_scalar else np.uint8
+        data = np.empty(shape, dtype=kind) if out is None else buffer_view(out, shape)
         _transfer(fh.fileno(), data.transpose(axis_permutation(axes, file_axes)), pos,
                   extents, box, dtype, write=False)
     return axes, data

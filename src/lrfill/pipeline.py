@@ -110,17 +110,19 @@ class PipelineConfig:
             raise ValueError("threads must be at least 1")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
+        if not 0.0 <= self.eta_fraction < 1.0:
+            raise ValueError("eta_fraction must lie in [0, 1)")
         # The report is written last, over whatever file it names.
         for key in ("input", "output", "truth", "mask"):
             path = getattr(self, key)
             if self.report and path and os.path.realpath(path) == os.path.realpath(self.report):
                 raise ValueError(f"report {self.report!r} names the {key} file")
         # The solver settings pass their own checks before any data is read.
-        self.outer_config(rank=1, seed=0)
+        self.outer_config(rank=1, eta=0.0, seed=0)
 
-    def outer_config(self, rank: int, seed: int) -> OuterConfig:
-        """The alternating solver's settings for one slice."""
-        return OuterConfig(rank=rank, eta_fraction=self.eta_fraction, alpha=self.alpha,
+    def outer_config(self, rank: int, eta: float, seed: int) -> OuterConfig:
+        """The alternating solver's settings for one slice of budget ``eta``."""
+        return OuterConfig(rank=rank, eta_target=eta, alpha=self.alpha,
                            outer_iters=self.outer_iters, outer_tol=self.outer_tol,
                            seed=seed, pd=PdConfig(max_iters=self.inner_iters))
 
@@ -295,12 +297,11 @@ class RunResult:
     failed: int = 0
 
 
-def _solve_one(op, b, freq_hz, rank, cfg: PipelineConfig, bin_index: int):
+def _solve_one(op, b, eta, freq_hz, rank, cfg: PipelineConfig, bin_index: int):
     seed = int(np.random.SeedSequence([cfg.seed, bin_index]).generate_state(1)[0])
     if cfg.solver == "pd":
-        _, X, rep = interpolate_slice(op, b, cfg.outer_config(rank, seed))
+        _, X, rep = interpolate_slice(op, b, cfg.outer_config(rank, eta, seed))
     else:
-        eta = cfg.eta_fraction * float(np.linalg.norm(b))
         lcfg = LevelSetConfig(
             root_tol=max(cfg.eta_fraction * 0.05, 1e-5),
             max_root_iters=cfg.outer_iters * 3,
@@ -456,14 +457,14 @@ def run_interpolation(cfg: PipelineConfig) -> RunResult:
         b = done = observed[i]
         freq_hz = abs(float(freqs[k]))
         rank = rank_at(freq_hz)
+        eta = cfg.eta_fraction * float(np.linalg.norm(b))
         if fully_observed:
             # Nothing to interpolate: pass the slice through untouched.
-            rep = SliceReport(freq_hz=freq_hz, rank=rank,
-                              eta_target=cfg.eta_fraction * float(np.linalg.norm(b)),
+            rep = SliceReport(freq_hz=freq_hz, rank=rank, eta_target=eta,
                               rel_residual=0.0, status="ok")
         else:
             try:
-                X, rep = _solve_one(op, b, freq_hz, rank, cfg, k)
+                X, rep = _solve_one(op, b, eta, freq_hz, rank, cfg, k)
                 done = op.to_acquisition(X)
             except Exception as exc:  # degrade to the observed data for this slice
                 rep = SliceReport(freq_hz=freq_hz, rank=rank,

@@ -14,19 +14,21 @@ class SamplingMask:
     """Boolean observation grid over labelled axes.
 
     The grid covers the acquisition axes: 4-d ``(rx, ry, sx, sy)`` for
-    volume experiments, 2-d for bare-matrix instances.  A grid given with
-    its axes in another order is transposed into the order of
-    ``AXIS_LABELS``, so a mask means the same whatever order it comes in.
+    volume experiments, 2-d, such as ``(rx, sx)``, for bare-matrix
+    instances.  ``axes`` labels each of the grid's axes and has no
+    default.  A grid given with its axes in another order is transposed
+    into the order of ``AXIS_LABELS``, so a mask means the same whatever
+    order it comes in.
     """
 
     grid: np.ndarray
-    axes: tuple = ()
+    axes: tuple
 
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=bool)
         if grid.size == 0 or not grid.any():
             raise ValueError("mask observes no entries")
-        axes = tuple(self.axes) if self.axes else _default_axes(grid.ndim)
+        axes = tuple(self.axes)
         if len(axes) != grid.ndim:
             raise ValueError(f"{len(axes)} axis labels for {grid.ndim}-d grid")
         check_axis_labels(axes)
@@ -36,16 +38,6 @@ class SamplingMask:
     @property
     def num_observed(self) -> int:
         return int(self.grid.sum())
-
-
-def _default_axes(ndim: int) -> tuple:
-    if ndim == 1:
-        return ("sx",)
-    if ndim == 2:
-        return ("rx", "sx")
-    if ndim == 4:
-        return ("rx", "ry", "sx", "sy")
-    raise ValueError(f"no default axis labels for a {ndim}-d mask")
 
 
 @dataclass(frozen=True)

@@ -70,19 +70,10 @@ def plant_slice(spec: PlantSpec):
     return FrequencySlice(spec.p, spec.q, X), pair
 
 
-def observe_slice(X, mask: SamplingMask, noise_eps: float = 0.0, seed: int = 0):
-    """Masked observations b = P(X), plus noise of exact relative norm
-    ``noise_eps`` confined to the observed entries."""
-    X = np.asarray(X, dtype=np.complex128)
-    b = apply_sampling(mask, X)
-    if noise_eps > 0:
-        rng = np.random.default_rng(seed)
-        noise = rng.standard_normal(b.shape) + 1j * rng.standard_normal(b.shape)
-        noise = apply_sampling(mask, noise)
-        nn = np.linalg.norm(noise)
-        if nn > 0:
-            b = b + noise * (noise_eps * np.linalg.norm(b) / nn)
-    return b
+def observe_slice(X, mask: SamplingMask):
+    """Masked observations b = P(X) of a slice X shaped like the mask's
+    grid: X where the mask observes, zero elsewhere, as complex128."""
+    return apply_sampling(mask, np.asarray(X, dtype=np.complex128))
 
 
 def ricker(t, peak_hz: float):

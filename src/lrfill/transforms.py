@@ -41,7 +41,7 @@ from functools import cached_property
 import numpy as np
 
 from .sampling import SamplingMask
-from .volume import SPATIAL_AXES, AxisLayoutError, FrequencySlice, axis_permutation
+from .volume import SPATIAL_AXES, AxisLayoutError, axis_permutation
 
 MODE_SRC_PAIR = "srcpair"
 MODE_REC_SRC_X = "recsrcx"
@@ -276,15 +276,13 @@ class PackedTranspose(PackedOp):
         return self.base
 
 
-def singular_decay(slice_or_matrix) -> np.ndarray:
-    """Singular values sorted descending and normalized by the largest.
+def singular_decay(matrix) -> np.ndarray:
+    """Singular values of a matrix, such as a slice's unfolding, sorted
+    descending and normalized by the largest.
 
     Dense SVD; diagnostics only, never called from solver paths.
     """
-    if isinstance(slice_or_matrix, FrequencySlice):
-        X = slice_or_matrix.data
-    else:
-        X = np.asarray(slice_or_matrix)
+    X = np.asarray(matrix)
     if X.ndim != 2 or X.size == 0:
         raise ValueError("singular_decay expects a nonempty matrix")
     s = np.linalg.svd(X, compute_uv=False)

@@ -104,17 +104,18 @@ class TestRankSchedule:
 
 
 class TestOuterConfig:
-    def test_eta_exactly_one_of(self):
-        with pytest.raises(ValueError):
+    def test_eta_target_is_required_finite_and_nonnegative(self):
+        with pytest.raises(TypeError):
             OuterConfig(rank=3)
-        with pytest.raises(ValueError):
-            OuterConfig(rank=3, eta_target=0.1, eta_fraction=0.1)
+        for eta in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="eta_target"):
+                OuterConfig(rank=3, eta_target=eta)
+        assert OuterConfig(rank=3, eta_target=0.0).eta_target == 0.0
 
-    def test_resolve(self):
-        cfg = OuterConfig(rank=3, eta_fraction=0.03)
-        assert cfg.resolve_eta(10.0) == pytest.approx(0.3)
-        cfg = OuterConfig(rank=3, eta_target=0.7)
-        assert cfg.resolve_eta(10.0) == 0.7
+    @pytest.mark.parametrize("tol", [-1.0, float("nan")])
+    def test_outer_tol_below_zero_or_nan_rejected(self, tol):
+        with pytest.raises(ValueError, match="outer_tol"):
+            OuterConfig(rank=3, eta_target=0.1, outer_tol=tol)
 
 
 class TestInterpolateSlice:
@@ -123,7 +124,7 @@ class TestInterpolateSlice:
         mask = uniform_entry_mask(8, 8, 0.5, seed=0)
         op = MeasurementOp(mask)
         b = np.zeros((8, 8), dtype=complex)
-        cfg = OuterConfig(rank=2, eta_fraction=0.03, seed=1)
+        cfg = OuterConfig(rank=2, eta_target=0.0, seed=1)
         for pair, X, rep in (interpolate_slice(op, b, cfg), solve_levelset(op, b, 0.0, 2)):
             assert X.shape == (8, 8) and np.all(X == 0)
             assert pair.L.shape == pair.R.shape == (8, 2)
@@ -139,9 +140,9 @@ class TestInterpolateSlice:
         mask = SamplingMask(grid, axes=("rx", "sx"))
         op = MeasurementOp(mask)
         b = sl.data.copy()
-        cfg = OuterConfig(rank=3, eta_fraction=1e-6, alpha=0.5, outer_iters=25,
-                          seed=2, pd=PdConfig(max_iters=3000, primal_tol=1e-8,
-                                              feas_tol=1e-7))
+        cfg = OuterConfig(rank=3, eta_target=1e-6 * float(np.linalg.norm(b)), alpha=0.5,
+                          outer_iters=25, seed=2,
+                          pd=PdConfig(max_iters=3000, primal_tol=1e-8, feas_tol=1e-7))
         pair, X, rep = interpolate_slice(op, b, cfg)
         assert snr_db(b, X) >= 60.0
 
@@ -162,8 +163,8 @@ class TestInterpolateSlice:
         op = MeasurementOp(mask)
         sl, _ = plant_slice(PlantSpec(p=6, q=5, rank=2, seed=1))
         b = observe_slice(sl.data, mask)
-        cfg = OuterConfig(rank=50, eta_fraction=0.05, outer_iters=4, seed=0,
-                          pd=PdConfig(max_iters=300))
+        cfg = OuterConfig(rank=50, eta_target=0.05 * float(np.linalg.norm(b)), outer_iters=4,
+                          seed=0, pd=PdConfig(max_iters=300))
         pair, X, rep = interpolate_slice(op, b, cfg)
         assert pair.rank == 5
 
@@ -172,8 +173,8 @@ class TestInterpolateSlice:
         mask = uniform_entry_mask(12, 12, 0.8, seed=9)
         b = observe_slice(sl.data, mask)
         op = MeasurementOp(mask)
-        cfg = OuterConfig(rank=2, eta_fraction=0.05, outer_iters=6, seed=4,
-                          pd=PdConfig(max_iters=400))
+        cfg = OuterConfig(rank=2, eta_target=0.05 * float(np.linalg.norm(b)), outer_iters=6,
+                          seed=4, pd=PdConfig(max_iters=400))
         pair, X, rep = interpolate_slice(op, b, cfg)
         assert rep.outer_iters >= 1
         assert rep.inner_iters >= rep.outer_iters
@@ -188,12 +189,12 @@ class TestInterpolateSlice:
         b = observe_slice(sl.data, mask)
         op = MeasurementOp(mask)
         alpha, frac = 0.3, 0.01
-        cfg = OuterConfig(rank=2, eta_fraction=frac, alpha=alpha, outer_iters=12,
+        target = frac * float(np.linalg.norm(b))
+        cfg = OuterConfig(rank=2, eta_target=target, alpha=alpha, outer_iters=12,
                           seed=4, pd=PdConfig(max_iters=300))
         pair, X, rep = interpolate_slice(op, b, cfg)
         bound = int(np.ceil(np.log(frac) / np.log(alpha))) + 1
         etas = [h["eta"] for h in rep.history]
-        target = frac * float(np.linalg.norm(b))
         assert all(b2 <= a2 for a2, b2 in zip(etas, etas[1:]))  # nonincreasing
         assert min(etas[: bound + 1]) <= target * (1 + 1e-12)
 
@@ -227,7 +228,8 @@ class TestInterpolateSlice:
         sl, _ = plant_slice(PlantSpec(p=12, q=10, rank=2, seed=8))
         mask = uniform_entry_mask(12, 10, 0.8, seed=9)
         b = observe_slice(sl.data, mask)
-        cfg = OuterConfig(rank=2, eta_fraction=0.05, outer_iters=4, seed=4)
+        cfg = OuterConfig(rank=2, eta_target=0.05 * float(np.linalg.norm(b)), outer_iters=4,
+                          seed=4)
         _, _, rep = interpolate_slice(MeasurementOp(mask), b, cfg)
         assert rep.outer_iters >= 1
         assert calls == [(10, 12), (12, 10)] * rep.outer_iters
@@ -243,6 +245,7 @@ class TestInterpolateSlice:
         mask = uniform_entry_mask(12, 12, 0.8, seed=9)
         b = observe_slice(sl.data, mask)
         op = MeasurementOp(mask)
-        cfg = OuterConfig(rank=2, eta_fraction=0.05, outer_iters=6, seed=4)
+        cfg = OuterConfig(rank=2, eta_target=0.05 * float(np.linalg.norm(b)), outer_iters=6,
+                          seed=4)
         with pytest.raises(RuntimeError, match="outer iteration 0 .*injected"):
             interpolate_slice(op, b, cfg)

@@ -305,6 +305,22 @@ def test_svdscan_bad_dt_stops_before_any_data(tmp_path, events_spec_file, dt):
     assert not list(tmp_path.glob("*_srcpair.csv"))
 
 
+@pytest.mark.parametrize("freq", ["nan", "inf", "-30"])
+def test_svdscan_bad_freq_stops_before_any_data(tmp_path, monkeypatch, events_spec_file, freq):
+    vol_path = tmp_path / "vol.lrv"
+    main(["generate", "--kind", "events", "--spec", str(events_spec_file),
+          "--out", str(vol_path)])
+
+    def no_read(*args, **kwargs):
+        raise AssertionError("the input was read")
+
+    monkeypatch.setattr(cli, "read_volume", no_read)
+    rc = main(["svdscan", "--input", str(vol_path), "--freq", freq,
+               "--dt", "0.004", "--out", str(tmp_path / "decay")])
+    assert rc == 2
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_compare(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"

@@ -1,6 +1,7 @@
 import errno
 import itertools
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -372,6 +373,31 @@ def test_short_transfers_are_completed(tmp_path, monkeypatch):
     reads = _counting(monkeypatch, "preadv", most=7)
     np.testing.assert_array_equal(read_volume(path).data, vol.data)
     assert len(writes) > 1 and len(reads) > 1
+
+
+@pytest.mark.parametrize("single, axes", [(True, None), (False, ("t", "rx", "ry", "sx", "sy"))],
+                         ids=["complex64", "another-order"])
+def test_whole_read_holds_no_second_copy(tmp_path, single, axes):
+    # A whole read of a complex64 file, or of a file in another axis order,
+    # goes through the small staging array into the complex128 array it
+    # returns: the payload is never held twice, and the values are those of
+    # its complex128 twin.
+    rng = np.random.default_rng(11)
+    dims = (4, 4, 4, 4, 1024)
+    canonical = ("rx", "ry", "sx", "sy", "t")
+    vol = ComplexVolume(canonical, rng.standard_normal(dims) + 1j * rng.standard_normal(dims))
+    (write_complex64 if single else write_volume)(vol, tmp_path / "in.lrv")
+    twin = vol.data.astype(np.complex64) if single else vol.data
+    write_volume(ComplexVolume(canonical, twin), tmp_path / "twin.lrv")
+    del vol, twin
+    tracemalloc.start()
+    try:
+        back = read_volume(tmp_path / "in.lrv", axes=axes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 17 * back.data.size
+    np.testing.assert_array_equal(back.data, read_volume(tmp_path / "twin.lrv", axes=axes).data)
 
 
 def test_failed_write_leaves_no_file(tmp_path, monkeypatch, vol):

@@ -2,6 +2,7 @@ import math
 import os
 import sys
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from lrfill.pipeline import (
     CANONICAL_AXES,
     PipelineConfig,
     config_from_dict,
+    config_parser,
     load_config,
     mask_volume,
     parse_kv_file,
@@ -105,6 +107,12 @@ class TestConfigParsing:
         with pytest.raises(ValueError):
             PipelineConfig(input="a", output="b", rank=3, seed=-1)
 
+    @pytest.mark.parametrize("key", [f.name for f in fields(PipelineConfig)
+                                     if config_parser(f) is float])
+    def test_nan_rejected_for_every_float_key(self, key):
+        with pytest.raises(ValueError):
+            config_from_dict({"input": "a", "output": "b", "rank": "3", key: "nan"})
+
     @pytest.mark.parametrize("key, value", [("alpha", "7"), ("inner_iters", "0")])
     def test_solver_settings_checked_for_every_solver(self, key, value):
         # The alternating solver's own checks run when the config is built,
@@ -126,7 +134,8 @@ class TestMaskVolume:
     def test_shape_mismatch(self):
         vol = small_volume()
         with pytest.raises(ValueError):
-            mask_volume(vol, SamplingMask(np.ones((2, 2, 2, 2), dtype=bool)))
+            mask_volume(vol, SamplingMask(np.ones((2, 2, 2, 2), dtype=bool),
+                                          axes=("rx", "ry", "sx", "sy")))
 
     def test_time_first_volume_rejected(self):
         vol = small_volume()

@@ -130,11 +130,7 @@ class TestUniformEntryMask:
 class TestSamplingMask:
     def test_empty_mask_rejected(self):
         with pytest.raises(ValueError):
-            SamplingMask(np.zeros((3, 3), dtype=bool))
-
-    def test_default_axes(self):
-        mask = SamplingMask(np.ones((2, 2), dtype=bool))
-        assert mask.axes == ("rx", "sx")
+            SamplingMask(np.zeros((3, 3), dtype=bool), axes=("rx", "sx"))
 
     def test_grid_is_kept_in_canonical_axis_order(self):
         grid = np.zeros((2, 3, 4, 5), dtype=bool)

@@ -61,16 +61,6 @@ class TestObserveSlice:
         b = observe_slice(sl.data, mask)
         np.testing.assert_array_equal(b, apply_sampling(mask, sl.data))
 
-    def test_exact_noise_scaling(self):
-        sl, _ = plant_slice(PlantSpec(p=16, q=16, rank=3, seed=4))
-        mask = uniform_entry_mask(16, 16, 0.6, seed=2)
-        clean = apply_sampling(mask, sl.data)
-        b = observe_slice(sl.data, mask, noise_eps=0.01, seed=9)
-        rel = np.linalg.norm(b - clean) / np.linalg.norm(clean)
-        assert rel == pytest.approx(0.01, abs=1e-12)
-        # noise confined to the observed set
-        assert np.all(b[~mask.grid] == 0)
-
 
 class TestRicker:
     def test_peak_at_zero(self):

@@ -317,16 +317,6 @@ class TestSingularDecay:
         with pytest.raises(ValueError):
             singular_decay(np.zeros((0, 3)))
 
-    def test_accepts_frequency_slice(self):
-        from lrfill.volume import FrequencySlice
-
-        rng = np.random.default_rng(26)
-        X = np.outer(rng.standard_normal(4), rng.standard_normal(5)).astype(complex)
-        sl = FrequencySlice(4, 5, X)
-        decay = singular_decay(sl)
-        assert decay[0] == pytest.approx(1.0)
-        assert np.all(decay[1:] < 1e-12)
-
 
 def numerical_rank(X, scale):
     s = np.linalg.svd(X, compute_uv=False)
