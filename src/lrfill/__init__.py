@@ -50,8 +50,8 @@ from .transforms import (
 )
 from .volume import (
     AxisLayoutError,
-    ComplexVolume,
     FrequencySlice,
+    Volume,
     dft_time_axis,
     freq_values_hz,
     idft_freq_axis,

@@ -26,7 +26,7 @@ from .reporting import compare_reports, read_report, snr_db, write_comparison
 from .sampling import SamplingMask, jittered_volume_mask, uniform_entry_mask
 from .synthgen import EventSpec, PlantSpec, linear_events, plant_slice
 from .transforms import MODES, Matricization, singular_decay
-from .volume import CANONICAL_AXES, SPATIAL_AXES, ComplexVolume, dft_time_axis, freq_values_hz
+from .volume import CANONICAL_AXES, SPATIAL_AXES, Volume, dft_time_axis
 
 
 def _parse_floats(text, n, what):
@@ -43,7 +43,7 @@ def cmd_generate(args) -> int:
     if args.kind == "plant":
         spec = config_from_dict(raw, PlantSpec)
         sl, _ = plant_slice(spec)
-        vol = ComplexVolume(("f", "rx", "sx"), sl.data[None])
+        vol = Volume(("f", "rx", "sx"), sl.data[None])
         write_volume(vol, args.out)
         print(f"wrote planted {spec.p}x{spec.q} rank-{spec.rank} slice to {args.out}")
         return 0
@@ -108,12 +108,14 @@ def cmd_svdscan(args) -> int:
     if not (math.isfinite(args.freq) and args.freq >= 0.0):
         raise ValueError("--freq must be a finite number >= 0")
     vol = read_volume(args.input)
+    n = vol.dims[vol.axis_index("t" if "t" in vol.axes else "f")]
     if "t" in vol.axes:
         vol = dft_time_axis(vol)
     vol = vol.reordered(("f",) + SPATIAL_AXES)
-    nt = vol.dims[0]
-    freqs = freq_values_hz(nt, args.dt)
-    k = int(np.argmin(np.abs(np.abs(freqs) - args.freq)))
+    # Bins 0 to n//2 hold each frequency once: the half spectrum of a real
+    # volume, and the nonnegative bins of a complex one, in the same places.
+    freqs = np.fft.rfftfreq(n, args.dt)
+    k = int(np.argmin(np.abs(freqs - args.freq)))
     tensor = vol.data[k]
     for mode in MODES:
         matric = Matricization(mode, *tensor.shape)
@@ -123,7 +125,7 @@ def cmd_svdscan(args) -> int:
             fh.write("index,sigma_normalized\n")
             for i, s in enumerate(decay):
                 fh.write(f"{i},{s:.12e}\n")
-        print(f"bin {k} ({abs(freqs[k]):.2f} Hz) {mode}: wrote {path}")
+        print(f"bin {k} ({freqs[k]:.2f} Hz) {mode}: wrote {path}")
     return 0
 
 

@@ -4,11 +4,21 @@ LRV1 layout, all integers little-endian:
 
     bytes 0..3    magic "LRV1"
     byte  4       version (1)
-    byte  5       scalar code: 0 = complex float64, 1 = complex float32
+    byte  5       scalar code, the type of each sample (table below)
     byte  6       axis count A
     bytes 7..7+A  axis label codes (t=0, f=1, rx=2, ry=3, sx=4, sy=5)
     next 8*A      u64 extents
-    payload       interleaved (re, im) scalars, row-major in axis order
+    payload       samples, row-major in axis order; a complex sample is
+                  its (re, im) pair
+
+    code  sample           read as      written by lrfill for
+    0     complex float64  complex128   complex volumes: ``generate --kind
+                                        plant``, and ``subsample`` and
+                                        ``interpolate`` of a complex input
+    1     complex float32  complex128   (never; read as input and widened)
+    2     real float64     float64      real traces: ``generate --kind
+                                        events``, and ``subsample`` and
+                                        ``interpolate`` of a real input
 
 LRM1 is the same header without the scalar-code byte; its payload is one
 byte per grid point (1 = observed, 0 = missing).
@@ -18,8 +28,9 @@ of SEG-Y field data: every trace is contiguous, and a block of whole
 traces over whole trailing axes is one contiguous run of the payload.
 Files in any other axis order are read and written as well, one call per
 contiguous run, through a small staging array where the order asked for
-is not the file's.  lrfill writes complex float64 only; complex float32
-files are read as input and widened.
+is not the file's, or the sample type is not the one read or written.
+A volume's header is read before its payload, so the kind of its samples,
+real or complex, is known before any of them is.
 
 This is where samples cross the program's boundary, so both ways they are
 checked for NaNs and infinities: a payload after it is read, whole or a
@@ -39,7 +50,7 @@ from .sampling import SamplingMask
 from .volume import (
     AXIS_CODES,
     AXIS_LABELS,
-    ComplexVolume,
+    Volume,
     axis_permutation,
     buffer_view,
     check_finite,
@@ -55,7 +66,7 @@ MAX_ELEMENTS = 1 << 40
 # and six u64 extents.
 _MAX_HEADER = 4 + 1 + 1 + 1 + len(AXIS_LABELS) * (1 + 8)
 # Payload scalar type by scalar code.
-_VOLUME_DTYPES = ("<c16", "<c8")
+_VOLUME_DTYPES = tuple(map(np.dtype, ("<c16", "<c8", "<f8")))
 # Runs of a transfer whose offsets are built at a time, so that a box of
 # many short runs (a block of a time-first file) costs no list of them all.
 _CHUNK_RUNS = 4096
@@ -102,7 +113,7 @@ def _read_header(buf: bytes, magic: bytes, with_scalar: bool):
     if with_scalar:
         sc, pos = _take(buf, pos, 1, "scalar code")
         scalar_code = sc[0]
-        if scalar_code not in (0, 1):
+        if scalar_code >= len(_VOLUME_DTYPES):
             raise FileFormatError(f"unknown scalar code {scalar_code}")
     ac, pos = _take(buf, pos, 1, "axis count")
     naxes = ac[0]
@@ -136,7 +147,7 @@ def _open_payload(fh, magic: bytes, with_scalar: bool, what: str):
     length against the file size; nothing of the payload is read."""
     axes, extents, count, scalar_code, pos = _read_header(
         fh.read(_MAX_HEADER), magic, with_scalar)
-    dtype = np.dtype(_VOLUME_DTYPES[scalar_code] if with_scalar else np.uint8)
+    dtype = _VOLUME_DTYPES[scalar_code] if with_scalar else np.dtype(np.uint8)
     _check_payload(os.fstat(fh.fileno()).st_size - pos, count * dtype.itemsize, what)
     return axes, extents, dtype, pos
 
@@ -186,7 +197,8 @@ def _transfer(fd: int, data: np.ndarray, pos: int, extents, box, dtype, write: b
     runs, so that a box of many short runs (a block of a time-first file)
     costs no list of them all.  Data that is C-contiguous and of the
     payload's type is moved in place; any other, such as a transposed view
-    of a block buffer or a complex128 array read from a complex64 payload,
+    of a block buffer or a complex128 array read from a complex64 or a
+    real payload,
     goes through a staging array of at most ``_STAGE_BYTES`` (or one run
     along the last axis) and is cast and transposed on the way.
     """
@@ -234,36 +246,48 @@ def _transfer(fd: int, data: np.ndarray, pos: int, extents, box, dtype, write: b
                 view[...] = part
 
 
+def _sample_kind(dtype: np.dtype) -> np.dtype:
+    """The type that samples of a volume payload of ``dtype`` are held in:
+    complex128 for complex ones, float64 for real ones."""
+    return np.dtype(np.complex128 if dtype.kind == "c" else np.float64)
+
+
 def _read_file(path, magic: bytes, with_scalar: bool, what: str, block=None, out=None,
                axes=None):
     """Axis labels and payload of an LRV1/LRM1 file, or of the box of it
     that ``block`` names, with its axes in the order ``axes`` (the file's
     by default).  The header and the payload length are checked before any
     of the payload is read; the payload goes straight into the array
-    returned: a new complex128 array for a volume and uint8 for a mask, or
-    the leading elements of the complex128 buffer ``out`` (see
-    :func:`buffer_view`) if one is given.  A payload of another scalar type
-    or axis order is cast or transposed on the way, through a staging array
-    of bounded size (see :func:`_transfer`), so the payload is never held
-    twice."""
+    returned: a new array for a volume, of the kind :func:`_sample_kind`
+    names, and of uint8 for a mask, or the leading elements of the buffer
+    ``out`` (see :func:`buffer_view`) if one is given.  A payload of
+    another scalar type or axis order is cast or transposed on the way,
+    through a staging array of bounded size (see :func:`_transfer`), so
+    the payload is never held twice."""
     with open(path, "rb") as fh:
         file_axes, extents, dtype, pos = _open_payload(fh, magic, with_scalar, what)
         box = _box(file_axes, extents, block)
         axes = file_axes if axes is None else tuple(axes)
         shape = [box[i][1] - box[i][0] for i in axis_permutation(file_axes, axes)]
-        kind = np.complex128 if with_scalar else np.uint8
-        data = np.empty(shape, dtype=kind) if out is None else buffer_view(out, shape)
+        if out is None:
+            data = np.empty(shape, dtype=_sample_kind(dtype) if with_scalar else dtype)
+        else:
+            data = buffer_view(out, shape)
+            if not np.can_cast(dtype, data.dtype, "same_kind"):
+                raise ValueError(f"{what}: {dtype} samples cannot be read into a "
+                                 f"{data.dtype} buffer")
         _transfer(fh.fileno(), data.transpose(axis_permutation(axes, file_axes)), pos,
                   extents, box, dtype, write=False)
     return axes, data
 
 
 def read_volume_header(path: str | os.PathLike) -> tuple:
-    """``(axes, extents)`` of an LRV1 file, read and checked without its
-    payload."""
+    """``(axes, extents, kind)`` of an LRV1 file, read and checked without
+    its payload; ``kind`` is the type :func:`read_volume` gives its
+    samples, float64 for real ones and complex128 for complex ones."""
     with open(path, "rb") as fh:
-        axes, extents, _, _ = _open_payload(fh, VOLUME_MAGIC, True, "volume payload")
-    return axes, extents
+        axes, extents, dtype, _ = _open_payload(fh, VOLUME_MAGIC, True, "volume payload")
+    return axes, extents, _sample_kind(dtype)
 
 
 @contextlib.contextmanager
@@ -283,18 +307,18 @@ def _replacing(path: str | os.PathLike):
 
 
 @contextlib.contextmanager
-def create_volume(path: str | os.PathLike, axes, extents):
-    """Create an LRV1 volume of complex128 samples for :func:`write_volume`
-    to fill block by block in the body of a ``with``; the path to write to
-    is the value bound.
+def create_volume(path: str | os.PathLike, axes, extents, kind):
+    """Create an LRV1 volume of samples of type ``kind``, float64 or
+    complex128, for :func:`write_volume` to fill block by block in the body
+    of a ``with``; the path to write to is the value bound.
 
     The file is built under a temporary name beside ``path``, sized for its
     payload, and takes the name ``path`` when the body ends (see
     :func:`_replacing`), so a write that stops partway leaves no file of
     full length with blocks of zeros.
     """
-    header = _header(VOLUME_MAGIC, axes, extents)
-    nbytes = math.prod(extents) * np.dtype(_VOLUME_DTYPES[0]).itemsize
+    header = _header(VOLUME_MAGIC, axes, extents, _VOLUME_DTYPES.index(np.dtype(kind)))
+    nbytes = math.prod(extents) * np.dtype(kind).itemsize
     with _replacing(path) as part:
         with open(part, "wb") as fh:
             fh.write(header)
@@ -302,34 +326,40 @@ def create_volume(path: str | os.PathLike, axes, extents):
         yield part
 
 
-def _header(magic: bytes, axes, extents) -> bytes:
-    """LRV1 header of a complex128 payload, or LRM1 header."""
+def _header(magic: bytes, axes, extents, scalar_code: int | None = None) -> bytes:
+    """LRV1 header of a payload of ``scalar_code``, or LRM1 header."""
     header = bytearray(magic)
     header.append(FORMAT_VERSION)
-    if magic == VOLUME_MAGIC:
-        header.append(0)
+    if scalar_code is not None:
+        header.append(scalar_code)
     header.append(len(axes))
     header.extend(AXIS_CODES[a] for a in axes)
     header.extend(np.asarray(extents, dtype="<u8").tobytes())
     return bytes(header)
 
 
-def write_volume(vol: ComplexVolume, path: str | os.PathLike, block: dict | None = None):
-    """Serialize a volume as LRV1 of complex128 samples; a write that fails
-    leaves no file (see :func:`create_volume`).
+def write_volume(vol: Volume, path: str | os.PathLike, block: dict | None = None):
+    """Serialize a volume as LRV1 of its own samples, float64 (code 2) or
+    complex128 (code 0); a write that fails leaves no file (see
+    :func:`create_volume`).
 
     With ``block``, a slice per axis label as for :func:`read_volume`,
     ``vol`` is that box of the LRV1 file at ``path`` instead, which must
     exist: it is written into place in the file's axis order and scalar
-    type, and nothing else of the file changes.  Either way the samples
-    are checked by :func:`lrfill.volume.check_finite` before any byte is
-    written, so a NaN or an infinity leaves the file as it was.
+    type, and nothing else of the file changes.  Real samples go into a
+    complex file, but complex ones into a real file raise ``ValueError``.
+    Either way the samples are checked by
+    :func:`lrfill.volume.check_finite` before any byte is written, so a NaN
+    or an infinity leaves the file as it was.
     """
     check_finite(vol.data)
-    target = (create_volume(path, vol.axes, vol.dims) if block is None
+    target = (create_volume(path, vol.axes, vol.dims, vol.data.dtype) if block is None
               else contextlib.nullcontext(path))
     with target as part, open(part, "r+b") as fh:
         axes, extents, dtype, pos = _open_payload(fh, VOLUME_MAGIC, True, "volume payload")
+        if not np.can_cast(vol.data.dtype, dtype, "same_kind"):
+            raise ValueError(f"{vol.data.dtype} samples cannot be written into a file "
+                             f"of {dtype} samples")
         box = _box(axes, extents, block)
         data = vol.data.transpose(axis_permutation(vol.axes, axes))
         if data.shape != tuple(stop - start for start, stop in box):
@@ -338,21 +368,22 @@ def write_volume(vol: ComplexVolume, path: str | os.PathLike, block: dict | None
 
 
 def read_volume(path: str | os.PathLike, block: dict | None = None,
-                out: np.ndarray | None = None, axes: tuple | None = None) -> ComplexVolume:
-    """Read an LRV1 file back into a volume; a complex64 payload is
-    widened to complex128.
+                out: np.ndarray | None = None, axes: tuple | None = None) -> Volume:
+    """Read an LRV1 file back into a volume of float64 samples, for a
+    payload of real samples, or of complex128 ones; a complex64 payload is
+    widened.
 
     ``block`` maps axis labels to slices and reads only that box of the
     volume; axes it leaves out are read whole.  The volume's axes are in
     the file's order, or in the order ``axes`` of the same labels.  With
     ``out``, a buffer as for :func:`lrfill.volume.buffer_view`, the
     samples are read into its leading elements and the volume returned
-    lies over them.  The samples read are checked by
-    :func:`lrfill.volume.check_finite`: a NaN or an infinity raises
+    lies over them; a real payload may be read into a complex128 buffer,
+    not a complex one into a float64 buffer.  The samples read are checked
+    by :func:`lrfill.volume.check_finite`: a NaN or an infinity raises
     ``ValueError``.
     """
-    vol = ComplexVolume(*_read_file(path, VOLUME_MAGIC, True, "volume payload", block, out,
-                                    axes))
+    vol = Volume(*_read_file(path, VOLUME_MAGIC, True, "volume payload", block, out, axes))
     check_finite(vol.data)
     return vol
 

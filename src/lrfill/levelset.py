@@ -56,7 +56,7 @@ class LevelSetConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.root_tol <= 0:
+        if not self.root_tol > 0:  # NaN fails the comparison too
             raise ValueError("root_tol must be positive")
 
 

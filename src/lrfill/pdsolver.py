@@ -90,6 +90,10 @@ class PdConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
+        # NaN fails the comparison too.
+        for name in ("primal_tol", "feas_tol"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be a number >= 0")
 
 
 @dataclass

@@ -5,9 +5,11 @@ streamed through blocks of traces, never held whole.
 The run configuration lives in a flat ``key = value`` text file whose keys
 are the fields of :class:`PipelineConfig`; every key can be overridden by
 the CLI flag of the same name.  Frequency bins outside the band are passed
-through as observed (zero-filled where missing) rather than zeroed.  For a
-real-valued input volume only the nonnegative-frequency bins are solved;
-their mirrors are filled in by conjugation so the output stays real.
+through as observed (zero-filled where missing) rather than zeroed.  The
+sample kind of the input file, read from its header, picks the spectrum:
+a real (float64) input is transformed to its half spectrum and its
+in-band bins from 0 Hz to Nyquist are solved, and a complex input's
+in-band bins of both signs are.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .volume import (
     CANONICAL_AXES,
     SPATIAL_AXES,
     AxisLayoutError,
-    ComplexVolume,
+    Volume,
     axis_permutation,
     buffer_view,
     check_finite,
@@ -45,8 +47,9 @@ from .volume import (
 SOLVERS = ("pd", "levelset")
 
 # Bytes of complex128 samples in one block of traces.  Each pass of a run
-# works in two buffers of one block, allocated once, besides the in-band
-# bins, so this bounds the run's memory.  A block of a trace-major file is
+# works in buffers of two blocks of complex samples, or of real samples and
+# their half spectra, allocated once, besides the in-band bins, so this
+# bounds the run's memory.  A block of a trace-major file is
 # read in one call per run of whole traces, one in all when it spans whole
 # trailing axes, so a larger block saves calls only on a time-first file,
 # which takes a call per time sample and run; there, on a 16x16x10x10 grid
@@ -197,8 +200,8 @@ def load_config(path, overrides: dict | None = None) -> PipelineConfig:
     return config_from_dict(raw)
 
 
-def mask_volume(vol: ComplexVolume, mask: SamplingMask, block: dict | None = None,
-                out: np.ndarray | None = None) -> ComplexVolume:
+def mask_volume(vol: Volume, mask: SamplingMask, block: dict | None = None,
+                out: np.ndarray | None = None) -> Volume:
     """Zero the traces of unobserved grid points (mask is time-invariant)
     of ``vol``, whose axes must be the canonical, trace-major,
     ``CANONICAL_AXES``: any other order raises :class:`AxisLayoutError`.
@@ -206,7 +209,9 @@ def mask_volume(vol: ComplexVolume, mask: SamplingMask, block: dict | None = Non
     it covers (see :func:`trace_blocks`), and the mask is cut to match.
     With ``out``, a buffer as for :func:`buffer_view`, the masked volume is
     written into its leading elements, which may be the ones that hold
-    ``vol``, and the volume returned lies over them."""
+    ``vol`` (then only the unobserved traces are written), and the volume
+    returned lies over them.  The samples are not checked: zeroing a trace
+    drops whatever it held, so they are checked where they are read."""
     if vol.axes != CANONICAL_AXES:
         raise AxisLayoutError(f"cannot mask a volume with axes {vol.axes}; "
                               f"need {CANONICAL_AXES}")
@@ -215,8 +220,10 @@ def mask_volume(vol: ComplexVolume, mask: SamplingMask, block: dict | None = Non
         raise ValueError(
             f"mask grid {grid.shape} does not match spatial dims {vol.dims[:-1]}"
         )
-    dest = None if out is None else buffer_view(out, vol.dims)
-    return ComplexVolume(vol.axes, np.multiply(vol.data, grid[..., None], out=dest))
+    data = np.empty_like(vol.data) if out is None else buffer_view(out, vol.dims)
+    data[...] = vol.data  # nothing to copy when data already lies over vol
+    data[~grid] = 0
+    return Volume(vol.axes, data)
 
 
 def _spatial_index(block: dict) -> tuple:
@@ -263,12 +270,12 @@ def trace_blocks(dims: tuple):
         yield dict(zip(SPATIAL_AXES, box))
 
 
-def _canonical_dims(path, what: str) -> tuple:
-    """Extents of the LRV1 volume at ``path`` in canonical axis order, read
-    from its header."""
-    axes, extents = read_volume_header(path)
+def _canonical_header(path, what: str) -> tuple:
+    """Extents of the LRV1 volume at ``path`` in canonical axis order, and
+    the kind of its samples, read from its header."""
+    axes, extents, kind = read_volume_header(path)
     try:
-        return tuple(extents[i] for i in axis_permutation(axes, CANONICAL_AXES))
+        return tuple(extents[i] for i in axis_permutation(axes, CANONICAL_AXES)), kind
     except AxisLayoutError as exc:
         raise AxisLayoutError(f"{what}: {exc}") from None
 
@@ -286,6 +293,22 @@ def _imag_energy(data: np.ndarray) -> float:
     view so that the part is not copied."""
     imag = data.reshape(-1).imag
     return float(np.einsum("i,i->", imag, imag))
+
+
+def _self_conjugate_bins(nt: int) -> list:
+    """The bins of the half spectrum of real nt-sample traces that are
+    their own conjugates: 0 Hz and, for an even nt, Nyquist.  Each other
+    bin stands for itself and its conjugate."""
+    return [0, nt // 2] if nt % 2 == 0 else [0]
+
+
+def _spectrum_energy(spectrum: np.ndarray, nt: int, real: bool) -> float:
+    """Squared Frobenius norm of the full spectrum whose bins, along the
+    last axis, ``spectrum`` holds: every bin of complex traces, or the
+    half spectrum of real ones (see :func:`_self_conjugate_bins`)."""
+    if not real:
+        return _energy(spectrum)
+    return 2.0 * _energy(spectrum) - _energy(spectrum[..., _self_conjugate_bins(nt)])
 
 
 @dataclass
@@ -313,75 +336,100 @@ def _solve_one(op, b, eta, freq_hz, rank, cfg: PipelineConfig, bin_index: int):
     return X, rep
 
 
-def _block_buffer(dims: tuple) -> np.ndarray:
-    """A buffer for any block of :func:`trace_blocks`; the first block is
-    the largest, since each axis is cut from its start."""
+def _block_buffer(dims: tuple, length: int, kind) -> np.ndarray:
+    """A buffer of ``kind`` for ``length`` samples or bins of each trace of
+    any block of :func:`trace_blocks`; the first block is the largest,
+    since each axis is cut from its start."""
     first = next(trace_blocks(dims))
-    return np.empty(dims[-1] * math.prod(s.stop - s.start for s in first.values()),
-                    dtype=np.complex128)
+    return np.empty(length * math.prod(s.stop - s.start for s in first.values()), dtype=kind)
 
 
-def _read_band(cfg: PipelineConfig, dims: tuple, mask: SamplingMask, in_band: list):
+def _spectrum_length(nt: int, real: bool) -> int:
+    """Bins of the spectrum of nt-sample traces: the half spectrum, 0 Hz to
+    Nyquist, of real ones, whose other bins are their conjugates, and
+    every bin of complex ones."""
+    return nt // 2 + 1 if real else nt
+
+
+def _read_band(cfg: PipelineConfig, dims: tuple, kind, mask: SamplingMask, in_band: list):
     """Pass 1 of :func:`run_interpolation`: the in-band bins of the masked
     input and of the truth (``None`` without one), bin-major, and the sums
-    of squares of the masked input, of its imaginary part, of the truth and
-    of the output's error in the out-of-band bins.  Each block goes through
-    two buffers that the pass allocates once and drops when it returns.
-    :func:`read_volume` checks every block it reads for non-finite values,
-    and both spectra are checked here, since a DFT of finite samples can
-    overflow, so a bad sample stops the run before any solve."""
+    of squares of the truth and of the output's error in the out-of-band
+    bins.  The truth is read in the input's sample ``kind``.  Each block
+    goes through buffers that the pass allocates once and drops when it
+    returns: the DFT of complex samples is taken in place, in one buffer
+    for the input and one for the truth, and real samples are read into a
+    buffer of their own, which the input's samples leave for the truth's
+    once their half spectrum is taken, and transformed into one buffer of
+    half spectra each.  :func:`read_volume` checks every block it reads for
+    non-finite values, and both spectra are checked here, since a DFT of
+    finite samples can overflow, so a bad sample stops the run before any
+    solve."""
+    nt, real = dims[-1], kind == np.float64
+    nf = _spectrum_length(nt, real)
     observed = np.empty((len(in_band),) + dims[:-1], dtype=np.complex128)
     truth = None if cfg.truth is None else np.empty_like(observed)
-    inputs = _block_buffer(dims)
-    truths = None if truth is None else _block_buffer(dims)
-    total_sq = imag_sq = truth_sq = err_sq = 0.0
+    inputs = _block_buffer(dims, nt, kind)
+    spectra = _block_buffer(dims, nf, np.complex128) if real else inputs
+    if truth is not None:
+        true_spectra = _block_buffer(dims, nf, np.complex128)
+        truths = inputs if real else true_spectra
+    truth_sq = err_sq = 0.0
     for block in trace_blocks(dims):
         at = (slice(None),) + _spatial_index(block)
         read = read_volume(cfg.input, block, out=inputs, axes=CANONICAL_AXES)
         masked = mask_volume(read, mask, block, out=inputs)
-        total_sq += _energy(masked.data)
-        imag_sq += _imag_energy(masked.data)
-        spectrum = dft_time_axis(masked, out=inputs).data
+        spectrum = dft_time_axis(masked, out=spectra).data
         check_finite(spectrum)
         observed[at] = np.moveaxis(spectrum[..., in_band], -1, 0)
         if truth is not None:
             read = read_volume(cfg.truth, block, out=truths, axes=CANONICAL_AXES)
-            true_spectrum = dft_time_axis(read, out=truths).data
+            true_spectrum = dft_time_axis(read, out=true_spectra).data
             check_finite(true_spectrum)
-            truth_sq += _energy(true_spectrum)
+            truth_sq += _spectrum_energy(true_spectrum, nt, real)
             truth[at] = np.moveaxis(true_spectrum[..., in_band], -1, 0)
             # The output's out-of-band bins are the observed ones.
-            miss = buffer_view(truths, true_spectrum.shape)
+            miss = buffer_view(true_spectra, true_spectrum.shape)
             miss -= spectrum
             miss[..., in_band] = 0.0
-            err_sq += _energy(miss)
-    return observed, truth, (total_sq, imag_sq, truth_sq, err_sq)
+            err_sq += _spectrum_energy(miss, nt, real)
+    return observed, truth, truth_sq, err_sq
 
 
-def _write_output(cfg: PipelineConfig, dims: tuple, mask: SamplingMask, in_band: list,
-                  corrections: np.ndarray) -> tuple:
-    """Pass 2 of :func:`run_interpolation`: write the output, the masked
-    input plus the inverse DFT of the in-band ``corrections``, block by
-    block through two buffers, and return its sum of squares and that of
-    its imaginary part.  :func:`read_volume` checks each block it reads and
+def _write_output(cfg: PipelineConfig, dims: tuple, kind, mask: SamplingMask, in_band: list,
+                  corrections: np.ndarray) -> float:
+    """Pass 2 of :func:`run_interpolation`: write the output, of the
+    input's sample ``kind``, the masked input plus the inverse DFT of the
+    in-band ``corrections``, block by block, and return its imaginary
+    share, ``imag_leakage``: 0 for real samples.  A block's correction
+    spectrum is built in one buffer and inverted in place, or into a buffer
+    of real samples, and the input is read and masked into another.
+    :func:`read_volume` checks each block it reads and
     :func:`write_volume` each block it writes for non-finite values."""
+    nt, real = dims[-1], kind == np.float64
+    nf = _spectrum_length(nt, real)
     out_sq = out_imag_sq = 0.0
-    with create_volume(cfg.output, CANONICAL_AXES, dims) as partial:
-        inputs, fixes = _block_buffer(dims), _block_buffer(dims)
+    with create_volume(cfg.output, CANONICAL_AXES, dims, kind) as partial:
+        inputs, spectra = _block_buffer(dims, nt, kind), _block_buffer(dims, nf, np.complex128)
+        fixes = _block_buffer(dims, nt, kind) if real else spectra
         for block in trace_blocks(dims):
             part = corrections[(slice(None),) + _spatial_index(block)]
-            spectrum = buffer_view(fixes, part.shape[1:] + (dims[-1],))
+            spectrum = buffer_view(spectra, part.shape[1:] + (nf,))
             spectrum[...] = 0.0
             spectrum[..., in_band] = np.moveaxis(part, 0, -1)
-            fix = idft_freq_axis(ComplexVolume(SPATIAL_AXES + ("f",), spectrum), out=fixes)
+            fix = idft_freq_axis(Volume(SPATIAL_AXES + ("f",), spectrum), out=fixes,
+                                 nt=nt if real else None)
             masked = mask_volume(read_volume(cfg.input, block, out=inputs,
                                              axes=CANONICAL_AXES), mask, block, out=inputs)
             total = buffer_view(inputs, masked.dims)
             total += fix.data
-            write_volume(ComplexVolume(CANONICAL_AXES, total), partial, block=block)
-            out_sq += _energy(total)
-            out_imag_sq += _imag_energy(total)
-    return out_sq, out_imag_sq
+            write_volume(Volume(CANONICAL_AXES, total), partial, block=block)
+            if not real:
+                out_sq += _energy(total)
+                out_imag_sq += _imag_energy(total)
+    if real:
+        return 0.0
+    return math.sqrt(out_imag_sq / out_sq) if out_sq > 0 else math.nan
 
 
 def run_interpolation(cfg: PipelineConfig) -> RunResult:
@@ -391,32 +439,41 @@ def run_interpolation(cfg: PipelineConfig) -> RunResult:
     blocks of :func:`trace_blocks`, whose time DFT is exact because each
     holds every time sample of its traces.  Pass 1 reads and masks each
     block of the input, takes its DFT and keeps the in-band bins; the
-    truth's blocks, unmasked, go the same way.  Each solve turns its bin
-    into its correction (solved minus observed) in place; for a real input
-    only the nonnegative bins are solved, and each also writes the
-    conjugate correction into its mirror bin.  Pass 2 reads and masks each
-    input block again, adds the inverse DFT of its corrections and writes
-    it into its place in the output, so out-of-band bins pass through as
-    observed.  The overall error is summed bin by bin, out of band in pass
-    1 and in band by each solve, so that it stays exact near a perfect
-    reconstruction.  Each pass works in two buffers of one block that it
-    allocates once, and pass 1 drops its own before the solve.  A block is
-    held trace-major whatever the order of its file, which is read one
-    call per contiguous run: one call for a block of a trace-major file
-    that spans whole trailing axes.  The headers are checked before any
-    data is read, and the output is written trace-major under a temporary
-    name that it takes only when pass 2 ends, so a run that stops early
-    leaves no output.
+    truth's blocks, unmasked, go the same way.  The input's sample kind,
+    read from its header, picks the spectrum: the half spectrum of real
+    samples, bins 0 Hz to Nyquist, or every bin of complex ones.  Each
+    solve turns its bin into its correction (solved minus observed) in
+    place; a real input's 0 Hz bin, and its Nyquist bin for an even record,
+    are their own conjugates, so their corrections are taken real.  Pass 2
+    reads and masks each input block again, adds the inverse DFT of its
+    corrections and writes it into its place in the output, of the input's
+    kind, so out-of-band bins pass through as observed.  The overall error
+    is summed bin by bin, out of band in pass 1 and in band by each solve,
+    each bin of a half spectrum counted for itself and its conjugate, so
+    that it stays exact near a perfect reconstruction.  Each pass works in
+    buffers of one block that it allocates once, and pass 1 drops its own
+    before the solve.  A block is held trace-major whatever the order of
+    its file, which is read one call per contiguous run: one call for a
+    block of a trace-major file that spans whole trailing axes.  The
+    headers are checked before any data is read, a complex truth of a real
+    input included, and the output is written trace-major under a
+    temporary name that it takes only when pass 2 ends, so a run that stops
+    early leaves no output.
 
     Per-slice failures are recorded in their report row and the run
     continues; the result carries the failure count for the exit code.
     """
     t_run = time.perf_counter()
-    dims = _canonical_dims(cfg.input, "input")
+    dims, kind = _canonical_header(cfg.input, "input")
     nt, extents = dims[-1], dims[:-1]
-    if cfg.truth is not None and (truth_dims := _canonical_dims(cfg.truth, "truth")) != dims:
-        raise ValueError(f"truth dims {truth_dims} != input dims {dims} "
-                         f"(in {CANONICAL_AXES} order)")
+    real = kind == np.float64
+    if cfg.truth is not None:
+        truth_dims, truth_kind = _canonical_header(cfg.truth, "truth")
+        if truth_dims != dims:
+            raise ValueError(f"truth dims {truth_dims} != input dims {dims} "
+                             f"(in {CANONICAL_AXES} order)")
+        if real and truth_kind != kind:
+            raise ValueError("the truth has complex samples and the input real ones")
     if cfg.mask is None:
         mask = SamplingMask(np.ones(extents, dtype=bool), axes=SPATIAL_AXES)
     else:
@@ -425,20 +482,15 @@ def run_interpolation(cfg: PipelineConfig) -> RunResult:
         raise AxisLayoutError(f"mask has axes {mask.axes}; need {SPATIAL_AXES} in any order")
     if mask.grid.shape != extents:
         raise ValueError(f"mask grid {mask.grid.shape} does not match spatial dims {extents}")
-    freqs = freq_values_hz(nt, cfg.dt)
-    in_band = np.flatnonzero((np.abs(freqs) >= cfg.f_min)
-                             & (np.abs(freqs) <= cfg.f_max)).tolist()
+    freqs = np.abs(freq_values_hz(nt, cfg.dt))[:_spectrum_length(nt, real)]
+    in_band = np.flatnonzero((freqs >= cfg.f_min) & (freqs <= cfg.f_max)).tolist()
 
-    observed, truth, (total_sq, imag_sq, truth_sq, err_sq) = _read_band(
-        cfg, dims, mask, in_band)
+    observed, truth, truth_sq, err_sq = _read_band(cfg, dims, kind, mask, in_band)
     if truth is not None and truth_sq == 0.0:
         raise ValueError("SNR undefined for all-zero truth")
-    real_input = total_sq == 0.0 or math.sqrt(imag_sq) <= 1e-12 * math.sqrt(total_sq)
 
     op = MeasurementOp(mask, Matricization(cfg.matricization, *extents))
     p, q = op.factor_shape
-    slot = {k: i for i, k in enumerate(in_band)}
-    solve_bins = [k for k in in_band if k <= nt // 2] if real_input else in_band
 
     def rank_at(f_hz):
         if cfg.rank is not None:
@@ -448,14 +500,14 @@ def run_interpolation(cfg: PipelineConfig) -> RunResult:
         return max(1, min(r, p, q))
 
     fully_observed = bool(op.observed.all())
+    self_conjugate = _self_conjugate_bins(nt) if real else []
 
-    def worker(k):
+    def worker(i):
         # The bin's observed values become its correction, solved minus
-        # observed, in place, and a real input's mirror bin takes the
-        # conjugate correction: no two workers write the same slot.
-        i = slot[k]
+        # observed, in place: no two workers write the same slot.
+        k = in_band[i]
         b = done = observed[i]
-        freq_hz = abs(float(freqs[k]))
+        freq_hz = float(freqs[k])
         rank = rank_at(freq_hz)
         eta = cfg.eta_fraction * float(np.linalg.norm(b))
         if fully_observed:
@@ -469,27 +521,23 @@ def run_interpolation(cfg: PipelineConfig) -> RunResult:
             except Exception as exc:  # degrade to the observed data for this slice
                 rep = SliceReport(freq_hz=freq_hz, rank=rank,
                                   status=f"failed: {type(exc).__name__}")
-        mirror = slot[-k % nt] if real_input else i
-        if real_input and mirror == i:  # 0 Hz, and Nyquist for an even nt
+        own = k in self_conjugate
+        if own:  # a real bin of real traces
             done = done.real.astype(np.complex128)
         bin_sq = 0.0
         if truth is not None:
             if rep.status == "ok" and np.linalg.norm(truth[i]) > 0:
                 rep.snr_db = snr_db(truth[i], done)
-            bin_sq = _energy(truth[i] - done)
-        if mirror != i:
-            mirrored = np.conj(done)
-            if truth is not None:
-                bin_sq += _energy(truth[mirror] - mirrored)
-            observed[mirror] = mirrored - observed[mirror]
+            # Each other bin of a half spectrum stands for its conjugate too.
+            bin_sq = (2 if real and not own else 1) * _energy(truth[i] - done)
         observed[i] = done - b
         return rep, bin_sq
 
     if cfg.threads == 1:
-        results = [worker(k) for k in solve_bins]
+        results = [worker(i) for i in range(len(in_band))]
     else:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(pool.map(worker, solve_bins))
+            results = list(pool.map(worker, range(len(in_band))))
     # The output's in-band bins are done, so their error completes the sum.
     rows = [rep for rep, _ in results]
     err_sq += sum(bin_sq for _, bin_sq in results)
@@ -501,9 +549,7 @@ def run_interpolation(cfg: PipelineConfig) -> RunResult:
     if cfg.truth is not None:
         result.overall_snr_db = snr_from_norms(math.sqrt(truth_sq), math.sqrt(err_sq))
 
-    out_sq, out_imag_sq = _write_output(cfg, dims, mask, in_band, corrections)
-    if out_sq > 0:
-        result.imag_leakage = math.sqrt(out_imag_sq / out_sq)
+    result.imag_leakage = _write_output(cfg, dims, kind, mask, in_band, corrections)
     result.wall_s = time.perf_counter() - t_run
 
     if cfg.report is not None:

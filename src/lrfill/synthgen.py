@@ -24,7 +24,7 @@ import numpy as np
 from .pdsolver import FactorPair
 from .sampling import SamplingMask
 from .transforms import apply_sampling
-from .volume import CANONICAL_AXES, ComplexVolume, FrequencySlice
+from .volume import CANONICAL_AXES, FrequencySlice, Volume
 
 
 @dataclass
@@ -112,8 +112,8 @@ class EventSpec:
                 raise ValueError(f"event apex {ev[0]} outside the record")
 
 
-def linear_events(spec: EventSpec) -> ComplexVolume:
-    """Time-domain volume of summed plane events (imaginary parts zero),
+def linear_events(spec: EventSpec) -> Volume:
+    """Time-domain volume of summed plane events, real (float64) traces,
     trace-major: axes ``(rx, ry, sx, sy, t)``.
 
     Arrivals whose wavelet support reaches past the record edges are
@@ -136,4 +136,4 @@ def linear_events(spec: EventSpec) -> ComplexVolume:
     if clipped:
         warnings.warn(f"{clipped} arrivals within {half_width:.3f}s of the record "
                       "edge; wavelets clipped", stacklevel=2)
-    return ComplexVolume(CANONICAL_AXES, out.astype(np.complex128))
+    return Volume(CANONICAL_AXES, out)

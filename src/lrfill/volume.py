@@ -1,11 +1,15 @@
-"""Axis-labeled dense complex volumes and the time/frequency transform pair.
+"""Axis-labeled dense volumes and the time/frequency transform pair.
 
-A volume is a dense complex array whose axes carry labels from
-``{t, f, rx, ry, sx, sy}`` (time, frequency, two receiver axes, two source
-axes).  Labeling the axes instead of relying on positional conventions is
-what keeps the later matricization steps honest: every reshape is done by
-name, never by assumed order, and every permutation of axes is taken
-from their labels by :func:`axis_permutation`.
+A volume is a dense array of real (float64) or complex (complex128)
+samples whose axes carry labels from ``{t, f, rx, ry, sx, sy}`` (time,
+frequency, two receiver axes, two source axes).  Seismic traces are real,
+so a real volume is transformed to its half spectrum, bins 0 to n//2 of
+its n time samples, and back: the other bins are their conjugates, and a
+real volume takes half the bytes of a complex one and about half the
+transform work.  Labeling the axes instead of relying on positional
+conventions is what keeps the later matricization steps honest: every
+reshape is done by name, never by assumed order, and every permutation of
+axes is taken from their labels by :func:`axis_permutation`.
 """
 
 from __future__ import annotations
@@ -51,8 +55,8 @@ def axis_permutation(axes, want) -> list:
 
 
 @dataclass(frozen=True)
-class ComplexVolume:
-    """Dense complex N-d array with named axes.
+class Volume:
+    """Dense real or complex N-d array with named axes.
 
     Parameters
     ----------
@@ -60,14 +64,15 @@ class ComplexVolume:
         Axis labels, one per array dimension, drawn from ``AXIS_LABELS``.
         Labels must be unique and exactly one of ``t``/``f`` must appear.
     data : ndarray
-        Complex values.  A C-contiguous complex128 array, whether it owns
-        its memory or is a view such as a block buffer's, is wrapped as a
-        read-only view without a copy: the volume cannot write it, and
+        Samples: complex ones are held as complex128, any others as
+        float64.  A C-contiguous float64 or complex128 array, whether it
+        owns its memory or is a view such as a block buffer's, is wrapped
+        as a read-only view without a copy: the volume cannot write it, and
         whoever can still write the array changes the volume's values, so
         must be done with the volume first.  Any other array (another dtype
-        or layout) is copied into a new C-contiguous complex128 array.  The
-        labels and the dimensions are checked, not the values: samples are
-        checked where they enter and leave the program (see
+        or layout) is copied into a new C-contiguous array of its kind.
+        The labels and the dimensions are checked, not the values: samples
+        are checked where they enter and leave the program (see
         :func:`check_finite`).
     """
 
@@ -79,7 +84,9 @@ class ComplexVolume:
         check_axis_labels(axes)
         if ("t" in axes) == ("f" in axes):
             raise AxisLayoutError("exactly one of axes 't' and 'f' is required")
-        data = np.asarray(self.data, dtype=np.complex128, order="C").view()
+        data = np.asarray(self.data)
+        kind = np.complex128 if np.iscomplexobj(data) else np.float64
+        data = np.asarray(data, dtype=kind, order="C").view()
         if data.ndim != len(axes):
             raise AxisLayoutError(
                 f"data has {data.ndim} dimensions but {len(axes)} axes declared"
@@ -98,13 +105,13 @@ class ComplexVolume:
         except ValueError:
             raise AxisLayoutError(f"volume has no {label!r} axis") from None
 
-    def reordered(self, axes) -> "ComplexVolume":
+    def reordered(self, axes) -> "Volume":
         """Return a volume with the same content, axes permuted to `axes`;
         the volume itself when they are already in that order."""
         axes = tuple(axes)
         if axes == self.axes:
             return self
-        return ComplexVolume(axes, np.transpose(self.data, axis_permutation(self.axes, axes)))
+        return Volume(axes, np.transpose(self.data, axis_permutation(self.axes, axes)))
 
 
 @dataclass
@@ -125,10 +132,11 @@ class FrequencySlice:
 
 
 def check_finite(data: np.ndarray):
-    """Raise ``ValueError`` if complex128 ``data`` holds a NaN or an
-    infinity.  Its real and imaginary parts are checked as floats, which is
-    faster than a complex check, ``_CHECK_FLOATS`` at a time, so that the
-    mask of each step stays small."""
+    """Raise ``ValueError`` if float64 or complex128 ``data`` holds a NaN
+    or an infinity.  Complex samples are checked as their real and
+    imaginary parts, which is faster than a complex check, and the floats
+    ``_CHECK_FLOATS`` at a time, so that the mask of each step stays
+    small."""
     flat = data.reshape(-1).view(np.float64)
     for i in range(0, flat.size, _CHECK_FLOATS):
         if not np.isfinite(flat[i:i + _CHECK_FLOATS]).all():
@@ -136,48 +144,72 @@ def check_finite(data: np.ndarray):
 
 
 def buffer_view(buffer: np.ndarray, shape) -> np.ndarray:
-    """The leading elements of ``buffer``, a writable C-contiguous complex128
-    array, as an array of ``shape`` over the same memory: a buffer sized
-    for the largest block holds each block in its first elements."""
-    if not (buffer.dtype == np.complex128 and buffer.flags.c_contiguous
+    """The leading elements of ``buffer``, a writable C-contiguous float64
+    or complex128 array, as an array of ``shape`` over the same memory: a
+    buffer sized for the largest block holds each block in its first
+    elements."""
+    if not (buffer.dtype in (np.float64, np.complex128) and buffer.flags.c_contiguous
             and buffer.flags.writeable):
-        raise ValueError("a buffer must be a writable C-contiguous complex128 array")
+        raise ValueError("a buffer must be a writable C-contiguous float64 or "
+                         "complex128 array")
     count = math.prod(shape)
     if buffer.size < count:
         raise ValueError(f"a buffer of {buffer.size} elements cannot hold {tuple(shape)}")
     return buffer.reshape(-1)[:count].reshape(shape)
 
 
-def _transform(fft, vol: ComplexVolume, src: str, dst: str, out) -> ComplexVolume:
-    """Unitary ``fft`` along axis ``src`` of ``vol``, relabeled ``dst``; into
-    the leading elements of the buffer ``out`` unless it is ``None``."""
+def _transform(fft, vol: Volume, src: str, dst: str, out, length: int, **kwargs) -> Volume:
+    """Unitary ``fft`` along axis ``src`` of ``vol``, relabeled ``dst`` and
+    of ``length`` along it; into the leading elements of the buffer ``out``
+    unless it is ``None``."""
     k = vol.axis_index(src)
     axes = tuple(dst if a == src else a for a in vol.axes)
-    dest = None if out is None else buffer_view(out, vol.dims)
-    return ComplexVolume(axes, fft(vol.data, axis=k, norm="ortho", out=dest))
+    shape = vol.dims[:k] + (length,) + vol.dims[k + 1:]
+    dest = None if out is None else buffer_view(out, shape)
+    return Volume(axes, fft(vol.data, axis=k, norm="ortho", out=dest, **kwargs))
 
 
-def dft_time_axis(vol: ComplexVolume, out: np.ndarray | None = None) -> ComplexVolume:
+def dft_time_axis(vol: Volume, out: np.ndarray | None = None) -> Volume:
     """Unitary forward DFT along the time axis; relabels ``t`` to ``f``.
 
     Unitary (1/sqrt(N) both ways) normalization keeps Frobenius norms
     identical in both domains, so residual thresholds are comparable no
-    matter which side they are measured on.
+    matter which side they are measured on.  The spectrum of a real volume
+    of n time samples is its half spectrum, bins 0 to n//2 (``rfft``):
+    each other bin counts twice in its norm, once for its conjugate.  A
+    complex volume gives all n bins.
 
-    With ``out``, a buffer as for :func:`buffer_view`, the spectrum is
-    written into its leading elements, which may be the ones that hold
-    ``vol`` (the DFT is then taken in place, with the same result), and
-    the volume returned lies over them.  The spectrum is not checked: a
-    DFT of finite samples can overflow, so a caller that needs finite
-    values checks them with :func:`check_finite`.
+    With ``out``, a complex128 buffer as for :func:`buffer_view`, the
+    spectrum is written into its leading elements, which for a complex
+    volume may be the ones that hold ``vol`` (the DFT is then taken in
+    place, with the same result), and the volume returned lies over them.
+    The spectrum is not checked: a DFT of finite samples can overflow, so
+    a caller that needs finite values checks them with
+    :func:`check_finite`.
     """
-    return _transform(np.fft.fft, vol, "t", "f", out)
+    n = vol.dims[vol.axis_index("t")]
+    if vol.data.dtype == np.float64:
+        return _transform(np.fft.rfft, vol, "t", "f", out, n // 2 + 1)
+    return _transform(np.fft.fft, vol, "t", "f", out, n)
 
 
-def idft_freq_axis(vol: ComplexVolume, out: np.ndarray | None = None) -> ComplexVolume:
+def idft_freq_axis(vol: Volume, out: np.ndarray | None = None,
+                   nt: int | None = None) -> Volume:
     """Unitary inverse DFT along the frequency axis; exact inverse of
-    :func:`dft_time_axis`, and written into ``out`` as it is."""
-    return _transform(np.fft.ifft, vol, "f", "t", out)
+    :func:`dft_time_axis`, and written into ``out`` as it is.
+
+    With ``nt``, ``vol`` holds the half spectrum of real traces of ``nt``
+    samples, bins 0 to nt//2, and the volume returned is real (``irfft``):
+    the imaginary parts of bin 0 and, for an even ``nt``, of bin nt/2 do
+    not reach it.  ``out`` is then a float64 buffer.  Without, ``vol``
+    holds every bin, and the volume returned is complex.
+    """
+    n = vol.dims[vol.axis_index("f")]
+    if nt is None:
+        return _transform(np.fft.ifft, vol, "f", "t", out, n)
+    if n != nt // 2 + 1:
+        raise ValueError(f"{n} bins are not the half spectrum of {nt} samples")
+    return _transform(np.fft.irfft, vol, "f", "t", out, nt, n=nt)
 
 
 def freq_values_hz(n: int, dt: float) -> np.ndarray:

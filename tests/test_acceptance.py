@@ -27,7 +27,7 @@ from lrfill.reporting import snr_db
 from lrfill.sampling import SamplingMask, jittered_volume_mask, uniform_entry_mask
 from lrfill.synthgen import EventSpec, PlantSpec, linear_events, observe_slice, plant_slice
 from lrfill.transforms import Matricization, MeasurementOp, apply_sampling
-from lrfill.volume import ComplexVolume, dft_time_axis, freq_values_hz, idft_freq_axis
+from lrfill.volume import Volume, dft_time_axis, freq_values_hz, idft_freq_axis
 
 
 # The helpers of criterion 8 index volumes time-first.
@@ -215,8 +215,10 @@ def test_criterion_6_matricization_diagnostics():
                      events=[(0.15, 0.0002, 0.00012, 1.0),
                              (0.30, -0.00015, 0.00025, 0.7)],
                      wavelet_peak_hz=20.0)
+    # Complex samples, so that every bin of both signs is checked.
     vol = linear_events(spec)
-    F = dft_time_axis(vol).reordered(("f", "rx", "ry", "sx", "sy"))
+    F = dft_time_axis(Volume(vol.axes, vol.data.astype(complex))).reordered(
+        ("f", "rx", "ry", "sx", "sy"))
     freqs = freq_values_hz(128, 0.004)
     rec = Matricization("recsrcx", 10, 10, 8, 8)
     src = Matricization("srcpair", 10, 10, 8, 8)
@@ -299,14 +301,14 @@ def connectivity_ceiling_db(vol, kept):
 def reference_completion_db(vol, mask, cfg):
     """SNR of the convex solution of the same formulation, assembled the
     way the pipeline docstring describes: each in-band positive-frequency
-    bin is replaced by min ||X||_* s.t. ||A(X) - b|| <= eta_fraction ||b||
-    in the solver's matricization, its mirror bin by the conjugate, and
+    bin of the real volume's half spectrum is replaced by min ||X||_* s.t.
+    ||A(X) - b|| <= eta_fraction ||b|| in the solver's matricization, and
     every other bin passes through as observed.  The nuclear norm is the
     minimum of 1/2 (||L||^2 + ||R||^2) over X = L R^H, so a converged
     factorized run of enough rank should come out close to this."""
     vol = vol.reordered(TIME_FIRST)
-    observed = dft_time_axis(ComplexVolume(vol.axes, vol.data * mask.grid[None]))
-    nt = observed.dims[0]
+    observed = dft_time_axis(Volume(vol.axes, vol.data * mask.grid[None]))
+    nt = vol.dims[0]
     freqs = freq_values_hz(nt, cfg.dt)
     matric = Matricization(cfg.matricization, *observed.dims[1:])
     omega = matric.unfold(mask.grid)
@@ -317,8 +319,7 @@ def reference_completion_db(vol, mask, cfg):
         b = matric.unfold(observed.data[k])
         X = solve_nn_reference(omega, b, cfg.eta_fraction * np.linalg.norm(b))
         out[k] = matric.fold(X)
-        out[nt - k] = np.conj(out[k])
-    estimate = idft_freq_axis(ComplexVolume(observed.axes, out))
+    estimate = idft_freq_axis(Volume(observed.axes, out), nt=nt)
     return snr_db(vol.data, estimate.data)
 
 
@@ -445,7 +446,7 @@ def test_criterion_9_numerical_properties(tmp_path):
         np.testing.assert_allclose(L1, L2, atol=1e-12)
 
     # DFT Parseval at 1e-12
-    vol = ComplexVolume(("t", "rx", "sx"), crandn(rng, 16, 4, 3))
+    vol = Volume(("t", "rx", "sx"), crandn(rng, 16, 4, 3))
     spec = dft_time_axis(vol)
     norm = np.linalg.norm(vol.data)
     assert abs(np.linalg.norm(spec.data) - norm) <= 1e-12 * norm

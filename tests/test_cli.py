@@ -8,10 +8,11 @@ import pytest
 
 from lrfill import cli, pipeline
 from lrfill.cli import build_parser, main
-from lrfill.fileio import read_mask, read_volume
+from lrfill.fileio import read_mask, read_volume, read_volume_header, write_volume
 from lrfill.pipeline import PipelineConfig, RunResult, mask_volume
 from lrfill.reporting import SliceReport, write_report
 from lrfill.synthgen import EventSpec, linear_events
+from lrfill.volume import Volume
 
 
 @pytest.fixture
@@ -42,6 +43,7 @@ def test_generate_events(tmp_path, events_spec_file):
     vol = read_volume(out)
     assert vol.dims == (4, 3, 3, 2, 16)
     assert vol.axes == ("rx", "ry", "sx", "sy", "t")
+    assert vol.data.dtype == np.float64  # real traces
 
 
 def test_generate_plant(tmp_path, plant_spec_file):
@@ -51,6 +53,7 @@ def test_generate_plant(tmp_path, plant_spec_file):
     assert rc == 0
     vol = read_volume(out)
     assert vol.dims == (1, 12, 9)
+    assert vol.data.dtype == np.complex128  # a complex slice
     s = np.linalg.svd(vol.data[0], compute_uv=False)
     assert s[2] < 1e-10 * s[0]
 
@@ -341,3 +344,83 @@ def test_missing_file_is_clean_error(tmp_path):
     rc = main(["evaluate", "--truth", str(tmp_path / "no.lrv"),
                "--estimate", str(tmp_path / "no.lrv")])
     assert rc == 2
+
+
+def _complex_twin(path, twin):
+    """Write the samples of the LRV1 file at ``path`` to ``twin`` as
+    complex128."""
+    vol = read_volume(path)
+    write_volume(Volume(vol.axes, vol.data.astype(np.complex128)), twin)
+
+
+@pytest.mark.parametrize("freq", ["30", "125"], ids=["30Hz", "nyquist"])
+def test_svdscan_picks_the_same_bin_for_a_real_file_and_its_complex_twin(
+        tmp_path, events_spec_file, capsys, freq):
+    real, twin = tmp_path / "real.lrv", tmp_path / "twin.lrv"
+    main(["generate", "--kind", "events", "--spec", str(events_spec_file), "--out", str(real)])
+    _complex_twin(real, twin)
+    capsys.readouterr()
+    outputs = []
+    for path in (real, twin):
+        rc = main(["svdscan", "--input", str(path), "--freq", freq, "--dt", "0.004",
+                   "--out", str(tmp_path / path.stem)])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        sigmas = [np.loadtxt(tmp_path / f"{path.stem}_{mode}.csv", delimiter=",", skiprows=1)
+                  for mode in ("srcpair", "recsrcx")]
+        outputs.append(([line.split(":")[0] for line in lines], sigmas))
+    (bins, real_sigmas), (twin_bins, twin_sigmas) = outputs
+    assert bins == twin_bins
+    assert bins[0].startswith("bin 8 (125.00 Hz)" if freq == "125" else "bin 2 (31.25 Hz)")
+    for a, b in zip(real_sigmas, twin_sigmas):
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-14)
+
+
+def test_subsample_writes_the_kind_it_read(tmp_path, events_spec_file):
+    real, twin = tmp_path / "real.lrv", tmp_path / "twin.lrv"
+    main(["generate", "--kind", "events", "--spec", str(events_spec_file), "--out", str(real)])
+    _complex_twin(real, twin)
+    for path, kind in ((real, np.float64), (twin, np.complex128)):
+        sub = tmp_path / f"sub_{path.name}"
+        rc = main(["subsample", "--input", str(path), "--keep", "0.5", "--seed", "3",
+                   "--out-volume", str(sub), "--out-mask", str(tmp_path / "mask.lrm")])
+        assert rc == 0
+        assert read_volume_header(sub)[2] == kind
+    np.testing.assert_array_equal(read_volume(tmp_path / "sub_real.lrv").data,
+                                  read_volume(tmp_path / "sub_twin.lrv").data)
+
+
+def test_evaluate_takes_a_real_truth_and_a_complex_estimate(tmp_path, events_spec_file,
+                                                           capsys):
+    truth, twin = tmp_path / "truth.lrv", tmp_path / "twin.lrv"
+    main(["generate", "--kind", "events", "--spec", str(events_spec_file), "--out", str(truth)])
+    main(["subsample", "--input", str(truth), "--keep", "0.5", "--seed", "3",
+          "--out-volume", str(tmp_path / "sub.lrv"), "--out-mask", str(tmp_path / "mask.lrm")])
+    _complex_twin(tmp_path / "sub.lrv", twin)
+    capsys.readouterr()
+    for estimate in (tmp_path / "sub.lrv", twin):
+        assert main(["evaluate", "--truth", str(truth), "--estimate", str(estimate)]) == 0
+    real_line, twin_line = capsys.readouterr().out.splitlines()
+    assert real_line == twin_line and real_line.startswith("SNR ")
+
+
+def test_interpolate_complex_truth_of_a_real_input_stops_before_any_data(
+        tmp_path, events_spec_file, monkeypatch):
+    vol_path, truth_path = tmp_path / "vol.lrv", tmp_path / "truth.lrv"
+    main(["generate", "--kind", "events", "--spec", str(events_spec_file),
+          "--out", str(vol_path)])
+    _complex_twin(vol_path, truth_path)
+    reads = []
+    read = pipeline.read_volume
+
+    def counting(*args, **kwargs):
+        reads.append(1)
+        return read(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "read_volume", counting)
+    rc = main(["interpolate", "--input", str(vol_path), "--truth", str(truth_path),
+               "--output", str(tmp_path / "out.lrv"), "--report", str(tmp_path / "r.csv"),
+               "--rank", "2"])
+    assert rc == 2
+    assert reads == []
+    assert not (tmp_path / "out.lrv").exists() and not (tmp_path / "r.csv").exists()

@@ -22,7 +22,7 @@ from lrfill.fileio import (
     write_volume,
 )
 from lrfill.sampling import SamplingMask
-from lrfill.volume import ComplexVolume
+from lrfill.volume import Volume
 
 
 @pytest.fixture
@@ -30,7 +30,7 @@ def vol():
     rng = np.random.default_rng(42)
     dims = (2, 3, 2, 2, 2)
     data = rng.standard_normal(dims) + 1j * rng.standard_normal(dims)
-    return ComplexVolume(("t", "rx", "ry", "sx", "sy"), data)
+    return Volume(("t", "rx", "ry", "sx", "sy"), data)
 
 
 def test_volume_roundtrip_bit_exact(tmp_path, vol):
@@ -55,7 +55,7 @@ def test_roundtrip_every_axis_count(tmp_path, naxes):
     rng = np.random.default_rng(naxes)
     axes = ("t", "rx", "ry", "sx", "sy")[:naxes]
     dims = (3, 2, 2, 2, 2)[:naxes]
-    vol = ComplexVolume(axes, rng.standard_normal(dims) + 1j * rng.standard_normal(dims))
+    vol = Volume(axes, rng.standard_normal(dims) + 1j * rng.standard_normal(dims))
     path = tmp_path / "v.lrv"
     write_volume(vol, path)
     back = read_volume(path)
@@ -101,7 +101,7 @@ def test_bad_version(tmp_path, vol):
 
 def test_truncated_payload(tmp_path):
     # Header says 10 scalars, file stores 9.
-    vol = ComplexVolume(("t", "rx"), np.arange(10, dtype=complex).reshape(5, 2))
+    vol = Volume(("t", "rx"), np.arange(10, dtype=complex).reshape(5, 2))
     path = tmp_path / "v.lrv"
     write_volume(vol, path)
     raw = path.read_bytes()
@@ -208,7 +208,7 @@ def _volume(axes):
     rng = np.random.default_rng(7)
     dims = {"t": 5, "rx": 3, "ry": 2, "sx": 3, "sy": 2}
     shape = tuple(dims[a] for a in axes)
-    return ComplexVolume(axes, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    return Volume(axes, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
 def _index(vol, block):
@@ -237,13 +237,13 @@ def test_blocks_written_into_place_make_the_whole_file(tmp_path, layout):
     vol = _volume(layout)
     write_volume(vol, tmp_path / "whole.lrv")
     path = tmp_path / "blocks.lrv"
-    with create_volume(path, vol.axes, vol.dims) as partial:
-        assert read_volume_header(partial) == (vol.axes, vol.dims)
+    with create_volume(path, vol.axes, vol.dims, vol.data.dtype) as partial:
+        assert read_volume_header(partial) == (vol.axes, vol.dims, vol.data.dtype)
         canonical = vol.reordered(("t", "rx", "ry", "sx", "sy"))
         for rx, sx in itertools.product(range(3), (slice(0, 2), slice(2, 3))):
             block = {"rx": slice(rx, rx + 1), "sx": sx}
             # A block may come in another axis order; it is written in the file's.
-            write_volume(ComplexVolume(canonical.axes, canonical.data[_index(canonical, block)]),
+            write_volume(Volume(canonical.axes, canonical.data[_index(canonical, block)]),
                          partial, block=block)
         assert not path.exists()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["blocks.lrv", "whole.lrv"]
@@ -256,7 +256,7 @@ def test_block_write_changes_only_its_box(tmp_path, layout):
     write_volume(vol, path)
     block = {"ry": slice(1, 2), "t": slice(1, 4)}
     index = _index(vol, block)
-    zeros = ComplexVolume(vol.axes, np.zeros(vol.data[index].shape))
+    zeros = Volume(vol.axes, np.zeros(vol.data[index].shape))
     write_volume(zeros, path, block=block)
     expected = np.array(vol.data)
     expected[index] = 0
@@ -355,10 +355,10 @@ def test_blocks_in_another_order_move_in_small_chunks(tmp_path, monkeypatch, lay
         np.testing.assert_array_equal(part.data, whole.data[_index(whole, block)])
         np.testing.assert_array_equal(read_volume(path, block, axes=want).data, part.data)
     blocks = tmp_path / "blocks.lrv"
-    write(ComplexVolume(vol.axes, np.zeros(vol.dims)), blocks)
+    write(Volume(vol.axes, np.zeros(vol.dims, dtype=complex)), blocks)
     for rx in range(3):
         block = {"rx": slice(rx, rx + 1)}
-        write_volume(ComplexVolume(want, whole.data[_index(whole, block)]), blocks,
+        write_volume(Volume(want, whole.data[_index(whole, block)]), blocks,
                      block=block)
     assert blocks.read_bytes() == path.read_bytes()
 
@@ -369,7 +369,7 @@ def test_short_transfers_are_completed(tmp_path, monkeypatch):
     write_volume(vol, path)
     block = {"t": slice(1, 4), "sx": slice(0, 2)}
     writes = _counting(monkeypatch, "pwritev", most=7)
-    write_volume(ComplexVolume(vol.axes, vol.data[_index(vol, block)]), path, block=block)
+    write_volume(Volume(vol.axes, vol.data[_index(vol, block)]), path, block=block)
     reads = _counting(monkeypatch, "preadv", most=7)
     np.testing.assert_array_equal(read_volume(path).data, vol.data)
     assert len(writes) > 1 and len(reads) > 1
@@ -385,10 +385,10 @@ def test_whole_read_holds_no_second_copy(tmp_path, single, axes):
     rng = np.random.default_rng(11)
     dims = (4, 4, 4, 4, 1024)
     canonical = ("rx", "ry", "sx", "sy", "t")
-    vol = ComplexVolume(canonical, rng.standard_normal(dims) + 1j * rng.standard_normal(dims))
+    vol = Volume(canonical, rng.standard_normal(dims) + 1j * rng.standard_normal(dims))
     (write_complex64 if single else write_volume)(vol, tmp_path / "in.lrv")
     twin = vol.data.astype(np.complex64) if single else vol.data
-    write_volume(ComplexVolume(canonical, twin), tmp_path / "twin.lrv")
+    write_volume(Volume(canonical, twin), tmp_path / "twin.lrv")
     del vol, twin
     tracemalloc.start()
     try:
@@ -441,7 +441,7 @@ def test_non_finite_volume_is_not_written(tmp_path, vol):
     # its file unchanged.
     data = np.array(vol.data)
     data[0, 1, 1, 0, 1] = np.nan
-    bad = ComplexVolume(vol.axes, data)
+    bad = Volume(vol.axes, data)
     with pytest.raises(ValueError, match="non-finite"):
         write_volume(bad, tmp_path / "new.lrv")
     path = tmp_path / "old.lrv"
@@ -451,6 +451,149 @@ def test_non_finite_volume_is_not_written(tmp_path, vol):
         write_volume(bad, path)
     block = {"rx": slice(1, 2)}
     with pytest.raises(ValueError, match="non-finite"):
-        write_volume(ComplexVolume(bad.axes, bad.data[:, 1:2]), path, block=block)
+        write_volume(Volume(bad.axes, bad.data[:, 1:2]), path, block=block)
     assert [p.name for p in tmp_path.iterdir()] == ["old.lrv"]
     assert path.read_bytes() == before
+
+
+# ---------------------------------------------------------------------- #
+# scalar code 2: real float64 samples
+
+
+# The canonical, trace-major, order and another.
+REAL_LAYOUTS = pytest.mark.parametrize(
+    "axes", [("rx", "ry", "sx", "sy", "t"), ("t", "rx", "sy", "sx", "ry")],
+    ids=["canonical", "permuted"])
+
+
+def _real_volume(axes):
+    rng = np.random.default_rng(8)
+    dims = {"t": 5, "rx": 3, "ry": 2, "sx": 3, "sy": 2}
+    return Volume(axes, rng.standard_normal(tuple(dims[a] for a in axes)))
+
+
+@REAL_LAYOUTS
+def test_real_volume_is_written_as_code_2(tmp_path, axes):
+    vol = _real_volume(axes)
+    path = tmp_path / "v.lrv"
+    write_volume(vol, path)
+    raw = path.read_bytes()
+    assert raw[5] == 2 and len(raw) == 7 + 9 * len(axes) + 8 * vol.data.size
+    back = read_volume(path)
+    assert back.axes == vol.axes and back.data.dtype == np.float64
+    assert np.array_equal(back.data, vol.data)
+    write_volume(back, tmp_path / "again.lrv")
+    assert (tmp_path / "again.lrv").read_bytes() == raw
+
+
+@REAL_LAYOUTS
+def test_real_block_round_trip(tmp_path, monkeypatch, axes):
+    # Blocks of a float64 file read into float64 buffers, into complex128
+    # ones widened, and in another axis order through the staging array;
+    # written into place, into a float64 file or a complex128 one, they
+    # make the whole file.
+    monkeypatch.setattr(fileio, "_STAGE_BYTES", 5 * 8)
+    vol = _real_volume(axes)
+    path = tmp_path / "v.lrv"
+    write_volume(vol, path)
+    want = ("rx", "ry", "sx", "sy", "t")
+    whole = vol.reordered(want)
+    reals, complexes = np.full(vol.data.size, np.nan), np.full(vol.data.size, np.nan, complex)
+    for block in BLOCKS:
+        expected = whole.data[_index(whole, block)]
+        for out in (None, reals, complexes):
+            part = read_volume(path, block, out=out, axes=want)
+            assert part.data.dtype == (np.float64 if out is None else out.dtype)
+            np.testing.assert_array_equal(part.data, expected)
+    for kind in (np.float64, np.complex128):
+        blocks = tmp_path / f"blocks-{np.dtype(kind).name}.lrv"
+        with create_volume(blocks, vol.axes, vol.dims, kind) as partial:
+            for rx in range(3):
+                block = {"rx": slice(rx, rx + 1)}
+                write_volume(Volume(want, whole.data[_index(whole, block)]), partial,
+                             block=block)
+        back = read_volume(blocks)
+        assert back.data.dtype == kind
+        np.testing.assert_array_equal(back.data, vol.data)
+    assert (tmp_path / "blocks-float64.lrv").read_bytes() == path.read_bytes()
+
+
+def test_real_and_complex_samples_do_not_narrow(tmp_path):
+    # A complex payload is not read into a float64 buffer, and complex
+    # samples are not written into a real file, which keeps its bytes.
+    real, cplx = tmp_path / "real.lrv", tmp_path / "complex.lrv"
+    vol = _real_volume(("t", "rx", "ry", "sx", "sy"))
+    write_volume(vol, real)
+    write_volume(Volume(vol.axes, vol.data.astype(complex)), cplx)
+    with pytest.raises(ValueError, match="float64 buffer"):
+        read_volume(cplx, out=np.empty(vol.data.size))
+    before = real.read_bytes()
+    block = {"rx": slice(0, 1)}
+    with pytest.raises(ValueError, match="cannot be written"):
+        write_volume(read_volume(cplx, block), real, block=block)
+    assert real.read_bytes() == before
+
+
+@pytest.mark.parametrize("cut", [-8, 8], ids=["truncated", "trailing"])
+def test_real_payload_of_the_wrong_length_is_rejected(tmp_path, cut):
+    # A float64 payload is 8 bytes a sample: one sample short or one
+    # sample over is caught from the header and the file size.
+    path = tmp_path / "v.lrv"
+    write_volume(_real_volume(("rx", "t")), path)
+    raw = path.read_bytes()
+    path.write_bytes(raw[:cut] if cut < 0 else raw + b"\x00" * cut)
+    error = TruncatedFileError if cut < 0 else FileFormatError
+    for reader in (read_volume, read_volume_header):
+        with pytest.raises(error):
+            reader(path)
+
+
+def test_unknown_scalar_code_rejected(tmp_path):
+    path = tmp_path / "v.lrv"
+    write_volume(_real_volume(("rx", "t")), path)
+    raw = bytearray(path.read_bytes())
+    raw[5] = 3
+    path.write_bytes(bytes(raw))
+    for reader in (read_volume, read_volume_header):
+        with pytest.raises(FileFormatError, match="scalar code 3"):
+            reader(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_real_non_finite_sample_rejected_on_read_and_write(tmp_path, bad):
+    vol = _real_volume(("rx", "ry", "sx", "sy", "t"))
+    path = tmp_path / "v.lrv"
+    write_volume(vol, path)
+    before = path.read_bytes()
+    data = np.array(vol.data)
+    data[1, 0, 2, 1, 3] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        write_volume(Volume(vol.axes, data), path)
+    with pytest.raises(ValueError, match="non-finite"):
+        write_volume(Volume(vol.axes, data[1:2]), path, block={"rx": slice(1, 2)})
+    assert path.read_bytes() == before
+    at = np.ravel_multi_index((1, 0, 2, 1, 3), vol.dims)
+    with open(path, "r+b") as fh:
+        fh.seek(len(before) - vol.data.nbytes + 8 * int(at))
+        fh.write(np.array([bad]).tobytes())
+    for block in ({}, {"rx": slice(1, 2)}):
+        with pytest.raises(ValueError, match="non-finite"):
+            read_volume(path, block, out=np.empty(vol.data.size))
+    np.testing.assert_array_equal(read_volume(path, {"rx": slice(0, 1)}).data, vol.data[:1])
+
+
+@pytest.mark.parametrize("kind, code", [(np.float64, 2), (np.complex128, 0), (np.complex64, 1)])
+def test_sample_kind_is_read_from_the_header_alone(tmp_path, monkeypatch, kind, code):
+    # The header names the kind a read gives the samples, before any of
+    # the payload is read.
+    vol = Volume(("rx", "t"), np.ones((2, 3), dtype=kind))
+    path = tmp_path / "v.lrv"
+    (write_complex64 if code == 1 else write_volume)(vol, path)
+    assert path.read_bytes()[5] == code
+
+    def no_read(*args):
+        raise AssertionError("the payload was read")
+
+    monkeypatch.setattr(os, "preadv", no_read)
+    assert read_volume_header(path) == (("rx", "t"), (2, 3),
+                                        np.dtype(np.float64 if code == 2 else np.complex128))

@@ -158,3 +158,9 @@ class TestSolveLevelset:
             solve_levelset(op, b, 1e-6 * float(np.linalg.norm(b)), 1, cfg)
         assert len(info.value.taus) == len(info.value.values)
         assert len(info.value.taus) >= 12
+
+
+@pytest.mark.parametrize("root_tol", [float("nan"), 0.0, -1e-4])
+def test_root_tolerance_that_is_nan_or_not_positive_is_rejected(root_tol):
+    with pytest.raises(ValueError, match="root_tol"):
+        LevelSetConfig(root_tol=root_tol)

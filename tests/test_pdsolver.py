@@ -527,3 +527,13 @@ def test_factorization_bound_and_balanced_equality():
     Rb = Vh.conj().T * np.sqrt(s)
     bound = 0.5 * (np.linalg.norm(Lb) ** 2 + np.linalg.norm(Rb) ** 2)
     assert bound == pytest.approx(nuclear_norm(X), rel=1e-10)
+
+
+@pytest.mark.parametrize("key", ["primal_tol", "feas_tol"])
+@pytest.mark.parametrize("value", [float("nan"), -1.0, -1e-12])
+def test_tolerance_that_is_nan_or_negative_is_rejected(key, value):
+    # With feas_tol NaN or below 0 the alternating loop's outer stop could
+    # never hold, and the loop would run to its cap without a word.
+    with pytest.raises(ValueError, match=key):
+        PdConfig(**{key: value})
+    PdConfig(**{key: 0.0})

@@ -11,7 +11,7 @@ from lrfill.synthgen import (
     ricker,
 )
 from lrfill.transforms import Matricization, apply_sampling, singular_decay
-from lrfill.volume import dft_time_axis, freq_values_hz
+from lrfill.volume import Volume, dft_time_axis, freq_values_hz
 
 
 class TestPlantSlice:
@@ -91,7 +91,7 @@ class TestLinearEvents:
         trace0 = vol.data[0, 0, 0, 0]
         for idx in np.ndindex(4, 3, 3, 2):
             np.testing.assert_array_equal(vol.data[idx], trace0)
-        spec_f = dft_time_axis(vol)
+        spec_f = dft_time_axis(Volume(vol.axes, vol.data.astype(complex)))
         rec = Matricization("recsrcx", 4, 3, 3, 2)
         for k in range(64):
             slice_k = spec_f.data[..., k]

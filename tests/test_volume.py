@@ -3,7 +3,7 @@ import pytest
 
 from lrfill.volume import (
     AxisLayoutError,
-    ComplexVolume,
+    Volume,
     axis_permutation,
     buffer_view,
     check_finite,
@@ -15,33 +15,33 @@ from lrfill.volume import (
 
 def random_volume(rng, axes=("t", "rx", "ry", "sx", "sy"), dims=(8, 3, 2, 4, 2)):
     data = rng.standard_normal(dims) + 1j * rng.standard_normal(dims)
-    return ComplexVolume(axes, data)
+    return Volume(axes, data)
 
 
 class TestComplexVolume:
     def test_basic_construction(self):
-        vol = ComplexVolume(("t", "rx", "sx"), np.zeros((4, 2, 3)))
+        vol = Volume(("t", "rx", "sx"), np.zeros((4, 2, 3)))
         assert vol.dims == (4, 2, 3)
         assert vol.axis_index("rx") == 1
 
     def test_data_is_read_only(self):
-        vol = ComplexVolume(("t", "rx", "sx"), np.zeros((4, 2, 3)))
+        vol = Volume(("t", "rx", "sx"), np.zeros((4, 2, 3)))
         with pytest.raises(ValueError):
             vol.data[0, 0, 0] = 1.0
 
     def test_unknown_axis_rejected(self):
         with pytest.raises(AxisLayoutError):
-            ComplexVolume(("t", "zz"), np.zeros((2, 2)))
+            Volume(("t", "zz"), np.zeros((2, 2)))
 
     def test_duplicate_axis_rejected(self):
         with pytest.raises(AxisLayoutError):
-            ComplexVolume(("t", "rx", "rx"), np.zeros((2, 2, 2)))
+            Volume(("t", "rx", "rx"), np.zeros((2, 2, 2)))
 
     def test_exactly_one_spectral_axis(self):
         with pytest.raises(AxisLayoutError):
-            ComplexVolume(("rx", "sx"), np.zeros((2, 2)))
+            Volume(("rx", "sx"), np.zeros((2, 2)))
         with pytest.raises(AxisLayoutError):
-            ComplexVolume(("t", "f"), np.zeros((2, 2)))
+            Volume(("t", "f"), np.zeros((2, 2)))
 
     def test_nonfinite_rejected(self):
         # The constructor checks labels and dimensions, not values: samples
@@ -49,18 +49,18 @@ class TestComplexVolume:
         for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
             data = np.zeros((2, 2), dtype=complex)
             data[0, 1] = bad
-            vol = ComplexVolume(("t", "rx"), data)
+            vol = Volume(("t", "rx"), data)
             with pytest.raises(ValueError, match="non-finite"):
                 check_finite(vol.data)
 
     def test_shape_must_match_axes(self):
         with pytest.raises(AxisLayoutError):
-            ComplexVolume(("t", "rx", "sx"), np.zeros((2, 2)))
+            Volume(("t", "rx", "sx"), np.zeros((2, 2)))
 
     def test_view_is_shared(self):
         # A C-contiguous complex128 view is wrapped, not copied.
         base = np.zeros((4, 2, 3), dtype=complex)
-        vol = ComplexVolume(("t", "rx", "sx"), base[1:3])
+        vol = Volume(("t", "rx", "sx"), base[1:3])
         assert np.shares_memory(vol.data, base)
         base[1, 0, 0] = 1.0
         assert vol.data[0, 0, 0] == 1.0
@@ -69,7 +69,7 @@ class TestComplexVolume:
         # The volume's own view is read-only; the array handed over is not
         # frozen, and whoever writes it changes the volume.
         data = np.zeros((4, 2, 3), dtype=complex)
-        vol = ComplexVolume(("t", "rx", "sx"), data)
+        vol = Volume(("t", "rx", "sx"), data)
         assert np.shares_memory(vol.data, data)
         assert data.flags.writeable and not vol.data.flags.writeable
         data[0, 0, 0] = 2.0
@@ -77,27 +77,38 @@ class TestComplexVolume:
 
     @pytest.mark.parametrize("data", [np.zeros((4, 2, 3), dtype=np.complex64),
                                       np.zeros((4, 2, 3), dtype=complex, order="F"),
-                                      np.zeros((4, 2, 3))])
+                                      np.zeros((4, 2, 3), dtype=np.float32)])
     def test_other_dtype_or_layout_is_copied(self, data):
-        vol = ComplexVolume(("t", "rx", "sx"), data)
-        assert vol.data.dtype == np.complex128 and vol.data.flags.c_contiguous
+        # Complex samples are held as complex128, real ones as float64.
+        vol = Volume(("t", "rx", "sx"), data)
+        kind = np.complex128 if np.iscomplexobj(data) else np.float64
+        assert vol.data.dtype == kind and vol.data.flags.c_contiguous
         assert not np.shares_memory(vol.data, data)
         assert data.flags.writeable
+
+    def test_real_samples_are_wrapped_as_float64(self):
+        # Real samples stay real: a C-contiguous float64 array is wrapped
+        # without a copy, and a buffer of them may hold a block.
+        data = np.zeros((4, 2, 3))
+        vol = Volume(("t", "rx", "sx"), data)
+        assert vol.data.dtype == np.float64 and np.shares_memory(vol.data, data)
+        buffer = np.zeros(30)
+        assert np.shares_memory(buffer_view(buffer, (4, 2, 3)), buffer)
 
     def test_volume_over_a_buffer(self):
         # A volume over the leading elements of a block buffer shares them
         # and cannot write them; the buffer stays writable, and the volume
         # sees what is written into it later.
         buffer = np.zeros(10, dtype=np.complex128)
-        vol = ComplexVolume(("t", "rx"), buffer_view(buffer, (2, 3)))
+        vol = Volume(("t", "rx"), buffer_view(buffer, (2, 3)))
         assert vol.dims == (2, 3) and np.shares_memory(vol.data, buffer)
         assert not vol.data.flags.writeable and buffer.flags.writeable
         buffer[:6] = np.arange(6)
         np.testing.assert_array_equal(vol.data, np.arange(6).reshape(2, 3))
         with pytest.raises(ValueError, match="cannot hold"):
             buffer_view(buffer, (3, 4))
-        with pytest.raises(ValueError, match="complex128"):
-            buffer_view(np.zeros(10), (2, 3))
+        with pytest.raises(ValueError, match="float64 or complex128"):
+            buffer_view(np.zeros(10, dtype=np.float32), (2, 3))
 
     def test_reordered_same_order_is_self(self):
         vol = random_volume(np.random.default_rng(0))
@@ -125,7 +136,7 @@ class TestDft:
     def test_constant_series_is_dc_only(self):
         # Length-4 all-ones series: unitary scaling gives 4 / sqrt(4) = 2 at DC.
         data = np.ones((4, 2, 2), dtype=complex)
-        vol = ComplexVolume(("t", "rx", "sx"), data)
+        vol = Volume(("t", "rx", "sx"), data)
         spec = dft_time_axis(vol)
         assert spec.axes == ("f", "rx", "sx")
         np.testing.assert_allclose(spec.data[0], 2.0 * np.ones((2, 2)), atol=1e-14)
@@ -164,7 +175,7 @@ class TestDft:
         u = random_volume(rng)
         v = random_volume(rng)
         a = 1.7 - 0.3j
-        lhs = dft_time_axis(ComplexVolume(u.axes, a * u.data + v.data)).data
+        lhs = dft_time_axis(Volume(u.axes, a * u.data + v.data)).data
         rhs = a * dft_time_axis(u).data + dft_time_axis(v).data
         assert np.linalg.norm(lhs - rhs) < 1e-12 * np.linalg.norm(rhs)
 
@@ -172,24 +183,66 @@ class TestDft:
         # One unit at bin k=1, length 4: samples exp(2i pi n / 4) / sqrt(4).
         spec = np.zeros((4, 1, 1), dtype=complex)
         spec[1] = 1.0
-        vol = idft_freq_axis(ComplexVolume(("f", "rx", "sx"), spec))
+        vol = idft_freq_axis(Volume(("f", "rx", "sx"), spec))
         assert vol.axes == ("t", "rx", "sx")
         n = np.arange(4)
         expected = np.exp(2j * np.pi * n / 4) / 2.0
         np.testing.assert_allclose(vol.data[:, 0, 0], expected, atol=1e-14)
 
     def test_zero_volume_stays_zero(self):
-        vol = ComplexVolume(("f", "rx", "sx"), np.zeros((4, 2, 2)))
+        vol = Volume(("f", "rx", "sx"), np.zeros((4, 2, 2)))
         out = idft_freq_axis(vol)
         assert np.all(out.data == 0)
 
     def test_missing_axis_is_structural_error(self):
-        vol = ComplexVolume(("f", "rx", "sx"), np.zeros((4, 2, 2)))
+        vol = Volume(("f", "rx", "sx"), np.zeros((4, 2, 2)))
         with pytest.raises(AxisLayoutError):
             dft_time_axis(vol)
-        tvol = ComplexVolume(("t", "rx", "sx"), np.zeros((4, 2, 2)))
+        tvol = Volume(("t", "rx", "sx"), np.zeros((4, 2, 2)))
         with pytest.raises(AxisLayoutError):
             idft_freq_axis(tvol)
+
+
+class TestRealDft:
+    """A real volume's spectrum is its half spectrum, bins 0 to n//2."""
+
+    @pytest.mark.parametrize("nt", [8, 7])
+    def test_half_spectrum_is_the_nonnegative_bins(self, nt):
+        rng = np.random.default_rng(4)
+        data = rng.standard_normal((nt, 3, 2))
+        half = dft_time_axis(Volume(("t", "rx", "sx"), data))
+        full = dft_time_axis(Volume(("t", "rx", "sx"), data.astype(complex)))
+        assert half.axes == ("f", "rx", "sx") and half.dims == (nt // 2 + 1, 3, 2)
+        np.testing.assert_allclose(half.data, full.data[:nt // 2 + 1], atol=1e-14)
+        back = idft_freq_axis(half, nt=nt)
+        assert back.axes == ("t", "rx", "sx") and back.data.dtype == np.float64
+        np.testing.assert_allclose(back.data, data, atol=1e-14)
+
+    def test_parseval_counts_each_bin_and_its_conjugate(self):
+        data = np.random.default_rng(5).standard_normal((3, 2, 8))
+        half = dft_time_axis(Volume(("rx", "sx", "t"), data)).data
+        energy = 2 * np.sum(np.abs(half) ** 2) - np.sum(np.abs(half[..., [0, -1]]) ** 2)
+        assert abs(energy - np.sum(data ** 2)) <= 1e-12 * np.sum(data ** 2)
+
+    def test_transforms_into_buffers(self):
+        # Into a complex buffer and back into a real one, bit for bit as
+        # the fresh results.
+        vol = Volume(("rx", "t"), np.random.default_rng(6).standard_normal((3, 8)))
+        spectra = np.full(20, np.nan, dtype=np.complex128)
+        samples = np.full(30, np.nan)
+        spec = dft_time_axis(vol, out=spectra)
+        assert np.shares_memory(spec.data, spectra)
+        np.testing.assert_array_equal(spec.data, dft_time_axis(vol).data)
+        back = idft_freq_axis(spec, out=samples, nt=8)
+        assert np.shares_memory(back.data, samples)
+        np.testing.assert_array_equal(back.data, idft_freq_axis(spec, nt=8).data)
+
+    def test_spectrum_must_be_the_half_spectrum_of_nt(self):
+        spec = Volume(("f", "rx"), np.zeros((5, 2), dtype=complex))
+        idft_freq_axis(spec, nt=9)
+        for nt in (7, 10):
+            with pytest.raises(ValueError, match="half spectrum"):
+                idft_freq_axis(spec, nt=nt)
 
 
 def test_freq_values():
