@@ -26,7 +26,7 @@ from .reporting import compare_reports, read_report, snr_db, write_comparison
 from .sampling import SamplingMask, jittered_volume_mask, uniform_entry_mask
 from .synthgen import EventSpec, PlantSpec, linear_events, plant_slice
 from .transforms import MODES, Matricization, singular_decay
-from .volume import CANONICAL_AXES, SPATIAL_AXES, Volume, dft_time_axis
+from .volume import CANONICAL_AXES, SPATIAL_AXES, Volume, dft_time_axis, freq_values_hz
 
 
 def _parse_floats(text, n, what):
@@ -112,9 +112,9 @@ def cmd_svdscan(args) -> int:
     if "t" in vol.axes:
         vol = dft_time_axis(vol)
     vol = vol.reordered(("f",) + SPATIAL_AXES)
-    # Bins 0 to n//2 hold each frequency once: the half spectrum of a real
-    # volume, and the nonnegative bins of a complex one, in the same places.
-    freqs = np.fft.rfftfreq(n, args.dt)
+    # Bins 0 to n//2 hold each frequency once: the half spectrum of real
+    # traces, and the nonnegative bins of a volume of every bin.
+    freqs = freq_values_hz(n, args.dt)
     k = int(np.argmin(np.abs(freqs - args.freq)))
     tensor = vol.data[k]
     for mode in MODES:

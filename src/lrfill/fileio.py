@@ -13,12 +13,16 @@ LRV1 layout, all integers little-endian:
 
     code  sample           read as      written by lrfill for
     0     complex float64  complex128   complex volumes: ``generate --kind
-                                        plant``, and ``subsample`` and
-                                        ``interpolate`` of a complex input
+                                        plant`` and ``subsample`` of a
+                                        complex file
     1     complex float32  complex128   (never; read as input and widened)
     2     real float64     float64      real traces: ``generate --kind
-                                        events``, and ``subsample`` and
-                                        ``interpolate`` of a real input
+                                        events``, ``subsample`` of a real
+                                        file and every ``interpolate``
+                                        output
+
+``interpolate`` takes real traces only: it refuses an input or a truth of
+code 0 or 1 from its header.
 
 LRM1 is the same header without the scalar-code byte; its payload is one
 byte per grid point (1 = observed, 0 = missing).

@@ -6,10 +6,8 @@ The run configuration lives in a flat ``key = value`` text file whose keys
 are the fields of :class:`PipelineConfig`; every key can be overridden by
 the CLI flag of the same name.  Frequency bins outside the band are passed
 through as observed (zero-filled where missing) rather than zeroed.  The
-sample kind of the input file, read from its header, picks the spectrum:
-a real (float64) input is transformed to its half spectrum and its
-in-band bins from 0 Hz to Nyquist are solved, and a complex input's
-in-band bins of both signs are.
+run takes real traces: float64 files, whose half spectra it solves from
+0 Hz to Nyquist.  A file of complex samples is refused from its header.
 """
 
 from __future__ import annotations
@@ -47,8 +45,8 @@ from .volume import (
 SOLVERS = ("pd", "levelset")
 
 # Bytes of complex128 samples in one block of traces.  Each pass of a run
-# works in buffers of two blocks of complex samples, or of real samples and
-# their half spectra, allocated once, besides the in-band bins, so this
+# works in buffers of about one and a half such blocks, of float64 samples
+# and their half spectra, allocated once, besides the in-band bins, so this
 # bounds the run's memory.  A block of a trace-major file is
 # read in one call per run of whole traces, one in all when it spans whole
 # trailing axes, so a larger block saves calls only on a time-first file,
@@ -271,13 +269,21 @@ def trace_blocks(dims: tuple):
 
 
 def _canonical_header(path, what: str) -> tuple:
-    """Extents of the LRV1 volume at ``path`` in canonical axis order, and
-    the kind of its samples, read from its header."""
+    """Extents of the LRV1 volume at ``path`` in canonical axis order, read
+    from its header: the run's one check of a file's header.  A volume of
+    complex samples, or with an extent of 0, raises ``ValueError``."""
     axes, extents, kind = read_volume_header(path)
     try:
-        return tuple(extents[i] for i in axis_permutation(axes, CANONICAL_AXES)), kind
+        dims = tuple(extents[i] for i in axis_permutation(axes, CANONICAL_AXES))
     except AxisLayoutError as exc:
         raise AxisLayoutError(f"{what}: {exc}") from None
+    if kind != np.float64:
+        raise ValueError(f"{what}: the run takes real traces, and {path} holds complex "
+                         "samples; convert it to float64 as README shows")
+    if 0 in dims:
+        raise ValueError(f"{what}: every extent must be at least 1, not {dims} "
+                         f"(in {CANONICAL_AXES} order)")
+    return dims
 
 
 # Sums of squares by einsum, not BLAS: a threaded BLAS dot can spend
@@ -288,13 +294,6 @@ def _energy(data: np.ndarray) -> float:
     return float(np.einsum("i,i->", flat, flat))
 
 
-def _imag_energy(data: np.ndarray) -> float:
-    """Squared Frobenius norm of the imaginary part, taken on a strided
-    view so that the part is not copied."""
-    imag = data.reshape(-1).imag
-    return float(np.einsum("i,i->", imag, imag))
-
-
 def _self_conjugate_bins(nt: int) -> list:
     """The bins of the half spectrum of real nt-sample traces that are
     their own conjugates: 0 Hz and, for an even nt, Nyquist.  Each other
@@ -302,12 +301,10 @@ def _self_conjugate_bins(nt: int) -> list:
     return [0, nt // 2] if nt % 2 == 0 else [0]
 
 
-def _spectrum_energy(spectrum: np.ndarray, nt: int, real: bool) -> float:
-    """Squared Frobenius norm of the full spectrum whose bins, along the
-    last axis, ``spectrum`` holds: every bin of complex traces, or the
-    half spectrum of real ones (see :func:`_self_conjugate_bins`)."""
-    if not real:
-        return _energy(spectrum)
+def _spectrum_energy(spectrum: np.ndarray, nt: int) -> float:
+    """Squared Frobenius norm of the full spectrum whose half spectrum,
+    along the last axis, ``spectrum`` holds (see
+    :func:`_self_conjugate_bins`)."""
     return 2.0 * _energy(spectrum) - _energy(spectrum[..., _self_conjugate_bins(nt)])
 
 
@@ -315,7 +312,8 @@ def _spectrum_energy(spectrum: np.ndarray, nt: int, real: bool) -> float:
 class RunResult:
     rows: list = field(default_factory=list)
     overall_snr_db: float = math.nan
-    imag_leakage: float = math.nan
+    # The output is real; the field stays for the readers of the report.
+    imag_leakage: float = 0.0
     wall_s: float = 0.0
     failed: int = 0
 
@@ -344,36 +342,24 @@ def _block_buffer(dims: tuple, length: int, kind) -> np.ndarray:
     return np.empty(length * math.prod(s.stop - s.start for s in first.values()), dtype=kind)
 
 
-def _spectrum_length(nt: int, real: bool) -> int:
-    """Bins of the spectrum of nt-sample traces: the half spectrum, 0 Hz to
-    Nyquist, of real ones, whose other bins are their conjugates, and
-    every bin of complex ones."""
-    return nt // 2 + 1 if real else nt
-
-
-def _read_band(cfg: PipelineConfig, dims: tuple, kind, mask: SamplingMask, in_band: list):
+def _read_band(cfg: PipelineConfig, dims: tuple, mask: SamplingMask, in_band: list):
     """Pass 1 of :func:`run_interpolation`: the in-band bins of the masked
     input and of the truth (``None`` without one), bin-major, and the sums
     of squares of the truth and of the output's error in the out-of-band
-    bins.  The truth is read in the input's sample ``kind``.  Each block
-    goes through buffers that the pass allocates once and drops when it
-    returns: the DFT of complex samples is taken in place, in one buffer
-    for the input and one for the truth, and real samples are read into a
-    buffer of their own, which the input's samples leave for the truth's
-    once their half spectrum is taken, and transformed into one buffer of
-    half spectra each.  :func:`read_volume` checks every block it reads for
-    non-finite values, and both spectra are checked here, since a DFT of
-    finite samples can overflow, so a bad sample stops the run before any
-    solve."""
-    nt, real = dims[-1], kind == np.float64
-    nf = _spectrum_length(nt, real)
+    bins.  Each block goes through buffers that the pass allocates once and
+    drops when it returns: the samples are read into one buffer, which the
+    input's samples leave for the truth's once their half spectrum is
+    taken, and transformed into one buffer of half spectra each.
+    :func:`read_volume` checks every block it reads for non-finite values,
+    and both spectra are checked here, since a DFT of finite samples can
+    overflow, so a bad sample stops the run before any solve."""
+    nt, nf = dims[-1], dims[-1] // 2 + 1
     observed = np.empty((len(in_band),) + dims[:-1], dtype=np.complex128)
     truth = None if cfg.truth is None else np.empty_like(observed)
-    inputs = _block_buffer(dims, nt, kind)
-    spectra = _block_buffer(dims, nf, np.complex128) if real else inputs
+    inputs = _block_buffer(dims, nt, np.float64)
+    spectra = _block_buffer(dims, nf, np.complex128)
     if truth is not None:
         true_spectra = _block_buffer(dims, nf, np.complex128)
-        truths = inputs if real else true_spectra
     truth_sq = err_sq = 0.0
     for block in trace_blocks(dims):
         at = (slice(None),) + _spatial_index(block)
@@ -383,53 +369,44 @@ def _read_band(cfg: PipelineConfig, dims: tuple, kind, mask: SamplingMask, in_ba
         check_finite(spectrum)
         observed[at] = np.moveaxis(spectrum[..., in_band], -1, 0)
         if truth is not None:
-            read = read_volume(cfg.truth, block, out=truths, axes=CANONICAL_AXES)
+            read = read_volume(cfg.truth, block, out=inputs, axes=CANONICAL_AXES)
             true_spectrum = dft_time_axis(read, out=true_spectra).data
             check_finite(true_spectrum)
-            truth_sq += _spectrum_energy(true_spectrum, nt, real)
+            truth_sq += _spectrum_energy(true_spectrum, nt)
             truth[at] = np.moveaxis(true_spectrum[..., in_band], -1, 0)
             # The output's out-of-band bins are the observed ones.
             miss = buffer_view(true_spectra, true_spectrum.shape)
             miss -= spectrum
             miss[..., in_band] = 0.0
-            err_sq += _spectrum_energy(miss, nt, real)
+            err_sq += _spectrum_energy(miss, nt)
     return observed, truth, truth_sq, err_sq
 
 
-def _write_output(cfg: PipelineConfig, dims: tuple, kind, mask: SamplingMask, in_band: list,
-                  corrections: np.ndarray) -> float:
-    """Pass 2 of :func:`run_interpolation`: write the output, of the
-    input's sample ``kind``, the masked input plus the inverse DFT of the
-    in-band ``corrections``, block by block, and return its imaginary
-    share, ``imag_leakage``: 0 for real samples.  A block's correction
-    spectrum is built in one buffer and inverted in place, or into a buffer
-    of real samples, and the input is read and masked into another.
-    :func:`read_volume` checks each block it reads and
-    :func:`write_volume` each block it writes for non-finite values."""
-    nt, real = dims[-1], kind == np.float64
-    nf = _spectrum_length(nt, real)
-    out_sq = out_imag_sq = 0.0
-    with create_volume(cfg.output, CANONICAL_AXES, dims, kind) as partial:
-        inputs, spectra = _block_buffer(dims, nt, kind), _block_buffer(dims, nf, np.complex128)
-        fixes = _block_buffer(dims, nt, kind) if real else spectra
+def _write_output(cfg: PipelineConfig, dims: tuple, mask: SamplingMask, in_band: list,
+                  corrections: np.ndarray):
+    """Pass 2 of :func:`run_interpolation`: write the output, the masked
+    input plus the inverse DFT of the in-band ``corrections``, block by
+    block, as float64 samples.  A block's correction spectrum is built in
+    one buffer and inverted into a buffer of samples, and the input is read
+    and masked into another.  :func:`read_volume` checks each block it
+    reads and :func:`write_volume` each block it writes for non-finite
+    values."""
+    nt, nf = dims[-1], dims[-1] // 2 + 1
+    with create_volume(cfg.output, CANONICAL_AXES, dims, np.float64) as partial:
+        inputs = _block_buffer(dims, nt, np.float64)
+        spectra = _block_buffer(dims, nf, np.complex128)
+        fixes = _block_buffer(dims, nt, np.float64)
         for block in trace_blocks(dims):
             part = corrections[(slice(None),) + _spatial_index(block)]
             spectrum = buffer_view(spectra, part.shape[1:] + (nf,))
             spectrum[...] = 0.0
             spectrum[..., in_band] = np.moveaxis(part, 0, -1)
-            fix = idft_freq_axis(Volume(SPATIAL_AXES + ("f",), spectrum), out=fixes,
-                                 nt=nt if real else None)
+            fix = idft_freq_axis(Volume(SPATIAL_AXES + ("f",), spectrum), nt, out=fixes)
             masked = mask_volume(read_volume(cfg.input, block, out=inputs,
                                              axes=CANONICAL_AXES), mask, block, out=inputs)
             total = buffer_view(inputs, masked.dims)
             total += fix.data
             write_volume(Volume(CANONICAL_AXES, total), partial, block=block)
-            if not real:
-                out_sq += _energy(total)
-                out_imag_sq += _imag_energy(total)
-    if real:
-        return 0.0
-    return math.sqrt(out_imag_sq / out_sq) if out_sq > 0 else math.nan
 
 
 def run_interpolation(cfg: PipelineConfig) -> RunResult:
@@ -438,16 +415,15 @@ def run_interpolation(cfg: PipelineConfig) -> RunResult:
     The volume is never held whole: the run passes twice over it in the
     blocks of :func:`trace_blocks`, whose time DFT is exact because each
     holds every time sample of its traces.  Pass 1 reads and masks each
-    block of the input, takes its DFT and keeps the in-band bins; the
-    truth's blocks, unmasked, go the same way.  The input's sample kind,
-    read from its header, picks the spectrum: the half spectrum of real
-    samples, bins 0 Hz to Nyquist, or every bin of complex ones.  Each
-    solve turns its bin into its correction (solved minus observed) in
-    place; a real input's 0 Hz bin, and its Nyquist bin for an even record,
-    are their own conjugates, so their corrections are taken real.  Pass 2
-    reads and masks each input block again, adds the inverse DFT of its
-    corrections and writes it into its place in the output, of the input's
-    kind, so out-of-band bins pass through as observed.  The overall error
+    block of the input, takes the half spectrum of its real traces, bins
+    0 Hz to Nyquist, and keeps the in-band bins; the truth's blocks,
+    unmasked, go the same way.  Each solve turns its bin into its
+    correction (solved minus observed) in place; the 0 Hz bin, and the
+    Nyquist bin of an even record, are their own conjugates, so their
+    corrections are taken real.  Pass 2 reads and masks each input block
+    again, adds the inverse DFT of its corrections and writes it into its
+    place in the output, so out-of-band bins pass through as observed, and
+    the output is real, so its ``imag_leakage`` is 0.  The overall error
     is summed bin by bin, out of band in pass 1 and in band by each solve,
     each bin of a half spectrum counted for itself and its conjugate, so
     that it stays exact near a perfect reconstruction.  Each pass works in
@@ -455,25 +431,22 @@ def run_interpolation(cfg: PipelineConfig) -> RunResult:
     before the solve.  A block is held trace-major whatever the order of
     its file, which is read one call per contiguous run: one call for a
     block of a trace-major file that spans whole trailing axes.  The
-    headers are checked before any data is read, a complex truth of a real
-    input included, and the output is written trace-major under a
-    temporary name that it takes only when pass 2 ends, so a run that stops
-    early leaves no output.
+    headers are checked before any data is read: an input or a truth of
+    complex samples, or with an extent of 0, stops the run there.  The
+    output is written trace-major under a temporary name that it takes
+    only when pass 2 ends, so a run that stops early leaves no output.
 
     Per-slice failures are recorded in their report row and the run
     continues; the result carries the failure count for the exit code.
     """
     t_run = time.perf_counter()
-    dims, kind = _canonical_header(cfg.input, "input")
+    dims = _canonical_header(cfg.input, "input")
     nt, extents = dims[-1], dims[:-1]
-    real = kind == np.float64
     if cfg.truth is not None:
-        truth_dims, truth_kind = _canonical_header(cfg.truth, "truth")
+        truth_dims = _canonical_header(cfg.truth, "truth")
         if truth_dims != dims:
             raise ValueError(f"truth dims {truth_dims} != input dims {dims} "
                              f"(in {CANONICAL_AXES} order)")
-        if real and truth_kind != kind:
-            raise ValueError("the truth has complex samples and the input real ones")
     if cfg.mask is None:
         mask = SamplingMask(np.ones(extents, dtype=bool), axes=SPATIAL_AXES)
     else:
@@ -482,10 +455,10 @@ def run_interpolation(cfg: PipelineConfig) -> RunResult:
         raise AxisLayoutError(f"mask has axes {mask.axes}; need {SPATIAL_AXES} in any order")
     if mask.grid.shape != extents:
         raise ValueError(f"mask grid {mask.grid.shape} does not match spatial dims {extents}")
-    freqs = np.abs(freq_values_hz(nt, cfg.dt))[:_spectrum_length(nt, real)]
+    freqs = freq_values_hz(nt, cfg.dt)
     in_band = np.flatnonzero((freqs >= cfg.f_min) & (freqs <= cfg.f_max)).tolist()
 
-    observed, truth, truth_sq, err_sq = _read_band(cfg, dims, kind, mask, in_band)
+    observed, truth, truth_sq, err_sq = _read_band(cfg, dims, mask, in_band)
     if truth is not None and truth_sq == 0.0:
         raise ValueError("SNR undefined for all-zero truth")
 
@@ -500,7 +473,7 @@ def run_interpolation(cfg: PipelineConfig) -> RunResult:
         return max(1, min(r, p, q))
 
     fully_observed = bool(op.observed.all())
-    self_conjugate = _self_conjugate_bins(nt) if real else []
+    self_conjugate = _self_conjugate_bins(nt)
 
     def worker(i):
         # The bin's observed values become its correction, solved minus
@@ -529,7 +502,7 @@ def run_interpolation(cfg: PipelineConfig) -> RunResult:
             if rep.status == "ok" and np.linalg.norm(truth[i]) > 0:
                 rep.snr_db = snr_db(truth[i], done)
             # Each other bin of a half spectrum stands for its conjugate too.
-            bin_sq = (2 if real and not own else 1) * _energy(truth[i] - done)
+            bin_sq = (1 if own else 2) * _energy(truth[i] - done)
         observed[i] = done - b
         return rep, bin_sq
 
@@ -549,7 +522,7 @@ def run_interpolation(cfg: PipelineConfig) -> RunResult:
     if cfg.truth is not None:
         result.overall_snr_db = snr_from_norms(math.sqrt(truth_sq), math.sqrt(err_sq))
 
-    result.imag_leakage = _write_output(cfg, dims, kind, mask, in_band, corrections)
+    _write_output(cfg, dims, mask, in_band, corrections)
     result.wall_s = time.perf_counter() - t_run
 
     if cfg.report is not None:

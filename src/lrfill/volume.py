@@ -3,13 +3,12 @@
 A volume is a dense array of real (float64) or complex (complex128)
 samples whose axes carry labels from ``{t, f, rx, ry, sx, sy}`` (time,
 frequency, two receiver axes, two source axes).  Seismic traces are real,
-so a real volume is transformed to its half spectrum, bins 0 to n//2 of
-its n time samples, and back: the other bins are their conjugates, and a
-real volume takes half the bytes of a complex one and about half the
-transform work.  Labeling the axes instead of relying on positional
-conventions is what keeps the later matricization steps honest: every
-reshape is done by name, never by assumed order, and every permutation of
-axes is taken from their labels by :func:`axis_permutation`.
+so the transform pair takes real traces of n time samples to their half
+spectrum, bins 0 to n//2, and back; the other bins are their conjugates.
+Labeling the axes instead of relying on positional conventions is what
+keeps the later matricization steps honest: every reshape is done by
+name, never by assumed order, and every permutation of axes is taken from
+their labels by :func:`axis_permutation`.
 """
 
 from __future__ import annotations
@@ -170,48 +169,44 @@ def _transform(fft, vol: Volume, src: str, dst: str, out, length: int, **kwargs)
 
 
 def dft_time_axis(vol: Volume, out: np.ndarray | None = None) -> Volume:
-    """Unitary forward DFT along the time axis; relabels ``t`` to ``f``.
+    """Unitary forward DFT along the time axis of real traces; relabels
+    ``t`` to ``f``.
 
     Unitary (1/sqrt(N) both ways) normalization keeps Frobenius norms
     identical in both domains, so residual thresholds are comparable no
-    matter which side they are measured on.  The spectrum of a real volume
-    of n time samples is its half spectrum, bins 0 to n//2 (``rfft``):
-    each other bin counts twice in its norm, once for its conjugate.  A
-    complex volume gives all n bins.
+    matter which side they are measured on.  The spectrum of n time
+    samples is their half spectrum, bins 0 to n//2 (``rfft``): each other
+    bin counts twice in its norm, once for its conjugate.  A volume of
+    complex samples raises ``ValueError``.
 
     With ``out``, a complex128 buffer as for :func:`buffer_view`, the
-    spectrum is written into its leading elements, which for a complex
-    volume may be the ones that hold ``vol`` (the DFT is then taken in
-    place, with the same result), and the volume returned lies over them.
-    The spectrum is not checked: a DFT of finite samples can overflow, so
-    a caller that needs finite values checks them with
+    spectrum is written into its leading elements, and the volume returned
+    lies over them.  The spectrum is not checked: a DFT of finite samples
+    can overflow, so a caller that needs finite values checks them with
     :func:`check_finite`.
     """
+    if vol.data.dtype != np.float64:
+        raise ValueError("the time DFT takes real traces; these samples are complex")
     n = vol.dims[vol.axis_index("t")]
-    if vol.data.dtype == np.float64:
-        return _transform(np.fft.rfft, vol, "t", "f", out, n // 2 + 1)
-    return _transform(np.fft.fft, vol, "t", "f", out, n)
+    return _transform(np.fft.rfft, vol, "t", "f", out, n // 2 + 1)
 
 
-def idft_freq_axis(vol: Volume, out: np.ndarray | None = None,
-                   nt: int | None = None) -> Volume:
+def idft_freq_axis(vol: Volume, nt: int, out: np.ndarray | None = None) -> Volume:
     """Unitary inverse DFT along the frequency axis; exact inverse of
-    :func:`dft_time_axis`, and written into ``out`` as it is.
+    :func:`dft_time_axis`, and written into the float64 buffer ``out`` as
+    it is.
 
-    With ``nt``, ``vol`` holds the half spectrum of real traces of ``nt``
-    samples, bins 0 to nt//2, and the volume returned is real (``irfft``):
-    the imaginary parts of bin 0 and, for an even ``nt``, of bin nt/2 do
-    not reach it.  ``out`` is then a float64 buffer.  Without, ``vol``
-    holds every bin, and the volume returned is complex.
+    ``vol`` holds the half spectrum of real traces of ``nt`` samples, bins
+    0 to nt//2, and the volume returned is real (``irfft``): the imaginary
+    parts of bin 0 and, for an even ``nt``, of bin nt/2 do not reach it.
     """
     n = vol.dims[vol.axis_index("f")]
-    if nt is None:
-        return _transform(np.fft.ifft, vol, "f", "t", out, n)
     if n != nt // 2 + 1:
         raise ValueError(f"{n} bins are not the half spectrum of {nt} samples")
     return _transform(np.fft.irfft, vol, "f", "t", out, nt, n=nt)
 
 
 def freq_values_hz(n: int, dt: float) -> np.ndarray:
-    """Physical frequency of each DFT bin for an n-sample record at step dt."""
-    return np.fft.fftfreq(n, d=dt)
+    """Physical frequency of each bin that :func:`dft_time_axis` gives an
+    n-sample record at step dt: 0 Hz to Nyquist."""
+    return np.fft.rfftfreq(n, d=dt)

@@ -215,16 +215,15 @@ def test_criterion_6_matricization_diagnostics():
                      events=[(0.15, 0.0002, 0.00012, 1.0),
                              (0.30, -0.00015, 0.00025, 0.7)],
                      wavelet_peak_hz=20.0)
-    # Complex samples, so that every bin of both signs is checked.
-    vol = linear_events(spec)
-    F = dft_time_axis(Volume(vol.axes, vol.data.astype(complex))).reordered(
-        ("f", "rx", "ry", "sx", "sy"))
+    # Every bin of the half spectrum: each other bin is the conjugate of
+    # one of them, with the same singular values.
+    F = dft_time_axis(linear_events(spec)).reordered(("f", "rx", "ry", "sx", "sy"))
     freqs = freq_values_hz(128, 0.004)
     rec = Matricization("recsrcx", 10, 10, 8, 8)
     src = Matricization("srcpair", 10, 10, 8, 8)
     margins = []
-    for k in range(128):
-        if not 3.0 <= abs(freqs[k]) <= 70.0:
+    for k in range(len(freqs)):
+        if not 3.0 <= freqs[k] <= 70.0:
             continue
         T = F.data[k]
         s_rec = np.linalg.svd(rec.unfold(T), compute_uv=False)
@@ -319,7 +318,7 @@ def reference_completion_db(vol, mask, cfg):
         b = matric.unfold(observed.data[k])
         X = solve_nn_reference(omega, b, cfg.eta_fraction * np.linalg.norm(b))
         out[k] = matric.fold(X)
-    estimate = idft_freq_axis(Volume(observed.axes, out), nt=nt)
+    estimate = idft_freq_axis(Volume(observed.axes, out), nt)
     return snr_db(vol.data, estimate.data)
 
 
@@ -445,12 +444,15 @@ def test_criterion_9_numerical_properties(tmp_path):
         L2, R2 = project_ball(L1, R1, 0.4)
         np.testing.assert_allclose(L1, L2, atol=1e-12)
 
-    # DFT Parseval at 1e-12
-    vol = Volume(("t", "rx", "sx"), crandn(rng, 16, 4, 3))
+    # DFT Parseval at 1e-12, each bin of the half spectrum but 0 Hz and
+    # Nyquist counted for itself and its conjugate
+    vol = Volume(("t", "rx", "sx"), crandn(rng, 16, 4, 3).real)
     spec = dft_time_axis(vol)
     norm = np.linalg.norm(vol.data)
-    assert abs(np.linalg.norm(spec.data) - norm) <= 1e-12 * norm
-    back = idft_freq_axis(spec)
+    spec_norm = np.sqrt(2 * np.linalg.norm(spec.data) ** 2
+                        - np.linalg.norm(spec.data[[0, -1]]) ** 2)
+    assert abs(spec_norm - norm) <= 1e-12 * norm
+    back = idft_freq_axis(spec, 16)
     assert np.linalg.norm(back.data - vol.data) <= 1e-12 * norm
 
     # file roundtrip bit-exact

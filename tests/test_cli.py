@@ -5,6 +5,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from complex64 import write_complex64
 
 from lrfill import cli, pipeline
 from lrfill.cli import build_parser, main
@@ -354,26 +355,25 @@ def _complex_twin(path, twin):
 
 
 @pytest.mark.parametrize("freq", ["30", "125"], ids=["30Hz", "nyquist"])
-def test_svdscan_picks_the_same_bin_for_a_real_file_and_its_complex_twin(
+def test_svdscan_picks_the_bin_of_real_traces_and_refuses_complex_ones(
         tmp_path, events_spec_file, capsys, freq):
+    # The bin nearest --freq among 0 Hz to Nyquist; a file of complex
+    # samples along t is not real traces and exits 2 with no output.
     real, twin = tmp_path / "real.lrv", tmp_path / "twin.lrv"
     main(["generate", "--kind", "events", "--spec", str(events_spec_file), "--out", str(real)])
     _complex_twin(real, twin)
     capsys.readouterr()
-    outputs = []
-    for path in (real, twin):
-        rc = main(["svdscan", "--input", str(path), "--freq", freq, "--dt", "0.004",
-                   "--out", str(tmp_path / path.stem)])
-        assert rc == 0
-        lines = capsys.readouterr().out.splitlines()
-        sigmas = [np.loadtxt(tmp_path / f"{path.stem}_{mode}.csv", delimiter=",", skiprows=1)
-                  for mode in ("srcpair", "recsrcx")]
-        outputs.append(([line.split(":")[0] for line in lines], sigmas))
-    (bins, real_sigmas), (twin_bins, twin_sigmas) = outputs
-    assert bins == twin_bins
-    assert bins[0].startswith("bin 8 (125.00 Hz)" if freq == "125" else "bin 2 (31.25 Hz)")
-    for a, b in zip(real_sigmas, twin_sigmas):
-        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-14)
+    rc = main(["svdscan", "--input", str(real), "--freq", freq, "--dt", "0.004",
+               "--out", str(tmp_path / "real")])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2
+    assert all(line.startswith("bin 8 (125.00 Hz)" if freq == "125" else "bin 2 (31.25 Hz)")
+               for line in lines)
+    rc = main(["svdscan", "--input", str(twin), "--freq", freq, "--dt", "0.004",
+               "--out", str(tmp_path / "twin")])
+    assert rc == 2
+    assert not list(tmp_path.glob("twin_*.csv"))
 
 
 def test_subsample_writes_the_kind_it_read(tmp_path, events_spec_file):
@@ -404,12 +404,29 @@ def test_evaluate_takes_a_real_truth_and_a_complex_estimate(tmp_path, events_spe
     assert real_line == twin_line and real_line.startswith("SNR ")
 
 
-def test_interpolate_complex_truth_of_a_real_input_stops_before_any_data(
-        tmp_path, events_spec_file, monkeypatch):
-    vol_path, truth_path = tmp_path / "vol.lrv", tmp_path / "truth.lrv"
-    main(["generate", "--kind", "events", "--spec", str(events_spec_file),
-          "--out", str(vol_path)])
-    _complex_twin(vol_path, truth_path)
+def _bad_headers(tmp_path, good):
+    """``(input, truth)`` file names of each case that the run's header
+    check refuses, written beside the float64 volume at ``good``; the
+    truth is ``None`` where the case gives none."""
+    vol = read_volume(good)
+    _complex_twin(good, tmp_path / "c16.lrv")
+    write_complex64(vol, tmp_path / "c8.lrv")
+    write_volume(Volume(vol.axes, vol.data[..., :0]), tmp_path / "nt0.lrv")
+    write_volume(Volume(vol.axes, vol.data[:, :0]), tmp_path / "empty.lrv")
+    return {"complex128-input": ("c16.lrv", None), "complex64-input": ("c8.lrv", None),
+            "complex128-truth": (good.name, "c16.lrv"), "nt0-input": ("nt0.lrv", None),
+            "zero-extent-input": ("empty.lrv", None)}
+
+
+@pytest.mark.parametrize("case", ["complex128-input", "complex64-input", "complex128-truth",
+                                  "nt0-input", "zero-extent-input"])
+def test_interpolate_bad_header_stops_before_any_data(tmp_path, events_spec_file,
+                                                      monkeypatch, capsys, case):
+    # Complex samples in the input or the truth, or an extent of 0, stop
+    # the run at the headers: exit 2, no sample read, no output or report.
+    good = tmp_path / "vol.lrv"
+    main(["generate", "--kind", "events", "--spec", str(events_spec_file), "--out", str(good)])
+    input_name, truth_name = _bad_headers(tmp_path, good)[case]
     reads = []
     read = pipeline.read_volume
 
@@ -418,9 +435,13 @@ def test_interpolate_complex_truth_of_a_real_input_stops_before_any_data(
         return read(*args, **kwargs)
 
     monkeypatch.setattr(pipeline, "read_volume", counting)
-    rc = main(["interpolate", "--input", str(vol_path), "--truth", str(truth_path),
+    capsys.readouterr()
+    truth = ["--truth", str(tmp_path / truth_name)] if truth_name else []
+    rc = main(["interpolate", "--input", str(tmp_path / input_name), *truth,
                "--output", str(tmp_path / "out.lrv"), "--report", str(tmp_path / "r.csv"),
                "--rank", "2"])
     assert rc == 2
     assert reads == []
     assert not (tmp_path / "out.lrv").exists() and not (tmp_path / "r.csv").exists()
+    error = capsys.readouterr().err
+    assert ("README" in error) if "complex" in case else ("at least 1" in error)

@@ -12,6 +12,10 @@ no ``mmap_mode=``.  Touching mapped pages of a file counts toward the
 process's resident memory, whole large folios at a time, so a mapped read
 of blocks can peak near the size of the file.
 
+The time/frequency transform pair has one home: no module but
+``volume.py`` uses ``numpy.fft``, so the spectrum the run solves and the
+frequencies it names for its bins come from one pair of functions.
+
 Every lrfill name the benchmark under ``perfbench/`` imports or patches
 exists, so a rename in the package cannot silently break the benchmark.
 
@@ -121,6 +125,42 @@ def test_check_sees_a_memory_map():
               "'np.memmap is not used'\n"
               "m = mmap.mmap(fd, 0)\n")
     assert memory_maps(source) == [1, 2, 3, 4, 8]
+
+
+def fft_uses(source: str) -> list:
+    """Lines that use ``numpy.fft``: an ``fft`` attribute, such as
+    ``np.fft.rfft``, or an import of the module or of a name from it."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            used = node.attr == "fft"
+        elif isinstance(node, ast.Import):
+            used = any(alias.name == "numpy.fft" for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            used = (node.module == "numpy.fft"
+                    or node.module == "numpy" and any(a.name == "fft" for a in node.names))
+        else:
+            continue
+        if used:
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "volume.py"],
+                         ids=lambda p: p.name)
+def test_no_fft_outside_volume(path):
+    assert fft_uses(path.read_text()) == []
+
+
+def test_check_sees_an_fft_use():
+    source = ("freqs = np.fft.rfftfreq(n, dt)\n"
+              "from numpy import fft\n"
+              "import numpy.fft\n"
+              "spec = dft_time_axis(vol)  # no np.fft here\n"
+              "from numpy.fft import irfft\n"
+              "x = numpy.fft.fft(y)\n"
+              "'np.fft is not used'\n")
+    assert fft_uses(source) == [1, 2, 3, 5, 6]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -6,7 +6,6 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from complex64 import write_complex64
 
 from lrfill import pipeline
 from lrfill.fileio import read_mask, read_volume, read_volume_header, write_mask, write_volume
@@ -311,21 +310,6 @@ class TestRunInterpolation:
                             f_min=3.0, f_max=40.0)
         assert res.failed == 0
         assert all(r.status == "ok" for r in res.rows)
-
-    def test_complex_input_processes_both_sidebands(self, tmp_path):
-        # A complex-valued volume gets no Hermitian shortcut: negative-
-        # frequency bins are solved in their own right.
-        base = small_volume()
-        from lrfill.volume import Volume
-
-        vol = Volume(base.axes, base.data * (1.0 + 0.5j))
-        mask = jittered_volume_mask(4, 3, 3, 2, 0.5, seed=1)
-        cfg, res = self.run(tmp_path, vol, mask)
-        real_rows = sum(1 for _ in self.run(tmp_path, base, mask,
-                                            output=str(tmp_path / "oR.lrv"),
-                                            report=str(tmp_path / "rR.csv"))[1].rows)
-        assert res.failed == 0
-        assert len(res.rows) > real_rows  # negative bins included
 
     def test_real_input_solves_its_zero_hz_bin(self, tmp_path):
         # A real input's 0 Hz bin is its own conjugate: it is solved when
@@ -693,22 +677,6 @@ def test_real_run_keeps_the_order_the_benchmark_times(tmp_path, monkeypatch, f_m
                                         "write_volume"}
 
 
-def test_real_truth_scores_a_complex_input(tmp_path):
-    # The truth is read in the input's kind: a real truth of a complex
-    # input is widened, and scores it as its complex128 twin does.
-    base = small_volume()
-    write_volume(Volume(base.axes, base.data * (1.0 + 0.5j)), tmp_path / "in.lrv")
-    write_mask(jittered_volume_mask(4, 3, 3, 2, 0.5, seed=1), tmp_path / "mask.lrm")
-    write_volume(base, tmp_path / "real.lrv")
-    write_volume(Volume(base.axes, base.data.astype(complex)), tmp_path / "complex.lrv")
-    runs = [_masked_run(tmp_path, tmp_path / f"{name}_out.lrv", truth=tmp_path / f"{name}.lrv")
-            for name in ("real", "complex")]
-    assert runs[0].overall_snr_db == runs[1].overall_snr_db
-    assert [r.snr_db for r in runs[0].rows] == [r.snr_db for r in runs[1].rows]
-    assert ((tmp_path / "real_out.lrv").read_bytes()
-            == (tmp_path / "complex_out.lrv").read_bytes())
-
-
 def test_converted_complex_file_runs_as_its_real_twin(tmp_path):
     # A complex128 file of real traces, as earlier lrfill versions wrote
     # them, converted to float64 by the steps README gives, runs as the
@@ -788,14 +756,11 @@ def test_overall_snr_is_exact_near_a_perfect_reconstruction(tmp_path):
 
 
 @pytest.mark.parametrize("layout", [("sy", "sx", "ry", "rx", "t"),
-                                    ("rx", "t", "ry", "sx", "sy"), "complex64"])
-def test_any_layout_runs_as_the_canonical_complex128_file(tmp_path, layout):
+                                    ("rx", "t", "ry", "sx", "sy")])
+def test_any_layout_runs_as_the_canonical_file(tmp_path, layout):
     # A file in another axis order gives the output and SNR of the
-    # canonical file of the same values, and a complex64 payload those of
-    # the canonical complex128 file.
+    # canonical file of the same values.
     vol = small_volume()
-    if layout == "complex64":
-        vol = Volume(vol.axes, vol.data.astype(np.complex64))
     write_mask(jittered_volume_mask(4, 3, 3, 2, 0.5, seed=1), tmp_path / "mask.lrm")
 
     def run(name, write):
@@ -809,23 +774,19 @@ def test_any_layout_runs_as_the_canonical_complex128_file(tmp_path, layout):
         return read_volume(cfg.output), res
 
     ref_out, ref = run("canonical", lambda path: write_volume(vol, path))
-    if layout == "complex64":
-        out, res = run("other", lambda path: write_complex64(vol, path))
-    else:
-        out, res = run("other", lambda path: write_volume(vol.reordered(layout), path))
+    out, res = run("other", lambda path: write_volume(vol.reordered(layout), path))
     assert out.axes == ref_out.axes == CANONICAL_AXES
     assert np.linalg.norm(out.data - ref_out.data) <= 1e-12 * np.linalg.norm(ref_out.data)
     assert res.overall_snr_db == pytest.approx(ref.overall_snr_db, rel=1e-12)
 
 
-def test_uneven_blocks_of_a_complex64_file_in_another_order(tmp_path, monkeypatch):
-    # Blocks of 4 and 2 traces, each staged from a complex64 file in another
-    # axis order into buffers that still hold the previous block, give the
-    # output and SNR of the canonical complex128 file run in one block.
+def test_uneven_blocks_of_a_file_in_another_order(tmp_path, monkeypatch):
+    # Blocks of 4 and 2 traces, each staged from a file in another axis
+    # order into buffers that still hold the previous block, give the
+    # output and SNR of the canonical file run in one block.
     vol = small_volume()
-    vol = Volume(vol.axes, vol.data.astype(np.complex64))
     write_volume(vol, tmp_path / "canonical.lrv")
-    write_complex64(vol.reordered(("sy", "sx", "ry", "rx", "t")), tmp_path / "other.lrv")
+    write_volume(vol.reordered(("sy", "sx", "ry", "rx", "t")), tmp_path / "other.lrv")
     write_mask(jittered_volume_mask(4, 3, 3, 2, 0.5, seed=1), tmp_path / "mask.lrm")
     ref = _masked_run(tmp_path, tmp_path / "ref.lrv", truth=tmp_path / "canonical.lrv",
                       input=tmp_path / "canonical.lrv")

@@ -132,89 +132,68 @@ class TestComplexVolume:
         np.testing.assert_array_equal(flipped.data, vol.data.transpose(4, 3, 2, 1, 0))
 
 
+def real_volume(rng, nt=8):
+    return Volume(("t", "rx", "ry", "sx", "sy"), rng.standard_normal((nt, 3, 2, 4, 2)))
+
+
 class TestDft:
-    def test_constant_series_is_dc_only(self):
-        # Length-4 all-ones series: unitary scaling gives 4 / sqrt(4) = 2 at DC.
-        data = np.ones((4, 2, 2), dtype=complex)
-        vol = Volume(("t", "rx", "sx"), data)
-        spec = dft_time_axis(vol)
-        assert spec.axes == ("f", "rx", "sx")
-        np.testing.assert_allclose(spec.data[0], 2.0 * np.ones((2, 2)), atol=1e-14)
-        np.testing.assert_allclose(spec.data[1:], 0.0, atol=1e-14)
+    """The transform pair on 5-D volumes of real traces, time axis first."""
 
     def test_roundtrip_identity(self):
-        rng = np.random.default_rng(1)
-        vol = random_volume(rng)
-        back = idft_freq_axis(dft_time_axis(vol))
+        vol = real_volume(np.random.default_rng(1))
+        back = idft_freq_axis(dft_time_axis(vol), 8)
         err = np.linalg.norm(back.data - vol.data) / np.linalg.norm(vol.data)
         assert err < 1e-12
         assert back.axes == vol.axes
 
-    def test_transforms_into_a_buffer(self):
-        # Into a larger buffer, and then in place over their own input, the
-        # pair gives the fresh results bit for bit.
-        vol = random_volume(np.random.default_rng(3))
-        buffer = np.full(vol.data.size + 7, np.nan, dtype=np.complex128)
-        spec = dft_time_axis(vol)
-        into = dft_time_axis(vol, out=buffer)
-        assert into.axes == spec.axes and np.shares_memory(into.data, buffer)
-        np.testing.assert_array_equal(into.data, spec.data)
-        back = idft_freq_axis(into, out=buffer)
-        assert back.axes == vol.axes and np.shares_memory(back.data, buffer)
-        np.testing.assert_array_equal(back.data, idft_freq_axis(spec).data)
-
     def test_parseval(self):
-        rng = np.random.default_rng(2)
-        vol = random_volume(rng)
-        spec = dft_time_axis(vol)
-        norm = np.linalg.norm(vol.data)
-        assert abs(np.linalg.norm(spec.data) - norm) < 1e-12 * norm
+        # An odd record has no Nyquist bin: every bin but DC has its
+        # conjugate among the bins left out.
+        vol = real_volume(np.random.default_rng(2), nt=7)
+        half = dft_time_axis(vol).data
+        energy = 2 * np.sum(np.abs(half) ** 2) - np.sum(np.abs(half[0]) ** 2)
+        norm2 = np.sum(vol.data ** 2)
+        assert abs(energy - norm2) < 1e-12 * norm2
 
-    def test_linearity(self):
+    def test_transforms_into_a_buffer(self):
+        # One buffer sized for the larger block holds each block in turn,
+        # and each result is the fresh one bit for bit.
         rng = np.random.default_rng(3)
-        u = random_volume(rng)
-        v = random_volume(rng)
-        a = 1.7 - 0.3j
-        lhs = dft_time_axis(Volume(u.axes, a * u.data + v.data)).data
-        rhs = a * dft_time_axis(u).data + dft_time_axis(v).data
-        assert np.linalg.norm(lhs - rhs) < 1e-12 * np.linalg.norm(rhs)
-
-    def test_single_bin_gives_exponential(self):
-        # One unit at bin k=1, length 4: samples exp(2i pi n / 4) / sqrt(4).
-        spec = np.zeros((4, 1, 1), dtype=complex)
-        spec[1] = 1.0
-        vol = idft_freq_axis(Volume(("f", "rx", "sx"), spec))
-        assert vol.axes == ("t", "rx", "sx")
-        n = np.arange(4)
-        expected = np.exp(2j * np.pi * n / 4) / 2.0
-        np.testing.assert_allclose(vol.data[:, 0, 0], expected, atol=1e-14)
-
-    def test_zero_volume_stays_zero(self):
-        vol = Volume(("f", "rx", "sx"), np.zeros((4, 2, 2)))
-        out = idft_freq_axis(vol)
-        assert np.all(out.data == 0)
-
-    def test_missing_axis_is_structural_error(self):
-        vol = Volume(("f", "rx", "sx"), np.zeros((4, 2, 2)))
-        with pytest.raises(AxisLayoutError):
-            dft_time_axis(vol)
-        tvol = Volume(("t", "rx", "sx"), np.zeros((4, 2, 2)))
-        with pytest.raises(AxisLayoutError):
-            idft_freq_axis(tvol)
+        large, small = real_volume(rng), real_volume(rng, nt=6)
+        spectra = np.full(large.data.size + 7, np.nan, dtype=np.complex128)
+        samples = np.full(large.data.size + 7, np.nan)
+        for vol, nt in ((large, 8), (small, 6)):
+            spec = dft_time_axis(vol, out=spectra)
+            assert spec.axes == ("f", "rx", "ry", "sx", "sy")
+            assert np.shares_memory(spec.data, spectra)
+            np.testing.assert_array_equal(spec.data, dft_time_axis(vol).data)
+            back = idft_freq_axis(spec, nt, out=samples)
+            assert back.axes == vol.axes and np.shares_memory(back.data, samples)
+            np.testing.assert_array_equal(back.data, idft_freq_axis(spec, nt).data)
 
 
 class TestRealDft:
-    """A real volume's spectrum is its half spectrum, bins 0 to n//2."""
+    """The spectrum of real traces is their half spectrum, bins 0 to n//2."""
+
+    def test_constant_series_is_dc_only(self):
+        # Length-4 all-ones series: unitary scaling gives 4 / sqrt(4) = 2 at DC.
+        vol = Volume(("t", "rx", "sx"), np.ones((4, 2, 2)))
+        spec = dft_time_axis(vol)
+        assert spec.axes == ("f", "rx", "sx") and spec.dims == (3, 2, 2)
+        np.testing.assert_allclose(spec.data[0], 2.0 * np.ones((2, 2)), atol=1e-14)
+        np.testing.assert_allclose(spec.data[1:], 0.0, atol=1e-14)
 
     @pytest.mark.parametrize("nt", [8, 7])
     def test_half_spectrum_is_the_nonnegative_bins(self, nt):
+        # The bins of the full DFT from 0 to nt//2, and the inverse gives
+        # the real traces back.
         rng = np.random.default_rng(4)
         data = rng.standard_normal((nt, 3, 2))
         half = dft_time_axis(Volume(("t", "rx", "sx"), data))
-        full = dft_time_axis(Volume(("t", "rx", "sx"), data.astype(complex)))
+        full = np.fft.fft(data, axis=0, norm="ortho")
         assert half.axes == ("f", "rx", "sx") and half.dims == (nt // 2 + 1, 3, 2)
-        np.testing.assert_allclose(half.data, full.data[:nt // 2 + 1], atol=1e-14)
-        back = idft_freq_axis(half, nt=nt)
+        np.testing.assert_allclose(half.data, full[:nt // 2 + 1], atol=1e-14)
+        back = idft_freq_axis(half, nt)
         assert back.axes == ("t", "rx", "sx") and back.data.dtype == np.float64
         np.testing.assert_allclose(back.data, data, atol=1e-14)
 
@@ -223,6 +202,29 @@ class TestRealDft:
         half = dft_time_axis(Volume(("rx", "sx", "t"), data)).data
         energy = 2 * np.sum(np.abs(half) ** 2) - np.sum(np.abs(half[..., [0, -1]]) ** 2)
         assert abs(energy - np.sum(data ** 2)) <= 1e-12 * np.sum(data ** 2)
+
+    def test_linearity(self):
+        rng = np.random.default_rng(3)
+        u = Volume(("t", "rx", "sx"), rng.standard_normal((8, 3, 2)))
+        v = Volume(("t", "rx", "sx"), rng.standard_normal((8, 3, 2)))
+        a = 1.7
+        lhs = dft_time_axis(Volume(u.axes, a * u.data + v.data)).data
+        rhs = a * dft_time_axis(u).data + dft_time_axis(v).data
+        assert np.linalg.norm(lhs - rhs) < 1e-12 * np.linalg.norm(rhs)
+
+    def test_single_bin_gives_cosine(self):
+        # One unit at bin k=1 of a length-4 record and its conjugate at
+        # bin 3: samples 2 cos(2 pi n / 4) / sqrt(4).
+        spec = np.zeros((3, 1, 1), dtype=complex)
+        spec[1] = 1.0
+        vol = idft_freq_axis(Volume(("f", "rx", "sx"), spec), 4)
+        assert vol.axes == ("t", "rx", "sx")
+        np.testing.assert_allclose(vol.data[:, 0, 0], np.cos(2 * np.pi * np.arange(4) / 4),
+                                   atol=1e-14)
+
+    def test_zero_volume_stays_zero(self):
+        out = idft_freq_axis(Volume(("f", "rx", "sx"), np.zeros((3, 2, 2))), 4)
+        assert np.all(out.data == 0)
 
     def test_transforms_into_buffers(self):
         # Into a complex buffer and back into a real one, bit for bit as
@@ -233,20 +235,35 @@ class TestRealDft:
         spec = dft_time_axis(vol, out=spectra)
         assert np.shares_memory(spec.data, spectra)
         np.testing.assert_array_equal(spec.data, dft_time_axis(vol).data)
-        back = idft_freq_axis(spec, out=samples, nt=8)
+        back = idft_freq_axis(spec, 8, out=samples)
         assert np.shares_memory(back.data, samples)
-        np.testing.assert_array_equal(back.data, idft_freq_axis(spec, nt=8).data)
+        np.testing.assert_array_equal(back.data, idft_freq_axis(spec, 8).data)
 
     def test_spectrum_must_be_the_half_spectrum_of_nt(self):
         spec = Volume(("f", "rx"), np.zeros((5, 2), dtype=complex))
-        idft_freq_axis(spec, nt=9)
+        idft_freq_axis(spec, 9)
         for nt in (7, 10):
             with pytest.raises(ValueError, match="half spectrum"):
-                idft_freq_axis(spec, nt=nt)
+                idft_freq_axis(spec, nt)
+
+    def test_complex_traces_are_refused(self):
+        vol = Volume(("t", "rx"), np.ones((4, 2), dtype=complex))
+        with pytest.raises(ValueError, match="real traces"):
+            dft_time_axis(vol)
+
+    def test_missing_axis_is_structural_error(self):
+        vol = Volume(("f", "rx", "sx"), np.zeros((3, 2, 2)))
+        with pytest.raises(AxisLayoutError):
+            dft_time_axis(vol)
+        tvol = Volume(("t", "rx", "sx"), np.zeros((4, 2, 2)))
+        with pytest.raises(AxisLayoutError):
+            idft_freq_axis(tvol, 4)
 
 
 def test_freq_values():
+    # The frequencies of the bins of dft_time_axis: 0 Hz to Nyquist.
     f = freq_values_hz(8, 0.004)
+    assert len(f) == 5
     assert f[0] == 0.0
     assert f[1] == pytest.approx(1.0 / (8 * 0.004))
-    assert f[4] == pytest.approx(-125.0)
+    assert f[4] == pytest.approx(125.0)
