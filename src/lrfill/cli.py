@@ -13,7 +13,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from .fileio import read_volume, write_mask, write_volume
+from .fileio import read_volume, read_volume_header, write_mask, write_volume
 from .pipeline import (
     PipelineConfig,
     config_from_dict,
@@ -24,9 +24,9 @@ from .pipeline import (
 )
 from .reporting import compare_reports, read_report, snr_db, write_comparison
 from .sampling import SamplingMask, jittered_volume_mask, uniform_entry_mask
-from .synthgen import EventSpec, PlantSpec, linear_events, plant_slice
+from .synthgen import EventSpec, linear_events
 from .transforms import MODES, Matricization, singular_decay
-from .volume import CANONICAL_AXES, SPATIAL_AXES, Volume, dft_time_axis, freq_values_hz
+from .volume import CANONICAL_AXES, SPATIAL_AXES, axis_permutation, dft_time_axis, freq_values_hz
 
 
 def _parse_floats(text, n, what):
@@ -37,16 +37,9 @@ def _parse_floats(text, n, what):
 
 
 def cmd_generate(args) -> int:
-    # The spec's keys are the fields of the spec class; events come from
+    # The spec's keys are the fields of EventSpec; events come from
     # repeated ``event`` keys.  A bad spec stops before anything is written.
     raw = parse_kv_file(args.spec)
-    if args.kind == "plant":
-        spec = config_from_dict(raw, PlantSpec)
-        sl, _ = plant_slice(spec)
-        vol = Volume(("f", "rx", "sx"), sl.data[None])
-        write_volume(vol, args.out)
-        print(f"wrote planted {spec.p}x{spec.q} rank-{spec.rank} slice to {args.out}")
-        return 0
     events_raw = raw.pop("event", [])
     if isinstance(events_raw, str):
         events_raw = [events_raw]
@@ -60,16 +53,22 @@ def cmd_generate(args) -> int:
 
 
 def cmd_subsample(args) -> int:
-    vol = read_volume(args.input, axes=CANONICAL_AXES)
-    n_rx, n_ry, n_sx, n_sy, _ = vol.dims
+    # The mask is built from the header, so a bad flag stops before any
+    # sample is read.
+    axes, extents = read_volume_header(args.input)
+    n_rx, n_ry, n_sx, n_sy, _ = (extents[i] for i in axis_permutation(axes, CANONICAL_AXES))
     if args.scheme == "jittered":
         mask = jittered_volume_mask(n_rx, n_ry, n_sx, n_sy, args.keep,
                                     seed=args.seed, axis=args.axis,
                                     per_axis=args.per_axis)
+    elif args.per_axis or args.axis != "sources":
+        raise ValueError("--scheme uniform draws grid points of the source pairs; "
+                         "it takes neither --per-axis nor --axis receivers")
     else:
         flat = uniform_entry_mask(n_rx * n_ry, n_sx * n_sy, args.keep, seed=args.seed)
         acq = Matricization("srcpair", n_rx, n_ry, n_sx, n_sy)
         mask = SamplingMask(acq.fold(flat.grid), axes=("rx", "ry", "sx", "sy"))
+    vol = read_volume(args.input, axes=CANONICAL_AXES)
     write_mask(mask, args.out_mask)
     write_volume(mask_volume(vol, mask), args.out_volume)
     kept = mask.num_observed / mask.grid.size
@@ -95,6 +94,8 @@ def cmd_interpolate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    # Both headers are checked before either file's samples are read.
+    read_volume_header(args.estimate)
     truth = read_volume(args.truth)
     estimate = read_volume(args.estimate, axes=truth.axes)
     value = snr_db(truth.data, estimate.data)
@@ -108,13 +109,9 @@ def cmd_svdscan(args) -> int:
     if not (math.isfinite(args.freq) and args.freq >= 0.0):
         raise ValueError("--freq must be a finite number >= 0")
     vol = read_volume(args.input)
-    n = vol.dims[vol.axis_index("t" if "t" in vol.axes else "f")]
-    if "t" in vol.axes:
-        vol = dft_time_axis(vol)
-    vol = vol.reordered(("f",) + SPATIAL_AXES)
-    # Bins 0 to n//2 hold each frequency once: the half spectrum of real
-    # traces, and the nonnegative bins of a volume of every bin.
-    freqs = freq_values_hz(n, args.dt)
+    nt = vol.dims[vol.axis_index("t")]
+    vol = dft_time_axis(vol).reordered(("f",) + SPATIAL_AXES)
+    freqs = freq_values_hz(nt, args.dt)
     k = int(np.argmin(np.abs(freqs - args.freq)))
     tensor = vol.data[k]
     for mode in MODES:
@@ -152,8 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="Low-rank frequency-slice interpolation")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("generate", help="synthesize a test volume")
-    g.add_argument("--kind", choices=("plant", "events"), required=True)
+    g = sub.add_parser("generate", help="synthesize a plane-event volume")
     g.add_argument("--spec", required=True, help="flat key=value spec file")
     g.add_argument("--out", required=True)
     g.set_defaults(func=cmd_generate)

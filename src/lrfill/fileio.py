@@ -8,21 +8,18 @@ LRV1 layout, all integers little-endian:
     byte  6       axis count A
     bytes 7..7+A  axis label codes (t=0, f=1, rx=2, ry=3, sx=4, sy=5)
     next 8*A      u64 extents
-    payload       samples, row-major in axis order; a complex sample is
-                  its (re, im) pair
+    payload       samples, row-major in axis order
 
-    code  sample           read as      written by lrfill for
-    0     complex float64  complex128   complex volumes: ``generate --kind
-                                        plant`` and ``subsample`` of a
-                                        complex file
-    1     complex float32  complex128   (never; read as input and widened)
-    2     real float64     float64      real traces: ``generate --kind
-                                        events``, ``subsample`` of a real
-                                        file and every ``interpolate``
-                                        output
+    code  sample           lrfill
+    0     complex float64  refuses it at the header
+    1     complex float32  refuses it at the header
+    2     real float64     reads it, and writes it for every volume:
+                           ``generate``, ``subsample`` and every
+                           ``interpolate`` output
 
-``interpolate`` takes real traces only: it refuses an input or a truth of
-code 0 or 1 from its header.
+Seismic records are real traces, and their frequency slices exist only
+inside a run, so lrfill reads and writes code 2 only.  A file of code 0
+or 1 is refused from its header, before any sample is read.
 
 LRM1 is the same header without the scalar-code byte; its payload is one
 byte per grid point (1 = observed, 0 = missing).
@@ -32,9 +29,7 @@ of SEG-Y field data: every trace is contiguous, and a block of whole
 traces over whole trailing axes is one contiguous run of the payload.
 Files in any other axis order are read and written as well, one call per
 contiguous run, through a small staging array where the order asked for
-is not the file's, or the sample type is not the one read or written.
-A volume's header is read before its payload, so the kind of its samples,
-real or complex, is known before any of them is.
+is not the file's.
 
 This is where samples cross the program's boundary, so both ways they are
 checked for NaNs and infinities: a payload after it is read, whole or a
@@ -69,14 +64,15 @@ MAX_ELEMENTS = 1 << 40
 # Longest header: magic, version, scalar code, axis count, six axis codes
 # and six u64 extents.
 _MAX_HEADER = 4 + 1 + 1 + 1 + len(AXIS_LABELS) * (1 + 8)
-# Payload scalar type by scalar code.
-_VOLUME_DTYPES = tuple(map(np.dtype, ("<c16", "<c8", "<f8")))
+# The one payload scalar type and its code; codes 0 and 1, complex
+# float64 and complex float32 samples, are refused.
+_SAMPLE_DTYPE = np.dtype("<f8")
+_SAMPLE_CODE = 2
 # Runs of a transfer whose offsets are built at a time, so that a box of
 # many short runs (a block of a time-first file) costs no list of them all.
 _CHUNK_RUNS = 4096
-# Most bytes of the array that stages a transfer in another scalar type or
-# axis order; it is allocated per transfer, beside the array it fills, so it
-# is kept small.
+# Most bytes of the array that stages a transfer in another axis order; it
+# is allocated per transfer, beside the array it fills, so it is kept small.
 _STAGE_BYTES = 1 << 17
 
 
@@ -113,12 +109,13 @@ def _read_header(buf: bytes, magic: bytes, with_scalar: bool):
     ver, pos = _take(buf, pos, 1, "version")
     if ver[0] != FORMAT_VERSION:
         raise VersionError(f"unsupported version {ver[0]}")
-    scalar_code = 0
     if with_scalar:
         sc, pos = _take(buf, pos, 1, "scalar code")
-        scalar_code = sc[0]
-        if scalar_code >= len(_VOLUME_DTYPES):
-            raise FileFormatError(f"unknown scalar code {scalar_code}")
+        if sc[0] in (0, 1):
+            raise FileFormatError(f"scalar code {sc[0]}: complex samples; lrfill reads "
+                                  "real traces, float64 samples (code 2): see README")
+        if sc[0] != _SAMPLE_CODE:
+            raise FileFormatError(f"unknown scalar code {sc[0]}")
     ac, pos = _take(buf, pos, 1, "axis count")
     naxes = ac[0]
     if not 1 <= naxes <= len(AXIS_LABELS):
@@ -136,7 +133,7 @@ def _read_header(buf: bytes, magic: bytes, with_scalar: bool):
         count *= e
         if count > MAX_ELEMENTS:
             raise DimsOverflowError(f"declared extents {extents} overflow")
-    return tuple(axes), extents, count, scalar_code, pos
+    return tuple(axes), extents, count, pos
 
 
 def _check_payload(found: int, nbytes: int, what: str):
@@ -149,9 +146,11 @@ def _check_payload(found: int, nbytes: int, what: str):
 def _open_payload(fh, magic: bytes, with_scalar: bool, what: str):
     """Parse the header of an open LRV1/LRM1 file and check the payload
     length against the file size; nothing of the payload is read."""
-    axes, extents, count, scalar_code, pos = _read_header(
-        fh.read(_MAX_HEADER), magic, with_scalar)
-    dtype = _VOLUME_DTYPES[scalar_code] if with_scalar else np.dtype(np.uint8)
+    try:
+        axes, extents, count, pos = _read_header(fh.read(_MAX_HEADER), magic, with_scalar)
+    except FileFormatError as exc:
+        raise type(exc)(f"{fh.name}: {exc}") from None
+    dtype = _SAMPLE_DTYPE if with_scalar else np.dtype(np.uint8)
     _check_payload(os.fstat(fh.fileno()).st_size - pos, count * dtype.itemsize, what)
     return axes, extents, dtype, pos
 
@@ -191,27 +190,25 @@ def _move_runs(call, fd: int, data: np.ndarray, offsets: np.ndarray):
         _move(call, fd, raw[i * nbytes:(i + 1) * nbytes], at)
 
 
-def _transfer(fd: int, data: np.ndarray, pos: int, extents, box, dtype, write: bool):
+def _transfer(fd: int, data: np.ndarray, pos: int, extents, box, write: bool):
     """Read or write ``data``, the samples of ``box`` in the file's axis
-    order, from or to the payload of ``dtype`` at byte ``pos`` of the file,
-    one call per contiguous run of the box.  The payload is never mapped
-    into memory.
+    order, from or to the payload at byte ``pos`` of the file, whose
+    samples are of the type of ``data``, one call per contiguous run of the
+    box.  The payload is never mapped into memory.
 
     The runs are moved a chunk at a time, a box of at most ``_CHUNK_RUNS``
     runs, so that a box of many short runs (a block of a time-first file)
-    costs no list of them all.  Data that is C-contiguous and of the
-    payload's type is moved in place; any other, such as a transposed view
-    of a block buffer or a complex128 array read from a complex64 or a
-    real payload,
-    goes through a staging array of at most ``_STAGE_BYTES`` (or one run
-    along the last axis) and is cast and transposed on the way.
+    costs no list of them all.  Data that is C-contiguous is moved in
+    place; any other, such as a transposed view of a block buffer, goes
+    through a staging array of at most ``_STAGE_BYTES`` (or one run along
+    the last axis) and is transposed on the way.
     """
     if data.size == 0:
         return
     # A unit axis in front gives every box an axis that indexes its runs.
     data, extents, box = data[None], (1, *extents), [(0, 1), *box]
-    itemsize = np.dtype(dtype).itemsize
-    staged = data.dtype != dtype or not data.flags.c_contiguous
+    itemsize = data.itemsize
+    staged = not data.flags.c_contiguous
     # A run spans whole trailing axes; a staged one only as many as fit
     # the staging array.
     last = len(extents) - 1
@@ -231,7 +228,7 @@ def _transfer(fd: int, data: np.ndarray, pos: int, extents, box, dtype, write: b
         j -= 1
     width = min(lead[j], most // inner.size)
     if staged:
-        stage = np.empty(width * inner.size * run, dtype=dtype)
+        stage = np.empty(width * inner.size * run, dtype=data.dtype)
     first = sum(start * stride for (start, _), stride in zip(box, strides))
     call = os.pwritev if write else os.preadv
     for outer in itertools.product(*map(range, lead[:j])):
@@ -250,48 +247,40 @@ def _transfer(fd: int, data: np.ndarray, pos: int, extents, box, dtype, write: b
                 view[...] = part
 
 
-def _sample_kind(dtype: np.dtype) -> np.dtype:
-    """The type that samples of a volume payload of ``dtype`` are held in:
-    complex128 for complex ones, float64 for real ones."""
-    return np.dtype(np.complex128 if dtype.kind == "c" else np.float64)
-
-
 def _read_file(path, magic: bytes, with_scalar: bool, what: str, block=None, out=None,
                axes=None):
     """Axis labels and payload of an LRV1/LRM1 file, or of the box of it
     that ``block`` names, with its axes in the order ``axes`` (the file's
     by default).  The header and the payload length are checked before any
     of the payload is read; the payload goes straight into the array
-    returned: a new array for a volume, of the kind :func:`_sample_kind`
-    names, and of uint8 for a mask, or the leading elements of the buffer
-    ``out`` (see :func:`buffer_view`) if one is given.  A payload of
-    another scalar type or axis order is cast or transposed on the way,
-    through a staging array of bounded size (see :func:`_transfer`), so
-    the payload is never held twice."""
+    returned: a new array of the payload's type, or the leading elements
+    of the buffer ``out`` (see :func:`buffer_view`), which must be of that
+    type, if one is given.  A payload in another axis order is transposed
+    on the way, through a staging array of bounded size (see
+    :func:`_transfer`), so the payload is never held twice."""
     with open(path, "rb") as fh:
         file_axes, extents, dtype, pos = _open_payload(fh, magic, with_scalar, what)
         box = _box(file_axes, extents, block)
         axes = file_axes if axes is None else tuple(axes)
         shape = [box[i][1] - box[i][0] for i in axis_permutation(file_axes, axes)]
         if out is None:
-            data = np.empty(shape, dtype=_sample_kind(dtype) if with_scalar else dtype)
+            data = np.empty(shape, dtype=dtype)
         else:
             data = buffer_view(out, shape)
-            if not np.can_cast(dtype, data.dtype, "same_kind"):
-                raise ValueError(f"{what}: {dtype} samples cannot be read into a "
+            if data.dtype != dtype:
+                raise ValueError(f"{what}: {dtype} samples are not read into a "
                                  f"{data.dtype} buffer")
         _transfer(fh.fileno(), data.transpose(axis_permutation(axes, file_axes)), pos,
-                  extents, box, dtype, write=False)
+                  extents, box, write=False)
     return axes, data
 
 
 def read_volume_header(path: str | os.PathLike) -> tuple:
-    """``(axes, extents, kind)`` of an LRV1 file, read and checked without
-    its payload; ``kind`` is the type :func:`read_volume` gives its
-    samples, float64 for real ones and complex128 for complex ones."""
+    """``(axes, extents)`` of an LRV1 file, read and checked without its
+    payload: a file of complex samples raises :class:`FileFormatError`."""
     with open(path, "rb") as fh:
-        axes, extents, dtype, _ = _open_payload(fh, VOLUME_MAGIC, True, "volume payload")
-    return axes, extents, _sample_kind(dtype)
+        axes, extents, _, _ = _open_payload(fh, VOLUME_MAGIC, True, "volume payload")
+    return axes, extents
 
 
 @contextlib.contextmanager
@@ -311,18 +300,18 @@ def _replacing(path: str | os.PathLike):
 
 
 @contextlib.contextmanager
-def create_volume(path: str | os.PathLike, axes, extents, kind):
-    """Create an LRV1 volume of samples of type ``kind``, float64 or
-    complex128, for :func:`write_volume` to fill block by block in the body
-    of a ``with``; the path to write to is the value bound.
+def create_volume(path: str | os.PathLike, axes, extents):
+    """Create an LRV1 volume of float64 samples for :func:`write_volume` to
+    fill block by block in the body of a ``with``; the path to write to is
+    the value bound.
 
     The file is built under a temporary name beside ``path``, sized for its
     payload, and takes the name ``path`` when the body ends (see
     :func:`_replacing`), so a write that stops partway leaves no file of
     full length with blocks of zeros.
     """
-    header = _header(VOLUME_MAGIC, axes, extents, _VOLUME_DTYPES.index(np.dtype(kind)))
-    nbytes = math.prod(extents) * np.dtype(kind).itemsize
+    header = _header(VOLUME_MAGIC, axes, extents, _SAMPLE_CODE)
+    nbytes = math.prod(extents) * _SAMPLE_DTYPE.itemsize
     with _replacing(path) as part:
         with open(part, "wb") as fh:
             fh.write(header)
@@ -343,48 +332,44 @@ def _header(magic: bytes, axes, extents, scalar_code: int | None = None) -> byte
 
 
 def write_volume(vol: Volume, path: str | os.PathLike, block: dict | None = None):
-    """Serialize a volume as LRV1 of its own samples, float64 (code 2) or
-    complex128 (code 0); a write that fails leaves no file (see
-    :func:`create_volume`).
+    """Serialize a volume of real samples as LRV1 of float64 samples (code
+    2); a write that fails leaves no file (see :func:`create_volume`).
 
     With ``block``, a slice per axis label as for :func:`read_volume`,
     ``vol`` is that box of the LRV1 file at ``path`` instead, which must
-    exist: it is written into place in the file's axis order and scalar
-    type, and nothing else of the file changes.  Real samples go into a
-    complex file, but complex ones into a real file raise ``ValueError``.
-    Either way the samples are checked by
-    :func:`lrfill.volume.check_finite` before any byte is written, so a NaN
-    or an infinity leaves the file as it was.
+    exist: it is written into place in the file's axis order, and nothing
+    else of the file changes.  A volume of complex samples raises
+    ``ValueError``, and so does a NaN or an infinity
+    (:func:`lrfill.volume.check_finite`), before any file is created or
+    any byte written.
     """
+    if vol.data.dtype != _SAMPLE_DTYPE:
+        raise ValueError("complex samples are not written: an LRV1 file holds real "
+                         "traces, float64 samples")
     check_finite(vol.data)
-    target = (create_volume(path, vol.axes, vol.dims, vol.data.dtype) if block is None
+    target = (create_volume(path, vol.axes, vol.dims) if block is None
               else contextlib.nullcontext(path))
     with target as part, open(part, "r+b") as fh:
-        axes, extents, dtype, pos = _open_payload(fh, VOLUME_MAGIC, True, "volume payload")
-        if not np.can_cast(vol.data.dtype, dtype, "same_kind"):
-            raise ValueError(f"{vol.data.dtype} samples cannot be written into a file "
-                             f"of {dtype} samples")
+        axes, extents, _, pos = _open_payload(fh, VOLUME_MAGIC, True, "volume payload")
         box = _box(axes, extents, block)
         data = vol.data.transpose(axis_permutation(vol.axes, axes))
         if data.shape != tuple(stop - start for start, stop in box):
             raise ValueError(f"block of dims {data.shape} does not fill the box {box}")
-        _transfer(fh.fileno(), data, pos, extents, box, dtype, write=True)
+        _transfer(fh.fileno(), data, pos, extents, box, write=True)
 
 
 def read_volume(path: str | os.PathLike, block: dict | None = None,
                 out: np.ndarray | None = None, axes: tuple | None = None) -> Volume:
-    """Read an LRV1 file back into a volume of float64 samples, for a
-    payload of real samples, or of complex128 ones; a complex64 payload is
-    widened.
+    """Read an LRV1 file back into a volume of float64 samples; a file of
+    complex samples raises :class:`FileFormatError` from its header.
 
     ``block`` maps axis labels to slices and reads only that box of the
     volume; axes it leaves out are read whole.  The volume's axes are in
     the file's order, or in the order ``axes`` of the same labels.  With
-    ``out``, a buffer as for :func:`lrfill.volume.buffer_view`, the
-    samples are read into its leading elements and the volume returned
-    lies over them; a real payload may be read into a complex128 buffer,
-    not a complex one into a float64 buffer.  The samples read are checked
-    by :func:`lrfill.volume.check_finite`: a NaN or an infinity raises
+    ``out``, a float64 buffer as for :func:`lrfill.volume.buffer_view`,
+    the samples are read into its leading elements and the volume returned
+    lies over them.  The samples read are checked by
+    :func:`lrfill.volume.check_finite`: a NaN or an infinity raises
     ``ValueError``.
     """
     vol = Volume(*_read_file(path, VOLUME_MAGIC, True, "volume payload", block, out, axes))

@@ -271,15 +271,13 @@ def trace_blocks(dims: tuple):
 def _canonical_header(path, what: str) -> tuple:
     """Extents of the LRV1 volume at ``path`` in canonical axis order, read
     from its header: the run's one check of a file's header.  A volume of
-    complex samples, or with an extent of 0, raises ``ValueError``."""
-    axes, extents, kind = read_volume_header(path)
+    complex samples (see :func:`read_volume_header`), or with an extent of
+    0, raises ``ValueError``."""
+    axes, extents = read_volume_header(path)
     try:
         dims = tuple(extents[i] for i in axis_permutation(axes, CANONICAL_AXES))
     except AxisLayoutError as exc:
         raise AxisLayoutError(f"{what}: {exc}") from None
-    if kind != np.float64:
-        raise ValueError(f"{what}: the run takes real traces, and {path} holds complex "
-                         "samples; convert it to float64 as README shows")
     if 0 in dims:
         raise ValueError(f"{what}: every extent must be at least 1, not {dims} "
                          f"(in {CANONICAL_AXES} order)")
@@ -392,7 +390,7 @@ def _write_output(cfg: PipelineConfig, dims: tuple, mask: SamplingMask, in_band:
     reads and :func:`write_volume` each block it writes for non-finite
     values."""
     nt, nf = dims[-1], dims[-1] // 2 + 1
-    with create_volume(cfg.output, CANONICAL_AXES, dims, np.float64) as partial:
+    with create_volume(cfg.output, CANONICAL_AXES, dims) as partial:
         inputs = _block_buffer(dims, nt, np.float64)
         spectra = _block_buffer(dims, nf, np.complex128)
         fixes = _block_buffer(dims, nt, np.float64)

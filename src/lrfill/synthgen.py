@@ -1,7 +1,10 @@
 """Synthetic inputs: planted low-rank slices and plane-event volumes.
 
 Planted slices give exact quantitative ground truth (known factors, known
-singular profile).  Event volumes imitate seismic records: Ricker wavelets
+singular profile).  They are library fixtures, built in memory by the
+tests and the benchmark: a frequency slice exists only inside a run, and
+no command writes one.  Event volumes, real traces, are what ``lrfill
+generate`` writes.  They imitate seismic records: Ricker wavelets
 arriving at a time that is linear in the per-axis source-receiver offset,
 
     t_arrival = t0 + px * |x_rx - x_sx| + py * |x_ry - x_sy|.
@@ -16,6 +19,7 @@ in every unfolding and could not separate the two modes.)
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -103,8 +107,8 @@ class EventSpec:
     def __post_init__(self):
         if min(self.n_rx, self.n_ry, self.n_sx, self.n_sy, self.nt) < 1:
             raise ValueError("all extents must be positive")
-        if self.spacing_m <= 0 or self.dt <= 0:
-            raise ValueError("spacing and dt must be positive")
+        if not all(math.isfinite(x) and x > 0 for x in (self.spacing_m, self.dt)):
+            raise ValueError("spacing_m and dt must be positive and finite")
         if not self.wavelet_peak_hz > 0:
             raise ValueError("wavelet_peak_hz must be positive")
         for ev in self.events:

@@ -1,24 +1,25 @@
-"""Complex64 LRV1 fixtures: lrfill reads complex float32 volumes but writes
-complex float64 and real float64 only, so tests build their
-single-precision files here."""
+"""Raw LRV1 files of complex samples: scalar codes 0 (complex float64) and
+1 (complex float32).  lrfill refuses both and writes neither, so the tests
+of that refusal build their files here, byte by byte."""
 
 from pathlib import Path
 
 import numpy as np
 
-from lrfill.fileio import write_volume
-from lrfill.volume import Volume
+from lrfill.volume import AXIS_CODES
+
+_PAYLOAD_TYPES = {0: "<c16", 1: "<c8"}
 
 
-def write_complex64(vol, path):
-    """Write ``vol`` to ``path`` as an LRV1 file of complex64 samples
-    (scalar code 1), each sample rounded to single precision; real samples
-    are taken as complex ones."""
-    write_volume(Volume(vol.axes, vol.data.astype(np.complex128)), path)
-    raw = Path(path).read_bytes()
-    # Magic, version, scalar code, axis count, then a code and a u64
-    # extent per axis.
-    header = bytearray(raw[:7 + 9 * len(vol.axes)])
-    header[5] = 1
-    payload = np.frombuffer(raw[len(header):], dtype="<c16").astype("<c8")
-    Path(path).write_bytes(bytes(header) + payload.tobytes())
+def write_complex(path, axes, data, code):
+    """Write ``data``, an array whose axes are labelled ``axes``, to
+    ``path`` as an LRV1 file of scalar code ``code``, 0 or 1: the header,
+    then each sample as the (re, im) pair of that code's precision."""
+    data = np.asarray(data)
+    # Magic, version, scalar code, axis count, then a code per axis and a
+    # u64 extent per axis.
+    header = bytearray(b"LRV1\x01")
+    header += bytes([code, len(axes)])
+    header += bytes(AXIS_CODES[a] for a in axes)
+    header += np.asarray(data.shape, dtype="<u8").tobytes()
+    Path(path).write_bytes(bytes(header) + data.astype(_PAYLOAD_TYPES[code]).tobytes())

@@ -1,15 +1,16 @@
 import argparse
 import csv
 import math
+import os
 from dataclasses import fields
 
 import numpy as np
 import pytest
-from complex64 import write_complex64
+from complex64 import write_complex
 
 from lrfill import cli, pipeline
 from lrfill.cli import build_parser, main
-from lrfill.fileio import read_mask, read_volume, read_volume_header, write_volume
+from lrfill.fileio import read_mask, read_volume, write_volume
 from lrfill.pipeline import PipelineConfig, RunResult, mask_volume
 from lrfill.reporting import SliceReport, write_report
 from lrfill.synthgen import EventSpec, linear_events
@@ -38,7 +39,7 @@ def plant_spec_file(tmp_path):
 
 def test_generate_events(tmp_path, events_spec_file):
     out = tmp_path / "vol.lrv"
-    rc = main(["generate", "--kind", "events", "--spec", str(events_spec_file),
+    rc = main(["generate", "--spec", str(events_spec_file),
                "--out", str(out)])
     assert rc == 0
     vol = read_volume(out)
@@ -47,38 +48,44 @@ def test_generate_events(tmp_path, events_spec_file):
     assert vol.data.dtype == np.float64  # real traces
 
 
-def test_generate_plant(tmp_path, plant_spec_file):
+def test_generate_plant(tmp_path, plant_spec_file, capsys):
+    # Planted slices are library fixtures: generate has no mode that
+    # writes one, and stops with exit 2 before writing anything.
     out = tmp_path / "plant.lrv"
-    rc = main(["generate", "--kind", "plant", "--spec", str(plant_spec_file),
-               "--out", str(out)])
-    assert rc == 0
-    vol = read_volume(out)
-    assert vol.dims == (1, 12, 9)
-    assert vol.data.dtype == np.complex128  # a complex slice
-    s = np.linalg.svd(vol.data[0], compute_uv=False)
-    assert s[2] < 1e-10 * s[0]
+    with pytest.raises(SystemExit) as stop:
+        main(["generate", "--kind", "plant", "--spec", str(plant_spec_file),
+              "--out", str(out)])
+    assert stop.value.code == 2
+    assert "--kind" in capsys.readouterr().err
+    assert not list(tmp_path.glob("plant.lrv*"))
 
 
-@pytest.mark.parametrize("kind, spec", [
-    ("plant", "p = 12\nq = 9\nrank = 2\ndecay_ration = 0.9\n"),
-    ("plant", "p = 12\nq = 9\nrank = 2\nnoise_eps = 0.1\n"),
-    ("events", "n_rx = 2\nn_ry = 2\nn_sx = 2\nn_sy = 2\nnt = 16\nwavelet_peak = 30\n"),
-    ("plant", "p = 12\nrank = 2\n"),
-    ("events", "n_rx = 2\nn_ry = 2\nn_sx = 2\nnt = 16\n"),
-    ("plant", "p = 12\nq = 9\nrank = 2\np = 10\n"),
-    ("events", "n_rx = 2\nn_ry = 2\nn_sx = 2\nn_sy = 2\nnt = 16\nnt = 32\n"),
-    ("events", "n_rx = 2\nn_ry = 2\nn_sx = 2\nn_sy = 2\nnt = 16\nwavelet_peak_hz = 0\n"
-               "event = 0.03, 0.0001, 0.0001, 1.0\n"),
-    ("plant", "p = 12\nq = 9\nrank = 2\nprofile = geometric\ndecay_ratio = 0\n"),
-    ("plant", "p = 12\nq = 9\nrank = 2\nprofile = geometric\ndecay_ratio = -2\n"),
-], ids=["unknown-plant", "unknown-noise_eps", "unknown-events", "missing-plant",
-        "missing-events", "repeated-plant", "repeated-events", "zero-wavelet-peak",
-        "zero-decay-ratio", "negative-decay-ratio"])
-def test_generate_bad_spec_writes_nothing(tmp_path, kind, spec):
+_EVENT_GRID = "n_rx = 2\nn_ry = 2\nn_sx = 2\nn_sy = 2\nnt = 16\n"
+_AN_EVENT = "event = 0.03, 0.0001, 0.0001, 1.0\n"
+
+
+@pytest.mark.parametrize("spec", [
+    _EVENT_GRID + "wavelet_peak = 30\n",
+    "n_rx = 2\nn_ry = 2\nn_sx = 2\nnt = 16\n",
+    _EVENT_GRID + "nt = 32\n",
+    _EVENT_GRID + "wavelet_peak_hz = 0\n" + _AN_EVENT,
+    _EVENT_GRID + "dt = nan\n",
+    _EVENT_GRID + "dt = inf\n",
+    _EVENT_GRID + "spacing_m = nan\n" + _AN_EVENT,
+    _EVENT_GRID + "spacing_m = inf\n" + _AN_EVENT,
+], ids=["unknown-events", "missing-events", "repeated-events", "zero-wavelet-peak",
+        "nan-dt", "inf-dt", "nan-spacing", "inf-spacing"])
+def test_generate_bad_spec_writes_nothing(tmp_path, monkeypatch, spec):
+    # A bad spec stops before any sample is computed.
     path = tmp_path / "bad.cfg"
     path.write_text(spec)
     out = tmp_path / "out.lrv"
-    rc = main(["generate", "--kind", kind, "--spec", str(path), "--out", str(out)])
+
+    def no_volume(spec):
+        raise AssertionError("a volume was computed")
+
+    monkeypatch.setattr(cli, "linear_events", no_volume)
+    rc = main(["generate", "--spec", str(path), "--out", str(out)])
     assert rc == 2
     assert not out.exists()
 
@@ -89,7 +96,7 @@ def test_generate_keeps_spec_defaults(tmp_path):
     path.write_text("n_rx = 3\nn_ry = 2\nn_sx = 2\nn_sy = 2\nnt = 64\n"
                     "event = 0.10, 0.0001, 0.0001, 1.0\n")
     out = tmp_path / "vol.lrv"
-    rc = main(["generate", "--kind", "events", "--spec", str(path), "--out", str(out)])
+    rc = main(["generate", "--spec", str(path), "--out", str(out)])
     assert rc == 0
     spec = EventSpec(n_rx=3, n_ry=2, n_sx=2, n_sy=2, spacing_m=25.0, nt=64, dt=0.004,
                      events=[(0.10, 0.0001, 0.0001, 1.0)], wavelet_peak_hz=20.0)
@@ -98,7 +105,7 @@ def test_generate_keeps_spec_defaults(tmp_path):
 
 def test_subsample_and_evaluate(tmp_path, events_spec_file):
     vol_path = tmp_path / "vol.lrv"
-    main(["generate", "--kind", "events", "--spec", str(events_spec_file),
+    main(["generate", "--spec", str(events_spec_file),
           "--out", str(vol_path)])
     sub_path = tmp_path / "sub.lrv"
     mask_path = tmp_path / "mask.lrm"
@@ -119,7 +126,7 @@ def test_subsample_uniform(tmp_path, events_spec_file):
     # Uniform sampling of grid points of a 4-d grid: a canonical mask of
     # ceil(keep * N) points, and the input masked by it.
     vol_path = tmp_path / "vol.lrv"
-    main(["generate", "--kind", "events", "--spec", str(events_spec_file),
+    main(["generate", "--spec", str(events_spec_file),
           "--out", str(vol_path)])
     sub_path = tmp_path / "sub.lrv"
     mask_path = tmp_path / "mask.lrm"
@@ -135,9 +142,34 @@ def test_subsample_uniform(tmp_path, events_spec_file):
                                   mask_volume(read_volume(vol_path), mask).data)
 
 
+@pytest.mark.parametrize("flags", [
+    ["--keep", "0"], ["--keep", "nan"], ["--keep", "1.5"],
+    ["--scheme", "uniform", "--keep", "0"],
+    ["--scheme", "uniform", "--per-axis"], ["--scheme", "uniform", "--axis", "receivers"],
+], ids=["keep-0", "keep-nan", "keep-1.5", "uniform-keep-0", "uniform-per-axis",
+        "uniform-receivers"])
+def test_subsample_bad_mask_stops_before_any_data(tmp_path, events_spec_file, monkeypatch,
+                                                  flags):
+    # The mask is built from the header: a keep fraction outside (0, 1],
+    # or a flag the uniform scheme does not take, exits 2 with no sample
+    # read and nothing written.
+    vol_path = tmp_path / "vol.lrv"
+    main(["generate", "--spec", str(events_spec_file), "--out", str(vol_path)])
+
+    def no_read(*args, **kwargs):
+        raise AssertionError("the input was read")
+
+    monkeypatch.setattr(cli, "read_volume", no_read)
+    rc = main(["subsample", "--input", str(vol_path), *flags,
+               "--out-volume", str(tmp_path / "sub.lrv"),
+               "--out-mask", str(tmp_path / "mask.lrm")])
+    assert rc == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["events.cfg", "vol.lrv"]
+
+
 def test_interpolate_via_config_file(tmp_path, events_spec_file):
     vol_path = tmp_path / "vol.lrv"
-    main(["generate", "--kind", "events", "--spec", str(events_spec_file),
+    main(["generate", "--spec", str(events_spec_file),
           "--out", str(vol_path)])
     sub_path = tmp_path / "sub.lrv"
     mask_path = tmp_path / "mask.lrm"
@@ -163,7 +195,7 @@ def test_interpolate_via_config_file(tmp_path, events_spec_file):
 
 def test_interpolate_flag_overrides(tmp_path, events_spec_file):
     vol_path = tmp_path / "vol.lrv"
-    main(["generate", "--kind", "events", "--spec", str(events_spec_file),
+    main(["generate", "--spec", str(events_spec_file),
           "--out", str(vol_path)])
     rc = main(["interpolate", "--input", str(vol_path),
                "--output", str(tmp_path / "out.lrv"),
@@ -175,7 +207,7 @@ def test_interpolate_flag_overrides(tmp_path, events_spec_file):
 
 def test_interpolate_bad_setting_stops_before_any_data(tmp_path, events_spec_file):
     vol_path = tmp_path / "vol.lrv"
-    main(["generate", "--kind", "events", "--spec", str(events_spec_file),
+    main(["generate", "--spec", str(events_spec_file),
           "--out", str(vol_path)])
     rc = main(["interpolate", "--input", str(vol_path),
                "--output", str(tmp_path / "out.lrv"),
@@ -190,7 +222,7 @@ def test_interpolate_bad_setting_stops_before_any_data(tmp_path, events_spec_fil
 def test_interpolate_bad_dt_or_rank_stops_before_any_data(tmp_path, events_spec_file,
                                                           flag, value):
     vol_path = tmp_path / "vol.lrv"
-    main(["generate", "--kind", "events", "--spec", str(events_spec_file),
+    main(["generate", "--spec", str(events_spec_file),
           "--out", str(vol_path)])
     # A repeated flag takes its last value.
     rc = main(["interpolate", "--input", str(vol_path),
@@ -205,13 +237,13 @@ def test_interpolate_bad_dt_or_rank_stops_before_any_data(tmp_path, events_spec_
 def test_interpolate_mismatched_truth_stops_before_any_solve(tmp_path, events_spec_file,
                                                              monkeypatch, extent, changed):
     vol_path, truth_path = tmp_path / "vol.lrv", tmp_path / "truth.lrv"
-    main(["generate", "--kind", "events", "--spec", str(events_spec_file),
+    main(["generate", "--spec", str(events_spec_file),
           "--out", str(vol_path)])
     main(["subsample", "--input", str(vol_path), "--keep", "0.5", "--seed", "1",
           "--out-volume", str(tmp_path / "sub.lrv"), "--out-mask", str(tmp_path / "mask.lrm")])
     truth_spec = tmp_path / "truth.cfg"
     truth_spec.write_text(events_spec_file.read_text().replace(extent, changed))
-    main(["generate", "--kind", "events", "--spec", str(truth_spec), "--out", str(truth_path)])
+    main(["generate", "--spec", str(truth_spec), "--out", str(truth_path)])
     solves = []
     solve = pipeline.interpolate_slice
 
@@ -237,7 +269,7 @@ def test_interpolate_report_naming_a_data_file_stops_before_any_data(
     # The report is written after the run, so a report path that resolves
     # to a data file, however it is spelled, would replace that file.
     vol_path = tmp_path / "vol.lrv"
-    main(["generate", "--kind", "events", "--spec", str(events_spec_file),
+    main(["generate", "--spec", str(events_spec_file),
           "--out", str(vol_path)])
     main(["subsample", "--input", str(vol_path), "--keep", "0.5", "--seed", "1",
           "--out-volume", str(tmp_path / "sub.lrv"), "--out-mask", str(tmp_path / "mask.lrm")])
@@ -283,7 +315,7 @@ def test_interpolate_flags_are_the_config_fields(monkeypatch):
 
 def test_svdscan(tmp_path, events_spec_file):
     vol_path = tmp_path / "vol.lrv"
-    main(["generate", "--kind", "events", "--spec", str(events_spec_file),
+    main(["generate", "--spec", str(events_spec_file),
           "--out", str(vol_path)])
     prefix = tmp_path / "decay"
     rc = main(["svdscan", "--input", str(vol_path), "--freq", "30",
@@ -301,7 +333,7 @@ def test_svdscan(tmp_path, events_spec_file):
 @pytest.mark.parametrize("dt", ["0", "-0.004"])
 def test_svdscan_bad_dt_stops_before_any_data(tmp_path, events_spec_file, dt):
     vol_path = tmp_path / "vol.lrv"
-    main(["generate", "--kind", "events", "--spec", str(events_spec_file),
+    main(["generate", "--spec", str(events_spec_file),
           "--out", str(vol_path)])
     rc = main(["svdscan", "--input", str(vol_path), "--freq", "30",
                "--dt", dt, "--out", str(tmp_path / "decay")])
@@ -312,7 +344,7 @@ def test_svdscan_bad_dt_stops_before_any_data(tmp_path, events_spec_file, dt):
 @pytest.mark.parametrize("freq", ["nan", "inf", "-30"])
 def test_svdscan_bad_freq_stops_before_any_data(tmp_path, monkeypatch, events_spec_file, freq):
     vol_path = tmp_path / "vol.lrv"
-    main(["generate", "--kind", "events", "--spec", str(events_spec_file),
+    main(["generate", "--spec", str(events_spec_file),
           "--out", str(vol_path)])
 
     def no_read(*args, **kwargs):
@@ -347,11 +379,11 @@ def test_missing_file_is_clean_error(tmp_path):
     assert rc == 2
 
 
-def _complex_twin(path, twin):
+def _complex_twin(path, twin, code=0):
     """Write the samples of the LRV1 file at ``path`` to ``twin`` as
-    complex128."""
+    complex ones of scalar code ``code``: complex128 (0) or complex64 (1)."""
     vol = read_volume(path)
-    write_volume(Volume(vol.axes, vol.data.astype(np.complex128)), twin)
+    write_complex(twin, vol.axes, vol.data, code)
 
 
 @pytest.mark.parametrize("freq", ["30", "125"], ids=["30Hz", "nyquist"])
@@ -360,7 +392,7 @@ def test_svdscan_picks_the_bin_of_real_traces_and_refuses_complex_ones(
     # The bin nearest --freq among 0 Hz to Nyquist; a file of complex
     # samples along t is not real traces and exits 2 with no output.
     real, twin = tmp_path / "real.lrv", tmp_path / "twin.lrv"
-    main(["generate", "--kind", "events", "--spec", str(events_spec_file), "--out", str(real)])
+    main(["generate", "--spec", str(events_spec_file), "--out", str(real)])
     _complex_twin(real, twin)
     capsys.readouterr()
     rc = main(["svdscan", "--input", str(real), "--freq", freq, "--dt", "0.004",
@@ -377,31 +409,50 @@ def test_svdscan_picks_the_bin_of_real_traces_and_refuses_complex_ones(
 
 
 def test_subsample_writes_the_kind_it_read(tmp_path, events_spec_file):
-    real, twin = tmp_path / "real.lrv", tmp_path / "twin.lrv"
-    main(["generate", "--kind", "events", "--spec", str(events_spec_file), "--out", str(real)])
-    _complex_twin(real, twin)
-    for path, kind in ((real, np.float64), (twin, np.complex128)):
-        sub = tmp_path / f"sub_{path.name}"
-        rc = main(["subsample", "--input", str(path), "--keep", "0.5", "--seed", "3",
-                   "--out-volume", str(sub), "--out-mask", str(tmp_path / "mask.lrm")])
-        assert rc == 0
-        assert read_volume_header(sub)[2] == kind
-    np.testing.assert_array_equal(read_volume(tmp_path / "sub_real.lrv").data,
-                                  read_volume(tmp_path / "sub_twin.lrv").data)
+    # A float64 file of traces gives a float64 file, scalar code 2.
+    real, sub = tmp_path / "real.lrv", tmp_path / "sub.lrv"
+    main(["generate", "--spec", str(events_spec_file), "--out", str(real)])
+    rc = main(["subsample", "--input", str(real), "--keep", "0.5", "--seed", "3",
+               "--out-volume", str(sub), "--out-mask", str(tmp_path / "mask.lrm")])
+    assert rc == 0
+    assert sub.read_bytes()[5] == 2
+    assert read_volume(sub).data.dtype == np.float64
 
 
-def test_evaluate_takes_a_real_truth_and_a_complex_estimate(tmp_path, events_spec_file,
-                                                           capsys):
-    truth, twin = tmp_path / "truth.lrv", tmp_path / "twin.lrv"
-    main(["generate", "--kind", "events", "--spec", str(events_spec_file), "--out", str(truth)])
-    main(["subsample", "--input", str(truth), "--keep", "0.5", "--seed", "3",
-          "--out-volume", str(tmp_path / "sub.lrv"), "--out-mask", str(tmp_path / "mask.lrm")])
-    _complex_twin(tmp_path / "sub.lrv", twin)
+@pytest.mark.parametrize("code", [0, 1], ids=["complex128", "complex64"])
+@pytest.mark.parametrize("command, role", [("evaluate", "truth"), ("evaluate", "estimate"),
+                                           ("subsample", "input"), ("svdscan", "input")])
+def test_complex_file_stops_the_command_at_its_header(tmp_path, events_spec_file,
+                                                      monkeypatch, capsys, command, role,
+                                                      code):
+    # A file of complex samples, given to any command in any role, exits 2
+    # at its header: no sample of any file is read and nothing is written.
+    # (interpolate: test_interpolate_bad_header_stops_before_any_data.)
+    good, bad = tmp_path / "good.lrv", tmp_path / "bad.lrv"
+    main(["generate", "--spec", str(events_spec_file), "--out", str(good)])
+    _complex_twin(good, bad, code)
+    files = {name: str(good) for name in ("truth", "estimate", "input")}
+    files[role] = str(bad)
+    out = tmp_path / "out"
+    argv = {"evaluate": ["--truth", files["truth"], "--estimate", files["estimate"]],
+            "subsample": ["--input", files["input"], "--out-volume", f"{out}.lrv",
+                          "--out-mask", f"{out}.lrm"],
+            "svdscan": ["--input", files["input"], "--freq", "30", "--out", str(out)]}[command]
+    reads = []
+    preadv = os.preadv
+
+    def counting(*args):
+        reads.append(1)
+        return preadv(*args)
+
+    monkeypatch.setattr(os, "preadv", counting)
     capsys.readouterr()
-    for estimate in (tmp_path / "sub.lrv", twin):
-        assert main(["evaluate", "--truth", str(truth), "--estimate", str(estimate)]) == 0
-    real_line, twin_line = capsys.readouterr().out.splitlines()
-    assert real_line == twin_line and real_line.startswith("SNR ")
+    assert main([command, *argv]) == 2
+    assert reads == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.lrv", "events.cfg", "good.lrv"]
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"scalar code {code}: complex samples" in captured.err
 
 
 def _bad_headers(tmp_path, good):
@@ -410,22 +461,23 @@ def _bad_headers(tmp_path, good):
     truth is ``None`` where the case gives none."""
     vol = read_volume(good)
     _complex_twin(good, tmp_path / "c16.lrv")
-    write_complex64(vol, tmp_path / "c8.lrv")
+    _complex_twin(good, tmp_path / "c8.lrv", code=1)
     write_volume(Volume(vol.axes, vol.data[..., :0]), tmp_path / "nt0.lrv")
     write_volume(Volume(vol.axes, vol.data[:, :0]), tmp_path / "empty.lrv")
     return {"complex128-input": ("c16.lrv", None), "complex64-input": ("c8.lrv", None),
-            "complex128-truth": (good.name, "c16.lrv"), "nt0-input": ("nt0.lrv", None),
+            "complex128-truth": (good.name, "c16.lrv"),
+            "complex64-truth": (good.name, "c8.lrv"), "nt0-input": ("nt0.lrv", None),
             "zero-extent-input": ("empty.lrv", None)}
 
 
 @pytest.mark.parametrize("case", ["complex128-input", "complex64-input", "complex128-truth",
-                                  "nt0-input", "zero-extent-input"])
+                                  "complex64-truth", "nt0-input", "zero-extent-input"])
 def test_interpolate_bad_header_stops_before_any_data(tmp_path, events_spec_file,
                                                       monkeypatch, capsys, case):
     # Complex samples in the input or the truth, or an extent of 0, stop
     # the run at the headers: exit 2, no sample read, no output or report.
     good = tmp_path / "vol.lrv"
-    main(["generate", "--kind", "events", "--spec", str(events_spec_file), "--out", str(good)])
+    main(["generate", "--spec", str(events_spec_file), "--out", str(good)])
     input_name, truth_name = _bad_headers(tmp_path, good)[case]
     reads = []
     read = pipeline.read_volume

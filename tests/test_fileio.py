@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from complex64 import write_complex64
+from complex64 import write_complex
 
 from lrfill import fileio
 from lrfill.fileio import (
@@ -28,9 +28,7 @@ from lrfill.volume import Volume
 @pytest.fixture
 def vol():
     rng = np.random.default_rng(42)
-    dims = (2, 3, 2, 2, 2)
-    data = rng.standard_normal(dims) + 1j * rng.standard_normal(dims)
-    return Volume(("t", "rx", "ry", "sx", "sy"), data)
+    return Volume(("t", "rx", "ry", "sx", "sy"), rng.standard_normal((2, 3, 2, 2, 2)))
 
 
 def test_volume_roundtrip_bit_exact(tmp_path, vol):
@@ -55,28 +53,12 @@ def test_roundtrip_every_axis_count(tmp_path, naxes):
     rng = np.random.default_rng(naxes)
     axes = ("t", "rx", "ry", "sx", "sy")[:naxes]
     dims = (3, 2, 2, 2, 2)[:naxes]
-    vol = Volume(axes, rng.standard_normal(dims) + 1j * rng.standard_normal(dims))
+    vol = Volume(axes, rng.standard_normal(dims))
     path = tmp_path / "v.lrv"
     write_volume(vol, path)
     back = read_volume(path)
     assert back.axes == vol.axes
     assert np.array_equal(back.data, vol.data)
-
-
-def test_single_precision_flag(tmp_path, vol):
-    path = tmp_path / "v32.lrv"
-    write_complex64(vol, path)
-    back = read_volume(path)
-    assert np.array_equal(back.data, vol.data.astype(np.complex64).astype(np.complex128))
-
-
-def test_single_precision_reads_back_as_complex128(tmp_path, vol):
-    path = tmp_path / "v32.lrv"
-    write_complex64(vol, path)
-    assert path.stat().st_size == 7 + 5 * 9 + vol.data.size * 8
-    back = read_volume(path)
-    assert back.data.dtype == np.complex128
-    assert not back.data.flags.writeable
 
 
 def test_bad_magic(tmp_path, vol):
@@ -101,11 +83,11 @@ def test_bad_version(tmp_path, vol):
 
 def test_truncated_payload(tmp_path):
     # Header says 10 scalars, file stores 9.
-    vol = Volume(("t", "rx"), np.arange(10, dtype=complex).reshape(5, 2))
+    vol = Volume(("t", "rx"), np.arange(10.0).reshape(5, 2))
     path = tmp_path / "v.lrv"
     write_volume(vol, path)
     raw = path.read_bytes()
-    path.write_bytes(raw[:-16])
+    path.write_bytes(raw[:-8])
     with pytest.raises(TruncatedFileError):
         read_volume(path)
 
@@ -126,7 +108,7 @@ def test_trailing_bytes_rejected(tmp_path, vol):
 
 
 def test_dims_overflow(tmp_path):
-    header = bytearray(b"LRV1\x01\x00\x02")
+    header = bytearray(b"LRV1\x01\x02\x02")
     header.extend([0, 2])  # axes t, rx
     header.extend(np.asarray([1 << 33, 1 << 33], dtype="<u8").tobytes())
     path = tmp_path / "v.lrv"
@@ -136,11 +118,11 @@ def test_dims_overflow(tmp_path):
 
 
 def test_unknown_axis_code(tmp_path):
-    header = bytearray(b"LRV1\x01\x00\x01")
+    header = bytearray(b"LRV1\x01\x02\x01")
     header.append(77)
     header.extend(np.asarray([2], dtype="<u8").tobytes())
     path = tmp_path / "v.lrv"
-    path.write_bytes(bytes(header) + b"\x00" * 32)
+    path.write_bytes(bytes(header) + b"\x00" * 16)
     with pytest.raises(FileFormatError):
         read_volume(path)
 
@@ -207,38 +189,53 @@ def layout(request):
 def _volume(axes):
     rng = np.random.default_rng(7)
     dims = {"t": 5, "rx": 3, "ry": 2, "sx": 3, "sy": 2}
-    shape = tuple(dims[a] for a in axes)
-    return Volume(axes, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    return Volume(axes, rng.standard_normal(tuple(dims[a] for a in axes)))
 
 
 def _index(vol, block):
     return tuple(block.get(a, slice(None)) for a in vol.axes)
 
 
-@pytest.mark.parametrize("single", [False, True], ids=["complex128", "complex64"])
-def test_block_read_is_the_box_of_the_whole(tmp_path, layout, single):
+# The scalar code of a complex twin of a float64 file: the same samples in
+# the same layout, whose blocks are refused where the float64 file's are read.
+COMPLEX_TWINS = pytest.mark.parametrize("code", [0, 1], ids=["complex128", "complex64"])
+
+
+def _refused(code):
+    return pytest.raises(FileFormatError, match=f"scalar code {code}: complex samples")
+
+
+@COMPLEX_TWINS
+def test_block_read_is_the_box_of_the_whole(tmp_path, layout, code):
     vol = _volume(layout)
     path = tmp_path / "v.lrv"
-    (write_complex64 if single else write_volume)(vol, path)
+    write_volume(vol, path)
+    twin = tmp_path / "twin.lrv"
+    write_complex(twin, vol.axes, vol.data, code)
     whole = read_volume(path)
     # A buffer used for every block, read into its leading elements.
-    buffer = np.full(vol.data.size, np.nan, dtype=np.complex128)
+    buffer = np.full(vol.data.size, np.nan)
     for block in BLOCKS:
         part = read_volume(path, block)
         assert part.axes == vol.axes
-        assert part.data.dtype == np.complex128
+        assert part.data.dtype == np.float64
         np.testing.assert_array_equal(part.data, whole.data[_index(vol, block)])
         into = read_volume(path, block, out=buffer)
         assert into.axes == vol.axes and np.shares_memory(into.data, buffer)
         np.testing.assert_array_equal(into.data, part.data)
+        before = buffer.copy()
+        for out in (None, buffer):
+            with _refused(code):
+                read_volume(twin, block, out=out)
+        np.testing.assert_array_equal(buffer, before)
 
 
 def test_blocks_written_into_place_make_the_whole_file(tmp_path, layout):
     vol = _volume(layout)
     write_volume(vol, tmp_path / "whole.lrv")
     path = tmp_path / "blocks.lrv"
-    with create_volume(path, vol.axes, vol.dims, vol.data.dtype) as partial:
-        assert read_volume_header(partial) == (vol.axes, vol.dims, vol.data.dtype)
+    with create_volume(path, vol.axes, vol.dims) as partial:
+        assert read_volume_header(partial) == (vol.axes, vol.dims)
         canonical = vol.reordered(("t", "rx", "ry", "sx", "sy"))
         for rx, sx in itertools.product(range(3), (slice(0, 2), slice(2, 3))):
             block = {"rx": slice(rx, rx + 1), "sx": sx}
@@ -334,33 +331,38 @@ def test_trace_major_block_is_moved_in_one_call(tmp_path, monkeypatch):
     assert len(reads) == len(writes) == 1
 
 
-@pytest.mark.parametrize("single", [False, True], ids=["complex128", "complex64"])
-def test_blocks_in_another_order_move_in_small_chunks(tmp_path, monkeypatch, layout, single):
+@COMPLEX_TWINS
+def test_blocks_in_another_order_move_in_small_chunks(tmp_path, monkeypatch, layout, code):
     # Runs are moved a few at a time and staged through a small array: a
     # box is read in the order asked for, into a buffer or not, and blocks
     # in that order written into place in a file of zeros make the file,
-    # whatever its order and scalar type.
+    # whatever its order.  A complex file of zeros takes none of them.
     monkeypatch.setattr(fileio, "_CHUNK_RUNS", 3)
-    monkeypatch.setattr(fileio, "_STAGE_BYTES", 5 * 16)
+    monkeypatch.setattr(fileio, "_STAGE_BYTES", 5 * 8)
     vol = _volume(layout)
     path = tmp_path / "v.lrv"
-    write = write_complex64 if single else write_volume
-    write(vol, path)
+    write_volume(vol, path)
     want = ("rx", "ry", "sx", "sy", "t")
     whole = read_volume(path).reordered(want)
-    buffer = np.full(vol.data.size, np.nan, dtype=np.complex128)
+    buffer = np.full(vol.data.size, np.nan)
     for block in BLOCKS:
         part = read_volume(path, block, out=buffer, axes=want)
         assert part.axes == want and np.shares_memory(part.data, buffer)
         np.testing.assert_array_equal(part.data, whole.data[_index(whole, block)])
         np.testing.assert_array_equal(read_volume(path, block, axes=want).data, part.data)
     blocks = tmp_path / "blocks.lrv"
-    write(Volume(vol.axes, np.zeros(vol.dims, dtype=complex)), blocks)
+    write_volume(Volume(vol.axes, np.zeros(vol.dims)), blocks)
+    twin = tmp_path / "twin.lrv"
+    write_complex(twin, vol.axes, np.zeros(vol.dims), code)
+    zeros = twin.read_bytes()
     for rx in range(3):
         block = {"rx": slice(rx, rx + 1)}
-        write_volume(Volume(want, whole.data[_index(whole, block)]), blocks,
-                     block=block)
+        part = Volume(want, whole.data[_index(whole, block)])
+        write_volume(part, blocks, block=block)
+        with _refused(code):
+            write_volume(part, twin, block=block)
     assert blocks.read_bytes() == path.read_bytes()
+    assert twin.read_bytes() == zeros
 
 
 def test_short_transfers_are_completed(tmp_path, monkeypatch):
@@ -375,29 +377,23 @@ def test_short_transfers_are_completed(tmp_path, monkeypatch):
     assert len(writes) > 1 and len(reads) > 1
 
 
-@pytest.mark.parametrize("single, axes", [(True, None), (False, ("t", "rx", "ry", "sx", "sy"))],
-                         ids=["complex64", "another-order"])
-def test_whole_read_holds_no_second_copy(tmp_path, single, axes):
-    # A whole read of a complex64 file, or of a file in another axis order,
-    # goes through the small staging array into the complex128 array it
-    # returns: the payload is never held twice, and the values are those of
-    # its complex128 twin.
+@pytest.mark.parametrize("axes", [None, ("t", "rx", "ry", "sx", "sy")],
+                         ids=["file-order", "another-order"])
+def test_whole_read_holds_no_second_copy(tmp_path, axes):
+    # A whole read goes straight into the array it returns, in the file's
+    # axis order, or through the small staging array in another: the
+    # payload is never held twice.
     rng = np.random.default_rng(11)
-    dims = (4, 4, 4, 4, 1024)
-    canonical = ("rx", "ry", "sx", "sy", "t")
-    vol = Volume(canonical, rng.standard_normal(dims) + 1j * rng.standard_normal(dims))
-    (write_complex64 if single else write_volume)(vol, tmp_path / "in.lrv")
-    twin = vol.data.astype(np.complex64) if single else vol.data
-    write_volume(Volume(canonical, twin), tmp_path / "twin.lrv")
-    del vol, twin
+    vol = Volume(("rx", "ry", "sx", "sy", "t"), rng.standard_normal((4, 4, 4, 4, 1024)))
+    write_volume(vol, tmp_path / "in.lrv")
     tracemalloc.start()
     try:
         back = read_volume(tmp_path / "in.lrv", axes=axes)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 17 * back.data.size
-    np.testing.assert_array_equal(back.data, read_volume(tmp_path / "twin.lrv", axes=axes).data)
+    assert peak <= 9 * back.data.size
+    np.testing.assert_array_equal(back.data, vol.reordered(axes or vol.axes).data)
 
 
 def test_failed_write_leaves_no_file(tmp_path, monkeypatch, vol):
@@ -424,9 +420,9 @@ def test_non_finite_payload_rejected_where_it_is_read(tmp_path, vol):
     write_volume(vol, path)
     at = np.ravel_multi_index((1, 2, 0, 1, 1), vol.dims)
     with open(path, "r+b") as fh:
-        fh.seek(os.path.getsize(path) - vol.data.nbytes + 16 * int(at))
-        fh.write(np.array([np.nan], dtype=np.complex128).tobytes())
-    buffer = np.empty(vol.data.size, dtype=np.complex128)
+        fh.seek(os.path.getsize(path) - vol.data.nbytes + 8 * int(at))
+        fh.write(np.array([np.nan]).tobytes())
+    buffer = np.empty(vol.data.size)
     for block in ({}, {"rx": slice(2, 3)}):
         for out in (None, buffer):
             with pytest.raises(ValueError, match="non-finite"):
@@ -488,50 +484,54 @@ def test_real_volume_is_written_as_code_2(tmp_path, axes):
 
 @REAL_LAYOUTS
 def test_real_block_round_trip(tmp_path, monkeypatch, axes):
-    # Blocks of a float64 file read into float64 buffers, into complex128
-    # ones widened, and in another axis order through the staging array;
-    # written into place, into a float64 file or a complex128 one, they
-    # make the whole file.
+    # Blocks of a float64 file read into a float64 buffer or not, and in
+    # another axis order through the staging array; written into place,
+    # they make the whole file.
     monkeypatch.setattr(fileio, "_STAGE_BYTES", 5 * 8)
     vol = _real_volume(axes)
     path = tmp_path / "v.lrv"
     write_volume(vol, path)
     want = ("rx", "ry", "sx", "sy", "t")
     whole = vol.reordered(want)
-    reals, complexes = np.full(vol.data.size, np.nan), np.full(vol.data.size, np.nan, complex)
+    buffer = np.full(vol.data.size, np.nan)
     for block in BLOCKS:
         expected = whole.data[_index(whole, block)]
-        for out in (None, reals, complexes):
+        for out in (None, buffer):
             part = read_volume(path, block, out=out, axes=want)
-            assert part.data.dtype == (np.float64 if out is None else out.dtype)
+            assert part.data.dtype == np.float64
             np.testing.assert_array_equal(part.data, expected)
-    for kind in (np.float64, np.complex128):
-        blocks = tmp_path / f"blocks-{np.dtype(kind).name}.lrv"
-        with create_volume(blocks, vol.axes, vol.dims, kind) as partial:
-            for rx in range(3):
-                block = {"rx": slice(rx, rx + 1)}
-                write_volume(Volume(want, whole.data[_index(whole, block)]), partial,
-                             block=block)
-        back = read_volume(blocks)
-        assert back.data.dtype == kind
-        np.testing.assert_array_equal(back.data, vol.data)
-    assert (tmp_path / "blocks-float64.lrv").read_bytes() == path.read_bytes()
+    blocks = tmp_path / "blocks.lrv"
+    with create_volume(blocks, vol.axes, vol.dims) as partial:
+        for rx in range(3):
+            block = {"rx": slice(rx, rx + 1)}
+            write_volume(Volume(want, whole.data[_index(whole, block)]), partial,
+                         block=block)
+    assert blocks.read_bytes() == path.read_bytes()
 
 
-def test_real_and_complex_samples_do_not_narrow(tmp_path):
-    # A complex payload is not read into a float64 buffer, and complex
-    # samples are not written into a real file, which keeps its bytes.
-    real, cplx = tmp_path / "real.lrv", tmp_path / "complex.lrv"
+def test_real_and_complex_samples_do_not_narrow(tmp_path, monkeypatch):
+    # A volume of complex samples is not written, whole or as a block,
+    # before any file is created; a real file keeps its bytes.  Samples
+    # are read into a float64 buffer only.
+    real = tmp_path / "real.lrv"
     vol = _real_volume(("t", "rx", "ry", "sx", "sy"))
     write_volume(vol, real)
-    write_volume(Volume(vol.axes, vol.data.astype(complex)), cplx)
-    with pytest.raises(ValueError, match="float64 buffer"):
-        read_volume(cplx, out=np.empty(vol.data.size))
     before = real.read_bytes()
+    cplx = Volume(vol.axes, vol.data + 1j)
+
+    def no_file(*args):
+        raise AssertionError("a file was created")
+
+    monkeypatch.setattr(fileio, "create_volume", no_file)
     block = {"rx": slice(0, 1)}
-    with pytest.raises(ValueError, match="cannot be written"):
-        write_volume(read_volume(cplx, block), real, block=block)
+    for path, where in ((tmp_path / "new.lrv", None), (real, None), (real, block)):
+        data = cplx.data[_index(cplx, where)] if where else cplx.data
+        with pytest.raises(ValueError, match="complex samples are not written"):
+            write_volume(Volume(vol.axes, data), path, block=where)
+    assert [p.name for p in tmp_path.iterdir()] == ["real.lrv"]
     assert real.read_bytes() == before
+    with pytest.raises(ValueError, match="complex128 buffer"):
+        read_volume(real, out=np.empty(vol.data.size, dtype=complex))
 
 
 @pytest.mark.parametrize("cut", [-8, 8], ids=["truncated", "trailing"])
@@ -584,16 +584,26 @@ def test_real_non_finite_sample_rejected_on_read_and_write(tmp_path, bad):
 
 @pytest.mark.parametrize("kind, code", [(np.float64, 2), (np.complex128, 0), (np.complex64, 1)])
 def test_sample_kind_is_read_from_the_header_alone(tmp_path, monkeypatch, kind, code):
-    # The header names the kind a read gives the samples, before any of
-    # the payload is read.
-    vol = Volume(("rx", "t"), np.ones((2, 3), dtype=kind))
+    # The header names the kind of the samples before any of the payload
+    # is read: float64 ones (code 2) are read, and complex ones, complex128
+    # (code 0) and complex64 (code 1), are refused by every reader there.
+    data = np.ones((2, 3), dtype=kind)
     path = tmp_path / "v.lrv"
-    (write_complex64 if code == 1 else write_volume)(vol, path)
+    if code == 2:
+        write_volume(Volume(("rx", "t"), data), path)
+    else:
+        write_complex(path, ("rx", "t"), data, code)
     assert path.read_bytes()[5] == code
 
     def no_read(*args):
         raise AssertionError("the payload was read")
 
     monkeypatch.setattr(os, "preadv", no_read)
-    assert read_volume_header(path) == (("rx", "t"), (2, 3),
-                                        np.dtype(np.float64 if code == 2 else np.complex128))
+    if code == 2:
+        assert read_volume_header(path) == (("rx", "t"), (2, 3))
+        return
+    readers = (read_volume_header, read_volume, lambda p: read_volume(p, {"rx": slice(0, 1)}),
+               lambda p: read_volume(p, out=np.empty(6)))
+    for reader in readers:
+        with pytest.raises(FileFormatError, match=f"scalar code {code}: complex samples"):
+            reader(path)

@@ -19,6 +19,10 @@ frequencies it names for its bins come from one pair of functions.
 Every lrfill name the benchmark under ``perfbench/`` imports or patches
 exists, so a rename in the package cannot silently break the benchmark.
 
+Every ``lrfill`` command line in the README's CLI section parses with the
+CLI's own parser, so a flag that is renamed or removed cannot leave a
+stale example behind.
+
 Every setting is read: each field of a ``@dataclass`` named ``*Config`` or
 ``*Spec`` is read as an attribute somewhere in the package outside that
 class's own ``__post_init__``, so no setting is validated and then ignored.
@@ -29,12 +33,18 @@ attribute somewhere in the package, the tests or the benchmark, reads in
 the class's own ``__post_init__`` aside.
 """
 
+import argparse
 import ast
+import contextlib
 import importlib
 import importlib.util
+import io
+import shlex
 from pathlib import Path
 
 import pytest
+
+from lrfill.cli import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "lrfill"
@@ -350,3 +360,44 @@ def test_check_sees_a_missing_bench_name():
     assert unresolved_bench_names(source) == [
         "lrfill.altmin.solve_factor_exact", "lrfill.no_such_module",
         "lrfill.nowhere.run", "lrfill.pipeline.read_volumes"]
+
+
+def stale_readme_commands(readme: str, parser: argparse.ArgumentParser) -> list:
+    """The command lines of the ``## CLI`` section of ``readme``, each an
+    indented line that starts with ``lrfill``, with ``\\`` continuations
+    joined, that ``parser`` refuses."""
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    stale = []
+    for line in section.replace("\\\n", " ").splitlines():
+        if not line.startswith("    lrfill "):
+            continue
+        try:
+            with contextlib.redirect_stderr(io.StringIO()):
+                parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            stale.append(" ".join(line.split()))
+    return stale
+
+
+def test_readme_commands_parse():
+    assert stale_readme_commands((ROOT / "README.md").read_text(), build_parser()) == []
+
+
+def test_check_sees_a_stale_readme_command():
+    readme = ("# tool\n\n    lrfill generate --kind events --out a.lrv\n\n"
+              "## CLI\n\n"
+              "lrfill generate --kind events is prose, not a command\n\n"
+              "    # a comment\n"
+              "    lrfill generate --spec e.cfg --out full.lrv\n"
+              "    lrfill generate --kind events --spec e.cfg --out full.lrv\n"
+              "    lrfill subsample --input full.lrv --keep 0.2 \\\n"
+              "        --out-volume sub.lrv --out-mask mask.lrm\n"
+              "    lrfill subsample --input full.lrv --keep 0.2 \\\n"
+              "        --out-volume sub.lrv --mask mask.lrm\n"
+              "    lrfill svdscan --input full.lrv --freq 10\n\n"
+              "## Library use\n\n"
+              "    lrfill svdscan --input full.lrv\n")
+    assert stale_readme_commands(readme, build_parser()) == [
+        "lrfill generate --kind events --spec e.cfg --out full.lrv",
+        "lrfill subsample --input full.lrv --keep 0.2 --out-volume sub.lrv --mask mask.lrm",
+        "lrfill svdscan --input full.lrv --freq 10"]
