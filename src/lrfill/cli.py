@@ -13,7 +13,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from .fileio import read_volume, read_volume_header, write_mask, write_volume
+from .fileio import read_canonical_header, read_volume, write_mask, write_volume
 from .pipeline import (
     PipelineConfig,
     config_from_dict,
@@ -26,7 +26,7 @@ from .reporting import compare_reports, read_report, snr_db, write_comparison
 from .sampling import SamplingMask, jittered_volume_mask, uniform_entry_mask
 from .synthgen import EventSpec, linear_events
 from .transforms import MODES, Matricization, singular_decay
-from .volume import CANONICAL_AXES, SPATIAL_AXES, axis_permutation, dft_time_axis, freq_values_hz
+from .volume import dft_time_axis, freq_values_hz
 
 
 def _parse_floats(text, n, what):
@@ -55,8 +55,7 @@ def cmd_generate(args) -> int:
 def cmd_subsample(args) -> int:
     # The mask is built from the header, so a bad flag stops before any
     # sample is read.
-    axes, extents = read_volume_header(args.input)
-    n_rx, n_ry, n_sx, n_sy, _ = (extents[i] for i in axis_permutation(axes, CANONICAL_AXES))
+    n_rx, n_ry, n_sx, n_sy, _ = read_canonical_header(args.input)
     if args.scheme == "jittered":
         mask = jittered_volume_mask(n_rx, n_ry, n_sx, n_sy, args.keep,
                                     seed=args.seed, axis=args.axis,
@@ -68,7 +67,7 @@ def cmd_subsample(args) -> int:
         flat = uniform_entry_mask(n_rx * n_ry, n_sx * n_sy, args.keep, seed=args.seed)
         acq = Matricization("srcpair", n_rx, n_ry, n_sx, n_sy)
         mask = SamplingMask(acq.fold(flat.grid), axes=("rx", "ry", "sx", "sy"))
-    vol = read_volume(args.input, axes=CANONICAL_AXES)
+    vol = read_volume(args.input)
     write_mask(mask, args.out_mask)
     write_volume(mask_volume(vol, mask), args.out_volume)
     kept = mask.num_observed / mask.grid.size
@@ -94,11 +93,13 @@ def cmd_interpolate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    # Both headers are checked before either file's samples are read.
-    read_volume_header(args.estimate)
-    truth = read_volume(args.truth)
-    estimate = read_volume(args.estimate, axes=truth.axes)
-    value = snr_db(truth.data, estimate.data)
+    # Both headers, and their extents, are checked before either file's
+    # samples are read.
+    dims = read_canonical_header(args.truth)
+    estimate_dims = read_canonical_header(args.estimate)
+    if estimate_dims != dims:
+        raise ValueError(f"estimate dims {estimate_dims} != truth dims {dims}")
+    value = snr_db(read_volume(args.truth).data, read_volume(args.estimate).data)
     print(f"SNR {value:.2f} dB")
     return 0
 
@@ -108,12 +109,11 @@ def cmd_svdscan(args) -> int:
         raise ValueError("--dt must be a positive finite number")
     if not (math.isfinite(args.freq) and args.freq >= 0.0):
         raise ValueError("--freq must be a finite number >= 0")
+    read_canonical_header(args.input)
     vol = read_volume(args.input)
-    nt = vol.dims[vol.axis_index("t")]
-    vol = dft_time_axis(vol).reordered(("f",) + SPATIAL_AXES)
-    freqs = freq_values_hz(nt, args.dt)
+    freqs = freq_values_hz(vol.dims[-1], args.dt)
     k = int(np.argmin(np.abs(freqs - args.freq)))
-    tensor = vol.data[k]
+    tensor = dft_time_axis(vol).data[..., k]
     for mode in MODES:
         matric = Matricization(mode, *tensor.shape)
         decay = singular_decay(matric.unfold(tensor))

@@ -24,12 +24,14 @@ or 1 is refused from its header, before any sample is read.
 LRM1 is the same header without the scalar-code byte; its payload is one
 byte per grid point (1 = observed, 0 = missing).
 
-lrfill writes its volumes trace-major, ``(rx, ry, sx, sy, t)``, the order
-of SEG-Y field data: every trace is contiguous, and a block of whole
-traces over whole trailing axes is one contiguous run of the payload.
-Files in any other axis order are read and written as well, one call per
-contiguous run, through a small staging array where the order asked for
-is not the file's.
+lrfill's commands read and write volumes trace-major, ``(rx, ry, sx, sy,
+t)``, the order of SEG-Y field data: every trace is contiguous, and a
+block of whole traces over whole trailing axes is one contiguous run of
+the payload.  :func:`read_canonical_header` refuses a volume in any other
+axis order at its header.  The library moves payloads in their file's own
+axis order only, one call per contiguous run: it reads and writes a file
+of any axis labels, and writes a block into a file only in the file's
+order.
 
 This is where samples cross the program's boundary, so both ways they are
 checked for NaNs and infinities: a payload after it is read, whole or a
@@ -49,8 +51,9 @@ from .sampling import SamplingMask
 from .volume import (
     AXIS_CODES,
     AXIS_LABELS,
+    CANONICAL_AXES,
+    AxisLayoutError,
     Volume,
-    axis_permutation,
     buffer_view,
     check_finite,
 )
@@ -69,11 +72,8 @@ _MAX_HEADER = 4 + 1 + 1 + 1 + len(AXIS_LABELS) * (1 + 8)
 _SAMPLE_DTYPE = np.dtype("<f8")
 _SAMPLE_CODE = 2
 # Runs of a transfer whose offsets are built at a time, so that a box of
-# many short runs (a block of a time-first file) costs no list of them all.
+# many short runs costs no list of them all.
 _CHUNK_RUNS = 4096
-# Most bytes of the array that stages a transfer in another axis order; it
-# is allocated per transfer, beside the array it fills, so it is kept small.
-_STAGE_BYTES = 1 << 17
 
 
 class FileFormatError(ValueError):
@@ -191,78 +191,53 @@ def _move_runs(call, fd: int, data: np.ndarray, offsets: np.ndarray):
 
 
 def _transfer(fd: int, data: np.ndarray, pos: int, extents, box, write: bool):
-    """Read or write ``data``, the samples of ``box`` in the file's axis
-    order, from or to the payload at byte ``pos`` of the file, whose
-    samples are of the type of ``data``, one call per contiguous run of the
-    box.  The payload is never mapped into memory.
+    """Read or write ``data``, the C-contiguous samples of ``box`` in the
+    file's axis order, from or to the payload at byte ``pos`` of the file,
+    whose samples are of the type of ``data``, one call per contiguous run
+    of the box, in place.  The payload is never mapped into memory.
 
     The runs are moved a chunk at a time, a box of at most ``_CHUNK_RUNS``
-    runs, so that a box of many short runs (a block of a time-first file)
-    costs no list of them all.  Data that is C-contiguous is moved in
-    place; any other, such as a transposed view of a block buffer, goes
-    through a staging array of at most ``_STAGE_BYTES`` (or one run along
-    the last axis) and is transposed on the way.
+    runs, so that a box of many short runs costs no list of them all.
     """
     if data.size == 0:
         return
     # A unit axis in front gives every box an axis that indexes its runs.
     data, extents, box = data[None], (1, *extents), [(0, 1), *box]
-    itemsize = data.itemsize
-    staged = not data.flags.c_contiguous
-    # A run spans whole trailing axes; a staged one only as many as fit
-    # the staging array.
+    # A run spans whole trailing axes.
     last = len(extents) - 1
-    while last > 1 and box[last] == (0, extents[last]) and not (
-            staged and math.prod(data.shape[last - 1:]) * itemsize > _STAGE_BYTES):
+    while last > 1 and box[last] == (0, extents[last]):
         last -= 1
     strides = [math.prod(extents[i + 1:]) for i in range(len(extents))]
-    lead, run = data.shape[:last], math.prod(data.shape[last:])
-    most = _CHUNK_RUNS
-    if staged:
-        most = max(1, min(most, _STAGE_BYTES // (run * itemsize)))
+    lead = data.shape[:last]
     # A chunk takes one index of each lead axis before axis j, a range of
     # axis j and all of the axes after it, whose runs lie ``inner`` apart.
     j, inner = last - 1, np.zeros(1, dtype=np.int64)
-    while j > 0 and inner.size * lead[j] <= most:
+    while j > 0 and inner.size * lead[j] <= _CHUNK_RUNS:
         inner = (np.arange(lead[j])[:, None] * strides[j] + inner).ravel()
         j -= 1
-    width = min(lead[j], most // inner.size)
-    if staged:
-        stage = np.empty(width * inner.size * run, dtype=data.dtype)
+    width = min(lead[j], _CHUNK_RUNS // inner.size)
     first = sum(start * stride for (start, _), stride in zip(box, strides))
     call = os.pwritev if write else os.preadv
     for outer in itertools.product(*map(range, lead[:j])):
         head = first + sum(i * stride for i, stride in zip(outer, strides))
         for start in range(0, lead[j], width):
             stop = min(start + width, lead[j])
-            view = data[outer + (slice(start, stop),)]
-            if staged:
-                part = stage[:view.size].reshape(view.shape)
-                if write:
-                    part[...] = view
-            offsets = pos + itemsize * (
+            offsets = pos + data.itemsize * (
                 head + np.arange(start, stop)[:, None] * strides[j] + inner).ravel()
-            _move_runs(call, fd, part if staged else view, offsets)
-            if staged and not write:
-                view[...] = part
+            _move_runs(call, fd, data[outer + (slice(start, stop),)], offsets)
 
 
-def _read_file(path, magic: bytes, with_scalar: bool, what: str, block=None, out=None,
-               axes=None):
+def _read_file(path, magic: bytes, with_scalar: bool, what: str, block=None, out=None):
     """Axis labels and payload of an LRV1/LRM1 file, or of the box of it
-    that ``block`` names, with its axes in the order ``axes`` (the file's
-    by default).  The header and the payload length are checked before any
-    of the payload is read; the payload goes straight into the array
-    returned: a new array of the payload's type, or the leading elements
-    of the buffer ``out`` (see :func:`buffer_view`), which must be of that
-    type, if one is given.  A payload in another axis order is transposed
-    on the way, through a staging array of bounded size (see
-    :func:`_transfer`), so the payload is never held twice."""
+    that ``block`` names, in the file's axis order.  The header and the
+    payload length are checked before any of the payload is read; the
+    payload goes straight into the array returned: a new array of the
+    payload's type, or the leading elements of the buffer ``out`` (see
+    :func:`buffer_view`), which must be of that type, if one is given."""
     with open(path, "rb") as fh:
-        file_axes, extents, dtype, pos = _open_payload(fh, magic, with_scalar, what)
-        box = _box(file_axes, extents, block)
-        axes = file_axes if axes is None else tuple(axes)
-        shape = [box[i][1] - box[i][0] for i in axis_permutation(file_axes, axes)]
+        axes, extents, dtype, pos = _open_payload(fh, magic, with_scalar, what)
+        box = _box(axes, extents, block)
+        shape = [stop - start for start, stop in box]
         if out is None:
             data = np.empty(shape, dtype=dtype)
         else:
@@ -270,8 +245,7 @@ def _read_file(path, magic: bytes, with_scalar: bool, what: str, block=None, out
             if data.dtype != dtype:
                 raise ValueError(f"{what}: {dtype} samples are not read into a "
                                  f"{data.dtype} buffer")
-        _transfer(fh.fileno(), data.transpose(axis_permutation(axes, file_axes)), pos,
-                  extents, box, write=False)
+        _transfer(fh.fileno(), data, pos, extents, box, write=False)
     return axes, data
 
 
@@ -281,6 +255,22 @@ def read_volume_header(path: str | os.PathLike) -> tuple:
     with open(path, "rb") as fh:
         axes, extents, _, _ = _open_payload(fh, VOLUME_MAGIC, True, "volume payload")
     return axes, extents
+
+
+def read_canonical_header(path: str | os.PathLike) -> tuple:
+    """Extents of the LRV1 volume at ``path``, read and checked from its
+    header without its payload: every command's check of a volume it is
+    given.  A volume whose axes are not ``CANONICAL_AXES``, trace-major,
+    raises :class:`AxisLayoutError`, one with an extent of 0 ``ValueError``,
+    and one of complex samples :class:`FileFormatError`; each names the
+    file."""
+    axes, extents = read_volume_header(path)
+    if axes != CANONICAL_AXES:
+        raise AxisLayoutError(f"{os.fspath(path)}: axes {axes}; lrfill reads trace-major "
+                              f"volumes, axes {CANONICAL_AXES}: see README")
+    if 0 in extents:
+        raise ValueError(f"{os.fspath(path)}: every extent must be at least 1, not {extents}")
+    return extents
 
 
 @contextlib.contextmanager
@@ -337,11 +327,11 @@ def write_volume(vol: Volume, path: str | os.PathLike, block: dict | None = None
 
     With ``block``, a slice per axis label as for :func:`read_volume`,
     ``vol`` is that box of the LRV1 file at ``path`` instead, which must
-    exist: it is written into place in the file's axis order, and nothing
-    else of the file changes.  A volume of complex samples raises
-    ``ValueError``, and so does a NaN or an infinity
-    (:func:`lrfill.volume.check_finite`), before any file is created or
-    any byte written.
+    exist and whose axis order ``vol`` must have: it is written into
+    place, and nothing else of the file changes.  A volume of complex
+    samples raises ``ValueError``, and so do a NaN or an infinity
+    (:func:`lrfill.volume.check_finite`) and a block in another axis
+    order, before any file is created or any byte written.
     """
     if vol.data.dtype != _SAMPLE_DTYPE:
         raise ValueError("complex samples are not written: an LRV1 file holds real "
@@ -351,28 +341,29 @@ def write_volume(vol: Volume, path: str | os.PathLike, block: dict | None = None
               else contextlib.nullcontext(path))
     with target as part, open(part, "r+b") as fh:
         axes, extents, _, pos = _open_payload(fh, VOLUME_MAGIC, True, "volume payload")
+        if vol.axes != axes:
+            raise ValueError(f"a block of axes {vol.axes} is not written into a file "
+                             f"of axes {axes}")
         box = _box(axes, extents, block)
-        data = vol.data.transpose(axis_permutation(vol.axes, axes))
-        if data.shape != tuple(stop - start for start, stop in box):
-            raise ValueError(f"block of dims {data.shape} does not fill the box {box}")
-        _transfer(fh.fileno(), data, pos, extents, box, write=True)
+        if vol.dims != tuple(stop - start for start, stop in box):
+            raise ValueError(f"block of dims {vol.dims} does not fill the box {box}")
+        _transfer(fh.fileno(), vol.data, pos, extents, box, write=True)
 
 
 def read_volume(path: str | os.PathLike, block: dict | None = None,
-                out: np.ndarray | None = None, axes: tuple | None = None) -> Volume:
-    """Read an LRV1 file back into a volume of float64 samples; a file of
-    complex samples raises :class:`FileFormatError` from its header.
+                out: np.ndarray | None = None) -> Volume:
+    """Read an LRV1 file back into a volume of float64 samples, its axes
+    in the file's order; a file of complex samples raises
+    :class:`FileFormatError` from its header.
 
     ``block`` maps axis labels to slices and reads only that box of the
-    volume; axes it leaves out are read whole.  The volume's axes are in
-    the file's order, or in the order ``axes`` of the same labels.  With
-    ``out``, a float64 buffer as for :func:`lrfill.volume.buffer_view`,
-    the samples are read into its leading elements and the volume returned
-    lies over them.  The samples read are checked by
-    :func:`lrfill.volume.check_finite`: a NaN or an infinity raises
-    ``ValueError``.
+    volume; axes it leaves out are read whole.  With ``out``, a float64
+    buffer as for :func:`lrfill.volume.buffer_view`, the samples are read
+    into its leading elements and the volume returned lies over them.  The
+    samples read are checked by :func:`lrfill.volume.check_finite`: a NaN
+    or an infinity raises ``ValueError``.
     """
-    vol = Volume(*_read_file(path, VOLUME_MAGIC, True, "volume payload", block, out, axes))
+    vol = Volume(*_read_file(path, VOLUME_MAGIC, True, "volume payload", block, out))
     check_finite(vol.data)
     return vol
 

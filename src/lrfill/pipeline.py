@@ -6,8 +6,9 @@ The run configuration lives in a flat ``key = value`` text file whose keys
 are the fields of :class:`PipelineConfig`; every key can be overridden by
 the CLI flag of the same name.  Frequency bins outside the band are passed
 through as observed (zero-filled where missing) rather than zeroed.  The
-run takes real traces: float64 files, whose half spectra it solves from
-0 Hz to Nyquist.  A file of complex samples is refused from its header.
+run takes real traces: trace-major float64 files, whose half spectra it
+solves from 0 Hz to Nyquist.  A file in another axis order or of complex
+samples is refused from its header.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import get_args, get_type_hints
 import numpy as np
 
 from .altmin import OuterConfig, RankSchedule, interpolate_slice, rank_for_frequency
-from .fileio import create_volume, read_mask, read_volume, read_volume_header, write_volume
+from .fileio import create_volume, read_canonical_header, read_mask, read_volume, write_volume
 from .levelset import LevelSetConfig, solve_levelset
 from .pdsolver import PdConfig
 from .reporting import SliceReport, snr_db, snr_from_norms, write_report
@@ -34,7 +35,6 @@ from .volume import (
     SPATIAL_AXES,
     AxisLayoutError,
     Volume,
-    axis_permutation,
     buffer_view,
     check_finite,
     dft_time_axis,
@@ -47,13 +47,9 @@ SOLVERS = ("pd", "levelset")
 # Bytes of complex128 samples in one block of traces.  Each pass of a run
 # works in buffers of about one and a half such blocks, of float64 samples
 # and their half spectra, allocated once, besides the in-band bins, so this
-# bounds the run's memory.  A block of a trace-major file is
-# read in one call per run of whole traces, one in all when it spans whole
-# trailing axes, so a larger block saves calls only on a time-first file,
-# which takes a call per time sample and run; there, on a 16x16x10x10 grid
-# of 512 samples, 1 MiB blocks took twice as long as blocks of 2.5 to
-# 20 MiB, which all took about the same time while the peak RSS rose from
-# 46 to 80 MB.
+# bounds the run's memory.  A block is read in one call per run of whole
+# traces, one in all when it spans whole trailing axes, so a larger block
+# saves few calls.
 BLOCK_BYTES = 5 << 20
 # Share of the fullest box's traces that a block must hold; see _block_shape.
 _BLOCK_FILL = 0.9
@@ -237,8 +233,7 @@ def _block_shape(extents: tuple, most: int) -> tuple:
     the one read in the fewest contiguous runs of a trace-major file is
     taken, the fuller of equals first: filling the budget keeps the block's
     memory the same whatever the record length, and few runs keep the reads
-    few.  A box over whole trailing axes is one run.  (A time-first file
-    takes these runs once per time sample.)
+    few.  A box over whole trailing axes is one run.
     """
     candidates = []
     for j, n in enumerate(extents):
@@ -266,22 +261,6 @@ def trace_blocks(dims: tuple):
               for n, b in zip(extents, shape)]
     for box in itertools.product(*ranges):
         yield dict(zip(SPATIAL_AXES, box))
-
-
-def _canonical_header(path, what: str) -> tuple:
-    """Extents of the LRV1 volume at ``path`` in canonical axis order, read
-    from its header: the run's one check of a file's header.  A volume of
-    complex samples (see :func:`read_volume_header`), or with an extent of
-    0, raises ``ValueError``."""
-    axes, extents = read_volume_header(path)
-    try:
-        dims = tuple(extents[i] for i in axis_permutation(axes, CANONICAL_AXES))
-    except AxisLayoutError as exc:
-        raise AxisLayoutError(f"{what}: {exc}") from None
-    if 0 in dims:
-        raise ValueError(f"{what}: every extent must be at least 1, not {dims} "
-                         f"(in {CANONICAL_AXES} order)")
-    return dims
 
 
 # Sums of squares by einsum, not BLAS: a threaded BLAS dot can spend
@@ -361,13 +340,13 @@ def _read_band(cfg: PipelineConfig, dims: tuple, mask: SamplingMask, in_band: li
     truth_sq = err_sq = 0.0
     for block in trace_blocks(dims):
         at = (slice(None),) + _spatial_index(block)
-        read = read_volume(cfg.input, block, out=inputs, axes=CANONICAL_AXES)
+        read = read_volume(cfg.input, block, out=inputs)
         masked = mask_volume(read, mask, block, out=inputs)
         spectrum = dft_time_axis(masked, out=spectra).data
         check_finite(spectrum)
         observed[at] = np.moveaxis(spectrum[..., in_band], -1, 0)
         if truth is not None:
-            read = read_volume(cfg.truth, block, out=inputs, axes=CANONICAL_AXES)
+            read = read_volume(cfg.truth, block, out=inputs)
             true_spectrum = dft_time_axis(read, out=true_spectra).data
             check_finite(true_spectrum)
             truth_sq += _spectrum_energy(true_spectrum, nt)
@@ -400,8 +379,8 @@ def _write_output(cfg: PipelineConfig, dims: tuple, mask: SamplingMask, in_band:
             spectrum[...] = 0.0
             spectrum[..., in_band] = np.moveaxis(part, 0, -1)
             fix = idft_freq_axis(Volume(SPATIAL_AXES + ("f",), spectrum), nt, out=fixes)
-            masked = mask_volume(read_volume(cfg.input, block, out=inputs,
-                                             axes=CANONICAL_AXES), mask, block, out=inputs)
+            masked = mask_volume(read_volume(cfg.input, block, out=inputs), mask, block,
+                                 out=inputs)
             total = buffer_view(inputs, masked.dims)
             total += fix.data
             write_volume(Volume(CANONICAL_AXES, total), partial, block=block)
@@ -426,25 +405,24 @@ def run_interpolation(cfg: PipelineConfig) -> RunResult:
     each bin of a half spectrum counted for itself and its conjugate, so
     that it stays exact near a perfect reconstruction.  Each pass works in
     buffers of one block that it allocates once, and pass 1 drops its own
-    before the solve.  A block is held trace-major whatever the order of
-    its file, which is read one call per contiguous run: one call for a
-    block of a trace-major file that spans whole trailing axes.  The
-    headers are checked before any data is read: an input or a truth of
-    complex samples, or with an extent of 0, stops the run there.  The
-    output is written trace-major under a temporary name that it takes
-    only when pass 2 ends, so a run that stops early leaves no output.
+    before the solve.  A block is read one call per contiguous run: one
+    call for a block that spans whole trailing axes.  The headers are
+    checked before any data is read (see :func:`read_canonical_header`):
+    an input or a truth that is not trace-major, of complex samples or
+    with an extent of 0 stops the run there.  The output is written
+    trace-major under a temporary name that it takes only when pass 2
+    ends, so a run that stops early leaves no output.
 
     Per-slice failures are recorded in their report row and the run
     continues; the result carries the failure count for the exit code.
     """
     t_run = time.perf_counter()
-    dims = _canonical_header(cfg.input, "input")
+    dims = read_canonical_header(cfg.input)
     nt, extents = dims[-1], dims[:-1]
     if cfg.truth is not None:
-        truth_dims = _canonical_header(cfg.truth, "truth")
+        truth_dims = read_canonical_header(cfg.truth)
         if truth_dims != dims:
-            raise ValueError(f"truth dims {truth_dims} != input dims {dims} "
-                             f"(in {CANONICAL_AXES} order)")
+            raise ValueError(f"truth dims {truth_dims} != input dims {dims}")
     if cfg.mask is None:
         mask = SamplingMask(np.ones(extents, dtype=bool), axes=SPATIAL_AXES)
     else:

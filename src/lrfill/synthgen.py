@@ -109,11 +109,13 @@ class EventSpec:
             raise ValueError("all extents must be positive")
         if not all(math.isfinite(x) and x > 0 for x in (self.spacing_m, self.dt)):
             raise ValueError("spacing_m and dt must be positive and finite")
-        if not self.wavelet_peak_hz > 0:
-            raise ValueError("wavelet_peak_hz must be positive")
+        if not (math.isfinite(self.wavelet_peak_hz) and self.wavelet_peak_hz > 0):
+            raise ValueError("wavelet_peak_hz must be positive and finite")
         for ev in self.events:
             if not 0 <= ev[0] <= self.nt * self.dt:
                 raise ValueError(f"event apex {ev[0]} outside the record")
+            if not all(map(math.isfinite, ev[1:])):
+                raise ValueError(f"event {ev}: slownesses and amplitude must be finite")
 
 
 def linear_events(spec: EventSpec) -> Volume:

@@ -73,8 +73,12 @@ _AN_EVENT = "event = 0.03, 0.0001, 0.0001, 1.0\n"
     _EVENT_GRID + "dt = inf\n",
     _EVENT_GRID + "spacing_m = nan\n" + _AN_EVENT,
     _EVENT_GRID + "spacing_m = inf\n" + _AN_EVENT,
+    _EVENT_GRID + "wavelet_peak_hz = inf\n" + _AN_EVENT,
+    _EVENT_GRID + "event = 0.03, nan, 0.0001, 1.0\n",
+    _EVENT_GRID + "event = 0.03, 0.0001, 0.0001, inf\n",
 ], ids=["unknown-events", "missing-events", "repeated-events", "zero-wavelet-peak",
-        "nan-dt", "inf-dt", "nan-spacing", "inf-spacing"])
+        "nan-dt", "inf-dt", "nan-spacing", "inf-spacing", "inf-peak", "nan-slowness",
+        "inf-amplitude"])
 def test_generate_bad_spec_writes_nothing(tmp_path, monkeypatch, spec):
     # A bad spec stops before any sample is computed.
     path = tmp_path / "bad.cfg"
@@ -386,6 +390,25 @@ def _complex_twin(path, twin, code=0):
     write_complex(twin, vol.axes, vol.data, code)
 
 
+# Axis orders of a float64 file that every command refuses at its header.
+REFUSED_ORDERS = {"time-first": ("t", "rx", "ry", "sx", "sy"),
+                  "permuted": ("sy", "rx", "t", "sx", "ry")}
+
+
+def _refused_twin(path, twin, case):
+    """Write the samples of the LRV1 file at ``path`` to ``twin`` as the
+    ``case`` of a file that every command refuses at its header: complex
+    samples (``complex128``, ``complex64``) or float64 ones in another axis
+    order (a key of ``REFUSED_ORDERS``); the part of the error it gives."""
+    if case in REFUSED_ORDERS:
+        order = REFUSED_ORDERS[case]
+        write_volume(read_volume(path).reordered(order), twin)
+        return f"{twin}: axes {order}"
+    code = {"complex128": 0, "complex64": 1}[case]
+    _complex_twin(path, twin, code)
+    return f"scalar code {code}: complex samples"
+
+
 @pytest.mark.parametrize("freq", ["30", "125"], ids=["30Hz", "nyquist"])
 def test_svdscan_picks_the_bin_of_real_traces_and_refuses_complex_ones(
         tmp_path, events_spec_file, capsys, freq):
@@ -419,18 +442,19 @@ def test_subsample_writes_the_kind_it_read(tmp_path, events_spec_file):
     assert read_volume(sub).data.dtype == np.float64
 
 
-@pytest.mark.parametrize("code", [0, 1], ids=["complex128", "complex64"])
+@pytest.mark.parametrize("case", ["complex128", "complex64", "time-first", "permuted"])
 @pytest.mark.parametrize("command, role", [("evaluate", "truth"), ("evaluate", "estimate"),
                                            ("subsample", "input"), ("svdscan", "input")])
 def test_complex_file_stops_the_command_at_its_header(tmp_path, events_spec_file,
                                                       monkeypatch, capsys, command, role,
-                                                      code):
-    # A file of complex samples, given to any command in any role, exits 2
-    # at its header: no sample of any file is read and nothing is written.
+                                                      case):
+    # A file of complex samples, or of float64 ones in an axis order other
+    # than trace-major, given to any command in any role, exits 2 at its
+    # header: no sample of any file is read and nothing is written.
     # (interpolate: test_interpolate_bad_header_stops_before_any_data.)
     good, bad = tmp_path / "good.lrv", tmp_path / "bad.lrv"
     main(["generate", "--spec", str(events_spec_file), "--out", str(good)])
-    _complex_twin(good, bad, code)
+    error = _refused_twin(good, bad, case)
     files = {name: str(good) for name in ("truth", "estimate", "input")}
     files[role] = str(bad)
     out = tmp_path / "out"
@@ -438,6 +462,19 @@ def test_complex_file_stops_the_command_at_its_header(tmp_path, events_spec_file
             "subsample": ["--input", files["input"], "--out-volume", f"{out}.lrv",
                           "--out-mask", f"{out}.lrm"],
             "svdscan": ["--input", files["input"], "--freq", "30", "--out", str(out)]}[command]
+    reads = _count_reads(monkeypatch)
+    capsys.readouterr()
+    assert main([command, *argv]) == 2
+    assert reads == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.lrv", "events.cfg", "good.lrv"]
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert error in captured.err
+
+
+def _count_reads(monkeypatch):
+    """The list that each ``os.preadv`` call, a read of payload bytes,
+    appends to."""
     reads = []
     preadv = os.preadv
 
@@ -446,47 +483,41 @@ def test_complex_file_stops_the_command_at_its_header(tmp_path, events_spec_file
         return preadv(*args)
 
     monkeypatch.setattr(os, "preadv", counting)
-    capsys.readouterr()
-    assert main([command, *argv]) == 2
-    assert reads == []
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.lrv", "events.cfg", "good.lrv"]
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert f"scalar code {code}: complex samples" in captured.err
+    return reads
 
 
 def _bad_headers(tmp_path, good):
-    """``(input, truth)`` file names of each case that the run's header
-    check refuses, written beside the float64 volume at ``good``; the
-    truth is ``None`` where the case gives none."""
+    """``(input, truth, error)`` of each case that the run's header check
+    refuses: the names of its files, written beside the float64 volume at
+    ``good``, and a part of the error it gives.  The truth is ``None``
+    where the case gives none."""
     vol = read_volume(good)
-    _complex_twin(good, tmp_path / "c16.lrv")
-    _complex_twin(good, tmp_path / "c8.lrv", code=1)
+    cases = {}
+    for kind in ("complex128", "complex64", *REFUSED_ORDERS):
+        twin = tmp_path / f"{kind}.lrv"
+        error = _refused_twin(good, twin, kind)
+        cases[f"{kind}-input"] = (twin.name, None, error)
+        cases[f"{kind}-truth"] = (good.name, twin.name, error)
     write_volume(Volume(vol.axes, vol.data[..., :0]), tmp_path / "nt0.lrv")
     write_volume(Volume(vol.axes, vol.data[:, :0]), tmp_path / "empty.lrv")
-    return {"complex128-input": ("c16.lrv", None), "complex64-input": ("c8.lrv", None),
-            "complex128-truth": (good.name, "c16.lrv"),
-            "complex64-truth": (good.name, "c8.lrv"), "nt0-input": ("nt0.lrv", None),
-            "zero-extent-input": ("empty.lrv", None)}
+    cases["nt0-input"] = ("nt0.lrv", None, "at least 1")
+    cases["zero-extent-input"] = ("empty.lrv", None, "at least 1")
+    return cases
 
 
 @pytest.mark.parametrize("case", ["complex128-input", "complex64-input", "complex128-truth",
-                                  "complex64-truth", "nt0-input", "zero-extent-input"])
+                                  "complex64-truth", "time-first-input", "time-first-truth",
+                                  "permuted-input", "permuted-truth", "nt0-input",
+                                  "zero-extent-input"])
 def test_interpolate_bad_header_stops_before_any_data(tmp_path, events_spec_file,
                                                       monkeypatch, capsys, case):
-    # Complex samples in the input or the truth, or an extent of 0, stop
-    # the run at the headers: exit 2, no sample read, no output or report.
+    # Complex samples or an axis order other than trace-major in the input
+    # or the truth, or an extent of 0, stop the run at the headers: exit 2,
+    # no sample read, no output or report, nothing on stdout.
     good = tmp_path / "vol.lrv"
     main(["generate", "--spec", str(events_spec_file), "--out", str(good)])
-    input_name, truth_name = _bad_headers(tmp_path, good)[case]
-    reads = []
-    read = pipeline.read_volume
-
-    def counting(*args, **kwargs):
-        reads.append(1)
-        return read(*args, **kwargs)
-
-    monkeypatch.setattr(pipeline, "read_volume", counting)
+    input_name, truth_name, error = _bad_headers(tmp_path, good)[case]
+    reads = _count_reads(monkeypatch)
     capsys.readouterr()
     truth = ["--truth", str(tmp_path / truth_name)] if truth_name else []
     rc = main(["interpolate", "--input", str(tmp_path / input_name), *truth,
@@ -494,6 +525,26 @@ def test_interpolate_bad_header_stops_before_any_data(tmp_path, events_spec_file
                "--rank", "2"])
     assert rc == 2
     assert reads == []
-    assert not (tmp_path / "out.lrv").exists() and not (tmp_path / "r.csv").exists()
-    error = capsys.readouterr().err
-    assert ("README" in error) if "complex" in case else ("at least 1" in error)
+    assert not list(tmp_path.glob("out.lrv*")) and not (tmp_path / "r.csv").exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert error in captured.err
+    if "at least 1" not in error:
+        assert "see README" in captured.err
+
+
+def test_evaluate_checks_both_extents_before_reading(tmp_path, events_spec_file,
+                                                     monkeypatch, capsys):
+    # A truth and an estimate of different extents exit 2 from their
+    # headers, before a sample of either is read.
+    good, short = tmp_path / "good.lrv", tmp_path / "short.lrv"
+    main(["generate", "--spec", str(events_spec_file), "--out", str(good)])
+    vol = read_volume(good)
+    write_volume(Volume(vol.axes, vol.data[..., :8]), short)
+    reads = _count_reads(monkeypatch)
+    capsys.readouterr()
+    assert main(["evaluate", "--truth", str(good), "--estimate", str(short)]) == 2
+    assert reads == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "estimate dims (4, 3, 3, 2, 8) != truth dims (4, 3, 3, 2, 16)" in captured.err

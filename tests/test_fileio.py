@@ -236,12 +236,10 @@ def test_blocks_written_into_place_make_the_whole_file(tmp_path, layout):
     path = tmp_path / "blocks.lrv"
     with create_volume(path, vol.axes, vol.dims) as partial:
         assert read_volume_header(partial) == (vol.axes, vol.dims)
-        canonical = vol.reordered(("t", "rx", "ry", "sx", "sy"))
         for rx, sx in itertools.product(range(3), (slice(0, 2), slice(2, 3))):
             block = {"rx": slice(rx, rx + 1), "sx": sx}
-            # A block may come in another axis order; it is written in the file's.
-            write_volume(Volume(canonical.axes, canonical.data[_index(canonical, block)]),
-                         partial, block=block)
+            write_volume(Volume(vol.axes, vol.data[_index(vol, block)]), partial,
+                         block=block)
         assert not path.exists()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["blocks.lrv", "whole.lrv"]
     assert path.read_bytes() == (tmp_path / "whole.lrv").read_bytes()
@@ -275,6 +273,21 @@ def test_block_write_must_fill_its_box(tmp_path, vol):
     with pytest.raises(ValueError):
         write_volume(vol, path, block={"rx": slice(0, 1)})
     np.testing.assert_array_equal(read_volume(path).data, vol.data)
+
+
+def test_block_in_another_order_is_not_written(tmp_path, monkeypatch, vol):
+    # A block is written in its file's axis order only: one of the same
+    # labels in another order is refused before any byte is written.
+    path = tmp_path / "v.lrv"
+    write_volume(vol, path)
+    before = path.read_bytes()
+    writes = _counting(monkeypatch, "pwritev")
+    block = {"rx": slice(1, 2)}
+    part = read_volume(path, block).reordered(("rx", "ry", "sx", "sy", "t"))
+    with pytest.raises(ValueError, match="not written into a file of axes"):
+        write_volume(part, path, block=block)
+    assert writes == []
+    assert path.read_bytes() == before
 
 
 def test_truncated_payload_rejected_before_a_block_is_read(tmp_path, vol):
@@ -333,31 +346,28 @@ def test_trace_major_block_is_moved_in_one_call(tmp_path, monkeypatch):
 
 @COMPLEX_TWINS
 def test_blocks_in_another_order_move_in_small_chunks(tmp_path, monkeypatch, layout, code):
-    # Runs are moved a few at a time and staged through a small array: a
-    # box is read in the order asked for, into a buffer or not, and blocks
-    # in that order written into place in a file of zeros make the file,
+    # A box of a file whose last axis is cut is many short runs, moved a
+    # few at a time: a box is read in the file's order, into a buffer or
+    # not, and blocks written into place in a file of zeros make the file,
     # whatever its order.  A complex file of zeros takes none of them.
     monkeypatch.setattr(fileio, "_CHUNK_RUNS", 3)
-    monkeypatch.setattr(fileio, "_STAGE_BYTES", 5 * 8)
     vol = _volume(layout)
     path = tmp_path / "v.lrv"
     write_volume(vol, path)
-    want = ("rx", "ry", "sx", "sy", "t")
-    whole = read_volume(path).reordered(want)
     buffer = np.full(vol.data.size, np.nan)
     for block in BLOCKS:
-        part = read_volume(path, block, out=buffer, axes=want)
-        assert part.axes == want and np.shares_memory(part.data, buffer)
-        np.testing.assert_array_equal(part.data, whole.data[_index(whole, block)])
-        np.testing.assert_array_equal(read_volume(path, block, axes=want).data, part.data)
+        part = read_volume(path, block, out=buffer)
+        assert part.axes == vol.axes and np.shares_memory(part.data, buffer)
+        np.testing.assert_array_equal(part.data, vol.data[_index(vol, block)])
+        np.testing.assert_array_equal(read_volume(path, block).data, part.data)
     blocks = tmp_path / "blocks.lrv"
     write_volume(Volume(vol.axes, np.zeros(vol.dims)), blocks)
     twin = tmp_path / "twin.lrv"
     write_complex(twin, vol.axes, np.zeros(vol.dims), code)
     zeros = twin.read_bytes()
-    for rx in range(3):
-        block = {"rx": slice(rx, rx + 1)}
-        part = Volume(want, whole.data[_index(whole, block)])
+    for sy in range(2):
+        block = {"sy": slice(sy, sy + 1)}
+        part = Volume(vol.axes, vol.data[_index(vol, block)])
         write_volume(part, blocks, block=block)
         with _refused(code):
             write_volume(part, twin, block=block)
@@ -377,23 +387,24 @@ def test_short_transfers_are_completed(tmp_path, monkeypatch):
     assert len(writes) > 1 and len(reads) > 1
 
 
-@pytest.mark.parametrize("axes", [None, ("t", "rx", "ry", "sx", "sy")],
+@pytest.mark.parametrize("axes", [("rx", "ry", "sx", "sy", "t"), ("t", "rx", "ry", "sx", "sy")],
                          ids=["file-order", "another-order"])
 def test_whole_read_holds_no_second_copy(tmp_path, axes):
     # A whole read goes straight into the array it returns, in the file's
-    # axis order, or through the small staging array in another: the
+    # axis order, whether the file is trace-major or in another order: the
     # payload is never held twice.
     rng = np.random.default_rng(11)
-    vol = Volume(("rx", "ry", "sx", "sy", "t"), rng.standard_normal((4, 4, 4, 4, 1024)))
+    vol = Volume(axes, rng.standard_normal((4, 4, 4, 4, 1024)))
     write_volume(vol, tmp_path / "in.lrv")
     tracemalloc.start()
     try:
-        back = read_volume(tmp_path / "in.lrv", axes=axes)
+        back = read_volume(tmp_path / "in.lrv")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 9 * back.data.size
-    np.testing.assert_array_equal(back.data, vol.reordered(axes or vol.axes).data)
+    assert back.axes == axes
+    np.testing.assert_array_equal(back.data, vol.data)
 
 
 def test_failed_write_leaves_no_file(tmp_path, monkeypatch, vol):
@@ -483,28 +494,24 @@ def test_real_volume_is_written_as_code_2(tmp_path, axes):
 
 
 @REAL_LAYOUTS
-def test_real_block_round_trip(tmp_path, monkeypatch, axes):
-    # Blocks of a float64 file read into a float64 buffer or not, and in
-    # another axis order through the staging array; written into place,
-    # they make the whole file.
-    monkeypatch.setattr(fileio, "_STAGE_BYTES", 5 * 8)
+def test_real_block_round_trip(tmp_path, axes):
+    # Blocks of a float64 file read into a float64 buffer or not; written
+    # into place, they make the whole file.
     vol = _real_volume(axes)
     path = tmp_path / "v.lrv"
     write_volume(vol, path)
-    want = ("rx", "ry", "sx", "sy", "t")
-    whole = vol.reordered(want)
     buffer = np.full(vol.data.size, np.nan)
     for block in BLOCKS:
-        expected = whole.data[_index(whole, block)]
+        expected = vol.data[_index(vol, block)]
         for out in (None, buffer):
-            part = read_volume(path, block, out=out, axes=want)
+            part = read_volume(path, block, out=out)
             assert part.data.dtype == np.float64
             np.testing.assert_array_equal(part.data, expected)
     blocks = tmp_path / "blocks.lrv"
     with create_volume(blocks, vol.axes, vol.dims) as partial:
         for rx in range(3):
             block = {"rx": slice(rx, rx + 1)}
-            write_volume(Volume(want, whole.data[_index(whole, block)]), partial,
+            write_volume(Volume(vol.axes, vol.data[_index(vol, block)]), partial,
                          block=block)
     assert blocks.read_bytes() == path.read_bytes()
 

@@ -32,8 +32,8 @@ from lrfill.volume import (
     dft_time_axis,
 )
 
-# The order of the files lrfill wrote before it wrote trace-major; it still
-# reads them, a time sample at a time.
+# The order of the files lrfill wrote before it wrote trace-major; a run
+# refuses them at the header.
 TIME_FIRST = ("t", "rx", "ry", "sx", "sy")
 
 
@@ -377,17 +377,16 @@ def test_many_threads_write_only_their_own_bins(tmp_path):
     assert res_many.overall_snr_db == res_one.overall_snr_db
 
 
-def _long_record_run(tmp_path, nt, layout=TIME_FIRST):
-    """Write a long record on a small grid, in the axis order ``layout``,
-    and run it with its truth over 3.0-3.03 Hz; the ``tracemalloc`` peak of
-    the run, the volume's bytes and the result.  A time-first file is read
-    in many short runs per block, so it shows what the runs cost."""
+def _long_record_run(tmp_path, nt):
+    """Write a long record on a small grid and run it with its truth over
+    3.0-3.03 Hz; the ``tracemalloc`` peak of the run, the volume's bytes
+    and the result."""
     spec = EventSpec(n_rx=4, n_ry=3, n_sx=3, n_sy=2, spacing_m=25.0,
                      nt=nt, dt=0.004, events=[(0.030, 0.0001, 0.00005, 1.0)],
                      wavelet_peak_hz=80.0)
     vol = linear_events(spec)
     nbytes = vol.data.nbytes
-    write_volume(vol.reordered(layout), tmp_path / "in.lrv")
+    write_volume(vol, tmp_path / "in.lrv")
     del vol
     write_mask(jittered_volume_mask(4, 3, 3, 2, 0.5, seed=1), tmp_path / "mask.lrm")
     cfg = PipelineConfig(input=str(tmp_path / "in.lrv"), output=str(tmp_path / "out.lrv"),
@@ -410,50 +409,28 @@ def _largest_block(nt):
                          for b in pipeline.trace_blocks(dims))
 
 
-def test_run_holds_few_copies_of_the_volume(tmp_path):
+def test_trace_major_run_holds_two_blocks_per_pass(tmp_path):
     # A long record on a small grid, one solved bin: the volume's copies
     # dominate what the run allocates.  Reading, masking, both DFTs, the
     # corrections, the SNR and the write together stay below four volumes
-    # at any moment.
+    # at any moment, and each pass reads, masks and transforms its blocks
+    # in two buffers of the largest block, allocated once: the run's peak
+    # is little more.
     peak, nbytes, res = _long_record_run(tmp_path, 8192)
     assert len(res.rows) == 1
     assert peak <= 4 * nbytes, f"peak {peak / nbytes:.2f} volumes"
-
-
-def test_run_holds_two_blocks_per_pass(tmp_path):
-    # Each pass reads, masks and transforms its blocks in two buffers of
-    # the largest block, allocated once: the run's peak is little more.
-    peak, _, _ = _long_record_run(tmp_path, 8192)
     block = _largest_block(8192)
     assert peak <= 2.5 * block, f"peak {peak / block:.2f} blocks"
-
-
-def test_trace_major_run_holds_two_blocks_per_pass(tmp_path):
-    # The bounds of the time-first runs above hold for a trace-major file.
-    peak, nbytes, res = _long_record_run(tmp_path, 8192, CANONICAL_AXES)
-    assert len(res.rows) == 1
-    assert peak <= 4 * nbytes, f"peak {peak / nbytes:.2f} volumes"
-    block = _largest_block(8192)
-    assert peak <= 2.5 * block, f"peak {peak / block:.2f} blocks"
-
-
-@pytest.mark.slow
-def test_run_memory_does_not_grow_with_the_record(tmp_path):
-    _memory_does_not_grow_with_the_record(tmp_path, TIME_FIRST)
 
 
 def test_trace_major_run_memory_does_not_grow_with_the_record(tmp_path):
-    _memory_does_not_grow_with_the_record(tmp_path, CANONICAL_AXES)
-
-
-def _memory_does_not_grow_with_the_record(tmp_path, layout):
     # The run streams blocks of traces: its peak is a fraction of the
     # volume and stays put when the record doubles, although the band then
     # holds twice the bins.
-    peak, nbytes, res = _long_record_run(tmp_path, 32768, layout)
+    peak, nbytes, res = _long_record_run(tmp_path, 32768)
     assert len(res.rows) == 4
     assert peak <= 0.5 * nbytes, f"peak {peak / nbytes:.2f} volumes"
-    peak2, _, res2 = _long_record_run(tmp_path, 2 * 32768, layout)
+    peak2, _, res2 = _long_record_run(tmp_path, 2 * 32768)
     assert len(res2.rows) == 8
     assert peak2 <= 1.1 * peak, f"peak {peak2 / peak:.2f} times the peak at half the record"
 
@@ -546,9 +523,10 @@ def test_run_calls_each_stage_once_per_block(tmp_path, monkeypatch, f_min, f_max
                          ids=["trace-major", "time-first"])
 def test_block_is_read_and_written_in_one_call_per_run(tmp_path, monkeypatch, layout):
     # A block over whole trailing axes of a trace-major file is one
-    # contiguous run: one call reads it.  A time-first file takes one call
-    # per time sample.  The output is written trace-major, one call per
-    # block, and both files give the same output and SNR.
+    # contiguous run: one call reads it.  The output is written
+    # trace-major, one call per block, with the output and SNR of the run
+    # in one block.  A time-first file is refused at its header, with no
+    # call at all and no output.
     vol = small_volume()
     write_volume(vol, tmp_path / "trace-major.lrv")
     write_volume(vol.reordered(layout), tmp_path / "in.lrv")
@@ -572,12 +550,16 @@ def test_block_is_read_and_written_in_one_call_per_run(tmp_path, monkeypatch, la
             per_call[name].append(calls[key] - before)
             return out
         monkeypatch.setattr(pipeline, name, moved)
+    if layout == TIME_FIRST:
+        with pytest.raises(AxisLayoutError, match="in.lrv: axes"):
+            _masked_run(tmp_path, tmp_path / "out.lrv", input=tmp_path / "in.lrv")
+        assert calls == {"preadv": 0, "pwritev": 0}
+        assert not list(tmp_path.glob("out.lrv*"))
+        return
     res = _masked_run(tmp_path, tmp_path / "out.lrv", truth=tmp_path / "in.lrv",
                       input=tmp_path / "in.lrv")
-    nt = vol.dims[-1]
-    runs = 1 if layout == CANONICAL_AXES else nt
     # Pass 1 reads the input and the truth of each block, pass 2 the input.
-    assert per_call["read_volume"] == [runs] * (3 * len(blocks))
+    assert per_call["read_volume"] == [1] * (3 * len(blocks))
     assert per_call["write_volume"] == [1] * len(blocks)
     out, ref_out = read_volume(tmp_path / "out.lrv"), read_volume(tmp_path / "ref.lrv")
     assert out.axes == CANONICAL_AXES
@@ -591,12 +573,13 @@ def test_block_is_read_and_written_in_one_call_per_run(tmp_path, monkeypatch, la
 def test_non_finite_sample_in_the_last_block_stops_before_any_solve(
         tmp_path, monkeypatch, bad, layout):
     # Every block read into the reused buffers is checked: a NaN in the
-    # last sample of the last block of the input or of the truth, in a
-    # trace-major or a time-first file, stops the run before any slice is
-    # solved, and leaves no output.
+    # last sample of the last block of the input or of the truth stops the
+    # run before any slice is solved, and leaves no output.  Written
+    # time-first, the file with the NaN stops the run at its header, before
+    # any block is read.
     vol = small_volume().reordered(layout)
     for name in ("input", "truth"):
-        write_volume(vol, tmp_path / f"{name}.lrv")
+        write_volume(vol if name == bad else small_volume(), tmp_path / f"{name}.lrv")
     write_mask(jittered_volume_mask(4, 3, 3, 2, 0.5, seed=1), tmp_path / "mask.lrm")
     monkeypatch.setattr(pipeline, "BLOCK_BYTES", 16 * 16 * 5)
     last = list(pipeline.trace_blocks(small_volume().dims))[-1]
@@ -608,13 +591,15 @@ def test_non_finite_sample_in_the_last_block_stops_before_any_solve(
         fh.seek(os.path.getsize(path) - vol.data.nbytes + vol.data.itemsize * int(at))
         fh.write(np.array([np.nan], dtype=vol.data.dtype).tobytes())
     counts = _block_counts(monkeypatch)
-    with pytest.raises(ValueError, match="non-finite"):
+    error = "non-finite" if layout == CANONICAL_AXES else f"{bad}.lrv: axes"
+    with pytest.raises(ValueError, match=error):
         _masked_run(tmp_path, tmp_path / "out.lrv", truth=tmp_path / "truth.lrv",
                     input=tmp_path / "input.lrv")
     assert counts["interpolate_slice"] == 0
     # Pass 1 reads the input, then the truth, of each block.
     blocks = len(list(pipeline.trace_blocks(small_volume().dims)))
-    assert counts["read_volume"] == 2 * blocks - (bad == "input")
+    reads = 2 * blocks - (bad == "input") if layout == CANONICAL_AXES else 0
+    assert counts["read_volume"] == reads
     assert not (tmp_path / "out.lrv").exists()
     assert not (tmp_path / "out.lrv.part").exists()
 
@@ -738,36 +723,32 @@ def test_overall_snr_is_exact_near_a_perfect_reconstruction(tmp_path):
 
 @pytest.mark.parametrize("layout", [("sy", "sx", "ry", "rx", "t"),
                                     ("rx", "t", "ry", "sx", "sy")])
-def test_any_layout_runs_as_the_canonical_file(tmp_path, layout):
-    # A file in another axis order gives the output and SNR of the
-    # canonical file of the same values.
+def test_any_layout_runs_as_the_canonical_file(tmp_path, monkeypatch, layout):
+    # A file in another axis order is refused at its header, as the input
+    # or as the truth, before any block is read.  Read whole and written
+    # trace-major, the conversion README gives, it is the canonical file
+    # byte for byte, so it runs as that file does.
     vol = small_volume()
+    write_volume(vol, tmp_path / "in.lrv")
+    other = tmp_path / "other.lrv"
+    write_volume(vol.reordered(layout), other)
     write_mask(jittered_volume_mask(4, 3, 3, 2, 0.5, seed=1), tmp_path / "mask.lrm")
-
-    def run(name, write):
-        path = tmp_path / f"{name}.lrv"
-        write(path)
-        cfg = PipelineConfig(input=str(path), output=str(tmp_path / f"{name}_out.lrv"),
-                             mask=str(tmp_path / "mask.lrm"), truth=str(path),
-                             rank=3, eta_fraction=0.01, alpha=0.5, outer_iters=8,
-                             inner_iters=400)
-        res = run_interpolation(cfg)
-        return read_volume(cfg.output), res
-
-    ref_out, ref = run("canonical", lambda path: write_volume(vol, path))
-    out, res = run("other", lambda path: write_volume(vol.reordered(layout), path))
-    assert out.axes == ref_out.axes == CANONICAL_AXES
-    assert np.linalg.norm(out.data - ref_out.data) <= 1e-12 * np.linalg.norm(ref_out.data)
-    assert res.overall_snr_db == pytest.approx(ref.overall_snr_db, rel=1e-12)
+    counts = _block_counts(monkeypatch)
+    for input, truth in ((other, None), (tmp_path / "in.lrv", other)):
+        with pytest.raises(AxisLayoutError, match="other.lrv: axes"):
+            _masked_run(tmp_path, tmp_path / "out.lrv", truth=truth, input=input)
+    assert counts["read_volume"] == 0
+    assert not list(tmp_path.glob("out.lrv*"))
+    write_volume(read_volume(other).reordered(CANONICAL_AXES), tmp_path / "converted.lrv")
+    assert (tmp_path / "converted.lrv").read_bytes() == (tmp_path / "in.lrv").read_bytes()
 
 
 def test_uneven_blocks_of_a_file_in_another_order(tmp_path, monkeypatch):
-    # Blocks of 4 and 2 traces, each staged from a file in another axis
-    # order into buffers that still hold the previous block, give the
-    # output and SNR of the canonical file run in one block.
+    # Blocks of 4 and 2 traces, each read into buffers that still hold the
+    # previous block, give the output and SNR of the same canonical file
+    # run in one block.
     vol = small_volume()
     write_volume(vol, tmp_path / "canonical.lrv")
-    write_volume(vol.reordered(("sy", "sx", "ry", "rx", "t")), tmp_path / "other.lrv")
     write_mask(jittered_volume_mask(4, 3, 3, 2, 0.5, seed=1), tmp_path / "mask.lrm")
     ref = _masked_run(tmp_path, tmp_path / "ref.lrv", truth=tmp_path / "canonical.lrv",
                       input=tmp_path / "canonical.lrv")
@@ -775,8 +756,8 @@ def test_uneven_blocks_of_a_file_in_another_order(tmp_path, monkeypatch):
     sizes = [math.prod(s.stop - s.start for s in b.values())
              for b in pipeline.trace_blocks(vol.dims)]
     assert len(sizes) == 24 and set(sizes) == {4, 2}
-    res = _masked_run(tmp_path, tmp_path / "out.lrv", truth=tmp_path / "other.lrv",
-                      input=tmp_path / "other.lrv")
+    res = _masked_run(tmp_path, tmp_path / "out.lrv", truth=tmp_path / "canonical.lrv",
+                      input=tmp_path / "canonical.lrv")
     out, ref_out = read_volume(tmp_path / "out.lrv"), read_volume(tmp_path / "ref.lrv")
     assert np.linalg.norm(out.data - ref_out.data) <= 1e-12 * np.linalg.norm(ref_out.data)
     assert res.overall_snr_db == pytest.approx(ref.overall_snr_db, rel=1e-12)
