@@ -29,9 +29,11 @@ t)``, the order of SEG-Y field data: every trace is contiguous, and a
 block of whole traces over whole trailing axes is one contiguous run of
 the payload.  :func:`read_canonical_header` refuses a volume in any other
 axis order at its header.  The library moves payloads in their file's own
-axis order only, one call per contiguous run: it reads and writes a file
-of any axis labels, and writes a block into a file only in the file's
-order.
+axis order only: it reads and writes a file of any axis labels, and
+writes a block into a file only in the file's order.  A block is moved
+one call per contiguous run, each at an offset worked out from the
+strides as it is reached, so a box of many short runs costs no list of
+their offsets.
 
 This is where samples cross the program's boundary, so both ways they are
 checked for NaNs and infinities: a payload after it is read, whole or a
@@ -41,7 +43,6 @@ block, and a volume or a block before any byte of it is written.
 from __future__ import annotations
 
 import contextlib
-import itertools
 import math
 import os
 
@@ -71,9 +72,6 @@ _MAX_HEADER = 4 + 1 + 1 + 1 + len(AXIS_LABELS) * (1 + 8)
 # float64 and complex float32 samples, are refused.
 _SAMPLE_DTYPE = np.dtype("<f8")
 _SAMPLE_CODE = 2
-# Runs of a transfer whose offsets are built at a time, so that a box of
-# many short runs costs no list of them all.
-_CHUNK_RUNS = 4096
 
 
 class FileFormatError(ValueError):
@@ -179,52 +177,32 @@ def _move(call, fd: int, view: memoryview, at: int):
         view, at = view[done:], at + done
 
 
-def _move_runs(call, fd: int, data: np.ndarray, offsets: np.ndarray):
-    """The C-contiguous ``data`` through :func:`_move`, in runs of equal
-    length, one at each byte offset of ``offsets``.  (A function of its
-    own: under ``tracemalloc`` every object made here looks up a line of
-    the function it is made in, which costs less in a short one.)"""
-    raw = memoryview(data.reshape(-1).view(np.uint8))
-    nbytes = len(raw) // len(offsets)
-    for i, at in enumerate(offsets.tolist()):
-        _move(call, fd, raw[i * nbytes:(i + 1) * nbytes], at)
-
-
 def _transfer(fd: int, data: np.ndarray, pos: int, extents, box, write: bool):
     """Read or write ``data``, the C-contiguous samples of ``box`` in the
     file's axis order, from or to the payload at byte ``pos`` of the file,
-    whose samples are of the type of ``data``, one call per contiguous run
-    of the box, in place.  The payload is never mapped into memory.
+    whose samples are of the type of ``data``, in place.  The payload is
+    never mapped into memory.
 
-    The runs are moved a chunk at a time, a box of at most ``_CHUNK_RUNS``
-    runs, so that a box of many short runs costs no list of them all.
+    A run spans the range of the box's last cut axis and the whole axes
+    after it, so it is contiguous in the file.  The runs are taken in
+    order, each moved in one call through :func:`_move` at an offset
+    worked out from the strides, and no list or array of offsets is built.
     """
     if data.size == 0:
         return
-    # A unit axis in front gives every box an axis that indexes its runs.
-    data, extents, box = data[None], (1, *extents), [(0, 1), *box]
-    # A run spans whole trailing axes.
-    last = len(extents) - 1
-    while last > 1 and box[last] == (0, extents[last]):
-        last -= 1
+    cut = max((i for i, span in enumerate(box) if span != (0, extents[i])), default=0)
     strides = [math.prod(extents[i + 1:]) for i in range(len(extents))]
-    lead = data.shape[:last]
-    # A chunk takes one index of each lead axis before axis j, a range of
-    # axis j and all of the axes after it, whose runs lie ``inner`` apart.
-    j, inner = last - 1, np.zeros(1, dtype=np.int64)
-    while j > 0 and inner.size * lead[j] <= _CHUNK_RUNS:
-        inner = (np.arange(lead[j])[:, None] * strides[j] + inner).ravel()
-        j -= 1
-    width = min(lead[j], _CHUNK_RUNS // inner.size)
-    first = sum(start * stride for (start, _), stride in zip(box, strides))
+    runs = math.prod(data.shape[:cut])
+    raw = memoryview(data.reshape(-1).view(np.uint8))
+    nbytes = len(raw) // runs
     call = os.pwritev if write else os.preadv
-    for outer in itertools.product(*map(range, lead[:j])):
-        head = first + sum(i * stride for i, stride in zip(outer, strides))
-        for start in range(0, lead[j], width):
-            stop = min(start + width, lead[j])
-            offsets = pos + data.itemsize * (
-                head + np.arange(start, stop)[:, None] * strides[j] + inner).ravel()
-            _move_runs(call, fd, data[outer + (slice(start, stop),)], offsets)
+    for i in range(runs):
+        # Run i's index on each axis before the cut one, the last fastest.
+        at, rest = box[cut][0] * strides[cut], i
+        for (start, stop), stride in zip(reversed(box[:cut]), reversed(strides[:cut])):
+            rest, k = divmod(rest, stop - start)
+            at += (start + k) * stride
+        _move(call, fd, raw[i * nbytes:(i + 1) * nbytes], pos + data.itemsize * at)
 
 
 def _read_file(path, magic: bytes, with_scalar: bool, what: str, block=None, out=None):

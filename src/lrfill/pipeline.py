@@ -109,11 +109,14 @@ class PipelineConfig:
             raise ValueError("seed must be nonnegative")
         if not 0.0 <= self.eta_fraction < 1.0:
             raise ValueError("eta_fraction must lie in [0, 1)")
-        # The report is written last, over whatever file it names.
-        for key in ("input", "output", "truth", "mask"):
-            path = getattr(self, key)
-            if self.report and path and os.path.realpath(path) == os.path.realpath(self.report):
-                raise ValueError(f"report {self.report!r} names the {key} file")
+        # The report is written last, over whatever file it names, and the
+        # output when the run ends, over the file it names: that may be the
+        # input, read by then, but not the mask, a file of another format.
+        for name, key in (("report", "input"), ("report", "output"), ("report", "truth"),
+                          ("report", "mask"), ("output", "mask")):
+            path, data = getattr(self, name), getattr(self, key)
+            if path and data and os.path.realpath(data) == os.path.realpath(path):
+                raise ValueError(f"{name} {path!r} names the {key} file")
         # The solver settings pass their own checks before any data is read.
         self.outer_config(rank=1, eta=0.0, seed=0)
 

@@ -82,7 +82,9 @@ def write_report(path: str | os.PathLike, rows, aggregates: dict | None = None):
 
 def read_report(path: str | os.PathLike):
     """Read a report CSV; returns (rows as dicts with floats parsed,
-    aggregates dict)."""
+    aggregates dict).  A CSV whose header lacks any of ``REPORT_COLUMNS``
+    is not a run report and raises ``ValueError`` naming the file and the
+    columns it lacks."""
     aggregates = {}
     lines = []
     with open(path) as fh:
@@ -92,8 +94,13 @@ def read_report(path: str | os.PathLike):
                 aggregates[key.strip()] = value.strip()
             else:
                 lines.append(line)
+    reader = csv.DictReader(lines)
+    missing = [c for c in REPORT_COLUMNS if c not in (reader.fieldnames or ())]
+    if missing:
+        raise ValueError(f"{os.fspath(path)}: not a run report, it lacks the "
+                         f"columns {', '.join(missing)}")
     rows = []
-    for rec in csv.DictReader(lines):
+    for rec in reader:
         parsed = {}
         for key, value in rec.items():
             if key in ("rank", "outer_iters", "inner_iters"):

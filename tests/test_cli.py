@@ -267,6 +267,37 @@ def test_interpolate_mismatched_truth_stops_before_any_solve(tmp_path, events_sp
     assert not (tmp_path / "report.csv").exists()
 
 
+def test_interpolate_output_naming_the_mask_stops_before_any_data(
+        tmp_path, events_spec_file, monkeypatch):
+    # The output replaces the file it names when the run ends, so an output
+    # path that resolves to the mask, however it is spelled, would replace
+    # the mask with a volume.
+    vol_path = tmp_path / "vol.lrv"
+    main(["generate", "--spec", str(events_spec_file), "--out", str(vol_path)])
+    mask = tmp_path / "mask.lrm"
+    main(["subsample", "--input", str(vol_path), "--keep", "0.5", "--seed", "1",
+          "--out-volume", str(tmp_path / "sub.lrv"), "--out-mask", str(mask)])
+    before = mask.read_bytes()
+    reads = []
+    preadv = os.preadv
+
+    def counting(*args):
+        reads.append(1)
+        return preadv(*args)
+
+    monkeypatch.setattr(os, "preadv", counting)
+    (tmp_path / "sub").mkdir()
+    report = tmp_path / "report.csv"
+    rc = main(["interpolate", "--input", str(tmp_path / "sub.lrv"), "--mask", str(mask),
+               "--output", str(tmp_path / "sub" / ".." / "mask.lrm"),
+               "--report", str(report), "--rank", "2"])
+    assert rc == 2
+    assert reads == []
+    assert mask.read_bytes() == before
+    assert not report.exists()
+    assert not list(tmp_path.glob("**/*.part"))
+
+
 @pytest.mark.parametrize("key", ["input", "output", "truth", "mask"])
 def test_interpolate_report_naming_a_data_file_stops_before_any_data(
         tmp_path, events_spec_file, monkeypatch, key):
@@ -375,6 +406,24 @@ def test_compare(tmp_path):
         diff = list(csv.DictReader(fh))
     assert len(diff) == 2
     assert float(diff[0]["snr_delta_db"]) == 0.0
+
+
+@pytest.mark.parametrize("text", ["a,b\n1,2\n", "freq_hz,rank\n5.0,3\n"],
+                         ids=["other-columns", "some-columns"])
+def test_compare_refuses_a_csv_that_is_not_a_report(tmp_path, capsys, text):
+    # A CSV without every report column exits 2 with an error that names
+    # it, and writes no comparison.
+    a = tmp_path / "a.csv"
+    write_report(a, [SliceReport(freq_hz=5.0, rank=3, snr_db=20.0, wall_s=1.0)])
+    b = tmp_path / "b.csv"
+    b.write_text(text)
+    out = tmp_path / "diff.csv"
+    rc = main(["compare", "--a", str(a), "--b", str(b), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "b.csv: not a run report" in err
+    assert "snr_db" in err
+    assert not out.exists()
 
 
 def test_missing_file_is_clean_error(tmp_path):
