@@ -2,11 +2,9 @@
 
 from .altmin import (
     OuterConfig,
-    RankSchedule,
     eta_schedule,
     init_factors,
     interpolate_slice,
-    rank_for_frequency,
 )
 from .fileio import (
     BadMagicError,

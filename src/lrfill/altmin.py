@@ -14,37 +14,15 @@ from .pdsolver import _TINY, FactorPair, PdConfig, solve_factor
 from .reporting import SliceReport
 
 
-@dataclass(frozen=True)
-class RankSchedule:
-    """Linear rank-vs-frequency interpolation between two anchor points."""
-
-    f_lo: float
-    r_lo: int
-    f_hi: float
-    r_hi: int
-
-    def __post_init__(self):
-        if self.r_lo < 1 or self.r_hi < 1:
-            raise ValueError("ranks must be at least 1")
-        if not self.f_lo < self.f_hi:
-            raise ValueError("f_lo must be below f_hi")
-
-
-def rank_for_frequency(sched: RankSchedule, f_hz: float) -> int:
-    """Rank at frequency f: linear between the anchors, rounded to nearest,
-    clamped to the anchor range outside [f_lo, f_hi]."""
-    t = (f_hz - sched.f_lo) / (sched.f_hi - sched.f_lo)
-    t = min(max(t, 0.0), 1.0)
-    return int(np.floor(sched.r_lo + (sched.r_hi - sched.r_lo) * t + 0.5))
-
-
 @dataclass
 class OuterConfig:
     """Configuration of one slice interpolation.
 
-    ``eta_target`` is the slice's residual budget, an absolute norm: a run
-    passes ``eta_fraction * ||b||`` of its slice.  ``outer_tol`` bounds the
-    relative change of the product at which the outer loop stops.
+    ``rank``, at least 1, is the rank of the factors, cut to the slice's
+    smaller side.  ``eta_target`` is the slice's residual budget, an
+    absolute norm: a run passes ``eta_fraction * ||b||`` of its slice.
+    ``outer_tol`` bounds the relative change of the product at which the
+    outer loop stops.
     """
 
     rank: int
@@ -56,6 +34,8 @@ class OuterConfig:
     pd: PdConfig = field(default_factory=PdConfig)
 
     def __post_init__(self):
+        if self.rank < 1:
+            raise ValueError("rank must be at least 1")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
         if self.outer_iters < 1:
@@ -123,7 +103,7 @@ def interpolate_slice(op, b, cfg: OuterConfig):
     t_start = time.perf_counter()
     b = np.asarray(b, dtype=np.complex128)
     p, q = op.factor_shape
-    r = max(1, min(cfg.rank, p, q))
+    r = min(cfg.rank, p, q)
     b_norm = float(np.linalg.norm(b))
     eta_target = cfg.eta_target
 

@@ -36,19 +36,24 @@ def _parse_floats(text, n, what):
     return parts
 
 
-def cmd_generate(args) -> int:
-    # The spec's keys are the fields of EventSpec; events come from
-    # repeated ``event`` keys.  A bad spec stops before anything is written.
-    raw = parse_kv_file(args.spec)
+def load_event_spec(path) -> EventSpec:
+    """The events spec of ``generate``: its keys are the fields of
+    :class:`EventSpec`, and its events come from repeated ``event`` keys."""
+    raw = parse_kv_file(path)
     events_raw = raw.pop("event", [])
     if isinstance(events_raw, str):
         events_raw = [events_raw]
     events = [tuple(_parse_floats(e, 4, "event")) for e in events_raw]
-    spec = config_from_dict({"spacing_m": "25.0", "dt": "0.004", **raw}, EventSpec,
+    return config_from_dict({"spacing_m": "25.0", "dt": "0.004", **raw}, EventSpec,
                             events=events)
+
+
+def cmd_generate(args) -> int:
+    # A bad spec stops before anything is written.
+    spec = load_event_spec(args.spec)
     vol = linear_events(spec)
     write_volume(vol, args.out)
-    print(f"wrote {len(events)}-event volume {vol.dims} to {args.out}")
+    print(f"wrote {len(spec.events)}-event volume {vol.dims} to {args.out}")
     return 0
 
 

@@ -139,11 +139,13 @@ def solve_levelset(op, b, eta, r, cfg: LevelSetConfig | None = None):
     points.  Each secant candidate is forced inside the current bracket,
     falling back to bisection, so the endpoints straddle eta throughout.
     """
+    if r < 1:
+        raise ValueError("rank must be at least 1")
     t_start = time.perf_counter()
     cfg = cfg or LevelSetConfig()
     b = np.asarray(b, dtype=np.complex128)
     p, q = op.factor_shape
-    r = max(1, min(r, p, q))
+    r = min(r, p, q)
     b_norm = float(np.linalg.norm(b))
     if eta >= b_norm:
         return zero_completion(p, q, r, b_norm, eta, t_start)

@@ -23,7 +23,7 @@ from typing import get_args, get_type_hints
 
 import numpy as np
 
-from .altmin import OuterConfig, RankSchedule, interpolate_slice, rank_for_frequency
+from .altmin import OuterConfig, interpolate_slice
 from .fileio import create_volume, read_canonical_header, read_mask, read_volume, write_volume
 from .levelset import LevelSetConfig, solve_levelset
 from .pdsolver import PdConfig
@@ -62,7 +62,8 @@ class PipelineConfig:
     the slices is not a key: every run unfolds them by ``matricization``,
     the source-receiver unfolding of Kumar et al. (Geophysics 2015), rows
     ``(ry, sy)`` and columns ``(rx, sx)``, which criterion 6 confirms on
-    the desk data.
+    the desk data.  ``rank`` has no default: every bin of a run is solved
+    at that one rank, cut to the smaller side of the unfolded slice.
 
     ``solver = levelset`` ignores ``alpha`` and ``outer_tol`` (both are
     still checked), reads ``outer_iters`` as a third of its root-find cap
@@ -72,6 +73,7 @@ class PipelineConfig:
 
     input: str
     output: str
+    rank: int
     mask: str | None = None
     report: str | None = None
     truth: str | None = None
@@ -79,8 +81,6 @@ class PipelineConfig:
     f_min: float = 3.0
     f_max: float = 70.0
     dt: float = 0.004
-    rank: int | None = None
-    rank_schedule: RankSchedule | None = None
     eta_fraction: float = 0.03
     alpha: float = 0.1
     outer_iters: int = 15
@@ -91,16 +91,10 @@ class PipelineConfig:
     matricization = MODE_REC_SRC_X
 
     def __post_init__(self):
-        if isinstance(self.rank_schedule, str):
-            self.rank_schedule = parse_rank_schedule(self.rank_schedule)
         if self.solver not in SOLVERS:
             raise ValueError(f"solver must be one of {SOLVERS}")
         if not 0.0 <= self.f_min < self.f_max:
             raise ValueError("need 0 <= f_min < f_max")
-        if (self.rank is None) == (self.rank_schedule is None):
-            raise ValueError("give exactly one of rank / rank_schedule")
-        if self.rank is not None and self.rank < 1:
-            raise ValueError("rank must be at least 1")
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise ValueError("dt must be a positive finite number")
         if self.threads < 1:
@@ -117,8 +111,9 @@ class PipelineConfig:
             path, data = getattr(self, name), getattr(self, key)
             if path and data and os.path.realpath(data) == os.path.realpath(path):
                 raise ValueError(f"{name} {path!r} names the {key} file")
-        # The solver settings pass their own checks before any data is read.
-        self.outer_config(rank=1, eta=0.0, seed=0)
+        # The solver settings, the rank among them, pass their own checks
+        # before any data is read.
+        self.outer_config(rank=self.rank, eta=0.0, seed=0)
 
     def outer_config(self, rank: int, eta: float, seed: int) -> OuterConfig:
         """The alternating solver's settings for one slice of budget ``eta``."""
@@ -148,21 +143,9 @@ def parse_kv_file(path) -> dict:
     return out
 
 
-def parse_rank_schedule(text: str) -> RankSchedule:
-    """Schedule syntax ``f_lo:r_lo,f_hi:r_hi`` (Hz and integer ranks)."""
-    try:
-        lo, hi = text.split(",")
-        f_lo, r_lo = lo.split(":")
-        f_hi, r_hi = hi.split(":")
-        return RankSchedule(float(f_lo), int(r_lo), float(f_hi), int(r_hi))
-    except (ValueError, TypeError) as exc:
-        raise ValueError(f"bad rank schedule {text!r}, want 'f:r,f:r'") from exc
-
-
 def config_parser(f: Field, cls: type = PipelineConfig) -> type:
     """Parser of a value of field ``f`` of ``cls``: ``int`` or ``float``
-    when the field is annotated so (alone or ``| None``), else ``str``.  A
-    ``rank_schedule`` string is parsed by ``PipelineConfig.__post_init__``."""
+    when the field is annotated so (alone or ``| None``), else ``str``."""
     hint = get_type_hints(cls)[f.name]
     return next((t for t in (int, float) if t is hint or t in get_args(hint)), str)
 
@@ -442,15 +425,7 @@ def run_interpolation(cfg: PipelineConfig) -> RunResult:
         raise ValueError("SNR undefined for all-zero truth")
 
     op = MeasurementOp(mask, Matricization(cfg.matricization, *extents))
-    p, q = op.factor_shape
-
-    def rank_at(f_hz):
-        if cfg.rank is not None:
-            r = cfg.rank
-        else:
-            r = rank_for_frequency(cfg.rank_schedule, f_hz)
-        return max(1, min(r, p, q))
-
+    rank = min(cfg.rank, *op.factor_shape)
     fully_observed = bool(op.observed.all())
     self_conjugate = _self_conjugate_bins(nt)
 
@@ -460,7 +435,6 @@ def run_interpolation(cfg: PipelineConfig) -> RunResult:
         k = in_band[i]
         b = done = observed[i]
         freq_hz = float(freqs[k])
-        rank = rank_at(freq_hz)
         eta = cfg.eta_fraction * float(np.linalg.norm(b))
         if fully_observed:
             # Nothing to interpolate: pass the slice through untouched.

@@ -4,11 +4,9 @@ import pytest
 from lrfill import altmin
 from lrfill.altmin import (
     OuterConfig,
-    RankSchedule,
     eta_schedule,
     init_factors,
     interpolate_slice,
-    rank_for_frequency,
 )
 from lrfill.levelset import solve_levelset
 from lrfill.pdsolver import PdConfig
@@ -81,28 +79,6 @@ class TestInitFactors:
             init_factors(4, 4, 0, seed=0)
 
 
-class TestRankSchedule:
-    def test_endpoints(self):
-        sched = RankSchedule(3.0, 30, 70.0, 100)
-        assert rank_for_frequency(sched, 3.0) == 30
-        assert rank_for_frequency(sched, 70.0) == 100
-
-    def test_reference_schedule_midpoint(self):
-        sched = RankSchedule(3.0, 30, 70.0, 100)
-        assert rank_for_frequency(sched, 36.5) == 65
-
-    def test_clamped_outside(self):
-        sched = RankSchedule(3.0, 30, 70.0, 100)
-        assert rank_for_frequency(sched, 1.0) == 30
-        assert rank_for_frequency(sched, 200.0) == 100
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RankSchedule(10.0, 5, 3.0, 8)
-        with pytest.raises(ValueError):
-            RankSchedule(3.0, 0, 70.0, 8)
-
-
 class TestOuterConfig:
     def test_eta_target_is_required_finite_and_nonnegative(self):
         with pytest.raises(TypeError):
@@ -111,6 +87,11 @@ class TestOuterConfig:
             with pytest.raises(ValueError, match="eta_target"):
                 OuterConfig(rank=3, eta_target=eta)
         assert OuterConfig(rank=3, eta_target=0.0).eta_target == 0.0
+
+    @pytest.mark.parametrize("rank", [0, -3])
+    def test_rank_below_one_rejected(self, rank):
+        with pytest.raises(ValueError, match="rank"):
+            OuterConfig(rank=rank, eta_target=0.1)
 
     @pytest.mark.parametrize("tol", [-1.0, float("nan")])
     def test_outer_tol_below_zero_or_nan_rejected(self, tol):

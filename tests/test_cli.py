@@ -298,6 +298,37 @@ def test_interpolate_output_naming_the_mask_stops_before_any_data(
     assert not list(tmp_path.glob("**/*.part"))
 
 
+@pytest.mark.parametrize("schedule, error", [
+    (None, "missing required keys ['rank']"),
+    ("3:30,70:100", "unknown config key 'rank_schedule'"),
+], ids=["no-rank", "rank-schedule"])
+def test_interpolate_without_a_rank_stops_before_any_data(tmp_path, events_spec_file,
+                                                          monkeypatch, capsys, schedule, error):
+    # Every bin is solved at the one rank the run is given: a run without
+    # it, or with the rank schedule of an old config file, reads no data.
+    vol_path = tmp_path / "vol.lrv"
+    main(["generate", "--spec", str(events_spec_file), "--out", str(vol_path)])
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"output = {tmp_path / 'out.lrv'}\n"
+                   + (f"rank_schedule = {schedule}\n" if schedule else ""))
+    reads = []
+    preadv = os.preadv
+
+    def counting(*args):
+        reads.append(1)
+        return preadv(*args)
+
+    monkeypatch.setattr(os, "preadv", counting)
+    capsys.readouterr()
+    rc = main(["interpolate", "--config", str(cfg), "--input", str(vol_path),
+               "--report", str(tmp_path / "report.csv")])
+    assert rc == 2
+    assert error in capsys.readouterr().err
+    assert reads == []
+    assert not list(tmp_path.glob("out.lrv*"))
+    assert not (tmp_path / "report.csv").exists()
+
+
 @pytest.mark.parametrize("key", ["input", "output", "truth", "mask"])
 def test_interpolate_report_naming_a_data_file_stops_before_any_data(
         tmp_path, events_spec_file, monkeypatch, key):

@@ -23,6 +23,10 @@ Every ``lrfill`` command line in the README's CLI section parses with the
 CLI's own parser, so a flag that is renamed or removed cannot leave a
 stale example behind.
 
+Every indented ``key = value`` block of the same section builds the
+config it shows with the parser and schema the CLI uses, so a key that
+is renamed or removed cannot outlive its field in the docs.
+
 Every setting is read: each field of a ``@dataclass`` named ``*Config`` or
 ``*Spec`` is read as an attribute somewhere in the package outside that
 class's own ``__post_init__``, so no setting is validated and then ignored.
@@ -44,7 +48,8 @@ from pathlib import Path
 
 import pytest
 
-from lrfill.cli import build_parser
+from lrfill.cli import build_parser, load_event_spec
+from lrfill.pipeline import load_config
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "lrfill"
@@ -362,13 +367,16 @@ def test_check_sees_a_missing_bench_name():
         "lrfill.nowhere.run", "lrfill.pipeline.read_volumes"]
 
 
+def _cli_section(readme: str) -> str:
+    return readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+
+
 def stale_readme_commands(readme: str, parser: argparse.ArgumentParser) -> list:
     """The command lines of the ``## CLI`` section of ``readme``, each an
     indented line that starts with ``lrfill``, with ``\\`` continuations
     joined, that ``parser`` refuses."""
-    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
     stale = []
-    for line in section.replace("\\\n", " ").splitlines():
+    for line in _cli_section(readme).replace("\\\n", " ").splitlines():
         if not line.startswith("    lrfill "):
             continue
         try:
@@ -401,3 +409,58 @@ def test_check_sees_a_stale_readme_command():
         "lrfill generate --kind events --spec e.cfg --out full.lrv",
         "lrfill subsample --input full.lrv --keep 0.2 --out-volume sub.lrv --mask mask.lrm",
         "lrfill svdscan --input full.lrv --freq 10"]
+
+
+def stale_readme_configs(readme: str, workdir: Path) -> list:
+    """The first line and the error of each indented ``key = value`` block
+    of the ``## CLI`` section of ``readme`` that the CLI refuses: a block
+    with ``event`` keys as the events spec of ``generate``, any other as
+    the run config of ``interpolate``.  A block is a run of indented lines,
+    each, with its comment cut, blank or a ``key = value`` line; a block of
+    commands is none."""
+    blocks, block = [], []
+    for line in _cli_section(readme).splitlines() + [""]:
+        if line.startswith("    "):
+            block.append(line)
+            continue
+        settings = [kv.split("#", 1)[0] for kv in block]
+        if any(settings) and all("=" in kv or not kv.strip() for kv in settings):
+            blocks.append(block)
+        block = []
+    stale = []
+    for block in blocks:
+        path = workdir / "block.cfg"
+        path.write_text("\n".join(block) + "\n")
+        try:
+            is_spec = any(line.split("=")[0].strip() == "event" for line in block)
+            (load_event_spec if is_spec else load_config)(path)
+        except ValueError as exc:
+            stale.append(f"{block[0].strip()}: {exc}")
+    return stale
+
+
+def test_readme_configs_build(tmp_path):
+    assert stale_readme_configs((ROOT / "README.md").read_text(), tmp_path) == []
+
+
+def test_check_sees_a_stale_readme_config(tmp_path):
+    readme = ("# tool\n\n    input = a.lrv\n    outpt = b.lrv\n\n"
+              "## CLI\n\n"
+              "    # a comment with key=value in it\n"
+              "    lrfill interpolate --config run.cfg\n\n"
+              "A run config:\n\n"
+              "    input = a.lrv\n    output = b.lrv   # where = it goes\n    rank = 8\n\n"
+              "An old one:\n\n"
+              "    input = a.lrv\n    output = b.lrv\n    rank_schedule = 3:30,70:100\n\n"
+              "Specs:\n\n"
+              "    n_rx = 2\n    n_ry = 2\n    n_sx = 2\n    n_sy = 2\n"
+              "    spacing_m = 25.0\n    nt = 16\n    dt = 0.004\n"
+              "    event = 0.01, 0.0, 0.0, 1.0\n\n"
+              "    n_rx = 2\n    n_ry = 2\n    n_sx = 2\n    n_sy = 2\n"
+              "    spacing_m = 25.0\n    nt = 16\n    dt = 0.004\n"
+              "    event = 0.01, 0.0, 0.0, 1.0\n    event = 9.0, 0.0, 0.0, 1.0\n\n"
+              "## Library use\n\n"
+              "    outpt = b.lrv\n")
+    assert stale_readme_configs(readme, tmp_path) == [
+        "input = a.lrv: unknown config key 'rank_schedule'",
+        "n_rx = 2: event apex 9.0 outside the record"]

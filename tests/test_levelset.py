@@ -160,6 +160,17 @@ class TestSolveLevelset:
         assert len(info.value.taus) >= 12
 
 
+@pytest.mark.parametrize("rank", [0, -3])
+def test_rank_below_one_is_rejected(rank):
+    # Refused on the zero-completion exit too, where no factor is fitted.
+    mask = uniform_entry_mask(12, 12, 0.5, seed=0)
+    op = MeasurementOp(mask)
+    b = observe_slice(plant_slice(PlantSpec(p=12, q=12, rank=2, seed=1))[0].data, mask)
+    for eta in (0.1 * float(np.linalg.norm(b)), 2.0 * float(np.linalg.norm(b))):
+        with pytest.raises(ValueError, match="rank"):
+            solve_levelset(op, b, eta, rank)
+
+
 @pytest.mark.parametrize("root_tol", [float("nan"), 0.0, -1e-4])
 def test_root_tolerance_that_is_nan_or_not_positive_is_rejected(root_tol):
     with pytest.raises(ValueError, match="root_tol"):

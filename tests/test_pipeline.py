@@ -18,7 +18,6 @@ from lrfill.pipeline import (
     load_config,
     mask_volume,
     parse_kv_file,
-    parse_rank_schedule,
     run_interpolation,
 )
 from lrfill.reporting import read_report, snr_db
@@ -70,16 +69,11 @@ class TestConfigParsing:
         with pytest.raises(ValueError):
             parse_kv_file(path)
 
-    def test_rank_schedule_syntax(self):
-        sched = parse_rank_schedule("3:30,70:100")
-        assert (sched.f_lo, sched.r_lo, sched.f_hi, sched.r_hi) == (3.0, 30, 70.0, 100)
-        with pytest.raises(ValueError):
-            parse_rank_schedule("3,70")
-
     def test_unknown_key_rejected(self):
-        # The run always unfolds recsrcx: an old file's matricization key
-        # is unknown.
-        for key, value in (("tpyo", "1"), ("matricization", "srcpair")):
+        # The run always unfolds recsrcx and solves every bin at one rank:
+        # an old file's matricization or rank_schedule key is unknown.
+        for key, value in (("tpyo", "1"), ("matricization", "srcpair"),
+                           ("rank_schedule", "3:30,70:100")):
             with pytest.raises(ValueError, match="unknown config key"):
                 config_from_dict({"input": "a", "output": "b", "rank": "3", key: value})
 
@@ -96,8 +90,8 @@ class TestConfigParsing:
             PipelineConfig(input="a", output="b", rank=3, f_min=10.0, f_max=5.0)
         with pytest.raises(ValueError):
             PipelineConfig(input="a", output="b", rank=3, eta_fraction=1.5)
-        with pytest.raises(ValueError):
-            PipelineConfig(input="a", output="b")  # no rank and no schedule
+        with pytest.raises(ValueError, match=r"missing required keys \['rank'\]"):
+            config_from_dict({"input": "a", "output": "b"})
         for rank in (0, -3):
             with pytest.raises(ValueError):
                 PipelineConfig(input="a", output="b", rank=rank)
@@ -266,15 +260,6 @@ class TestRunInterpolation:
         f = freq_values_hz(16, 0.004)
         expected = sum(1 for k in range(1, 9) if 3.0 <= abs(f[k]) <= 70.0)
         assert len(rows) == expected
-
-    def test_rank_schedule_applied(self, tmp_path):
-        vol = small_volume()
-        mask = full_mask(vol.dims[:-1])
-        cfg, res = self.run(tmp_path, vol, mask, rank=None,
-                            rank_schedule="3:1,70:4", outer_iters=2,
-                            inner_iters=50)
-        by_freq = {round(r.freq_hz, 3): r.rank for r in res.rows}
-        assert by_freq[min(by_freq)] < by_freq[max(by_freq)]
 
     def test_threads_match_single_thread(self, tmp_path):
         vol = small_volume()
@@ -451,7 +436,13 @@ def test_blocks_tile_the_volume_within_the_budget(monkeypatch):
     assert len(list(pipeline.trace_blocks(dims))) == 72
 
 
-@pytest.mark.parametrize("traces", [1, 5, 7])
+# The number and the sizes of the blocks of the small volume's 72 traces
+# for a budget of 1, 5 and 7 traces.  At 5 the blocks are uneven, so
+# each block of 2 is read into buffers that still hold a block of 4.
+BLOCKS_OF_TRACES = {1: (72, {1}), 5: (24, {4, 2}), 7: (12, {6})}
+
+
+@pytest.mark.parametrize("traces", sorted(BLOCKS_OF_TRACES))
 def test_blocks_give_the_output_of_one_block(tmp_path, monkeypatch, traces):
     # Cutting the run into many blocks changes no output sample; the SNR,
     # summed block by block, moves only by rounding.
@@ -469,7 +460,9 @@ def test_blocks_give_the_output_of_one_block(tmp_path, monkeypatch, traces):
 
     one, res_one = run("one.lrv")
     monkeypatch.setattr(pipeline, "BLOCK_BYTES", 16 * 16 * traces)
-    assert len(list(pipeline.trace_blocks(vol.dims))) > 1
+    sizes = [math.prod(s.stop - s.start for s in b.values())
+             for b in pipeline.trace_blocks(vol.dims)]
+    assert (len(sizes), set(sizes)) == BLOCKS_OF_TRACES[traces]
     many, res_many = run("many.lrv")
     np.testing.assert_array_equal(many.data, one.data)
     assert res_many.overall_snr_db == pytest.approx(res_one.overall_snr_db, rel=1e-12)
@@ -741,26 +734,6 @@ def test_any_layout_runs_as_the_canonical_file(tmp_path, monkeypatch, layout):
     assert not list(tmp_path.glob("out.lrv*"))
     write_volume(read_volume(other).reordered(CANONICAL_AXES), tmp_path / "converted.lrv")
     assert (tmp_path / "converted.lrv").read_bytes() == (tmp_path / "in.lrv").read_bytes()
-
-
-def test_uneven_blocks_of_a_file_in_another_order(tmp_path, monkeypatch):
-    # Blocks of 4 and 2 traces, each read into buffers that still hold the
-    # previous block, give the output and SNR of the same canonical file
-    # run in one block.
-    vol = small_volume()
-    write_volume(vol, tmp_path / "canonical.lrv")
-    write_mask(jittered_volume_mask(4, 3, 3, 2, 0.5, seed=1), tmp_path / "mask.lrm")
-    ref = _masked_run(tmp_path, tmp_path / "ref.lrv", truth=tmp_path / "canonical.lrv",
-                      input=tmp_path / "canonical.lrv")
-    monkeypatch.setattr(pipeline, "BLOCK_BYTES", 16 * 16 * 5)
-    sizes = [math.prod(s.stop - s.start for s in b.values())
-             for b in pipeline.trace_blocks(vol.dims)]
-    assert len(sizes) == 24 and set(sizes) == {4, 2}
-    res = _masked_run(tmp_path, tmp_path / "out.lrv", truth=tmp_path / "canonical.lrv",
-                      input=tmp_path / "canonical.lrv")
-    out, ref_out = read_volume(tmp_path / "out.lrv"), read_volume(tmp_path / "ref.lrv")
-    assert np.linalg.norm(out.data - ref_out.data) <= 1e-12 * np.linalg.norm(ref_out.data)
-    assert res.overall_snr_db == pytest.approx(ref.overall_snr_db, rel=1e-12)
 
 
 class TestObservedConsistency:
