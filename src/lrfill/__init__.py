@@ -49,7 +49,6 @@ from .transforms import (
 from .volume import (
     AxisLayoutError,
     FrequencySlice,
-    Volume,
     dft_time_axis,
     freq_values_hz,
     idft_freq_axis,

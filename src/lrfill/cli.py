@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import fields
 
@@ -53,11 +54,14 @@ def cmd_generate(args) -> int:
     spec = load_event_spec(args.spec)
     vol = linear_events(spec)
     write_volume(vol, args.out)
-    print(f"wrote {len(spec.events)}-event volume {vol.dims} to {args.out}")
+    print(f"wrote {len(spec.events)}-event volume {vol.shape} to {args.out}")
     return 0
 
 
 def cmd_subsample(args) -> int:
+    # The volume would overwrite the mask: a later run could not read it.
+    if os.path.realpath(args.out_volume) == os.path.realpath(args.out_mask):
+        raise ValueError(f"--out-volume and --out-mask name one file, {args.out_mask!r}")
     # The mask is built from the header, so a bad flag stops before any
     # sample is read.
     n_rx, n_ry, n_sx, n_sy, _ = read_canonical_header(args.input)
@@ -104,7 +108,7 @@ def cmd_evaluate(args) -> int:
     estimate_dims = read_canonical_header(args.estimate)
     if estimate_dims != dims:
         raise ValueError(f"estimate dims {estimate_dims} != truth dims {dims}")
-    value = snr_db(read_volume(args.truth).data, read_volume(args.estimate).data)
+    value = snr_db(read_volume(args.truth), read_volume(args.estimate))
     print(f"SNR {value:.2f} dB")
     return 0
 
@@ -114,11 +118,10 @@ def cmd_svdscan(args) -> int:
         raise ValueError("--dt must be a positive finite number")
     if not (math.isfinite(args.freq) and args.freq >= 0.0):
         raise ValueError("--freq must be a finite number >= 0")
-    read_canonical_header(args.input)
     vol = read_volume(args.input)
-    freqs = freq_values_hz(vol.dims[-1], args.dt)
+    freqs = freq_values_hz(vol.shape[-1], args.dt)
     k = int(np.argmin(np.abs(freqs - args.freq)))
-    tensor = dft_time_axis(vol).data[..., k]
+    tensor = dft_time_axis(vol)[..., k]
     for mode in MODES:
         matric = Matricization(mode, *tensor.shape)
         decay = singular_decay(matric.unfold(tensor))

@@ -24,16 +24,17 @@ or 1 is refused from its header, before any sample is read.
 LRM1 is the same header without the scalar-code byte; its payload is one
 byte per grid point (1 = observed, 0 = missing).
 
-lrfill's commands read and write volumes trace-major, ``(rx, ry, sx, sy,
-t)``, the order of SEG-Y field data: every trace is contiguous, and a
-block of whole traces over whole trailing axes is one contiguous run of
-the payload.  :func:`read_canonical_header` refuses a volume in any other
-axis order at its header.  The library moves payloads in their file's own
-axis order only: it reads and writes a file of any axis labels, and
-writes a block into a file only in the file's order.  A block is moved
-one call per contiguous run, each at an offset worked out from the
-strides as it is reached, so a box of many short runs costs no list of
-their offsets.
+The axis labels live here, in the headers, and nowhere else: a volume
+in memory is a plain float64 array, time last (see :mod:`lrfill.volume`).
+lrfill reads and writes volumes trace-major, ``(rx, ry, sx, sy, t)``, the
+order of SEG-Y field data, and masks ``(rx, ry, sx, sy)``: every trace is
+contiguous, and a block of whole traces over whole trailing axes is one
+contiguous run of the payload.  Every read checks the order once, at the
+header, and refuses a file in any other order or with an extent of 0
+before any of its payload is read; a volume is written with the
+trace-major header only.  A block is moved one call per contiguous run,
+each at an offset worked out from the strides as it is reached, so a box
+of many short runs costs no list of their offsets.
 
 This is where samples cross the program's boundary, so both ways they are
 checked for NaNs and infinities: a payload after it is read, whole or a
@@ -49,19 +50,14 @@ import os
 import numpy as np
 
 from .sampling import SamplingMask
-from .volume import (
-    AXIS_CODES,
-    AXIS_LABELS,
-    CANONICAL_AXES,
-    AxisLayoutError,
-    Volume,
-    buffer_view,
-    check_finite,
-)
+from .volume import CANONICAL_AXES, SPATIAL_AXES, AxisLayoutError, buffer_view, check_finite
 
 VOLUME_MAGIC = b"LRV1"
 MASK_MAGIC = b"LRM1"
 FORMAT_VERSION = 1
+# The axis label of each header code.
+AXIS_LABELS = ("t", "f", "rx", "ry", "sx", "sy")
+AXIS_CODES = {label: code for code, label in enumerate(AXIS_LABELS)}
 
 # Refuse absurd headers before allocating anything.
 MAX_ELEMENTS = 1 << 40
@@ -141,16 +137,25 @@ def _check_payload(found: int, nbytes: int, what: str):
         raise FileFormatError(f"{what}: {found - nbytes} trailing bytes")
 
 
-def _open_payload(fh, magic: bytes, with_scalar: bool, what: str):
-    """Parse the header of an open LRV1/LRM1 file and check the payload
-    length against the file size; nothing of the payload is read."""
+def _open_payload(fh, magic: bytes, with_scalar: bool, order: tuple, what: str):
+    """Extents, sample type and payload offset of an open LRV1/LRM1 file
+    of a ``what``, from its header, which is checked, as is the payload
+    length against the file size; nothing of the payload is read.  Axes
+    other than ``order`` raise :class:`AxisLayoutError` and an extent of 0
+    ``ValueError``; each error names the file."""
     try:
         axes, extents, count, pos = _read_header(fh.read(_MAX_HEADER), magic, with_scalar)
     except FileFormatError as exc:
         raise type(exc)(f"{fh.name}: {exc}") from None
+    if axes != order:
+        raise AxisLayoutError(f"{fh.name}: axes {axes}; lrfill reads trace-major {what}s, "
+                              f"axes {order}: see README")
+    if 0 in extents:
+        raise ValueError(f"{fh.name}: every extent must be at least 1, not {extents}")
     dtype = _SAMPLE_DTYPE if with_scalar else np.dtype(np.uint8)
-    _check_payload(os.fstat(fh.fileno()).st_size - pos, count * dtype.itemsize, what)
-    return axes, extents, dtype, pos
+    _check_payload(os.fstat(fh.fileno()).st_size - pos, count * dtype.itemsize,
+                   f"{what} payload")
+    return extents, dtype, pos
 
 
 def _box(axes, extents, block) -> list:
@@ -178,10 +183,9 @@ def _move(call, fd: int, view: memoryview, at: int):
 
 
 def _transfer(fd: int, data: np.ndarray, pos: int, extents, box, write: bool):
-    """Read or write ``data``, the C-contiguous samples of ``box`` in the
-    file's axis order, from or to the payload at byte ``pos`` of the file,
-    whose samples are of the type of ``data``, in place.  The payload is
-    never mapped into memory.
+    """Read or write ``data``, the C-contiguous samples of ``box``, from or
+    to the payload at byte ``pos`` of the file, whose samples are of the
+    type of ``data``, in place.  The payload is never mapped into memory.
 
     A run spans the range of the box's last cut axis and the whole axes
     after it, so it is contiguous in the file.  The runs are taken in
@@ -205,16 +209,18 @@ def _transfer(fd: int, data: np.ndarray, pos: int, extents, box, write: bool):
         _move(call, fd, raw[i * nbytes:(i + 1) * nbytes], pos + data.itemsize * at)
 
 
-def _read_file(path, magic: bytes, with_scalar: bool, what: str, block=None, out=None):
-    """Axis labels and payload of an LRV1/LRM1 file, or of the box of it
-    that ``block`` names, in the file's axis order.  The header and the
-    payload length are checked before any of the payload is read; the
-    payload goes straight into the array returned: a new array of the
-    payload's type, or the leading elements of the buffer ``out`` (see
-    :func:`buffer_view`), which must be of that type, if one is given."""
+def _read_file(path, magic: bytes, with_scalar: bool, order: tuple, what: str,
+               block=None, out=None):
+    """Payload of an LRV1/LRM1 file of a ``what`` whose axes must be
+    ``order``, or of the box of it that ``block`` names.  The header, its
+    order among it, and the payload length are checked before any of the
+    payload is read (see :func:`_open_payload`); the payload goes straight
+    into the array returned: a new array of the payload's type, or the
+    leading elements of the buffer ``out`` (see :func:`buffer_view`),
+    which must be of that type, if one is given."""
     with open(path, "rb") as fh:
-        axes, extents, dtype, pos = _open_payload(fh, magic, with_scalar, what)
-        box = _box(axes, extents, block)
+        extents, dtype, pos = _open_payload(fh, magic, with_scalar, order, what)
+        box = _box(order, extents, block)
         shape = [stop - start for start, stop in box]
         if out is None:
             data = np.empty(shape, dtype=dtype)
@@ -224,31 +230,19 @@ def _read_file(path, magic: bytes, with_scalar: bool, what: str, block=None, out
                 raise ValueError(f"{what}: {dtype} samples are not read into a "
                                  f"{data.dtype} buffer")
         _transfer(fh.fileno(), data, pos, extents, box, write=False)
-    return axes, data
-
-
-def read_volume_header(path: str | os.PathLike) -> tuple:
-    """``(axes, extents)`` of an LRV1 file, read and checked without its
-    payload: a file of complex samples raises :class:`FileFormatError`."""
-    with open(path, "rb") as fh:
-        axes, extents, _, _ = _open_payload(fh, VOLUME_MAGIC, True, "volume payload")
-    return axes, extents
+    return data
 
 
 def read_canonical_header(path: str | os.PathLike) -> tuple:
     """Extents of the LRV1 volume at ``path``, read and checked from its
     header without its payload: every command's check of a volume it is
-    given.  A volume whose axes are not ``CANONICAL_AXES``, trace-major,
-    raises :class:`AxisLayoutError`, one with an extent of 0 ``ValueError``,
-    and one of complex samples :class:`FileFormatError`; each names the
+    given, and the check every read of a volume makes.  A volume whose
+    axes are not ``CANONICAL_AXES``, trace-major, raises
+    :class:`AxisLayoutError`, one with an extent of 0 ``ValueError``, and
+    one of complex samples :class:`FileFormatError`; each names the
     file."""
-    axes, extents = read_volume_header(path)
-    if axes != CANONICAL_AXES:
-        raise AxisLayoutError(f"{os.fspath(path)}: axes {axes}; lrfill reads trace-major "
-                              f"volumes, axes {CANONICAL_AXES}: see README")
-    if 0 in extents:
-        raise ValueError(f"{os.fspath(path)}: every extent must be at least 1, not {extents}")
-    return extents
+    with open(path, "rb") as fh:
+        return _open_payload(fh, VOLUME_MAGIC, True, CANONICAL_AXES, "volume")[0]
 
 
 @contextlib.contextmanager
@@ -268,17 +262,17 @@ def _replacing(path: str | os.PathLike):
 
 
 @contextlib.contextmanager
-def create_volume(path: str | os.PathLike, axes, extents):
-    """Create an LRV1 volume of float64 samples for :func:`write_volume` to
-    fill block by block in the body of a ``with``; the path to write to is
-    the value bound.
+def create_volume(path: str | os.PathLike, extents):
+    """Create a trace-major LRV1 volume of float64 samples for
+    :func:`write_volume` to fill block by block in the body of a ``with``;
+    the path to write to is the value bound.
 
     The file is built under a temporary name beside ``path``, sized for its
     payload, and takes the name ``path`` when the body ends (see
     :func:`_replacing`), so a write that stops partway leaves no file of
     full length with blocks of zeros.
     """
-    header = _header(VOLUME_MAGIC, axes, extents, _SAMPLE_CODE)
+    header = _header(VOLUME_MAGIC, CANONICAL_AXES, extents, _SAMPLE_CODE)
     nbytes = math.prod(extents) * _SAMPLE_DTYPE.itemsize
     with _replacing(path) as part:
         with open(part, "wb") as fh:
@@ -299,64 +293,75 @@ def _header(magic: bytes, axes, extents, scalar_code: int | None = None) -> byte
     return bytes(header)
 
 
-def write_volume(vol: Volume, path: str | os.PathLike, block: dict | None = None):
-    """Serialize a volume of real samples as LRV1 of float64 samples (code
-    2); a write that fails leaves no file (see :func:`create_volume`).
+def write_volume(data: np.ndarray, path: str | os.PathLike, block: dict | None = None):
+    """Serialize a volume, an array of real traces with time last, as a
+    trace-major LRV1 file of float64 samples (code 2); a write that fails
+    leaves no file (see :func:`create_volume`).  Samples of another real
+    type or memory layout are copied to C-contiguous float64 first.
 
     With ``block``, a slice per axis label as for :func:`read_volume`,
-    ``vol`` is that box of the LRV1 file at ``path`` instead, which must
-    exist and whose axis order ``vol`` must have: it is written into
-    place, and nothing else of the file changes.  A volume of complex
-    samples raises ``ValueError``, and so do a NaN or an infinity
-    (:func:`lrfill.volume.check_finite`) and a block in another axis
-    order, before any file is created or any byte written.
+    ``data`` is that box of the trace-major LRV1 file at ``path`` instead,
+    which must exist: it is written into place, and nothing else of the
+    file changes.  Complex samples raise ``ValueError``, and so do a NaN or
+    an infinity (:func:`lrfill.volume.check_finite`) and an array that is
+    not 5-d or has an extent of 0, before any file is created or any byte
+    written.
     """
-    if vol.data.dtype != _SAMPLE_DTYPE:
+    if np.iscomplexobj(data):
         raise ValueError("complex samples are not written: an LRV1 file holds real "
                          "traces, float64 samples")
-    check_finite(vol.data)
-    target = (create_volume(path, vol.axes, vol.dims) if block is None
+    data = np.ascontiguousarray(data, dtype=_SAMPLE_DTYPE)
+    if data.ndim != len(CANONICAL_AXES) or 0 in data.shape:
+        raise ValueError(f"an array of shape {data.shape} is not a volume: lrfill writes "
+                         f"axes {CANONICAL_AXES}, each of extent at least 1")
+    check_finite(data)
+    target = (create_volume(path, data.shape) if block is None
               else contextlib.nullcontext(path))
     with target as part, open(part, "r+b") as fh:
-        axes, extents, _, pos = _open_payload(fh, VOLUME_MAGIC, True, "volume payload")
-        if vol.axes != axes:
-            raise ValueError(f"a block of axes {vol.axes} is not written into a file "
-                             f"of axes {axes}")
-        box = _box(axes, extents, block)
-        if vol.dims != tuple(stop - start for start, stop in box):
-            raise ValueError(f"block of dims {vol.dims} does not fill the box {box}")
-        _transfer(fh.fileno(), vol.data, pos, extents, box, write=True)
+        extents, _, pos = _open_payload(fh, VOLUME_MAGIC, True, CANONICAL_AXES, "volume")
+        box = _box(CANONICAL_AXES, extents, block)
+        if data.shape != tuple(stop - start for start, stop in box):
+            raise ValueError(f"block of shape {data.shape} does not fill the box {box}")
+        _transfer(fh.fileno(), data, pos, extents, box, write=True)
 
 
 def read_volume(path: str | os.PathLike, block: dict | None = None,
-                out: np.ndarray | None = None) -> Volume:
-    """Read an LRV1 file back into a volume of float64 samples, its axes
-    in the file's order; a file of complex samples raises
-    :class:`FileFormatError` from its header.
+                out: np.ndarray | None = None) -> np.ndarray:
+    """Read a trace-major LRV1 file into a float64 array, time last; a file
+    in another axis order, with an extent of 0 or of complex samples is
+    refused from its header (see :func:`read_canonical_header`).
 
     ``block`` maps axis labels to slices and reads only that box of the
     volume; axes it leaves out are read whole.  With ``out``, a float64
     buffer as for :func:`lrfill.volume.buffer_view`, the samples are read
-    into its leading elements and the volume returned lies over them.  The
+    into its leading elements and the array returned lies over them.  The
     samples read are checked by :func:`lrfill.volume.check_finite`: a NaN
     or an infinity raises ``ValueError``.
     """
-    vol = Volume(*_read_file(path, VOLUME_MAGIC, True, "volume payload", block, out))
-    check_finite(vol.data)
-    return vol
+    data = _read_file(path, VOLUME_MAGIC, True, CANONICAL_AXES, "volume", block, out)
+    check_finite(data)
+    return data
 
 
 def write_mask(mask: SamplingMask, path: str | os.PathLike):
-    """Serialize a mask as LRM1: its axis labels, extents and grid.  As for
-    a volume, a write that fails leaves no file."""
+    """Serialize a mask of axes ``(rx, ry, sx, sy)`` as LRM1: its axis
+    labels, extents and grid; a mask of other axes raises
+    :class:`AxisLayoutError`.  As for a volume, a write that fails leaves
+    no file."""
+    if mask.axes != SPATIAL_AXES:
+        raise AxisLayoutError(f"a mask of axes {mask.axes} is not written: lrfill writes "
+                              f"masks of axes {SPATIAL_AXES}")
     with _replacing(path) as part, open(part, "wb") as fh:
-        fh.write(_header(MASK_MAGIC, mask.axes, mask.grid.shape))
+        fh.write(_header(MASK_MAGIC, SPATIAL_AXES, mask.grid.shape))
         fh.write(memoryview(np.ascontiguousarray(mask.grid, dtype=np.uint8)))
 
 
 def read_mask(path: str | os.PathLike) -> SamplingMask:
-    axes, raw = _read_file(path, MASK_MAGIC, False, "mask payload")
+    """Read an LRM1 file of axes ``(rx, ry, sx, sy)``; a file in another
+    axis order or with an extent of 0 is refused from its header, as a
+    volume is (see :func:`read_canonical_header`)."""
+    raw = _read_file(path, MASK_MAGIC, False, SPATIAL_AXES, "mask")
     bad = np.setdiff1d(raw, [0, 1])
     if bad.size:
         raise FileFormatError(f"mask bytes must be 0 or 1, found {bad[:4]}")
-    return SamplingMask(raw.astype(bool), axes=axes)
+    return SamplingMask(raw.astype(bool), axes=SPATIAL_AXES)

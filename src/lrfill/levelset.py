@@ -58,6 +58,10 @@ class LevelSetConfig:
     def __post_init__(self):
         if not self.root_tol > 0:  # NaN fails the comparison too
             raise ValueError("root_tol must be positive")
+        if self.inner_iters < 1:
+            raise ValueError("inner_iters must be at least 1")
+        if self.max_root_iters < 0:
+            raise ValueError("max_root_iters must be nonnegative")
 
 
 def project_ball(L, R, tau):

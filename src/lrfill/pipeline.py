@@ -8,7 +8,8 @@ the CLI flag of the same name.  Frequency bins outside the band are passed
 through as observed (zero-filled where missing) rather than zeroed.  The
 run takes real traces: trace-major float64 files, whose half spectra it
 solves from 0 Hz to Nyquist.  A file in another axis order or of complex
-samples is refused from its header.
+samples is refused from its header.  In memory a block is a plain float64
+array, time last, and its spectrum a complex128 array, frequency last.
 """
 
 from __future__ import annotations
@@ -31,10 +32,7 @@ from .reporting import SliceReport, snr_db, snr_from_norms, write_report
 from .sampling import SamplingMask
 from .transforms import MODE_REC_SRC_X, Matricization, MeasurementOp
 from .volume import (
-    CANONICAL_AXES,
     SPATIAL_AXES,
-    AxisLayoutError,
-    Volume,
     buffer_view,
     check_finite,
     dft_time_axis,
@@ -180,30 +178,27 @@ def load_config(path, overrides: dict | None = None) -> PipelineConfig:
     return config_from_dict(raw)
 
 
-def mask_volume(vol: Volume, mask: SamplingMask, block: dict | None = None,
-                out: np.ndarray | None = None) -> Volume:
+def mask_volume(data: np.ndarray, mask: SamplingMask, block: dict | None = None,
+                out: np.ndarray | None = None) -> np.ndarray:
     """Zero the traces of unobserved grid points (mask is time-invariant)
-    of ``vol``, whose axes must be the canonical, trace-major,
-    ``CANONICAL_AXES``: any other order raises :class:`AxisLayoutError`.
-    For a block of a volume, ``block`` is the slice per spatial axis that
-    it covers (see :func:`trace_blocks`), and the mask is cut to match.
-    With ``out``, a buffer as for :func:`buffer_view`, the masked volume is
-    written into its leading elements, which may be the ones that hold
-    ``vol`` (then only the unobserved traces are written), and the volume
-    returned lies over them.  The samples are not checked: zeroing a trace
-    drops whatever it held, so they are checked where they are read."""
-    if vol.axes != CANONICAL_AXES:
-        raise AxisLayoutError(f"cannot mask a volume with axes {vol.axes}; "
-                              f"need {CANONICAL_AXES}")
+    of ``data``, a trace-major volume, time last.  For a block of a volume,
+    ``block`` is the slice per spatial axis that it covers (see
+    :func:`trace_blocks`), and the mask is cut to match; a grid that does
+    not match the spatial extents raises ``ValueError``.  With ``out``, a
+    buffer as for :func:`buffer_view`, the masked volume is written into
+    its leading elements, which may be the ones that hold ``data`` (then
+    only the unobserved traces are written), and the array returned lies
+    over them.  The samples are not checked: zeroing a trace drops
+    whatever it held, so they are checked where they are read."""
     grid = mask.grid if block is None else mask.grid[_spatial_index(block)]
-    if grid.shape != vol.dims[:-1]:
+    if grid.shape != data.shape[:-1]:
         raise ValueError(
-            f"mask grid {grid.shape} does not match spatial dims {vol.dims[:-1]}"
+            f"mask grid {grid.shape} does not match spatial dims {data.shape[:-1]}"
         )
-    data = np.empty_like(vol.data) if out is None else buffer_view(out, vol.dims)
-    data[...] = vol.data  # nothing to copy when data already lies over vol
-    data[~grid] = 0
-    return Volume(vol.axes, data)
+    masked = np.empty_like(data) if out is None else buffer_view(out, data.shape)
+    masked[...] = data  # nothing to copy when masked already lies over data
+    masked[~grid] = 0
+    return masked
 
 
 def _spatial_index(block: dict) -> tuple:
@@ -328,12 +323,12 @@ def _read_band(cfg: PipelineConfig, dims: tuple, mask: SamplingMask, in_band: li
         at = (slice(None),) + _spatial_index(block)
         read = read_volume(cfg.input, block, out=inputs)
         masked = mask_volume(read, mask, block, out=inputs)
-        spectrum = dft_time_axis(masked, out=spectra).data
+        spectrum = dft_time_axis(masked, out=spectra)
         check_finite(spectrum)
         observed[at] = np.moveaxis(spectrum[..., in_band], -1, 0)
         if truth is not None:
             read = read_volume(cfg.truth, block, out=inputs)
-            true_spectrum = dft_time_axis(read, out=true_spectra).data
+            true_spectrum = dft_time_axis(read, out=true_spectra)
             check_finite(true_spectrum)
             truth_sq += _spectrum_energy(true_spectrum, nt)
             truth[at] = np.moveaxis(true_spectrum[..., in_band], -1, 0)
@@ -355,7 +350,7 @@ def _write_output(cfg: PipelineConfig, dims: tuple, mask: SamplingMask, in_band:
     reads and :func:`write_volume` each block it writes for non-finite
     values."""
     nt, nf = dims[-1], dims[-1] // 2 + 1
-    with create_volume(cfg.output, CANONICAL_AXES, dims) as partial:
+    with create_volume(cfg.output, dims) as partial:
         inputs = _block_buffer(dims, nt, np.float64)
         spectra = _block_buffer(dims, nf, np.complex128)
         fixes = _block_buffer(dims, nt, np.float64)
@@ -364,12 +359,11 @@ def _write_output(cfg: PipelineConfig, dims: tuple, mask: SamplingMask, in_band:
             spectrum = buffer_view(spectra, part.shape[1:] + (nf,))
             spectrum[...] = 0.0
             spectrum[..., in_band] = np.moveaxis(part, 0, -1)
-            fix = idft_freq_axis(Volume(SPATIAL_AXES + ("f",), spectrum), nt, out=fixes)
-            masked = mask_volume(read_volume(cfg.input, block, out=inputs), mask, block,
-                                 out=inputs)
-            total = buffer_view(inputs, masked.dims)
-            total += fix.data
-            write_volume(Volume(CANONICAL_AXES, total), partial, block=block)
+            fix = idft_freq_axis(spectrum, nt, out=fixes)
+            total = mask_volume(read_volume(cfg.input, block, out=inputs), mask, block,
+                                out=inputs)
+            total += fix
+            write_volume(total, partial, block=block)
 
 
 def run_interpolation(cfg: PipelineConfig) -> RunResult:
@@ -393,11 +387,12 @@ def run_interpolation(cfg: PipelineConfig) -> RunResult:
     buffers of one block that it allocates once, and pass 1 drops its own
     before the solve.  A block is read one call per contiguous run: one
     call for a block that spans whole trailing axes.  The headers are
-    checked before any data is read (see :func:`read_canonical_header`):
-    an input or a truth that is not trace-major, of complex samples or
-    with an extent of 0 stops the run there.  The output is written
-    trace-major under a temporary name that it takes only when pass 2
-    ends, so a run that stops early leaves no output.
+    checked before any data is read (see :func:`read_canonical_header`
+    and :func:`read_mask`): an input, a truth or a mask that is not
+    trace-major, of complex samples or with an extent of 0 stops the run
+    there.  The output is written trace-major under a temporary name that
+    it takes only when pass 2 ends, so a run that stops early leaves no
+    output.
 
     Per-slice failures are recorded in their report row and the run
     continues; the result carries the failure count for the exit code.
@@ -413,8 +408,6 @@ def run_interpolation(cfg: PipelineConfig) -> RunResult:
         mask = SamplingMask(np.ones(extents, dtype=bool), axes=SPATIAL_AXES)
     else:
         mask = read_mask(cfg.mask)
-    if mask.axes != SPATIAL_AXES:
-        raise AxisLayoutError(f"mask has axes {mask.axes}; need {SPATIAL_AXES} in any order")
     if mask.grid.shape != extents:
         raise ValueError(f"mask grid {mask.grid.shape} does not match spatial dims {extents}")
     freqs = freq_values_hz(nt, cfg.dt)

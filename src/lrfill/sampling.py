@@ -6,19 +6,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .volume import AXIS_LABELS, axis_permutation, check_axis_labels
+from .volume import SPATIAL_AXES, AxisLayoutError
 
 
 @dataclass
 class SamplingMask:
-    """Boolean observation grid over labelled axes.
+    """Boolean observation grid over labelled acquisition axes.
 
     The grid covers the acquisition axes: 4-d ``(rx, ry, sx, sy)`` for
     volume experiments, 2-d, such as ``(rx, sx)``, for bare-matrix
     instances.  ``axes`` labels each of the grid's axes and has no
-    default.  A grid given with its axes in another order is transposed
-    into the order of ``AXIS_LABELS``, so a mask means the same whatever
-    order it comes in.
+    default.  The labels must be distinct ones of ``(rx, ry, sx, sy)`` in
+    that order: labels in another order, or any others, raise
+    :class:`AxisLayoutError`, and the grid is never transposed.
     """
 
     grid: np.ndarray
@@ -28,12 +28,13 @@ class SamplingMask:
         grid = np.asarray(self.grid, dtype=bool)
         if grid.size == 0 or not grid.any():
             raise ValueError("mask observes no entries")
-        axes = tuple(self.axes)
-        if len(axes) != grid.ndim:
-            raise ValueError(f"{len(axes)} axis labels for {grid.ndim}-d grid")
-        check_axis_labels(axes)
-        self.axes = tuple(a for a in AXIS_LABELS if a in axes)
-        self.grid = np.ascontiguousarray(grid.transpose(axis_permutation(axes, self.axes)))
+        self.axes = tuple(self.axes)
+        if len(self.axes) != grid.ndim:
+            raise ValueError(f"{len(self.axes)} axis labels for {grid.ndim}-d grid")
+        if self.axes != tuple(a for a in SPATIAL_AXES if a in self.axes):
+            raise AxisLayoutError(f"mask axes {self.axes} are not distinct labels of "
+                                  f"{SPATIAL_AXES} in that order")
+        self.grid = np.ascontiguousarray(grid)
 
     @property
     def num_observed(self) -> int:

@@ -3,8 +3,9 @@
 Planted slices give exact quantitative ground truth (known factors, known
 singular profile).  They are library fixtures, built in memory by the
 tests and the benchmark: a frequency slice exists only inside a run, and
-no command writes one.  Event volumes, real traces, are what ``lrfill
-generate`` writes.  They imitate seismic records: Ricker wavelets
+no command writes one.  Event volumes are what ``lrfill generate``
+writes: float64 arrays of real traces, trace-major with time last, as
+every volume in memory is.  They imitate seismic records: Ricker wavelets
 arriving at a time that is linear in the per-axis source-receiver offset,
 
     t_arrival = t0 + px * |x_rx - x_sx| + py * |x_ry - x_sy|.
@@ -28,7 +29,7 @@ import numpy as np
 from .pdsolver import FactorPair
 from .sampling import SamplingMask
 from .transforms import apply_sampling
-from .volume import CANONICAL_AXES, FrequencySlice, Volume
+from .volume import FrequencySlice
 
 
 @dataclass
@@ -118,9 +119,9 @@ class EventSpec:
                 raise ValueError(f"event {ev}: slownesses and amplitude must be finite")
 
 
-def linear_events(spec: EventSpec) -> Volume:
-    """Time-domain volume of summed plane events, real (float64) traces,
-    trace-major: axes ``(rx, ry, sx, sy, t)``.
+def linear_events(spec: EventSpec) -> np.ndarray:
+    """Time-domain volume of summed plane events: a float64 array of real
+    traces, trace-major, of shape ``(n_rx, n_ry, n_sx, n_sy, nt)``.
 
     Arrivals whose wavelet support reaches past the record edges are
     clipped; a warning reports how many.
@@ -142,4 +143,4 @@ def linear_events(spec: EventSpec) -> Volume:
     if clipped:
         warnings.warn(f"{clipped} arrivals within {half_width:.3f}s of the record "
                       "edge; wavelets clipped", stacklevel=2)
-    return Volume(CANONICAL_AXES, out)
+    return out

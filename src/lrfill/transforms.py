@@ -9,9 +9,9 @@ whole test-suite depends on them:
     srcpair   row = rx + ry * n_rx      col = sx + sy * n_sx
     recsrcx   row = ry + sy * n_ry      col = rx + sx * n_rx
 
-Each is one order of the four axis labels, slowest first, in ``UNFOLDINGS``:
-the grid is permuted into that order and its first two axes become the
-rows, its last two the columns.
+Each is one permutation of the grid's four axes, slowest first, in
+``UNFOLDINGS``: the grid is permuted into that order and its first two axes
+become the rows, its last two the columns.
 
 "srcpair" puts receivers on rows and sources on columns, so removing a
 source empties a whole column.  "recsrcx" mixes source and receiver indices
@@ -41,13 +41,14 @@ from functools import cached_property
 import numpy as np
 
 from .sampling import SamplingMask
-from .volume import SPATIAL_AXES, AxisLayoutError, axis_permutation
+from .volume import AxisLayoutError
 
 MODE_SRC_PAIR = "srcpair"
 MODE_REC_SRC_X = "recsrcx"
-# The grid's axis order of each unfolding, slowest first: rows, then columns.
-UNFOLDINGS = {MODE_SRC_PAIR: ("ry", "rx", "sy", "sx"),
-              MODE_REC_SRC_X: ("sy", "ry", "sx", "rx")}
+# The grid's axes, (rx, ry, sx, sy) = (0, 1, 2, 3), in the order of each
+# unfolding, slowest first: rows, then columns.
+UNFOLDINGS = {MODE_SRC_PAIR: (1, 0, 3, 2),    # (ry, rx), (sy, sx)
+              MODE_REC_SRC_X: (3, 1, 2, 0)}   # (sy, ry), (sx, rx)
 MODES = tuple(UNFOLDINGS)
 
 
@@ -73,9 +74,9 @@ class Matricization:
         return (self.n_rx, self.n_ry, self.n_sx, self.n_sy)
 
     @property
-    def _order(self) -> list:
+    def _order(self) -> tuple:
         """Positions in the grid of the unfolding's axes, slowest first."""
-        return axis_permutation(SPATIAL_AXES, UNFOLDINGS[self.mode])
+        return UNFOLDINGS[self.mode]
 
     @property
     def shape(self) -> tuple:
@@ -98,7 +99,7 @@ class Matricization:
                 f"matrix shape {matrix.shape} does not match unfolding {self.shape}"
             )
         interim = matrix.reshape([self.extents[i] for i in self._order])
-        return interim.transpose(axis_permutation(UNFOLDINGS[self.mode], SPATIAL_AXES))
+        return interim.transpose(np.argsort(self._order))
 
 
 def apply_sampling(mask: SamplingMask, data: np.ndarray) -> np.ndarray:

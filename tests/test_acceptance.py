@@ -27,11 +27,7 @@ from lrfill.reporting import snr_db
 from lrfill.sampling import SamplingMask, jittered_volume_mask, uniform_entry_mask
 from lrfill.synthgen import EventSpec, PlantSpec, linear_events, observe_slice, plant_slice
 from lrfill.transforms import Matricization, MeasurementOp, apply_sampling
-from lrfill.volume import Volume, dft_time_axis, freq_values_hz, idft_freq_axis
-
-
-# The helpers of criterion 8 index volumes time-first.
-TIME_FIRST = ("t", "rx", "ry", "sx", "sy")
+from lrfill.volume import dft_time_axis, freq_values_hz, idft_freq_axis
 
 
 def crandn(rng, *shape):
@@ -217,7 +213,7 @@ def test_criterion_6_matricization_diagnostics():
                      wavelet_peak_hz=20.0)
     # Every bin of the half spectrum: each other bin is the conjugate of
     # one of them, with the same singular values.
-    F = dft_time_axis(linear_events(spec)).reordered(("f", "rx", "ry", "sx", "sy"))
+    F = np.moveaxis(dft_time_axis(linear_events(spec)), -1, 0)
     freqs = freq_values_hz(128, 0.004)
     rec = Matricization("recsrcx", 10, 10, 8, 8)
     src = Matricization("srcpair", 10, 10, 8, 8)
@@ -225,7 +221,7 @@ def test_criterion_6_matricization_diagnostics():
     for k in range(len(freqs)):
         if not 3.0 <= freqs[k] <= 70.0:
             continue
-        T = F.data[k]
+        T = F[k]
         s_rec = np.linalg.svd(rec.unfold(T), compute_uv=False)
         s_src = np.linalg.svd(src.unfold(T), compute_uv=False)
         top2_rec = s_rec[:2].sum() / s_rec.sum()
@@ -275,8 +271,8 @@ def connectivity_ceiling_db(vol, kept):
     """Information ceiling for block-structured source sampling: only the
     (sy, sx) blocks whose nodes share a component of the kept-source
     bipartite graph are determined by matrix completion."""
-    vol = vol.reordered(TIME_FIRST)
-    energy = (np.abs(vol.data) ** 2).sum(axis=(0, 1, 2))  # (sx, sy)
+    vol = np.moveaxis(vol, -1, 0)
+    energy = (np.abs(vol) ** 2).sum(axis=(0, 1, 2))  # (sx, sy)
     n_sx, n_sy = energy.shape
     parent = list(range(n_sy + n_sx))
 
@@ -305,21 +301,20 @@ def reference_completion_db(vol, mask, cfg):
     every other bin passes through as observed.  The nuclear norm is the
     minimum of 1/2 (||L||^2 + ||R||^2) over X = L R^H, so a converged
     factorized run of enough rank should come out close to this."""
-    vol = vol.reordered(TIME_FIRST)
-    observed = dft_time_axis(Volume(vol.axes, vol.data * mask.grid[None]))
-    nt = vol.dims[0]
+    observed = np.moveaxis(dft_time_axis(vol * mask.grid[..., None]), -1, 0)
+    nt = vol.shape[-1]
     freqs = freq_values_hz(nt, cfg.dt)
-    matric = Matricization(cfg.matricization, *observed.dims[1:])
+    matric = Matricization(cfg.matricization, *observed.shape[1:])
     omega = matric.unfold(mask.grid)
-    out = np.array(observed.data)
+    out = np.array(observed)
     for k in range(1, (nt + 1) // 2):
         if not cfg.f_min <= freqs[k] <= cfg.f_max:
             continue
-        b = matric.unfold(observed.data[k])
+        b = matric.unfold(observed[k])
         X = solve_nn_reference(omega, b, cfg.eta_fraction * np.linalg.norm(b))
         out[k] = matric.fold(X)
-    estimate = idft_freq_axis(Volume(observed.axes, out), nt)
-    return snr_db(vol.data, estimate.data)
+    estimate = idft_freq_axis(np.moveaxis(out, 0, -1), nt)
+    return snr_db(vol, estimate)
 
 
 @pytest.mark.slow
@@ -446,19 +441,19 @@ def test_criterion_9_numerical_properties(tmp_path):
 
     # DFT Parseval at 1e-12, each bin of the half spectrum but 0 Hz and
     # Nyquist counted for itself and its conjugate
-    vol = Volume(("t", "rx", "sx"), crandn(rng, 16, 4, 3).real)
+    vol = np.moveaxis(crandn(rng, 16, 4, 3).real, 0, -1).reshape(4, 3, 1, 1, 16)
     spec = dft_time_axis(vol)
-    norm = np.linalg.norm(vol.data)
-    spec_norm = np.sqrt(2 * np.linalg.norm(spec.data) ** 2
-                        - np.linalg.norm(spec.data[[0, -1]]) ** 2)
+    norm = np.linalg.norm(vol)
+    spec_norm = np.sqrt(2 * np.linalg.norm(spec) ** 2
+                        - np.linalg.norm(spec[..., [0, -1]]) ** 2)
     assert abs(spec_norm - norm) <= 1e-12 * norm
     back = idft_freq_axis(spec, 16)
-    assert np.linalg.norm(back.data - vol.data) <= 1e-12 * norm
+    assert np.linalg.norm(back - vol) <= 1e-12 * norm
 
     # file roundtrip bit-exact
     path = tmp_path / "v.lrv"
     write_volume(vol, path)
-    assert np.array_equal(read_volume(path).data, vol.data)
+    assert np.array_equal(read_volume(path), vol)
 
     # factorization inequality on 100 random pairs
     for _ in range(100):

@@ -6,7 +6,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from complex64 import write_complex
+from complex64 import write_complex, write_in_order, write_mask_raw
 
 from lrfill import cli, pipeline
 from lrfill.cli import build_parser, main
@@ -14,7 +14,7 @@ from lrfill.fileio import read_mask, read_volume, write_volume
 from lrfill.pipeline import PipelineConfig, RunResult, mask_volume
 from lrfill.reporting import SliceReport, write_report
 from lrfill.synthgen import EventSpec, linear_events
-from lrfill.volume import Volume
+from lrfill.volume import CANONICAL_AXES
 
 
 @pytest.fixture
@@ -43,9 +43,9 @@ def test_generate_events(tmp_path, events_spec_file):
                "--out", str(out)])
     assert rc == 0
     vol = read_volume(out)
-    assert vol.dims == (4, 3, 3, 2, 16)
-    assert vol.axes == ("rx", "ry", "sx", "sy", "t")
-    assert vol.data.dtype == np.float64  # real traces
+    assert vol.shape == (4, 3, 3, 2, 16)
+    assert out.read_bytes()[7:12] == bytes([2, 3, 4, 5, 0])  # rx, ry, sx, sy, t
+    assert vol.dtype == np.float64  # real traces
 
 
 def test_generate_plant(tmp_path, plant_spec_file, capsys):
@@ -104,7 +104,7 @@ def test_generate_keeps_spec_defaults(tmp_path):
     assert rc == 0
     spec = EventSpec(n_rx=3, n_ry=2, n_sx=2, n_sy=2, spacing_m=25.0, nt=64, dt=0.004,
                      events=[(0.10, 0.0001, 0.0001, 1.0)], wavelet_peak_hz=20.0)
-    np.testing.assert_array_equal(read_volume(out).data, linear_events(spec).data)
+    np.testing.assert_array_equal(read_volume(out), linear_events(spec))
 
 
 def test_subsample_and_evaluate(tmp_path, events_spec_file):
@@ -121,7 +121,7 @@ def test_subsample_and_evaluate(tmp_path, events_spec_file):
     assert mask.grid.shape == (4, 3, 3, 2)
     sub = read_volume(sub_path)
     vol = read_volume(vol_path)
-    assert np.all(sub.data[:, :, ~mask.grid[0, 0]] == 0)
+    assert np.all(sub[:, :, ~mask.grid[0, 0]] == 0)
     rc = main(["evaluate", "--truth", str(vol_path), "--estimate", str(sub_path)])
     assert rc == 0
 
@@ -142,8 +142,8 @@ def test_subsample_uniform(tmp_path, events_spec_file):
     assert mask.axes == ("rx", "ry", "sx", "sy")
     assert mask.grid.shape == (4, 3, 3, 2)
     assert mask.num_observed == math.ceil(0.3 * 72)
-    np.testing.assert_array_equal(read_volume(sub_path).data,
-                                  mask_volume(read_volume(vol_path), mask).data)
+    np.testing.assert_array_equal(read_volume(sub_path),
+                                  mask_volume(read_volume(vol_path), mask))
 
 
 @pytest.mark.parametrize("flags", [
@@ -171,6 +171,24 @@ def test_subsample_bad_mask_stops_before_any_data(tmp_path, events_spec_file, mo
     assert sorted(p.name for p in tmp_path.iterdir()) == ["events.cfg", "vol.lrv"]
 
 
+def test_subsample_outputs_naming_one_file_stop_before_any_data(tmp_path, events_spec_file,
+                                                                monkeypatch, capsys):
+    # The volume would overwrite the mask: one file named by both outputs,
+    # however it is spelled, exits 2 with no sample read and no file left.
+    vol_path = tmp_path / "vol.lrv"
+    main(["generate", "--spec", str(events_spec_file), "--out", str(vol_path)])
+    (tmp_path / "sub").mkdir()
+    reads = _count_reads(monkeypatch)
+    capsys.readouterr()
+    rc = main(["subsample", "--input", str(vol_path), "--keep", "0.5",
+               "--out-volume", str(tmp_path / "same.bin"),
+               "--out-mask", str(tmp_path / "sub" / ".." / "same.bin")])
+    assert rc == 2
+    assert reads == []
+    assert "name one file" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["events.cfg", "sub", "vol.lrv"]
+
+
 def test_interpolate_via_config_file(tmp_path, events_spec_file):
     vol_path = tmp_path / "vol.lrv"
     main(["generate", "--spec", str(events_spec_file),
@@ -193,7 +211,7 @@ def test_interpolate_via_config_file(tmp_path, events_spec_file):
     rc = main(["interpolate", "--config", str(cfg)])
     assert rc == 0
     out = read_volume(tmp_path / "out.lrv")
-    assert out.dims == (4, 3, 3, 2, 16)
+    assert out.shape == (4, 3, 3, 2, 16)
     assert (tmp_path / "report.csv").exists()
 
 
@@ -466,8 +484,7 @@ def test_missing_file_is_clean_error(tmp_path):
 def _complex_twin(path, twin, code=0):
     """Write the samples of the LRV1 file at ``path`` to ``twin`` as
     complex ones of scalar code ``code``: complex128 (0) or complex64 (1)."""
-    vol = read_volume(path)
-    write_complex(twin, vol.axes, vol.data, code)
+    write_complex(twin, CANONICAL_AXES, read_volume(path), code)
 
 
 # Axis orders of a float64 file that every command refuses at its header.
@@ -482,7 +499,7 @@ def _refused_twin(path, twin, case):
     order (a key of ``REFUSED_ORDERS``); the part of the error it gives."""
     if case in REFUSED_ORDERS:
         order = REFUSED_ORDERS[case]
-        write_volume(read_volume(path).reordered(order), twin)
+        write_in_order(twin, read_volume(path), order)
         return f"{twin}: axes {order}"
     code = {"complex128": 0, "complex64": 1}[case]
     _complex_twin(path, twin, code)
@@ -519,7 +536,7 @@ def test_subsample_writes_the_kind_it_read(tmp_path, events_spec_file):
                "--out-volume", str(sub), "--out-mask", str(tmp_path / "mask.lrm")])
     assert rc == 0
     assert sub.read_bytes()[5] == 2
-    assert read_volume(sub).data.dtype == np.float64
+    assert read_volume(sub).dtype == np.float64
 
 
 @pytest.mark.parametrize("case", ["complex128", "complex64", "time-first", "permuted"])
@@ -578,8 +595,9 @@ def _bad_headers(tmp_path, good):
         error = _refused_twin(good, twin, kind)
         cases[f"{kind}-input"] = (twin.name, None, error)
         cases[f"{kind}-truth"] = (good.name, twin.name, error)
-    write_volume(Volume(vol.axes, vol.data[..., :0]), tmp_path / "nt0.lrv")
-    write_volume(Volume(vol.axes, vol.data[:, :0]), tmp_path / "empty.lrv")
+    # lrfill writes no volume with an extent of 0.
+    write_complex(tmp_path / "nt0.lrv", CANONICAL_AXES, vol[..., :0], 2)
+    write_complex(tmp_path / "empty.lrv", CANONICAL_AXES, vol[:, :0], 2)
     cases["nt0-input"] = ("nt0.lrv", None, "at least 1")
     cases["zero-extent-input"] = ("empty.lrv", None, "at least 1")
     return cases
@@ -613,6 +631,30 @@ def test_interpolate_bad_header_stops_before_any_data(tmp_path, events_spec_file
         assert "see README" in captured.err
 
 
+@pytest.mark.parametrize("axes", [("sx", "sy", "rx", "ry"), ("ry", "rx", "sy", "sx"),
+                                  ("rx", "sx")], ids=["permuted", "swapped", "2-d"])
+def test_interpolate_mask_not_trace_major_stops_before_any_data(tmp_path, events_spec_file,
+                                                                monkeypatch, capsys, axes):
+    # A mask file whose axes are not (rx, ry, sx, sy), in that order, stops
+    # the run at its header: exit 2, no sample of any file read, no output
+    # or report, nothing on stdout.
+    good = tmp_path / "vol.lrv"
+    main(["generate", "--spec", str(events_spec_file), "--out", str(good)])
+    extents = dict(zip(("rx", "ry", "sx", "sy"), (4, 3, 3, 2)))
+    write_mask_raw(tmp_path / "mask.lrm", axes, np.ones([extents[a] for a in axes], bool))
+    reads = _count_reads(monkeypatch)
+    capsys.readouterr()
+    rc = main(["interpolate", "--input", str(good), "--mask", str(tmp_path / "mask.lrm"),
+               "--output", str(tmp_path / "out.lrv"), "--report", str(tmp_path / "r.csv"),
+               "--rank", "2"])
+    assert rc == 2
+    assert reads == []
+    assert not list(tmp_path.glob("out.lrv*")) and not (tmp_path / "r.csv").exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"mask.lrm: axes {axes}" in captured.err and "see README" in captured.err
+
+
 def test_evaluate_checks_both_extents_before_reading(tmp_path, events_spec_file,
                                                      monkeypatch, capsys):
     # A truth and an estimate of different extents exit 2 from their
@@ -620,7 +662,7 @@ def test_evaluate_checks_both_extents_before_reading(tmp_path, events_spec_file,
     good, short = tmp_path / "good.lrv", tmp_path / "short.lrv"
     main(["generate", "--spec", str(events_spec_file), "--out", str(good)])
     vol = read_volume(good)
-    write_volume(Volume(vol.axes, vol.data[..., :8]), short)
+    write_volume(vol[..., :8], short)
     reads = _count_reads(monkeypatch)
     capsys.readouterr()
     assert main(["evaluate", "--truth", str(good), "--estimate", str(short)]) == 2

@@ -16,6 +16,10 @@ The time/frequency transform pair has one home: no module but
 ``volume.py`` uses ``numpy.fft``, so the spectrum the run solves and the
 frequencies it names for its bins come from one pair of functions.
 
+Axis labels stay at the file boundary: no module but ``fileio.py``, the
+file-format code, names the header's label tables ``AXIS_CODES`` or
+``AXIS_LABELS``, so a volume in memory stays a plain array.
+
 Every lrfill name the benchmark under ``perfbench/`` imports or patches
 exists, so a rename in the package cannot silently break the benchmark.
 
@@ -26,6 +30,10 @@ stale example behind.
 Every indented ``key = value`` block of the same section builds the
 config it shows with the parser and schema the CLI uses, so a key that
 is renamed or removed cannot outlive its field in the docs.
+
+Every ``python`` block of the README's library section runs, given the
+arrays it names but does not build, so a change of the library's API
+cannot leave a stale example behind.
 
 Every setting is read: each field of a ``@dataclass`` named ``*Config`` or
 ``*Spec`` is read as an attribute somewhere in the package outside that
@@ -43,6 +51,7 @@ import contextlib
 import importlib
 import importlib.util
 import io
+import re
 import shlex
 from pathlib import Path
 
@@ -50,6 +59,8 @@ import pytest
 
 from lrfill.cli import build_parser, load_event_spec
 from lrfill.pipeline import load_config
+from lrfill.sampling import jittered_volume_mask
+from lrfill.synthgen import PlantSpec, plant_slice
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "lrfill"
@@ -176,6 +187,46 @@ def test_check_sees_an_fft_use():
               "x = numpy.fft.fft(y)\n"
               "'np.fft is not used'\n")
     assert fft_uses(source) == [1, 2, 3, 5, 6]
+
+
+# The header's label tables, which fileio.py alone may name.
+LABEL_TABLES = ("AXIS_CODES", "AXIS_LABELS")
+
+
+def label_table_uses(source: str) -> list:
+    """Lines that name a table of ``LABEL_TABLES``: a name, an attribute,
+    or a name imported or bound by an import."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            named = node.id in LABEL_TABLES
+        elif isinstance(node, ast.Attribute):
+            named = node.attr in LABEL_TABLES
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            named = any(name in LABEL_TABLES
+                        for alias in node.names for name in (alias.name, alias.asname))
+        else:
+            continue
+        if named:
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(PACKAGE.glob("*.py"))
+                                  if p.name != "fileio.py"], ids=lambda p: p.name)
+def test_axis_labels_only_in_the_file_format(path):
+    assert label_table_uses(path.read_text()) == []
+
+
+def test_check_sees_a_label_table_use():
+    source = ("from .volume import AXIS_CODES\n"
+              "codes = fileio.AXIS_LABELS\n"
+              "'AXIS_LABELS are not named here'\n"
+              "axes = SPATIAL_AXES + ('t',)\n"
+              "for label in AXIS_LABELS: pass\n"
+              "from . import fileio as AXIS_CODES\n"
+              "AXIS_CODES_SEEN = 1\n")
+    assert label_table_uses(source) == [1, 2, 5, 6]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -464,3 +515,47 @@ def test_check_sees_a_stale_readme_config(tmp_path):
     assert stale_readme_configs(readme, tmp_path) == [
         "input = a.lrv: unknown config key 'rank_schedule'",
         "n_rx = 2: event apex 9.0 outside the record"]
+
+
+def _library_blocks(readme: str) -> list:
+    """The fenced ``python`` blocks of the ``## Library use`` section."""
+    section = readme.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"^```python\n(.*?)^```", section, re.M | re.S)
+
+
+def stale_readme_library_blocks(readme: str, given: dict) -> list:
+    """The first line and the error of each ``python`` block of the
+    ``## Library use`` section of ``readme`` that raises.  The blocks run
+    in order, in one namespace that starts with the names in ``given``."""
+    scope = dict(given)
+    stale = []
+    for block in _library_blocks(readme):
+        try:
+            exec(compile(block, "README.md", "exec"), scope)
+        except Exception as exc:
+            stale.append(f"{block.splitlines()[0]}: {type(exc).__name__}: {exc}")
+    return stale
+
+
+def test_readme_library_blocks_run():
+    # The two arrays the blocks name but do not build: the planted 100x100
+    # slice of criteria 2, 3 and 7, and a volume mask.
+    given = {"X_true": plant_slice(PlantSpec(p=100, q=100, rank=5, seed=7))[0].data,
+             "mask4d": jittered_volume_mask(4, 3, 3, 2, 0.5, seed=1)}
+    readme = (ROOT / "README.md").read_text()
+    assert len(_library_blocks(readme)) == 2
+    assert stale_readme_library_blocks(readme, given) == []
+
+
+def test_check_sees_a_stale_library_block():
+    readme = ("# tool\n\n```python\nraise RuntimeError('not run')\n```\n\n"
+              "## Library use\n\n"
+              "```python\nfrom math import pi\ny = pi * x\n```\n\n"
+              "```\nnot python\n```\n\n"
+              "```python\nimport numpy as np\nassert y > 3\nnp.no_such_name(y)\n```\n\n"
+              "```python\nimport lrfill.volume\nvol = lrfill.volume.Volume(axes, data)\n```\n\n"
+              "## CLI\n\n```python\nraise RuntimeError('not run')\n```\n")
+    assert stale_readme_library_blocks(readme, {"x": 2.0}) == [
+        "import numpy as np: AttributeError: module 'numpy' has no attribute 'no_such_name'",
+        "import lrfill.volume: AttributeError: module 'lrfill.volume' has no attribute "
+        "'Volume'"]

@@ -175,3 +175,13 @@ def test_rank_below_one_is_rejected(rank):
 def test_root_tolerance_that_is_nan_or_not_positive_is_rejected(root_tol):
     with pytest.raises(ValueError, match="root_tol"):
         LevelSetConfig(root_tol=root_tol)
+
+
+@pytest.mark.parametrize("key, value", [("inner_iters", 0), ("inner_iters", -1),
+                                        ("max_root_iters", -3)])
+def test_caps_that_cannot_run_are_rejected(key, value):
+    # No value-function evaluation can run without an inner step, and a
+    # negative cap on the secant steps is no cap; 0 secant steps is one.
+    with pytest.raises(ValueError, match=key):
+        LevelSetConfig(**{key: value})
+    assert LevelSetConfig(max_root_iters=0).max_root_iters == 0

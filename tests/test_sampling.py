@@ -8,6 +8,7 @@ from lrfill.sampling import (
     jittered_volume_mask,
     uniform_entry_mask,
 )
+from lrfill.volume import AxisLayoutError
 
 
 def gaps(keep):
@@ -133,12 +134,19 @@ class TestSamplingMask:
             SamplingMask(np.zeros((3, 3), dtype=bool), axes=("rx", "sx"))
 
     def test_grid_is_kept_in_canonical_axis_order(self):
+        # The grid is kept as given, in the labels' order (rx, ry, sx, sy);
+        # labels in another order are refused, not transposed.
         grid = np.zeros((2, 3, 4, 5), dtype=bool)
         grid[1, 2, 3, 4] = True
-        mask = SamplingMask(grid, axes=("sx", "sy", "rx", "ry"))
-        assert mask.axes == ("rx", "ry", "sx", "sy")
-        assert mask.grid.shape == (4, 5, 2, 3)
-        assert mask.grid[3, 4, 1, 2] and mask.num_observed == 1
+        mask = SamplingMask(grid, axes=("rx", "ry", "sx", "sy"))
+        assert mask.grid.shape == (2, 3, 4, 5)
+        assert mask.grid[1, 2, 3, 4] and mask.num_observed == 1
+        assert SamplingMask(grid[:, 2, :, 4], axes=("rx", "sx")).grid.shape == (2, 4)
+        for axes in (("sx", "sy", "rx", "ry"), ("rx", "ry", "sy", "sx")):
+            with pytest.raises(AxisLayoutError, match="in that order"):
+                SamplingMask(grid, axes=axes)
+        with pytest.raises(AxisLayoutError):
+            SamplingMask(grid[:, 2, :, 4], axes=("sx", "rx"))
 
     def test_axis_count_mismatch(self):
         with pytest.raises(ValueError):

@@ -75,27 +75,27 @@ class TestLinearEvents:
         spec = EventSpec(n_rx=3, n_ry=2, n_sx=2, n_sy=2, spacing_m=25.0,
                          nt=16, dt=0.004, events=[])
         vol = linear_events(spec)
-        assert np.all(vol.data == 0)
+        assert np.all(vol == 0)
 
     def test_real_valued(self):
         spec = EventSpec(n_rx=3, n_ry=2, n_sx=2, n_sy=2, spacing_m=25.0,
                          nt=32, dt=0.004, events=[(0.06, 0.0, 0.0, 1.0)],
                          wavelet_peak_hz=40.0)
         vol = linear_events(spec)
-        assert np.all(vol.data.imag == 0)
+        assert np.all(vol.imag == 0)
 
     def test_zero_slowness_identical_traces_rank_one(self):
         spec = EventSpec(n_rx=4, n_ry=3, n_sx=3, n_sy=2, spacing_m=25.0,
                          nt=64, dt=0.004, events=[(0.12, 0.0, 0.0, 1.0)])
         vol = linear_events(spec)
-        trace0 = vol.data[0, 0, 0, 0]
+        trace0 = vol[0, 0, 0, 0]
         for idx in np.ndindex(4, 3, 3, 2):
-            np.testing.assert_array_equal(vol.data[idx], trace0)
+            np.testing.assert_array_equal(vol[idx], trace0)
         # Every bin of the half spectrum: the others are their conjugates.
         spec_f = dft_time_axis(vol)
         rec = Matricization("recsrcx", 4, 3, 3, 2)
-        for k in range(spec_f.dims[-1]):
-            slice_k = spec_f.data[..., k]
+        for k in range(spec_f.shape[-1]):
+            slice_k = spec_f[..., k]
             if np.linalg.norm(slice_k) < 1e-12:
                 continue
             decay = singular_decay(rec.unfold(slice_k))
@@ -113,7 +113,7 @@ class TestLinearEvents:
         F = dft_time_axis(vol)
         freqs = freq_values_hz(128, 0.004)
         k = int(np.argmin(np.abs(freqs - 10.0)))
-        T = F.data[..., k]
+        T = F[..., k]
         rec = np.linalg.svd(Matricization("recsrcx", 8, 8, 6, 6).unfold(T), compute_uv=False)
         src = np.linalg.svd(Matricization("srcpair", 8, 8, 6, 6).unfold(T), compute_uv=False)
         top2_rec = rec[:2].sum() / rec.sum()
@@ -138,4 +138,4 @@ class TestLinearEvents:
                          wavelet_peak_hz=40.0)
         a = linear_events(spec)
         b = linear_events(spec)
-        np.testing.assert_array_equal(a.data, b.data)
+        np.testing.assert_array_equal(a, b)
