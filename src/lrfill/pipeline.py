@@ -1,6 +1,7 @@
-"""End-to-end interpolation runs: mask, transform, solve every in-band
+"""End-to-end interpolation runs: transform, mask, solve every in-band
 frequency slice, transform the corrections back, report.  The volume is
-streamed through blocks of traces, never held whole.
+streamed through blocks of traces, never held whole, and pass 1 reads and
+transforms each block of the input once, masking its spectrum.
 
 The run configuration lives in a flat ``key = value`` text file whose keys
 are the fields of :class:`PipelineConfig`; every key can be overridden by
@@ -43,11 +44,12 @@ from .volume import (
 SOLVERS = ("pd", "levelset")
 
 # Bytes of complex128 samples in one block of traces.  Each pass of a run
-# works in buffers of about one and a half such blocks, of float64 samples
+# works in buffers of one to one and a half such blocks, of float64 samples
 # and their half spectra, allocated once, besides the in-band bins, so this
-# bounds the run's memory.  A block is read in one call per run of whole
-# traces, one in all when it spans whole trailing axes, so a larger block
-# saves few calls.
+# bounds the run's memory: pass 1 holds one buffer of each, plus a second
+# of half spectra for a truth in another file than the input.  A block is
+# read in one call per run of whole traces, one in all when it spans whole
+# trailing axes, so a larger block saves few calls.
 BLOCK_BYTES = 5 << 20
 # Share of the fullest box's traces that a block must hold; see _block_shape.
 _BLOCK_FILL = 0.9
@@ -304,39 +306,47 @@ def _read_band(cfg: PipelineConfig, dims: tuple, mask: SamplingMask, in_band: li
     """Pass 1 of :func:`run_interpolation`: the in-band bins of the masked
     input and of the truth (``None`` without one), bin-major, and the sums
     of squares of the truth and of the output's error in the out-of-band
-    bins.  Each block goes through buffers that the pass allocates once and
-    drops when it returns: the samples are read into one buffer, which the
-    input's samples leave for the truth's once their half spectrum is
-    taken, and transformed into one buffer of half spectra each.
+    bins.  Each block of the input is read once and its half spectrum
+    taken unmasked; the mask applies where the spectrum is used: the
+    in-band gather zeroes the block's unobserved traces, and the error is
+    the truth's spectrum less the input's at the observed traces.  A truth
+    that is the input file is that spectrum, with no read of its own; a
+    truth in another file is read into the same samples buffer and
+    transformed into a second buffer of half spectra.  The buffers are
+    allocated once and dropped when the pass returns.
     :func:`read_volume` checks every block it reads for non-finite values,
-    and both spectra are checked here, since a DFT of finite samples can
+    and every spectrum is checked here, since a DFT of finite samples can
     overflow, so a bad sample stops the run before any solve."""
     nt, nf = dims[-1], dims[-1] // 2 + 1
     observed = np.empty((len(in_band),) + dims[:-1], dtype=np.complex128)
     truth = None if cfg.truth is None else np.empty_like(observed)
+    own_truth = truth is not None and os.path.samefile(cfg.truth, cfg.input)
     inputs = _block_buffer(dims, nt, np.float64)
     spectra = _block_buffer(dims, nf, np.complex128)
-    if truth is not None:
+    if truth is not None and not own_truth:
         true_spectra = _block_buffer(dims, nf, np.complex128)
     truth_sq = err_sq = 0.0
     for block in trace_blocks(dims):
-        at = (slice(None),) + _spatial_index(block)
-        read = read_volume(cfg.input, block, out=inputs)
-        masked = mask_volume(read, mask, block, out=inputs)
-        spectrum = dft_time_axis(masked, out=spectra)
+        box = _spatial_index(block)
+        at, grid = (slice(None),) + box, mask.grid[box]
+        spectrum = dft_time_axis(read_volume(cfg.input, block, out=inputs), out=spectra)
         check_finite(spectrum)
         observed[at] = np.moveaxis(spectrum[..., in_band], -1, 0)
+        observed[at][:, ~grid] = 0.0
         if truth is not None:
-            read = read_volume(cfg.truth, block, out=inputs)
-            true_spectrum = dft_time_axis(read, out=true_spectra)
-            check_finite(true_spectrum)
+            true_spectrum = spectrum
+            if not own_truth:
+                true_spectrum = dft_time_axis(read_volume(cfg.truth, block, out=inputs),
+                                              out=true_spectra)
+                check_finite(true_spectrum)
             truth_sq += _spectrum_energy(true_spectrum, nt)
             truth[at] = np.moveaxis(true_spectrum[..., in_band], -1, 0)
-            # The output's out-of-band bins are the observed ones.
-            miss = buffer_view(true_spectra, true_spectrum.shape)
-            miss -= spectrum
-            miss[..., in_band] = 0.0
-            err_sq += _spectrum_energy(miss, nt)
+            # The output's out-of-band bins are the observed ones, so its
+            # error there is the truth less the input at the observed
+            # traces: 0 there when the truth is the input.
+            np.subtract(true_spectrum, spectrum, out=true_spectrum, where=grid[..., None])
+            true_spectrum[..., in_band] = 0.0
+            err_sq += _spectrum_energy(true_spectrum, nt)
     return observed, truth, truth_sq, err_sq
 
 
@@ -371,22 +381,24 @@ def run_interpolation(cfg: PipelineConfig) -> RunResult:
 
     The volume is never held whole: the run passes twice over it in the
     blocks of :func:`trace_blocks`, whose time DFT is exact because each
-    holds every time sample of its traces.  Pass 1 reads and masks each
-    block of the input, takes the half spectrum of its real traces, bins
-    0 Hz to Nyquist, and keeps the in-band bins; the truth's blocks,
-    unmasked, go the same way.  Each solve turns its bin into its
-    correction (solved minus observed) in place; the 0 Hz bin, and the
-    Nyquist bin of an even record, are their own conjugates, so their
-    corrections are taken real.  Pass 2 reads and masks each input block
-    again, adds the inverse DFT of its corrections and writes it into its
-    place in the output, so out-of-band bins pass through as observed, and
-    the output is real, so its ``imag_leakage`` is 0.  The overall error
-    is summed bin by bin, out of band in pass 1 and in band by each solve,
-    each bin of a half spectrum counted for itself and its conjugate, so
-    that it stays exact near a perfect reconstruction.  Each pass works in
-    buffers of one block that it allocates once, and pass 1 drops its own
-    before the solve.  A block is read one call per contiguous run: one
-    call for a block that spans whole trailing axes.  The headers are
+    holds every time sample of its traces.  Pass 1 reads each block of the
+    input once, takes the half spectrum of its real traces, bins 0 Hz to
+    Nyquist, and keeps the in-band bins of its observed traces, the mask
+    applied to the spectrum; a truth that is the input file is that
+    spectrum, and a truth in another file is read and transformed block by
+    block too.  Each solve turns its bin into its correction (solved minus
+    observed) in place; the 0 Hz bin, and the Nyquist bin of an even
+    record, are their own conjugates, so their corrections are taken real.
+    Pass 2 reads and masks each input block again, adds the inverse DFT of
+    its corrections and writes it into its place in the output, so
+    out-of-band bins pass through as observed, and the output is real, so
+    its ``imag_leakage`` is 0.  The overall error is summed bin by bin,
+    out of band in pass 1 and in band by each solve, each bin of a half
+    spectrum counted for itself and its conjugate, so that it stays exact
+    near a perfect reconstruction.  Each pass works in buffers of one
+    block that it allocates once, and pass 1 drops its own before the
+    solve.  A block is read one call per contiguous run: one call for a
+    block that spans whole trailing axes.  The headers are
     checked before any data is read (see :func:`read_canonical_header`
     and :func:`read_mask`): an input, a truth or a mask that is not
     trace-major, of complex samples or with an extent of 0 stops the run

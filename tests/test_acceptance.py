@@ -7,7 +7,6 @@ stays inside a few minutes single-threaded.
 """
 
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -26,7 +25,7 @@ from lrfill.pipeline import PipelineConfig, run_interpolation
 from lrfill.reporting import snr_db
 from lrfill.sampling import SamplingMask, jittered_volume_mask, uniform_entry_mask
 from lrfill.synthgen import EventSpec, PlantSpec, linear_events, observe_slice, plant_slice
-from lrfill.transforms import Matricization, MeasurementOp, apply_sampling
+from lrfill.transforms import Matricization, MeasurementOp
 from lrfill.volume import dft_time_axis, freq_values_hz, idft_freq_axis
 
 

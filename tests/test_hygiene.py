@@ -1,8 +1,8 @@
 """Source hygiene that needs no linter.
 
-Every name a module imports is used.  ``__init__.py`` is skipped, since it
-imports names only to re-export them, and so is any import on a line marked
-``noqa``.
+Every name a module of the package or of the tests imports is used.
+``__init__.py`` is skipped, since it imports names only to re-export them,
+and so is any import on a line marked ``noqa``.
 
 No ``.write(x.tobytes())``: a payload is written from its own buffer, not
 from a full-size bytes copy of it.
@@ -66,6 +66,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "lrfill"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 BENCH_MODULES = sorted((ROOT / "perfbench").glob("*.py"))
+TEST_MODULES = sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -229,7 +230,7 @@ def test_check_sees_a_label_table_use():
     assert label_table_uses(source) == [1, 2, 5, 6]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TEST_MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
@@ -346,7 +347,7 @@ def write_only_state(sources: list, readers: list) -> list:
 def test_no_write_only_state():
     sources = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
     readers = [path.read_text() for path in
-               sorted([*(ROOT / "tests").glob("*.py"), *BENCH_MODULES])]
+               sorted([*TEST_MODULES, *BENCH_MODULES])]
     assert write_only_state(sources, readers) == []
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lrfill.oracles import _shrink, op_norm, solve_factor_pd, solve_factor_reference
-from lrfill.pdsolver import DualState, FactorPair, PdConfig, solve_factor
+from lrfill.pdsolver import FactorPair, PdConfig, solve_factor
 from lrfill.sampling import SamplingMask, jittered_volume_mask, uniform_entry_mask
 from lrfill.transforms import MODE_REC_SRC_X, MODE_SRC_PAIR, Matricization, MeasurementOp
 

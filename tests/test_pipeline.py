@@ -495,25 +495,71 @@ def _block_counts(monkeypatch):
     return counts
 
 
-@pytest.mark.parametrize("f_min, f_max, solved", [(200.0, 210.0, 0), (3.0, 70.0, 4)])
-def test_run_calls_each_stage_once_per_block(tmp_path, monkeypatch, f_min, f_max, solved):
-    # Outside tools time a run by wrapping these names: a run whose band
-    # holds no bin still takes an inverse DFT of each block, and a run
-    # solves each of its bins through ``interpolate_slice`` once.
+def _counted_run(tmp_path, monkeypatch, f_min, f_max, truth):
+    """A masked run of the small volume in blocks of 5 traces, with the
+    calls it makes counted by :func:`_block_counts`: the counts, the
+    result and the number of blocks."""
     write_volume(small_volume(), tmp_path / "in.lrv")
     write_mask(jittered_volume_mask(4, 3, 3, 2, 0.5, seed=1), tmp_path / "mask.lrm")
     monkeypatch.setattr(pipeline, "BLOCK_BYTES", 16 * 16 * 5)
     blocks = len(list(pipeline.trace_blocks((4, 3, 3, 2, 16))))
     counts = _block_counts(monkeypatch)
     cfg = PipelineConfig(input=str(tmp_path / "in.lrv"), output=str(tmp_path / "out.lrv"),
-                         mask=str(tmp_path / "mask.lrm"), truth=str(tmp_path / "in.lrv"),
+                         mask=str(tmp_path / "mask.lrm"), truth=str(truth),
                          rank=3, f_min=f_min, f_max=f_max, outer_iters=2,
                          inner_iters=50)
-    res = run_interpolation(cfg)
-    assert counts == {"read_volume": 3 * blocks, "mask_volume": 2 * blocks,
-                      "dft_time_axis": 2 * blocks, "idft_freq_axis": blocks,
+    return counts, run_interpolation(cfg), blocks
+
+
+@pytest.mark.parametrize("f_min, f_max, solved", [(200.0, 210.0, 0), (3.0, 70.0, 4)])
+def test_run_calls_each_stage_once_per_block(tmp_path, monkeypatch, f_min, f_max, solved):
+    # Outside tools time a run by wrapping these names: a run whose band
+    # holds no bin still takes an inverse DFT of each block, and a run
+    # solves each of its bins through ``interpolate_slice`` once.  A truth
+    # that is the input file is the input's own spectrum: pass 1 reads and
+    # transforms each block once and masks its spectrum, not its samples,
+    # and pass 2 reads and masks it again.
+    counts, res, blocks = _counted_run(tmp_path, monkeypatch, f_min, f_max,
+                                       tmp_path / "in.lrv")
+    assert counts == {"read_volume": 2 * blocks, "mask_volume": blocks,
+                      "dft_time_axis": blocks, "idft_freq_axis": blocks,
                       "write_volume": blocks, "interpolate_slice": len(res.rows)}
     assert res.failed == 0 and len(res.rows) == solved
+
+
+def test_truth_in_another_file_is_read_and_transformed_per_block(tmp_path, monkeypatch):
+    # A truth stored in another file, even a copy of the input, keeps its
+    # own read and DFT of each block in pass 1.
+    write_volume(small_volume(), tmp_path / "truth.lrv")
+    counts, res, blocks = _counted_run(tmp_path, monkeypatch, 3.0, 70.0,
+                                       tmp_path / "truth.lrv")
+    assert counts == {"read_volume": 3 * blocks, "mask_volume": blocks,
+                      "dft_time_axis": 2 * blocks, "idft_freq_axis": blocks,
+                      "write_volume": blocks, "interpolate_slice": len(res.rows)}
+    assert res.failed == 0 and len(res.rows) == 4
+
+
+@pytest.mark.parametrize("f_min, f_max, solved", [(3.0, 70.0, 4), (200.0, 210.0, 0)],
+                         ids=["band", "empty-band"])
+def test_truth_that_is_the_input_gives_the_run_of_a_copy(tmp_path, f_min, f_max, solved):
+    # Taking the truth's spectrum from the input's when they are one file
+    # changes no bit of the output or of the SNRs against a truth that is
+    # a byte-identical copy of the input, read and transformed on its own.
+    write_volume(small_volume(), tmp_path / "in.lrv")
+    (tmp_path / "copy.lrv").write_bytes((tmp_path / "in.lrv").read_bytes())
+    write_mask(jittered_volume_mask(4, 3, 3, 2, 0.5, seed=1), tmp_path / "mask.lrm")
+
+    def run(truth, output):
+        res = _masked_run(tmp_path, tmp_path / output, truth=tmp_path / truth,
+                          f_min=f_min, f_max=f_max)
+        return res, (tmp_path / output).read_bytes()
+
+    own, own_bytes = run("in.lrv", "own.lrv")
+    copy, copy_bytes = run("copy.lrv", "copy_out.lrv")
+    assert own_bytes == copy_bytes
+    assert own.failed == copy.failed == 0 and len(own.rows) == solved
+    assert np.isfinite(own.overall_snr_db) and own.overall_snr_db == copy.overall_snr_db
+    assert [r.snr_db for r in own.rows] == [r.snr_db for r in copy.rows]
 
 
 @pytest.mark.parametrize("layout", [CANONICAL_AXES, TIME_FIRST],
@@ -555,8 +601,9 @@ def test_block_is_read_and_written_in_one_call_per_run(tmp_path, monkeypatch, la
         return
     res = _masked_run(tmp_path, tmp_path / "out.lrv", truth=tmp_path / "in.lrv",
                       input=tmp_path / "in.lrv")
-    # Pass 1 reads the input and the truth of each block, pass 2 the input.
-    assert per_call["read_volume"] == [1] * (3 * len(blocks))
+    # Pass 1 reads each block once, the truth being the input, and pass 2
+    # reads it again.
+    assert per_call["read_volume"] == [1] * (2 * len(blocks))
     assert per_call["write_volume"] == [1] * len(blocks)
     out, ref_out = read_volume(tmp_path / "out.lrv"), read_volume(tmp_path / "ref.lrv")
     assert (tmp_path / "out.lrv").read_bytes()[7:12] == bytes([2, 3, 4, 5, 0])
@@ -625,6 +672,35 @@ def test_non_finite_sample_in_an_unobserved_trace_stops_the_run(tmp_path, monkey
     assert not (tmp_path / "out.lrv").exists()
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("truth", ["input", "none", "another-file"])
+def test_overflowing_spectrum_of_an_unobserved_trace_stops_the_run(tmp_path, monkeypatch,
+                                                                   truth):
+    # Pass 1 takes the spectrum of every trace of a block before the mask
+    # applies, and checks it: a trace the mask removes whose finite samples
+    # overflow in the DFT stops the run before any solve, with or without a
+    # truth, and leaves no output.  A truth stored in another file is
+    # transformed and checked on its own: the same trace there, under a
+    # clean input, stops the run too.
+    vol = small_volume()
+    mask = jittered_volume_mask(4, 3, 3, 2, 0.5, seed=1)
+    trace = tuple(np.argwhere(~mask.grid)[0])
+    big = vol.copy()
+    big[trace] = 1e308
+    assert np.isfinite(big).all() and not np.isfinite(dft_time_axis(big[trace])).all()
+    write_volume(vol if truth == "another-file" else big, tmp_path / "in.lrv")
+    write_volume(big, tmp_path / "truth.lrv")
+    write_mask(mask, tmp_path / "mask.lrm")
+    counts = _block_counts(monkeypatch)
+    with pytest.raises(ValueError, match="non-finite"):
+        _masked_run(tmp_path, tmp_path / "out.lrv",
+                    truth={"input": tmp_path / "in.lrv", "none": None,
+                           "another-file": tmp_path / "truth.lrv"}[truth])
+    assert counts["interpolate_slice"] == 0
+    assert not list(tmp_path.glob("out.lrv*"))
+
+
 @pytest.mark.parametrize("f_min, f_max, solved", [(200.0, 210.0, 0), (3.0, 70.0, 4)],
                          ids=["empty-band", "band"])
 def test_real_run_keeps_the_order_the_benchmark_times(tmp_path, monkeypatch, f_min, f_max,
@@ -662,10 +738,11 @@ def test_real_run_keeps_the_order_the_benchmark_times(tmp_path, monkeypatch, f_m
                                         "write_volume"}
 
 
-def _masked_run(tmp_path, output, truth=None, input=None):
+def _masked_run(tmp_path, output, truth=None, input=None, **settings):
     cfg = PipelineConfig(input=str(input or tmp_path / "in.lrv"), output=str(output),
                          mask=str(tmp_path / "mask.lrm"), truth=truth and str(truth),
-                         rank=3, eta_fraction=0.01, alpha=0.5, outer_iters=8, inner_iters=400)
+                         rank=3, eta_fraction=0.01, alpha=0.5, outer_iters=8, inner_iters=400,
+                         **settings)
     return run_interpolation(cfg)
 
 
